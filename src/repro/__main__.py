@@ -12,6 +12,7 @@ Usage::
     python -m repro schedulers [--quick] [--json out.json]
     python -m repro kernels [--quick] [--json out.json]
     python -m repro sharing [--quick] [--json out.json]
+    python -m repro approx [--quick] [--json out.json]
     python -m repro memory [--quick] [--json out.json]
     python -m repro serve --artifact ensemble.repro [--port 9000]
     python -m repro service [--quick] [--json out.json]
@@ -52,6 +53,15 @@ score parity between the two modes and on the build-count invariant
 non-zero if either gate fails. Its JSON output is committed as
 ``BENCH_pr9.json`` and uploaded by CI bench-smoke.
 
+``approx`` benchmarks PSA on the parallel plane: the heterogeneous
+pool fitted with 1 and with 2 ``shm_processes`` workers, reporting the
+``approximate`` stage's wall, its (model × tree-block) ledger, the
+speedup and each worker's busy share. Gates on the fitted ensemble
+being bitwise-identical serial vs parallel (train scores, threshold,
+held-out scores, every approximator tree); exits non-zero otherwise.
+Its JSON output is committed as ``BENCH_pr15.json`` and uploaded by CI
+bench-smoke.
+
 ``memory`` benchmarks the memory plane: fresh worker processes
 cold-start the same fitted ensemble from its memmap-served arena
 artifact and from the inline rebuild baseline, comparing time-to-first-
@@ -77,7 +87,7 @@ committed as ``BENCH_pr8.json`` and uploaded by the CI
 ``service-smoke`` job.
 
 ``bench-all`` drives every registered benchmark suite (scaling,
-schedulers, kernels, sharing, memory, service) through one command, writing
+schedulers, kernels, sharing, approx, memory, service) through one command, writing
 ``bench_<name>.json`` per suite into ``--json-dir`` — the single CI
 bench-smoke step, so new subsystems are picked up by registration
 instead of workflow edits.
@@ -882,6 +892,89 @@ def run_sharing_command(argv=None) -> int:
     return 0 if meta["gates_ok"] else 1
 
 
+def run_approx_command(argv=None) -> int:
+    """``python -m repro approx``: PSA-on-the-parallel-plane benchmark."""
+    from repro.bench.runners import run_approx_benchmark
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro approx",
+        description=(
+            "Benchmark the PSA wave: fit the 16-model heterogeneous pool "
+            "with n_jobs 1 and 2 (shm_processes) and report the "
+            "approximate stage's wall, its (model x tree-block) ledger, "
+            "the speedup and per-worker busy share. Gates the parity "
+            "contract - train scores, threshold, held-out scores and "
+            "every approximator tree bitwise-identical serial vs "
+            "parallel - and exits non-zero if it fails; the JSON rows "
+            "are the format of BENCH_pr15.json and of the CI bench-smoke "
+            "artifact."
+        ),
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="CI-sized run: 400x40 train set, 1 repeat",
+    )
+    parser.add_argument(
+        "--json",
+        dest="json_path",
+        metavar="PATH",
+        default=None,
+        help="write rows + meta as JSON to PATH ('-' for stdout)",
+    )
+    parser.add_argument("--n-train", type=int, default=None)
+    parser.add_argument("--d", type=int, default=None, help="feature count")
+    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    kwargs = {"seed": args.seed}
+    if args.quick:
+        kwargs.update(n_train=400, n_test=400, n_features=40, repeats=1)
+    if args.n_train is not None:
+        kwargs["n_train"] = args.n_train
+    if args.d is not None:
+        kwargs["n_features"] = args.d
+    if args.repeats is not None:
+        kwargs["repeats"] = args.repeats
+
+    t0 = time.perf_counter()
+    rows, meta = run_approx_benchmark(get_config(), **kwargs)
+    elapsed = time.perf_counter() - t0
+
+    payload = {"meta": meta, "rows": rows}
+    if args.json_path == "-":
+        _emit_json(payload, "-")
+    else:
+        print(meta["config"])
+        print(
+            format_table(
+                rows,
+                columns=[
+                    "n_jobs",
+                    "approximate_s",
+                    "approximate_speedup",
+                    "fit_s",
+                    "tasks",
+                    "blocks_per_model",
+                    "tasks_per_worker",
+                    "busy_share",
+                ],
+                title="\nPSA wave - approximate-stage wall per worker count",
+            )
+        )
+        print(
+            f"\napproximate: {meta['approximate_speedup']:.2f}x faster on "
+            f"{rows[-1]['n_jobs']} workers (fit {meta['fit_speedup']:.2f}x), "
+            f"{meta['n_approximated']} forests"
+        )
+        print(f"parity (serial vs parallel bitwise): {meta['parity_ok']}")
+        print(f"[approx done in {elapsed:.1f}s]")
+    if args.json_path and args.json_path != "-":
+        _emit_json(payload, args.json_path)
+    return 0 if meta["gates_ok"] else 1
+
+
 def _parse_tenant_limits(specs) -> dict[str, tuple[float, float]]:
     """``name=rate`` / ``name=rate:burst`` CLI specs into a limits dict."""
     limits: dict[str, tuple[float, float]] = {}
@@ -1265,6 +1358,7 @@ BENCH_SUITES = {
     "schedulers": run_schedulers_command,
     "kernels": run_kernels_command,
     "sharing": run_sharing_command,
+    "approx": run_approx_command,
     "memory": run_memory_command,
     "service": run_service_command,
 }
@@ -1276,6 +1370,7 @@ SUBCOMMANDS = {
     "schedulers": run_schedulers_command,
     "kernels": run_kernels_command,
     "sharing": run_sharing_command,
+    "approx": run_approx_command,
     "memory": run_memory_command,
     "serve": run_serve_command,
     "service": run_service_command,
@@ -1290,6 +1385,7 @@ _SUBCOMMAND_HELP = {
     "schedulers": "Scheduler registry listing + ablation",
     "kernels": "Compute-kernel microbenchmarks + parity gate",
     "sharing": "Shared-computation plane benchmark + parity gate",
+    "approx": "PSA parallel-wave benchmark + parity gate",
     "memory": "Memory-plane benchmark + parity gate",
     "serve": "Online micro-batching scoring server",
     "service": "Serving-plane benchmark + parity gate",

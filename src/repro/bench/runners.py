@@ -26,12 +26,17 @@ from repro.data import (
 from repro.data.benchmark import TABLE_A1
 from repro.detectors import (
     ABOD,
+    COPOD,
     HBOS,
     KNN,
+    LODA,
     LOF,
+    PCAD,
     AvgKNN,
     CBLOF,
     FeatureBagging,
+    IsolationForest,
+    LoOP,
     sample_model_pool,
 )
 from repro.metrics import makespan, precision_at_n, roc_auc_score
@@ -52,6 +57,7 @@ __all__ = [
     "run_backend_scaling",
     "run_kernel_benchmarks",
     "run_sharing_benchmark",
+    "run_approx_benchmark",
     "run_memory_benchmark",
     "run_service_benchmark",
 ]
@@ -1183,7 +1189,6 @@ def run_sharing_benchmark(
     CI hosts is informational; BENCH_pr9.json records them from a quiet
     host.
     """
-    from repro.detectors import LoOP
     from repro.neighbors import kdtree_build_count
 
     Xtr, _ = make_outlier_dataset(
@@ -1294,6 +1299,149 @@ def run_sharing_benchmark(
         "host": _host_meta(),
     }
     meta["gates_ok"] = meta["parity_ok"] and meta["builds_ok"]
+    return rows, meta
+
+
+def _hetero_pool() -> list:
+    """The paper's headline scenario: 16 models from 11 families, nine of
+    them costly (so PSA trains nine forests)."""
+    return [
+        KNN(n_neighbors=5),
+        KNN(n_neighbors=20, method="mean"),
+        KNN(n_neighbors=50, method="median"),
+        AvgKNN(n_neighbors=10),
+        LOF(n_neighbors=10),
+        LOF(n_neighbors=30),
+        ABOD(n_neighbors=10),
+        LoOP(n_neighbors=15),
+        CBLOF(n_clusters=5),
+        HBOS(n_bins=10),
+        HBOS(n_bins=30),
+        IsolationForest(n_estimators=100),
+        IsolationForest(n_estimators=50, max_features=0.5),
+        LODA(n_projections=100),
+        COPOD(),
+        PCAD(),
+    ]
+
+
+def run_approx_benchmark(
+    cfg: BenchConfig,
+    *,
+    n_train: int = 1500,
+    n_test: int = 1500,
+    n_features: int = 120,
+    repeats: int = 3,
+    worker_counts: tuple = (1, 2),
+    seed: int = 0,
+):
+    """PSA on the parallel plane: ``approximate``-stage wall per worker count.
+
+    Fits the heterogeneous pool (RP + PSA + BPS on, ``shm_processes``)
+    once per entry of ``worker_counts`` and reports, per count, the
+    best-of-``repeats`` wall of the fit plan's ``approximate`` stage and
+    of the whole fit, the wave's ledger (tasks, blocks per model, tasks
+    per worker) and each worker's busy share of the wave wall.
+
+    The gate CI bench-smoke enforces is ``parity_ok``: train scores,
+    threshold, held-out ``decision_function`` scores and every
+    approximator tree are bitwise-identical between the first
+    (single-worker) fit and every other one. ``approximate_speedup`` is
+    informational — wall clock on a shared host is not gated.
+    """
+    Xtr, _ = make_outlier_dataset(
+        n_train, n_features, contamination=0.1, random_state=seed
+    )
+    Xte, _ = make_outlier_dataset(
+        n_test, n_features, contamination=0.1, random_state=seed + 1
+    )
+
+    def fingerprint(clf):
+        trees = [
+            (t.feature_, t.threshold_, t.children_left_, t.children_right_, t.value_)
+            for a in clf.approximators_
+            if a.approximated
+            for t in a.regressor_.estimators_
+        ]
+        return (
+            clf.decision_scores_,
+            np.float64(clf.threshold_),
+            clf.decision_function(Xte),
+            *(part for tree in trees for part in tree),
+        )
+
+    rows = []
+    reference = None
+    parity_ok = True
+    for n_jobs in worker_counts:
+        best = None
+        for _ in range(max(1, repeats)):
+            clf = SUOD(
+                _hetero_pool(),
+                n_jobs=n_jobs,
+                backend="shm_processes",
+                contamination=0.1,
+                random_state=seed,
+            )
+            try:
+                t0 = time.perf_counter()
+                clf.fit(Xtr)
+                fit_s = time.perf_counter() - t0
+            finally:
+                clf.close()
+            report = clf.fit_plan_.report_for("approximate")
+            if best is None or report.wall_time < best[0].wall_time:
+                best = (report, fit_s)
+        report, fit_s = best
+        clf.n_jobs = 1  # score the held-out rows in-process
+        prints = fingerprint(clf)
+        if reference is None:
+            reference = prints
+        else:
+            parity_ok = (
+                parity_ok
+                and len(prints) == len(reference)
+                # equal_nan: leaf nodes carry a NaN threshold.
+                and all(
+                    np.array_equal(a, b, equal_nan=True)
+                    for a, b in zip(reference, prints)
+                )
+            )
+        busy = report.execution.worker_times
+        rows.append(
+            {
+                "n_jobs": n_jobs,
+                "approximate_s": round(report.wall_time, 4),
+                "fit_s": round(fit_s, 4),
+                "tasks": report.info["tasks"],
+                "blocks_per_model": report.info["blocks_per_model"],
+                "tasks_per_worker": report.info["tasks_per_worker"],
+                "busy_share": [
+                    round(float(b) / report.execution.wall_time, 3) for b in busy
+                ],
+            }
+        )
+    base = rows[0]
+    for row in rows:
+        row["approximate_speedup"] = round(
+            base["approximate_s"] / row["approximate_s"], 3
+        )
+        row["fit_speedup"] = round(base["fit_s"] / row["fit_s"], 3)
+    meta = {
+        "config": (
+            f"16-model heterogeneous pool on ({n_train}, {n_features}), RP+PSA+BPS, "
+            f"shm_processes, best of {repeats}"
+        ),
+        "n_train": n_train,
+        "n_test": n_test,
+        "n_features": n_features,
+        "n_approximated": int(clf.approx_flags_.sum()),
+        "approximate_speedup": rows[-1]["approximate_speedup"],
+        "fit_speedup": rows[-1]["fit_speedup"],
+        "parity_ok": bool(parity_ok),
+        "host": _host_meta(),
+    }
+    meta["gates_ok"] = meta["parity_ok"]
     return rows, meta
 
 

@@ -9,6 +9,7 @@ for completeness.
 from repro.combination.methods import (
     zscore_standardise,
     ecdf_standardise,
+    mean_over_models,
     average,
     maximization,
     aom,
@@ -21,6 +22,7 @@ __all__ = [
     "LSCP",
     "zscore_standardise",
     "ecdf_standardise",
+    "mean_over_models",
     "average",
     "maximization",
     "aom",

@@ -15,6 +15,7 @@ from repro.utils.random import check_random_state
 __all__ = [
     "zscore_standardise",
     "ecdf_standardise",
+    "mean_over_models",
     "average",
     "maximization",
     "aom",
@@ -32,6 +33,22 @@ def _as_matrix(scores) -> np.ndarray:
     if not np.all(np.isfinite(S)):
         raise ValueError("scores contain NaN or infinity")
     return S
+
+
+def mean_over_models(S: np.ndarray) -> np.ndarray:
+    """Mean across the model axis, accumulated model by model.
+
+    ``S.mean(axis=0)`` adds a C-ordered ``(m, n >= 2)`` matrix up in this
+    very order, but sums an ``(m, 1)`` one pairwise once ``m >= 8`` — so
+    a row scored alone could differ in the last bit from the same row
+    inside a batch. Spelling the order out gives every row the bits the
+    batched reduction gives it, whatever the shape or memory layout.
+    """
+    total = S[0].copy()
+    for row in S[1:]:
+        total += row
+    total /= S.shape[0]
+    return total
 
 
 def zscore_standardise(scores, *, ref: np.ndarray | None = None) -> np.ndarray:
@@ -78,7 +95,7 @@ def ecdf_standardise(scores, *, ref: np.ndarray | None = None) -> np.ndarray:
 def average(scores, *, standardise: bool = True, ref=None) -> np.ndarray:
     """Mean across models (the paper's ``Avg`` combiner)."""
     S = zscore_standardise(scores, ref=ref) if standardise else _as_matrix(scores)
-    return S.mean(axis=0)
+    return mean_over_models(S)
 
 
 def maximization(scores, *, standardise: bool = True, ref=None) -> np.ndarray:
@@ -123,7 +140,7 @@ def moa(
     S = zscore_standardise(scores, ref=ref) if standardise else _as_matrix(scores)
     rng = check_random_state(random_state)
     buckets = _random_buckets(S.shape[0], n_buckets, rng)
-    return np.max([S[b].mean(axis=0) for b in buckets], axis=0)
+    return np.max([mean_over_models(S[b]) for b in buckets], axis=0)
 
 
 def weighted_average(

@@ -23,7 +23,11 @@ from repro.scheduling import (
     karmarkar_karp_partition,
     discounted_ranks,
 )
-from repro.core.approximation import Approximator, fit_approximators
+from repro.core.approximation import (
+    Approximator,
+    ApproximatorWave,
+    fit_approximators,
+)
 from repro.core.selection import consensus_competence, trim_pool
 from repro.core.suod import SUOD
 
@@ -41,6 +45,7 @@ __all__ = [
     "karmarkar_karp_partition",
     "discounted_ranks",
     "Approximator",
+    "ApproximatorWave",
     "fit_approximators",
     "consensus_competence",
     "trim_pool",

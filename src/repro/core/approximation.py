@@ -6,21 +6,37 @@ regressor then replaces the detector at prediction time. Only *costly*
 detectors are approximated (the predefined pool ``M_c`` — proximity-based
 models with O(n d) per-query cost); fast models (HBOS, iForest, ...) are
 kept as-is because an approximator could not beat their prediction cost.
+
+Two ways to train them: :func:`fit_approximators` is the plain serial
+loop (the public helper, and the parity oracle of the tests);
+:class:`ApproximatorWave` cuts the same work into picklable
+(model × tree-block) tasks that ``SUOD``'s ``approximate`` stage runs
+through the scheduled parallel backend, exactly as Algorithm 1 trains
+the approximators inside the balanced parallel loop.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import is_costly
+from repro.parallel.shm import resolve_array
+from repro.scheduling.cost import forecast_approximator_fit
 from repro.supervised import RandomForestRegressor
 from repro.utils.validation import check_array, check_is_fitted
 
-__all__ = ["Approximator", "fit_approximators"]
+__all__ = [
+    "Approximator",
+    "ApproximatorWave",
+    "fit_approximators",
+    "tree_blocks_per_model",
+]
 
 
 class Approximator:
@@ -63,18 +79,26 @@ class Approximator:
         if not self.enabled:
             return self
         X_train = check_array(X_train, name="X_train")
-        if X_train.shape[0] != self.detector.decision_scores_.shape[0]:
+        self.check_aligned(X_train.shape[0])
+        self.regressor_ = self.new_regressor()
+        self.regressor_.fit(X_train, self.detector.decision_scores_)
+        return self
+
+    def check_aligned(self, n_rows: int) -> None:
+        """Reject a training space whose rows do not match the scores."""
+        if n_rows != self.detector.decision_scores_.shape[0]:
             raise ValueError(
                 "X_train is not aligned with the detector's training scores"
             )
+
+    def new_regressor(self):
+        """A fresh, unfitted clone of the regressor prototype."""
         proto = (
             self.regressor_prototype
             if self.regressor_prototype is not None
             else RandomForestRegressor()
         )
-        self.regressor_ = copy.deepcopy(proto)
-        self.regressor_.fit(X_train, self.detector.decision_scores_)
-        return self
+        return copy.deepcopy(proto)
 
     def decision_function(self, X) -> np.ndarray:
         """Outlyingness scores: regressor if trained, else the detector."""
@@ -123,3 +147,154 @@ def fit_approximators(
     for det, X, flag in zip(detectors, X_list, flags):
         out.append(Approximator(det, regressor, enabled=flag).fit(X))
     return out
+
+
+# ----------------------------------------------------------------------
+# The parallel wave: the same fits, cut into schedulable tasks.
+# ----------------------------------------------------------------------
+def _fit_whole(regressor, X, y):
+    """Wave task: fit one approximator's regressor in one piece."""
+    return regressor.fit(check_array(resolve_array(X), name="X_train"), y)
+
+
+def _fit_block(regressor, X, y, seeds) -> list:
+    """Wave task: fit the trees of one seed block of one forest."""
+    return regressor.fit_block(check_array(resolve_array(X), name="X_train"), y, seeds)
+
+
+def _supports_blocks(regressor) -> bool:
+    """Whether ``regressor`` has the block-fit/assemble pair (and no
+    option, like out-of-bag scoring, that couples its trees)."""
+    return (
+        all(
+            callable(getattr(regressor, name, None))
+            for name in ("tree_seeds", "fit_block", "assemble_blocks")
+        )
+        and not getattr(regressor, "oob_score", False)
+    )
+
+
+def tree_blocks_per_model(n_models: int, n_workers: int) -> int:
+    """Tree blocks each forest is cut into for ``n_workers`` workers.
+
+    The smallest count at which equally expensive forests divide evenly
+    over the workers: one task per model leaves 9 forests on 2 workers
+    split 5 : 4, two blocks each make it 9 : 9. A single worker (or a
+    model count the workers already divide) keeps whole forests.
+    """
+    if n_models < 1 or n_workers < 2:
+        return 1
+    return n_workers // math.gcd(n_models, n_workers)
+
+
+class ApproximatorWave:
+    """The enabled approximators' fits as (model × tree-block) tasks.
+
+    Built parent-side from unfitted :class:`Approximator` objects and
+    their training spaces. Regressors with the block-fit/assemble pair
+    (:class:`~repro.supervised.RandomForestRegressor` without
+    ``oob_score``) contribute :func:`tree_blocks_per_model` tasks, each
+    fitting a contiguous slice of the forest's pre-drawn tree seeds; any
+    other regressor contributes one whole-model task. Tasks bind a clone
+    of the prototype, the detector's training scores and whatever stands
+    for the space in ``data`` (an array, or a shared-memory handle), so
+    no feature matrix crosses a process boundary on the shm plane.
+
+    :meth:`assemble` joins the task results back into
+    ``Approximator.regressor_`` in tree order. Every tree depends only on
+    its own pre-drawn seed, so the result is bitwise the forest
+    :func:`fit_approximators` trains — whatever the block count, the
+    assignment or the order the workers finished in.
+
+    Attributes
+    ----------
+    owners : list of (model index, lo, hi)
+        One entry per task: the tree range ``[lo, hi)`` it fits, or
+        ``(i, 0, 0)`` for a whole-model task.
+    blocks_per_model : int
+        Blocks each block-capable forest was cut into (1 when every
+        regressor fell back to a whole-model task).
+    """
+
+    def __init__(self, approximators: Sequence[Approximator], spaces, n_workers: int):
+        self.approximators = list(approximators)
+        self._shapes = {}
+        self._regressors = {}
+        self._seeds = {}
+        self.owners: list[tuple[int, int, int]] = []
+        self.blocks_per_model = 1
+        enabled = [i for i, a in enumerate(self.approximators) if a.enabled]
+        target = tree_blocks_per_model(len(enabled), n_workers)
+        for i in enabled:
+            approx = self.approximators[i]
+            approx.check_aligned(spaces[i].shape[0])
+            self._shapes[i] = spaces[i].shape
+            regressor = self._regressors[i] = approx.new_regressor()
+            if not _supports_blocks(regressor):
+                self.owners.append((i, 0, 0))
+                continue
+            seeds = self._seeds[i] = regressor.tree_seeds()
+            n_blocks = max(1, min(target, len(seeds)))
+            self.blocks_per_model = max(self.blocks_per_model, n_blocks)
+            bounds = [len(seeds) * j // n_blocks for j in range(n_blocks + 1)]
+            self.owners += [(i, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.owners)
+
+    def tasks(self, data) -> list:
+        """One picklable zero-argument callable per entry of ``owners``."""
+        out = []
+        for i, lo, hi in self.owners:
+            y = self.approximators[i].detector.decision_scores_
+            regressor = self._regressors[i]
+            if hi:
+                out.append(
+                    functools.partial(
+                        _fit_block, regressor, data[i], y, self._seeds[i][lo:hi]
+                    )
+                )
+            else:
+                out.append(functools.partial(_fit_whole, regressor, data[i], y))
+        return out
+
+    def costs(self) -> np.ndarray:
+        """Analytic forecast per task (:func:`forecast_approximator_fit`).
+
+        A regressor without forest hyperparameters is forecast as the
+        default forest on its space: one wave shares one prototype, so
+        only the spaces' shapes rank its whole-model tasks.
+        """
+        out = np.empty(self.n_tasks)
+        for t, (i, lo, hi) in enumerate(self.owners):
+            n, d = self._shapes[i]
+            regressor = self._regressors[i]
+            out[t] = forecast_approximator_fit(
+                n,
+                d,
+                hi - lo if hi else getattr(regressor, "n_estimators", 50),
+                getattr(regressor, "max_depth", 12),
+                getattr(regressor, "max_features", "sqrt"),
+            )
+        return out
+
+    def task_weights(self) -> np.ndarray:
+        """Work units per task (rows × trees) for the adaptive feedback
+        loop, so blocks of one model observe one per-unit rate."""
+        return np.array(
+            [float(self._shapes[i][0] * max(hi - lo, 1)) for i, lo, hi in self.owners]
+        )
+
+    def assemble(self, results) -> None:
+        """Install the fitted regressors from the tasks' results."""
+        blocks: dict[int, list] = {}
+        for (i, _lo, hi), res in zip(self.owners, results):
+            if hi:
+                blocks.setdefault(i, []).append(res)
+            else:
+                self.approximators[i].regressor_ = res
+        for i, parts in blocks.items():
+            self.approximators[i].regressor_ = self._regressors[i].assemble_blocks(
+                parts, self._shapes[i][1]
+            )

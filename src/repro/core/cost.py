@@ -14,6 +14,7 @@ from repro.scheduling.cost import (
     CostPredictor,
     TelemetryRefinedCostModel,
     dataset_meta_features,
+    forecast_approximator_fit,
     forecast_shared_query,
     model_embedding,
     train_cost_predictor,
@@ -22,6 +23,7 @@ from repro.scheduling.cost import (
 __all__ = [
     "dataset_meta_features",
     "model_embedding",
+    "forecast_approximator_fit",
     "forecast_shared_query",
     "CostModel",
     "AnalyticCostModel",

@@ -31,14 +31,18 @@ execution path shared by every backend. The ``share`` stage (between
 redundant neighbor structures into shared producer tasks whose fused
 query results every consuming detector prefix-slices — the execute
 stage then runs a two-wave dependency DAG (producers, then consumers)
-with bitwise-identical scores (:mod:`repro.pipeline.sharing`).
+with bitwise-identical scores (:mod:`repro.pipeline.sharing`). The fit
+plan's ``approximate`` stage is a third scheduled wave: PSA trains its
+approximator forests as (model × tree-block) tasks on the same warm
+backend, bitwise-identical to the serial loop
+(:class:`repro.core.approximation.ApproximatorWave`).
 ``build_fit_plan`` /
 ``build_predict_plan`` expose the plans directly (the ``repro plan``
 CLI renders them; partial runs preview forecast costs and the chosen
 assignment without fitting anything). Stage-level telemetry lands in
 ``fit_plan_`` / ``predict_plan_``; plans and the ``fit_result_`` /
-``predict_result_`` execution results are ephemeral run artefacts
-and are deliberately excluded from pickles (see
+``approx_result_`` / ``predict_result_`` execution results are ephemeral
+run artefacts and are deliberately excluded from pickles (see
 :mod:`repro.utils.persistence` for ensemble round-tripping).
 """
 
@@ -49,8 +53,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.combination import ecdf_standardise, moa, zscore_standardise
-from repro.core.approximation import Approximator, fit_approximators
+from repro.combination import (
+    ecdf_standardise,
+    mean_over_models,
+    moa,
+    zscore_standardise,
+)
+from repro.core.approximation import Approximator, ApproximatorWave
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import family_of, is_costly
 from repro.parallel import (
@@ -217,7 +226,9 @@ class SUOD:
     rp_flags_ : (m,) bool array — RP actually applied per model
     approx_flags_ : (m,) bool array — PSA actually applied per model
     fit_assignment_ : (m,) int array — worker of each model during fit
-    fit_result_ : repro.parallel.ExecutionResult of the fit phase
+    fit_result_ : repro.parallel.ExecutionResult of the detector-fit wave
+    approx_assignment_ : worker of each PSA (model × tree-block) task
+    approx_result_ : ExecutionResult of the PSA wave (None without one)
     fit_plan_ : repro.pipeline.ExecutionPlan of the last fit pass
     predict_result_ : ExecutionResult of the last scoring pass
     predict_plan_ : ExecutionPlan of the last scoring pass
@@ -409,17 +420,20 @@ class SUOD:
 
     def _observe_execution(self, ctx: PlanContext, result: ExecutionResult) -> int:
         """Pipe execute-stage telemetry into the scheduler's feedback loop."""
-        if self.n_jobs == 1:
-            return 0
-        scheduler = self._make_scheduler()
-        if not scheduler.adaptive:
-            return 0
         keys = ctx.get("task_keys")
         weights = ctx.get("task_weights")
         if keys is None or result.task_times.size != len(keys):
             keys, weights = self._task_identities(ctx)
-            if result.task_times.size != len(keys):
-                return 0
+        return self._observe_wave(result, keys, weights)
+
+    def _observe_wave(self, result: ExecutionResult, keys, weights) -> int:
+        """Feed one wave's task times (detector fits, scoring tasks, share
+        producers, PSA blocks) to the adaptive scheduler under its keys."""
+        if self.n_jobs == 1 or keys is None or result.task_times.size != len(keys):
+            return 0
+        scheduler = self._make_scheduler()
+        if not scheduler.adaptive:
+            return 0
         return scheduler.observe(result.task_times, task_keys=keys, weights=weights)
 
     # ------------------------------------------------------------------
@@ -746,19 +760,9 @@ class SUOD:
             ]
         result = backend.execute(tasks, ctx.producer_assignment)
         result.raise_first_error()
-        if self.n_jobs > 1:
-            scheduler = self._make_scheduler()
-            keys = ctx.get("producer_task_keys")
-            if (
-                scheduler.adaptive
-                and keys is not None
-                and result.task_times.size == len(keys)
-            ):
-                scheduler.observe(
-                    result.task_times,
-                    task_keys=keys,
-                    weights=ctx.get("producer_task_weights"),
-                )
+        self._observe_wave(
+            result, ctx.get("producer_task_keys"), ctx.get("producer_task_weights")
+        )
         arena = ctx.get("arena")
         published = []
         bytes_published = 0
@@ -892,35 +896,95 @@ class SUOD:
         return info
 
     def _fit_stage_approximate(self, ctx: PlanContext) -> dict:
-        """PSA (Algorithm 1 lines 15-22)."""
+        """PSA (Algorithm 1 lines 15-22): wave 2 of the parallel plane."""
         m = self.n_models
-        if self.approx_flag_global:
-            flags = [is_costly(est) for est in self.base_estimators_]
-            regressor = self.approx_clf
-            if regressor is None:
-                from repro.supervised import RandomForestRegressor
-
-                # Seed the default approximator so the whole pipeline is
-                # reproducible under a fixed random_state; cached on the
-                # context so reset() + re-run replays identically.
-                if "approx_seed" not in ctx:
-                    ctx.approx_seed = spawn_seeds(ctx.rng, 1)[0]
-                regressor = RandomForestRegressor(random_state=ctx.approx_seed)
-            self.approximators_ = fit_approximators(
-                self.base_estimators_,
-                ctx.spaces,
-                regressor=regressor,
-                approx_flags=flags,
-            )
-            self.approx_flags_ = np.array([a.approximated for a in self.approximators_])
-            self._log(f"PSA: {int(self.approx_flags_.sum())}/{m} models approximated")
-        else:
+        self.approx_result_ = None
+        self.approx_assignment_ = np.zeros(0, dtype=np.int64)
+        if not self.approx_flag_global:
             self.approximators_ = [
-                Approximator(est, enabled=False)
-                for est in self.base_estimators_
+                Approximator(est, enabled=False) for est in self.base_estimators_
             ]
             self.approx_flags_ = np.zeros(m, dtype=bool)
-        return {"n_approximated": int(self.approx_flags_.sum())}
+            return {"n_approximated": 0}
+        regressor = self.approx_clf
+        if regressor is None:
+            from repro.supervised import RandomForestRegressor
+
+            # Seed the default approximator so the whole pipeline is
+            # reproducible under a fixed random_state; cached on the
+            # context so reset() + re-run replays identically.
+            if "approx_seed" not in ctx:
+                ctx.approx_seed = spawn_seeds(ctx.rng, 1)[0]
+            regressor = RandomForestRegressor(random_state=ctx.approx_seed)
+        approximators = [
+            Approximator(est, regressor, enabled=is_costly(est))
+            for est in self.base_estimators_
+        ]
+        backend, n_workers = self._make_backend(), self.n_jobs
+        if getattr(backend, "shares_gil", False):
+            # Tree fitting is interpreter-bound: thread workers would only
+            # add GIL hand-offs (measured 1.3-2.6x slower than one worker),
+            # so on those backends the wave is a single worker's queue.
+            backend, n_workers = get_backend("sequential"), 1
+        wave = ApproximatorWave(approximators, ctx.spaces, n_workers)
+        info = (
+            self._run_approximator_wave(ctx, wave, backend, n_workers)
+            if wave.n_tasks
+            else {}
+        )
+        self.approximators_ = approximators
+        self.approx_flags_ = np.array([a.approximated for a in approximators])
+        self._log(f"PSA: {int(self.approx_flags_.sum())}/{m} models approximated")
+        return {"n_approximated": int(self.approx_flags_.sum()), **info}
+
+    def _run_approximator_wave(
+        self, ctx: PlanContext, wave: ApproximatorWave, backend, n_workers: int
+    ) -> dict:
+        """Schedule, execute and re-assemble the (model × tree-block) wave.
+
+        First-class like the share producers: analytic forecasts
+        (:func:`~repro.scheduling.forecast_approximator_fit`), its own
+        assignment from the active scheduler under the stable keys
+        ``('fit-approx', model)``, measured durations fed back through
+        ``scheduler.observe``. On the shm plane the tasks bind the space
+        *handles* of the still-live plan arena; a single worker runs the
+        same tasks through the sequential backend.
+        """
+        n_tasks = wave.n_tasks
+        keys = [("fit-approx", i) for i, _lo, _hi in wave.owners]
+        weights = wave.task_weights()
+        if n_workers == 1:
+            assignment = np.zeros(n_tasks, dtype=np.int64)
+        else:
+            scheduler = self._make_scheduler()
+            assignment = scheduler.assign(
+                n_tasks,
+                n_workers,
+                wave.costs() if scheduler.uses_costs else None,
+                task_keys=keys,
+                weights=weights,
+            )
+        data = ctx.get("shared_spaces") or ctx.spaces
+        result = backend.execute(wave.tasks(data), assignment)
+        result.raise_first_error()
+        wave.assemble(result.results)
+        # The trees now live on the approximators; the telemetry must
+        # not keep a second reference to every fitted forest.
+        result.results = [None] * n_tasks
+        observed = self._observe_wave(result, keys, weights)
+        self.approx_assignment_ = assignment
+        self.approx_result_ = result
+        self._log(f"PSA wave: {n_tasks} task(s) in {result.wall_time:.3f}s")
+        info = {
+            "tasks": n_tasks,
+            "blocks_per_model": wave.blocks_per_model,
+            "tasks_per_worker": np.bincount(assignment, minlength=n_workers).tolist(),
+            "wave_wall_s": result.wall_time,
+            "execution": result,
+        }
+        if observed:
+            info["telemetry_observed"] = observed
+        return info
 
     def _fit_stage_combine(self, ctx: PlanContext) -> dict:
         self.train_score_matrix_ = np.stack(
@@ -1073,7 +1137,7 @@ class SUOD:
     def _combine_pre(self, standardised_matrix: np.ndarray) -> np.ndarray:
         """Combine an already-standardised (m, l) score matrix."""
         if self.combination == "average":
-            return standardised_matrix.mean(axis=0)
+            return mean_over_models(standardised_matrix)
         if self.combination == "maximization":
             return standardised_matrix.max(axis=0)
         n_buckets = min(5, standardised_matrix.shape[0])
@@ -1127,17 +1191,14 @@ class SUOD:
 
     # ------------------------------------------------------------------
     def merged_telemetry(self) -> ExecutionResult:
-        """One combined wall-time/steal/idle summary over the last
-        fit + predict executions (see :meth:`ExecutionResult.merge`)."""
-        parts = [
-            r
-            for r in (
-                getattr(self, "fit_result_", None),
-                getattr(self, "predict_result_", None),
-            )
-            if r is not None
-        ]
-        return ExecutionResult.merge(parts)
+        """One combined wall-time/steal/idle summary over every wave the
+        last fit and predict plans pushed through the backend: share
+        producers, detector fits, PSA blocks, scoring tasks (see
+        :meth:`ExecutionResult.merge`)."""
+        plans = (getattr(self, "fit_plan_", None), getattr(self, "predict_plan_", None))
+        return ExecutionResult.merge(
+            [plan.merged_execution() for plan in plans if plan is not None]
+        )
 
     def __getstate__(self):
         # Plans and ExecutionResults are run telemetry, not model state:
@@ -1149,6 +1210,7 @@ class SUOD:
             "fit_plan_",
             "predict_plan_",
             "fit_result_",
+            "approx_result_",
             "predict_result_",
             # Backend instances may hold live worker pools — never pickle.
             "_backend_instance_",

@@ -148,6 +148,13 @@ def _run_group(tasks: Sequence[Callable]) -> tuple[list, list[float]]:
 class _BackendBase:
     """Shared assignment bookkeeping."""
 
+    #: Whether the workers are threads of one interpreter. Such workers
+    #: overlap only while tasks sit in GIL-releasing NumPy/BLAS calls;
+    #: interpreter-bound work (the PSA tree fits) gains nothing from them
+    #: and pays for the GIL hand-offs, so plan stages check this flag
+    #: before spreading that kind of work.
+    shares_gil = False
+
     def __init__(self, n_workers: int = 1):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -197,6 +204,8 @@ class ThreadBackend(_BackendBase):
     Effective when tasks spend their time in NumPy/BLAS kernels that
     release the GIL (most of this library's detectors do).
     """
+
+    shares_gil = True
 
     def execute(self, tasks: Sequence[Callable], assignment) -> ExecutionResult:
         _, groups = self._group(tasks, assignment)

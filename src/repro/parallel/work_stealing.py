@@ -65,6 +65,8 @@ class WorkStealingBackend(_BackendBase):
     from stealing alone).
     """
 
+    shares_gil = True
+
     def execute(
         self,
         tasks: Sequence[Callable],

@@ -27,6 +27,28 @@ from repro.pipeline.stage import Stage, StageReport, jsonify
 __all__ = ["ExecutionPlan", "PlanContext"]
 
 
+_SCALARS = (bool, int, float, str)
+
+
+def _is_fact(value) -> bool:
+    """Scalars and short flat lists of them (per-worker task counts)."""
+    if isinstance(value, _SCALARS):
+        return True
+    return (
+        isinstance(value, (list, tuple))
+        and 0 < len(value) <= 16
+        and all(isinstance(v, _SCALARS) for v in value)
+    )
+
+
+def _fact(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + " ".join(_fact(v) for v in value) + "]"
+    return str(value)
+
+
 class PlanContext:
     """Mutable namespace shared by the stages of one plan run.
 
@@ -176,8 +198,9 @@ class ExecutionPlan:
         """One row per stage: status, wall time, key facts.
 
         Pending stages describe what they will do; done stages show the
-        scalar facts of their info dict instead (the share stage's
-        dedup summary, the schedule stage's policy, ...), so the CLI
+        scalar facts (and short per-worker lists) of their info dict
+        instead (the share stage's dedup summary, the schedule stage's
+        policy, the approximate stage's wave ledger, ...), so the CLI
         table reports what actually happened.
         """
         rows = []
@@ -191,9 +214,9 @@ class ExecutionPlan:
             }
             if report is not None and report.info:
                 facts = ", ".join(
-                    f"{key}={value}"
+                    f"{key}={_fact(value)}"
                     for key, value in report.info.items()
-                    if isinstance(value, (bool, int, float, str))
+                    if _is_fact(value)
                 )
                 if facts:
                     row["detail"] = facts

@@ -38,6 +38,7 @@ from repro.scheduling.cost import (
     CostPredictor,
     TelemetryRefinedCostModel,
     dataset_meta_features,
+    forecast_approximator_fit,
     forecast_shared_query,
     model_embedding,
     train_cost_predictor,
@@ -70,6 +71,7 @@ __all__ = [
     "TelemetryRefinedCostModel",
     "dataset_meta_features",
     "model_embedding",
+    "forecast_approximator_fit",
     "forecast_shared_query",
     "train_cost_predictor",
     "Scheduler",

@@ -33,6 +33,7 @@ import numpy as np
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import FAMILIES, family_of
 from repro.supervised import RandomForestRegressor
+from repro.supervised.tree import _resolve_max_features
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_is_fitted
 
@@ -43,6 +44,7 @@ __all__ = [
     "AnalyticCostModel",
     "CostPredictor",
     "TelemetryRefinedCostModel",
+    "forecast_approximator_fit",
     "forecast_shared_query",
     "train_cost_predictor",
 ]
@@ -206,6 +208,29 @@ def forecast_shared_query(
     )
     log_n = np.log2(max(n, 2.0))
     return n * log_n * d + q * log_n * d + q * k
+
+
+def forecast_approximator_fit(
+    n: int, d: int, n_estimators: int, max_depth, max_features
+) -> float:
+    """Analytic cost of fitting ``n_estimators`` approximator trees on an
+    ``(n, d)`` space (same units as :class:`AnalyticCostModel`).
+
+    A bagged CART tree sorts ``m_try`` candidate features over every
+    node's rows: ``n log n · m_try`` per level, for ``min(max_depth,
+    log2 n)`` levels; the node count (at most ``2n``, at most
+    ``2^(depth+1)``) carries a fixed per-node interpreter overhead, worth
+    about a thousand row comparisons on the measured fits. The PSA wave
+    schedules its (model × tree-block) tasks on these forecasts — a
+    block's cost is linear in its tree count — and the adaptive loop
+    refines them under the ``('fit-approx', model)`` task keys.
+    """
+    n, d = max(float(n), 2.0), max(int(d), 1)
+    m_try = float(_resolve_max_features(max_features, d))
+    log_n = np.log2(n)
+    depth = log_n if max_depth is None else min(float(max_depth), log_n)
+    nodes = min(2.0 * n, 2.0 ** (depth + 1.0))
+    return float(n_estimators) * (n * log_n * m_try * depth + 1024.0 * nodes)
 
 
 class CostPredictor:

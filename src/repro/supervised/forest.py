@@ -77,7 +77,7 @@ class RandomForestRegressor:
         self.min_impurity_decrease = min_impurity_decrease
         self.random_state = random_state
 
-    def fit(self, X, y) -> "RandomForestRegressor":
+    def _check_fit(self, X, y):
         X = check_array(X, name="X")
         y = column_or_1d(np.asarray(y, dtype=np.float64), name="y")
         if X.shape[0] != y.shape[0]:
@@ -86,42 +86,73 @@ class RandomForestRegressor:
             raise ValueError("n_estimators must be >= 1")
         if self.oob_score and not self.bootstrap:
             raise ValueError("oob_score requires bootstrap=True")
+        return X, y
 
+    def tree_seeds(self) -> list[int]:
+        """Every tree's seed, drawn up front exactly as :meth:`fit` does.
+
+        Tree ``j`` depends on ``seeds[j]`` alone, which is what makes a
+        forest divisible: any partition of the seed list, fitted
+        anywhere in any order and re-joined in tree order, is the forest
+        ``fit`` grows.
+        """
+        return spawn_seeds(check_random_state(self.random_state), self.n_estimators)
+
+    def _fit_tree(self, X, y, seed: int):
         n = X.shape[0]
-        rng = check_random_state(self.random_state)
-        seeds = spawn_seeds(rng, self.n_estimators)
-        self.estimators_ = []
+        tree_rng = np.random.default_rng(seed)
+        idx = tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+        tree = DecisionTreeRegressor(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            min_impurity_decrease=self.min_impurity_decrease,
+            random_state=tree_rng,
+        )
+        return tree.fit(X[idx], y[idx]), idx
+
+    def fit_block(self, X, y, seeds) -> list[DecisionTreeRegressor]:
+        """Fit the trees of one contiguous slice of :meth:`tree_seeds`.
+
+        Leaves ``self`` untouched; :meth:`assemble_blocks` joins the
+        blocks. Out-of-bag scoring couples all trees and is not
+        available block-wise (``fit`` handles it).
+        """
+        X, y = self._check_fit(X, y)
+        return [self._fit_tree(X, y, seed)[0] for seed in seeds]
+
+    def assemble_blocks(self, blocks, n_features: int) -> "RandomForestRegressor":
+        """Become the forest whose trees are ``blocks`` joined in order.
+
+        With ``blocks`` covering :meth:`tree_seeds` in tree order the
+        result is bitwise the forest :meth:`fit` grows, including
+        ``feature_importances_`` (same trees, same summation order).
+        """
+        self.estimators_ = [tree for block in blocks for tree in block]
+        self.n_features_in_ = n_features
+        self._flat_cache = None
+        self.feature_importances_ = np.mean(
+            [t.feature_importances_ for t in self.estimators_], axis=0
+        )
+        return self
+
+    def fit(self, X, y) -> "RandomForestRegressor":
+        X, y = self._check_fit(X, y)
+        n = X.shape[0]
+        trees = []
         oob_sum = np.zeros(n)
         oob_cnt = np.zeros(n)
-
-        for seed in seeds:
-            tree_rng = np.random.default_rng(seed)
-            if self.bootstrap:
-                idx = tree_rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                min_impurity_decrease=self.min_impurity_decrease,
-                random_state=tree_rng,
-            )
-            tree.fit(X[idx], y[idx])
-            self.estimators_.append(tree)
+        for seed in self.tree_seeds():
+            tree, idx = self._fit_tree(X, y, seed)
+            trees.append(tree)
             if self.oob_score:
                 mask = np.ones(n, dtype=bool)
                 mask[np.unique(idx)] = False
                 if mask.any():
                     oob_sum[mask] += tree.predict(X[mask])
                     oob_cnt[mask] += 1
-
-        self.n_features_in_ = X.shape[1]
-        self._flat_cache = None
-        self.feature_importances_ = np.mean(
-            [t.feature_importances_ for t in self.estimators_], axis=0
-        )
+        self.assemble_blocks([trees], X.shape[1])
         if self.oob_score:
             seen = oob_cnt > 0
             if not seen.any():

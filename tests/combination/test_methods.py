@@ -6,6 +6,7 @@ from repro.combination import (
     average,
     ecdf_standardise,
     maximization,
+    mean_over_models,
     moa,
     weighted_average,
     zscore_standardise,
@@ -129,3 +130,40 @@ class TestCombiners:
             weighted_average(scores, [-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             weighted_average(scores, [0.0, 0.0, 0.0, 0.0])
+
+
+class TestRowSeparableMean:
+    """A row combined alone gets the bits it gets inside a batch."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 45])
+    def test_one_column_equals_its_batch_column(self, rng, m):
+        S = rng.random((m, 64))
+        batch = mean_over_models(S)
+        alone = np.array([mean_over_models(S[:, j : j + 1])[0] for j in range(64)])
+        np.testing.assert_array_equal(alone, batch)
+        # ... and the batch keeps numpy's own row-by-row bits.
+        np.testing.assert_array_equal(batch, S.mean(axis=0))
+        np.testing.assert_array_equal(average(S, standardise=False), batch)
+
+    def test_memory_layout_does_not_change_the_bits(self, rng):
+        S = rng.random((12, 30))
+        np.testing.assert_array_equal(
+            mean_over_models(np.asfortranarray(S)), mean_over_models(S)
+        )
+
+    def test_input_is_not_modified(self, rng):
+        S = rng.random((9, 5))
+        before = S.copy()
+        mean_over_models(S)
+        np.testing.assert_array_equal(S, before)
+
+    def test_moa_buckets_of_eight_or_more_models(self, rng):
+        S = rng.random((45, 40))  # 5 buckets of 9
+        batch = moa(S, standardise=False, random_state=0)
+        alone = np.array(
+            [
+                moa(S[:, j : j + 1], standardise=False, random_state=0)[0]
+                for j in range(40)
+            ]
+        )
+        np.testing.assert_array_equal(alone, batch)

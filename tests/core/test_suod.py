@@ -217,3 +217,32 @@ class TestSUODScheduling:
             random_state=0,
         ).fit(Xtr)
         assert SpyCost.calls >= 1
+
+
+class TestRowInvariantScores:
+    """Scoring a row alone returns the bits it gets inside a batch.
+
+    The serving plane relies on this: a one-row micro-batch must answer
+    exactly what the offline batch call answers. With eight or more
+    models, numpy's own ``mean(axis=0)`` sums an (m, 1) matrix pairwise
+    and an (m, n >= 2) one row by row — the combiner must not.
+    """
+
+    @pytest.mark.parametrize("standardisation", ["ecdf", "zscore"])
+    @pytest.mark.parametrize("combination", ["average", "moa", "maximization"])
+    def test_every_row_alone_and_in_a_batch(self, data, combination, standardisation):
+        Xtr, Xte, _, _ = data
+        # Nine per-feature models: row-separable by construction, so any
+        # difference can only come from the combine step.
+        pool = [HBOS(n_bins=b) for b in range(6, 15)]
+        clf = SUOD(
+            pool,
+            combination=combination,
+            standardisation=standardisation,
+            random_state=0,
+        ).fit(Xtr)
+        batch = clf.decision_function(Xte)
+        alone = np.array([clf.decision_function(Xte[i : i + 1])[0] for i in range(60)])
+        assert np.array_equal(alone, batch[:60])
+        pair = clf.decision_function(Xte[:2])
+        assert np.array_equal(pair, batch[:2])

@@ -127,23 +127,26 @@ class TestSuodFeedbackLoop:
         clf = _fit(data, scheduler="adaptive")
         scheduler = clf._make_scheduler()
         m = clf.n_models
-        assert scheduler.n_observed == m  # fit telemetry, keyed ('fit', i)
+        # Fit telemetry: ('fit', i) per model + ('fit-approx', i) per
+        # approximated model (the PSA wave observes under its own keys).
+        fit_keys = m + int(clf.approx_flags_.sum())
+        assert scheduler.n_observed == fit_keys
         clf.decision_function(data)
-        assert scheduler.n_observed == 2 * m  # + ('predict', i) keys
+        assert scheduler.n_observed == fit_keys + m  # + ('predict', i) keys
         info = clf.predict_plan_.report_for("execute").info
         assert info["telemetry_observed"] == m
         # Batch 2 schedules on the observed costs.
         clf.decision_function(data)
         sched_info = clf.predict_plan_.report_for("schedule").info
         assert sched_info["policy"] == "adaptive"
-        assert sched_info["n_observed"] == 2 * m
+        assert sched_info["n_observed"] == fit_keys + m
 
     def test_chunked_tasks_share_model_identity(self, data):
         clf = _fit(data, scheduler="adaptive", backend="work_stealing", batch_size=64)
         clf.decision_function(data)
         scheduler = clf._make_scheduler()
         # Chunk tasks fold into per-model keys, not per-chunk keys.
-        assert scheduler.n_observed == 2 * clf.n_models
+        assert scheduler.n_observed == 2 * clf.n_models + int(clf.approx_flags_.sum())
 
     def test_rescheduling_uses_measured_costs(self, data):
         clf = _fit(data, scheduler="adaptive")

@@ -162,8 +162,12 @@ class TestSuodPlans:
         assert execute.execution is clf.fit_result_
         assert execute.worker_times.shape == (2,)
         assert plan.total_wall_time >= execute.wall_time
+        # The PSA wave is the plan's second backend-run stage.
+        assert plan.report_for("approximate").execution is clf.approx_result_
         merged = plan.merged_execution()
-        assert merged.wall_time == pytest.approx(clf.fit_result_.wall_time)
+        assert merged.wall_time == pytest.approx(
+            clf.fit_result_.wall_time + clf.approx_result_.wall_time
+        )
 
     def test_predict_plan_chunked_grain(self, data):
         Xtr, Xte = data
@@ -211,7 +215,9 @@ class TestSuodPlans:
         merged = clf.merged_telemetry()
         assert isinstance(merged, ExecutionResult)
         assert merged.wall_time == pytest.approx(
-            clf.fit_result_.wall_time + clf.predict_result_.wall_time
+            clf.fit_result_.wall_time
+            + clf.approx_result_.wall_time
+            + clf.predict_result_.wall_time
         )
         assert merged.worker_times.shape == (2,)
         assert merged.steal_counts.shape == (2,)
@@ -219,7 +225,9 @@ class TestSuodPlans:
         assert merged.total_steals == (
             clf.fit_result_.total_steals + clf.predict_result_.total_steals
         )
-        assert len(merged.results) == 2 * clf.n_models
+        n_approx_tasks = len(clf.approx_result_.results)
+        assert n_approx_tasks == int(clf.approx_flags_.sum())
+        assert len(merged.results) == 2 * clf.n_models + n_approx_tasks
 
     def test_replayed_fit_plan_reproduces_scores_bitwise(self, data):
         Xtr, _ = data
@@ -376,4 +384,5 @@ class TestStageTaskTimes:
         clf = SUOD(make_pool(), n_jobs=2, backend="threads", random_state=0).fit(Xtr)
         clf.decision_function(Xte)
         merged = clf.merged_telemetry()
-        assert merged.task_times.shape == (2 * clf.n_models,)
+        n_approx_tasks = clf.approx_result_.task_times.size
+        assert merged.task_times.shape == (2 * clf.n_models + n_approx_tasks,)

@@ -86,3 +86,63 @@ class TestRandomForest:
 
         with pytest.raises(NotFittedError):
             RandomForestRegressor().predict(np.ones((2, 2)))
+
+
+class TestBlockFit:
+    """fit_block/assemble_blocks rebuild the forest ``fit`` grows, bitwise."""
+
+    ARRAYS = ("feature_", "threshold_", "children_left_", "children_right_", "value_")
+
+    def assert_same_forest(self, a, b, X):
+        assert len(a.estimators_) == len(b.estimators_)
+        for t, u in zip(a.estimators_, b.estimators_):
+            for name in self.ARRAYS:
+                np.testing.assert_array_equal(getattr(t, name), getattr(u, name))
+        np.testing.assert_array_equal(a.feature_importances_, b.feature_importances_)
+        np.testing.assert_array_equal(a.predict(X), b.predict(X))
+
+    @pytest.mark.parametrize("bounds", [(0, 11), (0, 4, 11), (0, 1, 2, 7, 11)])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_any_partition_of_the_seeds(self, regression_data, bounds, bootstrap):
+        X, y = regression_data
+
+        def make():
+            return RandomForestRegressor(11, bootstrap=bootstrap, random_state=5)
+
+        whole = make().fit(X, y)
+        seeds = make().tree_seeds()
+        # Blocks fitted out of order, by independent clones, joined in order.
+        blocks = {
+            lo: make().fit_block(X, y, seeds[lo:hi])
+            for lo, hi in reversed(list(zip(bounds, bounds[1:])))
+        }
+        joined = make().assemble_blocks([blocks[lo] for lo in bounds[:-1]], X.shape[1])
+        self.assert_same_forest(joined, whole, X)
+
+    def test_tree_seeds_are_the_seeds_fit_draws(self, regression_data):
+        X, y = regression_data
+        rf = RandomForestRegressor(6, random_state=3)
+        assert rf.tree_seeds() == rf.tree_seeds()
+        assert len(rf.tree_seeds()) == 6
+        assert rf.tree_seeds() != RandomForestRegressor(6, random_state=4).tree_seeds()
+
+    def test_fit_block_leaves_the_prototype_unfitted(self, regression_data):
+        X, y = regression_data
+        rf = RandomForestRegressor(4, random_state=0)
+        trees = rf.fit_block(X, y, rf.tree_seeds()[:2])
+        assert len(trees) == 2
+        assert not hasattr(rf, "estimators_")
+
+    def test_fit_block_validates_like_fit(self, rng):
+        rf = RandomForestRegressor(2, random_state=0)
+        with pytest.raises(ValueError):
+            rf.fit_block(rng.random((5, 2)), rng.random(6), [1, 2])
+
+    def test_assembled_forest_drops_a_stale_flat_cache(self, regression_data):
+        X, y = regression_data
+        rf = RandomForestRegressor(4, random_state=0).fit(X, y)
+        first = rf.predict(X)
+        other = RandomForestRegressor(4, random_state=9)
+        rf.assemble_blocks([other.fit_block(X, y, other.tree_seeds())], X.shape[1])
+        assert not np.array_equal(rf.predict(X), first)
+        np.testing.assert_array_equal(rf.predict(X), other.fit(X, y).predict(X))

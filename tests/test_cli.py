@@ -273,6 +273,68 @@ class TestSharingCommand:
         assert "Shared-computation plane benchmark" in capsys.readouterr().out
 
 
+class TestApproxCommand:
+    _fast = ["--n-train", "150", "--d", "10", "--repeats", "1"]
+
+    def test_table_output_and_exit_code(self, capsys):
+        assert main(["approx", *self._fast]) == 0
+        out = capsys.readouterr().out
+        assert "PSA wave" in out
+        assert "blocks_per_model" in out and "busy_share" in out
+        assert "parity (serial vs parallel bitwise): True" in out
+
+    def test_json_payload(self, capsys):
+        import json
+
+        assert main(["approx", "--json", "-", *self._fast]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"meta", "rows"}
+        assert payload["meta"]["parity_ok"] is True
+        assert payload["meta"]["gates_ok"] is True
+        assert payload["meta"]["n_approximated"] == 9
+        serial, parallel = payload["rows"]
+        assert (serial["n_jobs"], parallel["n_jobs"]) == (1, 2)
+        assert serial["tasks"] == 9 and serial["tasks_per_worker"] == [9]
+        # Nine forests on two workers: two tree blocks each, 9 : 9.
+        assert parallel["blocks_per_model"] == 2
+        assert parallel["tasks_per_worker"] == [9, 9]
+        assert len(parallel["busy_share"]) == 2
+
+    def test_gate_failure_exits_nonzero(self, monkeypatch):
+        def broken(cfg, **kwargs):
+            rows = [
+                {
+                    "n_jobs": 1,
+                    "approximate_s": 1.0,
+                    "approximate_speedup": 1.0,
+                    "fit_s": 1.2,
+                    "tasks": 9,
+                    "blocks_per_model": 1,
+                    "tasks_per_worker": [9],
+                    "busy_share": [1.0],
+                }
+            ]
+            meta = {
+                "config": "broken",
+                "approximate_speedup": 1.0,
+                "fit_speedup": 1.0,
+                "n_approximated": 9,
+                "parity_ok": False,
+                "gates_ok": False,
+            }
+            return rows, meta
+
+        monkeypatch.setattr("repro.bench.runners.run_approx_benchmark", broken)
+        assert main(["approx"]) == 1
+
+    def test_approx_listed_and_registered(self, capsys):
+        from repro.__main__ import BENCH_SUITES
+
+        assert "approx" in BENCH_SUITES
+        assert main(["list"]) == 0
+        assert "PSA parallel-wave benchmark" in capsys.readouterr().out
+
+
 class TestKernelsCommand:
     _fast = [
         "--repeats",

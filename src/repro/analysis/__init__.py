@@ -3,8 +3,8 @@
 The checks codify what this codebase's tests cannot see at runtime:
 bitwise-parity hazards (layout-dependent reductions, unordered float
 accumulation), shared-memory lifecycle leaks, task payloads mutating
-state outside the ExecutionResult channel, deprecated-shim imports,
-hidden-global randomness, and drift in the frozen kernel reference.
+state outside the ExecutionResult channel, hidden-global randomness,
+and drift in the frozen kernel reference.
 Run it as ``python -m repro analyze``; it gates CI.
 
 Checkers register by name (:func:`register_checker`) under the same

@@ -3,12 +3,6 @@
 Codifies conventions the repo adopted in earlier PRs but until now
 enforced only by review:
 
-``deprecated-shim-import``
-    ``repro.core.scheduling`` and ``repro.core.cost`` are
-    deprecation shims (PR 4 moved the real code to
-    ``repro.scheduling``); new imports must target the new package so
-    the shims can eventually be deleted.
-
 ``registry-overwrite``
     ``register_backend(..., overwrite=True)`` (and the scheduler /
     checker equivalents) silently replaces a built-in; legitimate only
@@ -40,9 +34,6 @@ from repro.analysis.base import FileContext, call_name
 from repro.analysis.findings import Finding, RuleSpec
 
 __all__ = ["ContractsChecker"]
-
-_SHIM_MODULES = ("repro.core.scheduling", "repro.core.cost")
-_SHIM_FILES = ("repro/core/scheduling.py", "repro/core/cost.py")
 
 _REGISTER_FNS = frozenset(
     {"register_backend", "register_scheduler", "register_checker"}
@@ -91,15 +82,11 @@ class ContractsChecker:
 
     name = "contracts"
     description = (
-        "repo contracts: no deprecated shim imports, no silent registry "
-        "overwrites, no hidden-global randomness or kernel clock reads, "
-        "no writable memory mappings of artifacts"
+        "repo contracts: no silent registry overwrites, no hidden-global "
+        "randomness or kernel clock reads, no writable memory mappings of "
+        "artifacts"
     )
     rules = (
-        RuleSpec(
-            "deprecated-shim-import",
-            "import of a repro.core.{scheduling,cost} deprecation shim",
-        ),
         RuleSpec(
             "registry-overwrite",
             "registry overwrite=True outside tests",
@@ -116,48 +103,13 @@ class ContractsChecker:
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []
-        is_shim = any(ctx.rel_path.endswith(f) for f in _SHIM_FILES)
         in_kernels = ctx.in_path(_KERNEL_PATH)
         for node in ast.walk(ctx.tree):
-            if not is_shim:
-                self._check_shim_import(ctx, node, findings)
             if isinstance(node, ast.Call):
                 self._check_overwrite(ctx, node, findings)
                 self._check_random(ctx, node, in_kernels, findings)
                 self._check_memmap(ctx, node, findings)
         return findings
-
-    # -- deprecated-shim-import ----------------------------------------
-    def _check_shim_import(self, ctx, node, findings: list) -> None:
-        module = None
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in _SHIM_MODULES or any(
-                    alias.name.startswith(m + ".") for m in _SHIM_MODULES
-                ):
-                    module = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module in _SHIM_MODULES or any(
-                node.module.startswith(m + ".") for m in _SHIM_MODULES
-            ):
-                module = node.module
-            elif node.module == "repro.core" and any(
-                alias.name in ("scheduling", "cost") for alias in node.names
-            ):
-                module = "repro.core"
-        if module is None:
-            return
-        findings.append(
-            ctx.finding(
-                self.rules[0],
-                node,
-                f"import from deprecated shim {module!r}: the real "
-                "implementation moved to repro.scheduling in PR 4 and "
-                "the shim only survives for downstream pickles",
-                hint="import from repro.scheduling instead",
-                checker=self.name,
-            )
-        )
 
     # -- registry-overwrite --------------------------------------------
     def _check_overwrite(self, ctx, node: ast.Call, findings: list) -> None:
@@ -172,7 +124,7 @@ class ContractsChecker:
             ):
                 findings.append(
                     ctx.finding(
-                        self.rules[1],
+                        self.rules[0],
                         node,
                         f"{name}(..., overwrite=True) silently replaces "
                         "a registered implementation; outside tests this "
@@ -197,7 +149,7 @@ class ContractsChecker:
         ):
             findings.append(
                 ctx.finding(
-                    self.rules[2],
+                    self.rules[1],
                     node,
                     f"{name}() draws from the hidden global NumPy RNG: "
                     "results change between runs and across import "
@@ -211,7 +163,7 @@ class ContractsChecker:
         if name.endswith("default_rng") and not node.args and not node.keywords:
             findings.append(
                 ctx.finding(
-                    self.rules[2],
+                    self.rules[1],
                     node,
                     "default_rng() with no seed draws OS entropy: every "
                     "run produces different results",
@@ -223,7 +175,7 @@ class ContractsChecker:
         if in_kernels and name in _CLOCK_FNS:
             findings.append(
                 ctx.finding(
-                    self.rules[2],
+                    self.rules[1],
                     node,
                     f"{name}() inside repro/kernels/: kernel outputs "
                     "must be pure functions of their inputs, never of "
@@ -261,7 +213,7 @@ class ContractsChecker:
             shown = "no mode" if not explicit else f"mode={mode.value!r}"
             findings.append(
                 ctx.finding(
-                    self.rules[3],
+                    self.rules[2],
                     node,
                     f"{name}() with {shown}: the default mapping mode is "
                     "the writable 'r+', so a stray in-place store would "
@@ -284,7 +236,7 @@ class ContractsChecker:
                 ):
                     findings.append(
                         ctx.finding(
-                            self.rules[3],
+                            self.rules[2],
                             node,
                             f"{name}(..., mmap_mode={kw.value.value!r}) "
                             "maps the file writable; artifacts must only "

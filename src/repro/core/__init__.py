@@ -1,9 +1,7 @@
 """The paper's primary contribution: the SUOD acceleration system.
 
 - :mod:`repro.scheduling` — the scheduling subsystem (cost models,
-  policy functions, Scheduler registry — §3.5). Re-exported here, with
-  deprecation shims at the old ``repro.core.cost`` /
-  ``repro.core.scheduling`` paths;
+  policy functions, Scheduler registry — §3.5), re-exported here;
 - :mod:`repro.core.approximation` — pseudo-supervised approximation
   (§3.4);
 - :mod:`repro.core.suod` — the :class:`SUOD` meta-estimator composing

@@ -27,6 +27,7 @@ import numpy as np
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import is_costly
 from repro.parallel.shm import resolve_array
+from repro.pipeline.wave import Wave
 from repro.scheduling.cost import forecast_approximator_fit
 from repro.supervised import RandomForestRegressor
 from repro.utils.validation import check_array, check_is_fitted
@@ -187,7 +188,7 @@ def tree_blocks_per_model(n_models: int, n_workers: int) -> int:
     return n_workers // math.gcd(n_models, n_workers)
 
 
-class ApproximatorWave:
+class ApproximatorWave(Wave):
     """The enabled approximators' fits as (model × tree-block) tasks.
 
     Built parent-side from unfitted :class:`Approximator` objects and
@@ -206,6 +207,11 @@ class ApproximatorWave:
     :func:`fit_approximators` trains — whatever the block count, the
     assignment or the order the workers finished in.
 
+    Tree fitting is pure Python, so the wave is ``interpreter_bound``:
+    the wave runner keeps it on one worker of a thread backend, and
+    ``n_workers`` should come from
+    :func:`repro.pipeline.wave.n_workers_for`.
+
     Attributes
     ----------
     owners : list of (model index, lo, hi)
@@ -215,6 +221,9 @@ class ApproximatorWave:
         Blocks each block-capable forest was cut into (1 when every
         regressor fell back to a whole-model task).
     """
+
+    name = "fit-approx"
+    interpreter_bound = True
 
     def __init__(self, approximators: Sequence[Approximator], spaces, n_workers: int):
         self.approximators = list(approximators)
@@ -242,6 +251,11 @@ class ApproximatorWave:
     @property
     def n_tasks(self) -> int:
         return len(self.owners)
+
+    def task_keys(self) -> list:
+        """``('fit-approx', model)``: the blocks of one forest share one
+        identity in the adaptive feedback loop."""
+        return [(self.name, i) for i, _lo, _hi in self.owners]
 
     def tasks(self, data) -> list:
         """One picklable zero-argument callable per entry of ``owners``."""
@@ -286,7 +300,7 @@ class ApproximatorWave:
             [float(self._shapes[i][0] * max(hi - lo, 1)) for i, lo, hi in self.owners]
         )
 
-    def assemble(self, results) -> None:
+    def assemble(self, results) -> dict:
         """Install the fitted regressors from the tasks' results."""
         blocks: dict[int, list] = {}
         for (i, _lo, hi), res in zip(self.owners, results):
@@ -298,3 +312,4 @@ class ApproximatorWave:
             self.approximators[i].regressor_ = self._regressors[i].assemble_blocks(
                 parts, self._shapes[i][1]
             )
+        return {"blocks_per_model": self.blocks_per_model}

@@ -26,16 +26,19 @@ an :class:`~repro.pipeline.ExecutionPlan` of stages —
     -> combine
 
 — and hand it to a :class:`~repro.pipeline.PlanRunner`, the single
-execution path shared by every backend. The ``share`` stage (between
-``forecast`` and ``schedule``) is the plan-level CSE pass: it folds
-redundant neighbor structures into shared producer tasks whose fused
-query results every consuming detector prefix-slices — the execute
-stage then runs a two-wave dependency DAG (producers, then consumers)
-with bitwise-identical scores (:mod:`repro.pipeline.sharing`). The fit
-plan's ``approximate`` stage is a third scheduled wave: PSA trains its
-approximator forests as (model × tree-block) tasks on the same warm
-backend, bitwise-identical to the serial loop
-(:class:`repro.core.approximation.ApproximatorWave`).
+execution path shared by every backend. What this module owns is plan
+compilation and the fitted state the stages leave on the estimator;
+the parallel loop itself — forecast costs, assign tasks to workers,
+execute, feed measured durations back, assemble results — exists once,
+in :mod:`repro.pipeline.wave`, and the stages only say *which* wave
+passes through it: the ``share`` stage's producers
+(:class:`~repro.pipeline.sharing.ProducerWave`: one KD-tree build and
+one fused neighbor query per shared space), the detector fit/score
+tasks (:class:`~repro.pipeline.detector_wave.DetectorWave`, consumers
+binding their producer's published result), and PSA's (model ×
+tree-block) forest fits
+(:class:`~repro.core.approximation.ApproximatorWave`) — each
+bitwise-identical to its serial, unshared counterpart.
 ``build_fit_plan`` /
 ``build_predict_plan`` expose the plans directly (the ``repro plan``
 CLI renders them; partial runs preview forecast costs and the chosen
@@ -48,7 +51,6 @@ run artefacts and are deliberately excluded from pickles (see
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -62,31 +64,17 @@ from repro.combination import (
 from repro.core.approximation import Approximator, ApproximatorWave
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import family_of, is_costly
-from repro.parallel import (
-    ExecutionResult,
-    chunk_slices,
-    get_backend,
-    get_backend_class,
-    resolve_array,
-    scatter_chunk_results,
-)
+from repro.parallel import ExecutionResult, chunk_slices, get_backend
 from repro.pipeline import ExecutionPlan, PlanContext, PlanRunner, Stage
+from repro.pipeline.detector_wave import DetectorWave
 from repro.pipeline.sharing import (
+    ProducerWave,
     derive_fit_sharing,
     derive_predict_sharing,
-    fit_one_shared,
-    produce_fit_query,
-    produce_predict_query,
-    score_one_shared,
-    score_slice_shared,
 )
+from repro.pipeline.wave import WaveRun, n_workers_for
 from repro.projection import JLProjector, NoProjection, jl_target_dim
-from repro.scheduling import (
-    AnalyticCostModel,
-    Scheduler,
-    forecast_shared_query,
-    get_scheduler_class,
-)
+from repro.scheduling import AnalyticCostModel, Scheduler, get_scheduler_class
 from repro.utils.random import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted
 
@@ -97,32 +85,6 @@ __all__ = ["SUOD", "RP_NG_FAMILIES"]
 RP_NG_FAMILIES = frozenset({"IsolationForest", "HBOS", "LODA", "COPOD", "PCAD"})
 
 _COMBINERS = ("average", "maximization", "moa")
-
-
-def _fit_one(estimator: BaseDetector, X) -> BaseDetector:
-    """Module-level fit task (must be picklable for the process backends).
-
-    ``X`` is either an ndarray (in-memory backends) or a
-    :class:`~repro.parallel.SharedArrayHandle` the worker resolves to a
-    read-only view of the shared segment (shm process backend).
-    """
-    return estimator.fit(resolve_array(X))
-
-
-def _score_one(scorer, X) -> np.ndarray:
-    """Module-level predict task (ndarray or shared-array handle)."""
-    return scorer.decision_function(resolve_array(X))
-
-
-def _score_slice(scorer, X, sl: slice) -> np.ndarray:
-    """Chunked predict task: score ``X[sl]`` worker-side.
-
-    With a shared-array handle the row block is sliced off the attached
-    view, so a (model × chunk) task ships only (handle, slice) — no row
-    data crosses the process boundary in either direction except the
-    chunk's scores.
-    """
-    return scorer.decision_function(resolve_array(X)[sl])
 
 
 class SUOD:
@@ -165,8 +127,7 @@ class SUOD:
     scheduler : str, Scheduler or None, default None
         Scheduling policy. A registry name (``'generic'``, ``'shuffle'``,
         ``'bps-lpt'``, ``'bps-kk'``, ``'adaptive'`` — see
-        :func:`repro.scheduling.list_schedulers`; legacy spellings like
-        ``'bps'`` still resolve with a DeprecationWarning), a
+        :func:`repro.scheduling.list_schedulers`), a
         :class:`repro.scheduling.Scheduler` instance (e.g. a pre-warmed
         :class:`~repro.scheduling.AdaptiveScheduler`), or None to derive
         the policy from ``bps_flag``. ``'adaptive'`` closes the feedback
@@ -327,10 +288,7 @@ class SUOD:
         if getattr(self, "_backend_key_", None) == key:
             return self._backend_instance_
         self.close()
-        if self.n_jobs == 1:
-            backend = get_backend("sequential")
-        else:
-            backend = get_backend(self.backend, n_workers=self.n_jobs)
+        backend = get_backend(self._effective_backend, n_workers=self.n_jobs)
         self._backend_instance_ = backend
         self._backend_key_ = key
         return backend
@@ -356,13 +314,7 @@ class SUOD:
     @property
     def _uses_shm(self) -> bool:
         """Whether the active backend wants plan data in shared memory."""
-        return bool(
-            getattr(
-                get_backend_class(self._effective_backend),
-                "uses_shared_memory",
-                False,
-            )
-        )
+        return bool(getattr(self._make_backend(), "uses_shared_memory", False))
 
     def _cost_predictor(self):
         """The single selection point for the active cost predictor."""
@@ -399,43 +351,6 @@ class SUOD:
         self._scheduler_key_ = key
         return instance
 
-    @staticmethod
-    def _task_identities(ctx: PlanContext) -> tuple[list, np.ndarray]:
-        """Stable per-task keys + work weights for the feedback loop.
-
-        Keys are ``(plan kind, model index)`` so fit and predict costs
-        never mix and chunked tasks of one model share an identity;
-        weights are row counts, so observed durations normalise to a
-        per-row rate that transfers across batch sizes.
-        """
-        kind = ctx.kind
-        if ctx.owners is not None:
-            keys = [(kind, i) for i, _sl in ctx.owners]
-            weights = np.array([float(sl.stop - sl.start) for _, sl in ctx.owners])
-        else:
-            n_rows = float(ctx.X.shape[0])
-            keys = [(kind, i) for i in range(ctx.n_tasks)]
-            weights = np.full(ctx.n_tasks, max(n_rows, 1.0))
-        return keys, weights
-
-    def _observe_execution(self, ctx: PlanContext, result: ExecutionResult) -> int:
-        """Pipe execute-stage telemetry into the scheduler's feedback loop."""
-        keys = ctx.get("task_keys")
-        weights = ctx.get("task_weights")
-        if keys is None or result.task_times.size != len(keys):
-            keys, weights = self._task_identities(ctx)
-        return self._observe_wave(result, keys, weights)
-
-    def _observe_wave(self, result: ExecutionResult, keys, weights) -> int:
-        """Feed one wave's task times (detector fits, scoring tasks, share
-        producers, PSA blocks) to the adaptive scheduler under its keys."""
-        if self.n_jobs == 1 or keys is None or result.task_times.size != len(keys):
-            return 0
-        scheduler = self._make_scheduler()
-        if not scheduler.adaptive:
-            return 0
-        return scheduler.observe(result.task_times, task_keys=keys, weights=weights)
-
     # ------------------------------------------------------------------
     # Plan compilation — the façade's whole job. Stages communicate via
     # the PlanContext; fitted state lands on ``self`` exactly as the
@@ -451,7 +366,7 @@ class SUOD:
             "sharing": self.share_flag,
             "bps": self.bps_flag,
             "scheduler": "single-worker"
-            if self.n_jobs == 1
+            if self._make_backend().n_workers == 1
             else self._make_scheduler().name,
             "batch_size": self.batch_size,
             "shm": self._uses_shm,
@@ -469,6 +384,7 @@ class SUOD:
         ctx = PlanContext(
             X=X,
             models=self.base_estimators,
+            scorers=self.base_estimators,
             rng=check_random_state(self.random_state),
             owners=None,
             n_tasks=self.n_models,
@@ -487,7 +403,7 @@ class SUOD:
             ),
             Stage(
                 "share",
-                self._fit_stage_share,
+                self._stage_share,
                 "fold redundant neighbor structures into shared producers",
             ),
             Stage(
@@ -546,6 +462,7 @@ class SUOD:
         ctx = PlanContext(
             X=X,
             models=self.base_estimators_,
+            scorers=self.approximators_,
             owners=owners,
             slices=slices,
             n_tasks=n_tasks,
@@ -564,7 +481,7 @@ class SUOD:
             ),
             Stage(
                 "share",
-                self._predict_stage_share,
+                self._stage_share,
                 "fold redundant neighbor queries into shared producers",
             ),
             Stage(
@@ -596,204 +513,110 @@ class SUOD:
         return plan
 
     # -- shared stages --------------------------------------------------
+    # Each builds a wave or steps its run through the one wave runner
+    # (repro.pipeline.wave); the runs stay on the context between stages.
     def _stage_forecast(self, ctx: PlanContext) -> dict:
-        """Per-task cost forecasts (skipped exactly when scheduling
-        cannot use them, so an untrained CostPredictor with n_jobs=1
-        keeps working as before)."""
-        if self.n_jobs == 1 or not self._make_scheduler().uses_costs:
-            ctx.model_costs = None
-            ctx.costs = None
+        """Describe the detector wave and forecast its task costs —
+        skipped exactly when the assignment cannot use them, so an
+        untrained CostPredictor on one worker keeps working."""
+        predictor = self._cost_predictor()
+        wave = DetectorWave(
+            ctx.kind, ctx.models, ctx.X, predictor, ctx.scorers, ctx.owners
+        )
+        run = WaveRun(wave, self._make_backend(), self._make_scheduler())
+        ctx.detectors = run
+        ctx.costs = run.forecast()
+        if ctx.costs is None:
             reason = (
-                "n_jobs == 1"
-                if self.n_jobs == 1
-                else f"scheduler {self._make_scheduler().name!r} ignores costs"
+                "one worker"
+                if run.n_workers == 1
+                else f"scheduler {run.scheduler.name!r} ignores costs"
             )
             return {"forecast": "skipped", "reason": reason}
-        predictor = self._cost_predictor()
-        model_costs = np.asarray(
-            predictor.forecast(ctx.models, ctx.X), dtype=np.float64
-        )
-        ctx.model_costs = model_costs
-        if ctx.owners is not None:
-            n = ctx.X.shape[0]
-            ctx.costs = np.array(
-                [model_costs[i] * (sl.stop - sl.start) / n for i, sl in ctx.owners]
-            )
-        else:
-            ctx.costs = model_costs
         return {
             "predictor": type(predictor).__name__,
             "total_cost": float(ctx.costs.sum()),
             "max_cost": float(ctx.costs.max(initial=0.0)),
         }
 
-    def _stage_schedule(self, ctx: PlanContext) -> dict:
-        if self.n_jobs == 1:
-            ctx.assignment = np.zeros(ctx.n_tasks, dtype=np.int64)
-            info = {"policy": "single-worker"}
-        else:
-            scheduler = self._make_scheduler()
-            keys, weights = self._task_identities(ctx)
-            ctx.task_keys = keys
-            ctx.task_weights = weights
-            ctx.assignment = scheduler.assign(
-                ctx.n_tasks,
-                self.n_jobs,
-                ctx.costs,
-                task_keys=keys,
-                weights=weights,
-            )
-            info = {"policy": scheduler.name}
-            if scheduler.adaptive:
-                # How much measured telemetry backed this assignment.
-                info["n_observed"] = int(scheduler.n_observed)
-        counts = np.bincount(ctx.assignment, minlength=self.n_jobs)
-        info["n_tasks"] = int(ctx.n_tasks)
-        info["tasks_per_worker"] = counts.tolist()
-        self._schedule_producers(ctx, info)
-        return info
-
-    def _schedule_producers(self, ctx: PlanContext, info: dict) -> None:
-        """Assign the sharing plan's producer wave (first-class tasks).
-
-        Producers get their own assignment, cost forecasts
-        (``ctx.producer_costs``, from the share stage) and stable task
-        keys ``('<kind>-share', qid)``, so the adaptive scheduler
-        arbitrates shared builds against ordinary fit/score tasks on
-        measured durations.
-        """
-        sharing = ctx.get("sharing")
-        if sharing is None or not sharing.active:
-            return
-        n_producers = len(sharing.queries)
-        if self.n_jobs == 1:
-            ctx.producer_assignment = np.zeros(n_producers, dtype=np.int64)
-        else:
-            scheduler = self._make_scheduler()
-            keys = [(f"{ctx.kind}-share", qid) for qid in range(n_producers)]
-            weights = np.array([float(q.n_query) for q in sharing.queries])
-            ctx.producer_task_keys = keys
-            ctx.producer_task_weights = weights
-            ctx.producer_assignment = scheduler.assign(
-                n_producers,
-                self.n_jobs,
-                ctx.get("producer_costs"),
-                task_keys=keys,
-                weights=weights,
-            )
-        info["producer_tasks"] = n_producers
-
-    # -- sharing stages --------------------------------------------------
-    def _stage_share(self, ctx: PlanContext, sharing) -> dict:
-        """Common tail of the fit/predict share stages: record the
-        derived plan, forecast producer costs, report the dedup ledger."""
-        ctx.sharing = sharing
-        info = sharing.summary()
-        if sharing.active and self.n_jobs > 1 and self._make_scheduler().uses_costs:
-            ctx.producer_costs = np.array(
-                [
-                    forecast_shared_query(q.n_index, q.n_query, q.n_features, q.width)
-                    for q in sharing.queries
-                ]
-            )
-        else:
-            ctx.producer_costs = None
-        if sharing.active:
-            self._log(
-                f"sharing: {info['queries_fused']} neighbor tasks folded into "
-                f"{info['structures_built']} shared structure(s)"
-            )
-        return info
-
-    def _fit_stage_share(self, ctx: PlanContext) -> dict:
-        if not self.share_flag:
-            ctx.sharing = None
-            info = {"sharing": "disabled"}
-        else:
-            info = self._stage_share(
-                ctx, derive_fit_sharing(self.base_estimators, ctx.spaces)
-            )
-        self.sharing_fit_info_ = info
-        return info
-
-    def _predict_stage_share(self, ctx: PlanContext) -> dict:
-        if not self.share_flag:
-            ctx.sharing = None
-            info = {"sharing": "disabled"}
-        else:
-            info = self._stage_share(
-                ctx,
-                derive_predict_sharing(self.approximators_, ctx.spaces, ctx.n_tasks),
-            )
-        self.sharing_predict_info_ = info
-        return info
-
-    def _run_producer_wave(self, ctx: PlanContext, backend) -> dict | None:
-        """Wave 0 of the execute DAG: run shared producers, publish results.
-
-        Executes the sharing plan's producer tasks through the same
-        backend/assignment machinery as ordinary tasks, feeds their
-        measured durations to the adaptive scheduler under the producer
-        task keys, and publishes each fused ``(distance, index)`` pair
-        for the consumer wave — into the plan's shm arena as read-only
-        handles when the data plane is active, as in-memory arrays
-        otherwise. Fit-plan producers also return the group's fitted
-        index, kept on the query for post-fit injection.
-        """
-        sharing = ctx.get("sharing")
-        if sharing is None or not sharing.active:
-            return None
-        data = ctx.get("shared_spaces") or ctx.spaces
-        if ctx.kind == "fit":
-            tasks = [
-                functools.partial(
-                    produce_fit_query, data[q.space_index], tuple(q.ks), q.metric
-                )
-                for q in sharing.queries
-            ]
-        else:
-            tasks = [
-                functools.partial(
-                    produce_predict_query, q.index, data[q.space_index], tuple(q.ks)
-                )
-                for q in sharing.queries
-            ]
-        result = backend.execute(tasks, ctx.producer_assignment)
-        result.raise_first_error()
-        self._observe_wave(
-            result, ctx.get("producer_task_keys"), ctx.get("producer_task_weights")
-        )
-        arena = ctx.get("arena")
-        published = []
-        bytes_published = 0
-        for query, out in zip(sharing.queries, result.results):
+    def _stage_share(self, ctx: PlanContext) -> dict:
+        """Derive the sharing plan; its producers become a wave of their
+        own, forecast here and scheduled/executed beside the detectors."""
+        ctx.sharing = ctx.producers = None
+        info = {"sharing": "disabled"}
+        if self.share_flag:
             if ctx.kind == "fit":
-                query.index, dist, idx = out
+                sharing = derive_fit_sharing(self.base_estimators, ctx.spaces)
             else:
-                dist, idx = out
-            if arena is not None:
-                pair = (
-                    arena.share(dist, category="neighbors"),
-                    arena.share(idx, category="neighbors"),
+                sharing = derive_predict_sharing(
+                    self.approximators_, ctx.spaces, ctx.n_tasks
                 )
-            else:
-                pair = (dist, idx)
-            bytes_published += dist.nbytes + idx.nbytes
-            published.append(pair)
-        # The fused arrays now live in the arena / on the context; keep
-        # the stage report light (reports survive release_data).
-        result.results = [None] * len(result.results)
-        ctx.shared_neighbors = published
-        ctx.producer_result = result
-        self._log(
-            f"sharing: {len(sharing.queries)} producer(s) in "
-            f"{result.wall_time:.3f}s, {bytes_published} bytes published"
+            ctx.sharing = sharing
+            info = sharing.summary()
+            if sharing.active:
+                ctx.producers = WaveRun(
+                    ProducerWave(sharing), self._make_backend(), self._make_scheduler()
+                )
+                ctx.producers.forecast()
+                self._log(
+                    f"sharing: {info['queries_fused']} neighbor tasks folded into "
+                    f"{info['structures_built']} shared structure(s)"
+                )
+        setattr(self, f"sharing_{ctx.kind}_info_", info)
+        return info
+
+    def _stage_schedule(self, ctx: PlanContext) -> dict:
+        run = ctx.detectors
+        ctx.assignment = run.schedule()
+        info = {"policy": run.policy}
+        if run.n_workers > 1 and run.scheduler.adaptive:
+            # How much measured telemetry backed this assignment.
+            info["n_observed"] = int(run.scheduler.n_observed)
+        info["n_tasks"] = int(ctx.n_tasks)
+        info["tasks_per_worker"] = run.tasks_per_worker()
+        if ctx.producers is not None:
+            ctx.producers.schedule()
+            info["producer_tasks"] = ctx.producers.wave.n_tasks
+        return info
+
+    def _stage_execute(self, ctx: PlanContext) -> dict:
+        """The execute stage as a two-wave DAG: the share stage's
+        producers publish their fused neighbor results, then one task
+        per model (or model × chunk) runs, consumers binding their
+        group's published pair. Returns the stage info; the detector
+        wave's products are on ``ctx.detectors.wave``."""
+        # With the shm data plane, tasks bind tiny segment handles (the
+        # runner materialised ctx.spaces into the arena); otherwise they
+        # bind the arrays themselves.
+        data = ctx.get("shared_spaces") or ctx.spaces
+        info = {"backend": self._effective_backend}
+        producers, detectors = ctx.producers, ctx.detectors
+        runs = [detectors]
+        if producers is not None:
+            runs = [producers, detectors]
+            producers.wave.arena = ctx.get("arena")
+            ledger = producers.run(data)
+            detectors.wave.pairs = producers.wave.consumer_pairs()
+            info["sharing"] = {
+                "producers": ledger["tasks"],
+                "producer_wall_s": ledger["wave_wall_s"],
+                "bytes_published": ledger["bytes_published"],
+            }
+            self._log(
+                f"sharing: {ledger['tasks']} producer(s) in "
+                f"{ledger['wave_wall_s']:.3f}s, "
+                f"{ledger['bytes_published']} bytes published"
+            )
+        detectors.run(data)
+        results = [run.result for run in runs]
+        # Wall times add: the waves ran one after the other.
+        info["execution"] = (
+            results[0] if len(results) == 1 else ExecutionResult.merge(results)
         )
-        return {
-            "producers": len(sharing.queries),
-            "producer_wall_s": result.wall_time,
-            "bytes_published": bytes_published,
-        }
+        observed = sum(run.observed for run in runs)
+        if observed:
+            info["telemetry_observed"] = observed
+        return info
 
     # -- fit stages ------------------------------------------------------
     def _fit_stage_project(self, ctx: PlanContext) -> dict:
@@ -846,57 +669,32 @@ class SUOD:
         }
 
     def _fit_stage_execute(self, ctx: PlanContext) -> dict:
-        """BPS + execution (Algorithm 1 lines 9-13), as a two-wave DAG.
-
-        Wave 0 (:meth:`_run_producer_wave`) runs the share stage's
-        producers and publishes fused neighbor results; wave 1 runs one
-        task per model, consumers binding their group's published pair.
-        """
-        # With the shm data plane, tasks bind tiny segment handles (the
-        # runner materialised ctx.spaces into the arena); otherwise they
-        # bind the arrays themselves.
-        data = ctx.get("shared_spaces") or ctx.spaces
-        backend = self._make_backend()
-        producer_info = self._run_producer_wave(ctx, backend)
-        sharing = ctx.get("sharing")
-        consumer_of = sharing.consumer_of if sharing is not None else {}
-        tasks = []
-        for i, est in enumerate(self.base_estimators):
-            qid = consumer_of.get(i)
-            if qid is not None:
-                dh, ih = ctx.shared_neighbors[qid]
-                tasks.append(functools.partial(fit_one_shared, est, data[i], dh, ih))
-            else:
-                tasks.append(functools.partial(_fit_one, est, data[i]))
-        result = backend.execute(tasks, ctx.assignment)
-        result.raise_first_error()
-        observed = self._observe_execution(ctx, result)
-        self.base_estimators_ = list(result.results)
+        """BPS + execution (Algorithm 1 lines 9-13)."""
+        info = self._stage_execute(ctx)
+        run, sharing = ctx.detectors, ctx.sharing
+        self.base_estimators_ = run.wave.fitted
         # Consumers fitted from the fused result skipped their private
         # index build; hand every group its single shared index so
         # standalone re-scoring (and predict-time sharing) work as if
         # each had built its own.
-        for i, qid in consumer_of.items():
-            self.base_estimators_[i]._nn = sharing.queries[qid].index
-        self.shared_index_ = (
-            [q.index for q in sharing.queries] if sharing is not None else []
-        )
+        queries = sharing.queries if sharing is not None else []
+        for query in queries:
+            for i in query.consumers:
+                self.base_estimators_[i]._nn = query.index
+        self.shared_index_ = [query.index for query in queries]
         self.fit_assignment_ = ctx.assignment
-        self.fit_result_ = result
-        ctx.result = result
-        self._log(f"fit wall time: {result.wall_time:.3f}s")
-        merged = result
-        if ctx.get("producer_result") is not None:
-            merged = ExecutionResult.merge([ctx.producer_result, result])
-        info = {"backend": self._effective_backend, "execution": merged}
-        if producer_info is not None:
-            info["sharing"] = producer_info
-        if observed:
-            info["telemetry_observed"] = observed
+        self.fit_result_ = run.result
+        self._log(f"fit wall time: {run.result.wall_time:.3f}s")
         return info
 
     def _fit_stage_approximate(self, ctx: PlanContext) -> dict:
-        """PSA (Algorithm 1 lines 15-22): wave 2 of the parallel plane."""
+        """PSA (Algorithm 1 lines 15-22): the fit plan's third wave.
+
+        (model × tree-block) forest fits on the same backend and
+        scheduler as the detectors, under the keys ``('fit-approx',
+        model)``; on the shm plane the tasks bind the space *handles*
+        of the still-live plan arena.
+        """
         m = self.n_models
         self.approx_result_ = None
         self.approx_assignment_ = np.zeros(0, dtype=np.int64)
@@ -920,71 +718,24 @@ class SUOD:
             Approximator(est, regressor, enabled=is_costly(est))
             for est in self.base_estimators_
         ]
-        backend, n_workers = self._make_backend(), self.n_jobs
-        if getattr(backend, "shares_gil", False):
-            # Tree fitting is interpreter-bound: thread workers would only
-            # add GIL hand-offs (measured 1.3-2.6x slower than one worker),
-            # so on those backends the wave is a single worker's queue.
-            backend, n_workers = get_backend("sequential"), 1
-        wave = ApproximatorWave(approximators, ctx.spaces, n_workers)
-        info = (
-            self._run_approximator_wave(ctx, wave, backend, n_workers)
-            if wave.n_tasks
-            else {}
+        backend = self._make_backend()
+        wave = ApproximatorWave(
+            approximators, ctx.spaces, n_workers_for(ApproximatorWave, backend)
         )
+        ledger = {}
+        if wave.n_tasks:
+            run = WaveRun(wave, backend, self._make_scheduler())
+            run.forecast()
+            self.approx_assignment_ = run.schedule()
+            ledger = run.run(ctx.get("shared_spaces") or ctx.spaces)
+            self.approx_result_ = run.result
+            self._log(
+                f"PSA wave: {wave.n_tasks} task(s) in {run.result.wall_time:.3f}s"
+            )
         self.approximators_ = approximators
         self.approx_flags_ = np.array([a.approximated for a in approximators])
         self._log(f"PSA: {int(self.approx_flags_.sum())}/{m} models approximated")
-        return {"n_approximated": int(self.approx_flags_.sum()), **info}
-
-    def _run_approximator_wave(
-        self, ctx: PlanContext, wave: ApproximatorWave, backend, n_workers: int
-    ) -> dict:
-        """Schedule, execute and re-assemble the (model × tree-block) wave.
-
-        First-class like the share producers: analytic forecasts
-        (:func:`~repro.scheduling.forecast_approximator_fit`), its own
-        assignment from the active scheduler under the stable keys
-        ``('fit-approx', model)``, measured durations fed back through
-        ``scheduler.observe``. On the shm plane the tasks bind the space
-        *handles* of the still-live plan arena; a single worker runs the
-        same tasks through the sequential backend.
-        """
-        n_tasks = wave.n_tasks
-        keys = [("fit-approx", i) for i, _lo, _hi in wave.owners]
-        weights = wave.task_weights()
-        if n_workers == 1:
-            assignment = np.zeros(n_tasks, dtype=np.int64)
-        else:
-            scheduler = self._make_scheduler()
-            assignment = scheduler.assign(
-                n_tasks,
-                n_workers,
-                wave.costs() if scheduler.uses_costs else None,
-                task_keys=keys,
-                weights=weights,
-            )
-        data = ctx.get("shared_spaces") or ctx.spaces
-        result = backend.execute(wave.tasks(data), assignment)
-        result.raise_first_error()
-        wave.assemble(result.results)
-        # The trees now live on the approximators; the telemetry must
-        # not keep a second reference to every fitted forest.
-        result.results = [None] * n_tasks
-        observed = self._observe_wave(result, keys, weights)
-        self.approx_assignment_ = assignment
-        self.approx_result_ = result
-        self._log(f"PSA wave: {n_tasks} task(s) in {result.wall_time:.3f}s")
-        info = {
-            "tasks": n_tasks,
-            "blocks_per_model": wave.blocks_per_model,
-            "tasks_per_worker": np.bincount(assignment, minlength=n_workers).tolist(),
-            "wave_wall_s": result.wall_time,
-            "execution": result,
-        }
-        if observed:
-            info["telemetry_observed"] = observed
-        return info
+        return {"n_approximated": int(self.approx_flags_.sum()), **ledger}
 
     def _fit_stage_combine(self, ctx: PlanContext) -> dict:
         self.train_score_matrix_ = np.stack(
@@ -1008,102 +759,16 @@ class SUOD:
         return {"n_projected": int(self.rp_flags_.sum())}
 
     def _predict_stage_execute(self, ctx: PlanContext) -> dict:
-        shared = ctx.get("shared_spaces")
-        backend = self._make_backend()
-        producer_info = self._run_producer_wave(ctx, backend)
-        sharing = ctx.get("sharing")
-        consumer_of = sharing.consumer_of if sharing is not None else {}
-
-        def _pair(i):
-            qid = consumer_of.get(i)
-            if qid is None:
-                return None
-            return ctx.shared_neighbors[qid]
-
+        info = self._stage_execute(ctx)
+        run = ctx.detectors
+        self.predict_result_ = run.result
+        ctx.matrix = run.wave.matrix
         if ctx.owners is not None:
-            if shared is not None:
-                # (model × chunk) through processes: ship (handle, slice)
-                # and cut the row block off the attached view worker-side.
-                tasks = []
-                for i, sl in ctx.owners:
-                    approx = self.approximators_[i]
-                    pair = _pair(i)
-                    if pair is not None:
-                        tasks.append(
-                            functools.partial(
-                                score_slice_shared,
-                                approx,
-                                approx.detector,
-                                shared[i],
-                                sl,
-                                *pair,
-                            )
-                        )
-                    else:
-                        tasks.append(
-                            functools.partial(_score_slice, approx, shared[i], sl)
-                        )
-            else:
-                tasks = []
-                for i, sl in ctx.owners:
-                    approx = self.approximators_[i]
-                    pair = _pair(i)
-                    if pair is not None:
-                        # In-memory pairs are plain arrays: slice the row
-                        # block parent-side, same as the space itself.
-                        dist, idx = pair
-                        tasks.append(
-                            functools.partial(
-                                score_one_shared,
-                                approx,
-                                approx.detector,
-                                ctx.spaces[i][sl],
-                                dist[sl],
-                                idx[sl],
-                            )
-                        )
-                    else:
-                        tasks.append(
-                            functools.partial(_score_one, approx, ctx.spaces[i][sl])
-                        )
-        else:
-            data = shared if shared is not None else ctx.spaces
-            tasks = []
-            for i, approx in enumerate(self.approximators_):
-                pair = _pair(i)
-                if pair is not None:
-                    tasks.append(
-                        functools.partial(
-                            score_one_shared, approx, approx.detector, data[i], *pair
-                        )
-                    )
-                else:
-                    tasks.append(functools.partial(_score_one, approx, data[i]))
-        result = backend.execute(tasks, ctx.assignment)
-        result.raise_first_error()
-        observed = self._observe_execution(ctx, result)
-        self.predict_result_ = result
-        ctx.result = result
-        n = ctx.X.shape[0]
-        if ctx.owners is not None:
-            ctx.matrix = scatter_chunk_results(
-                result.results, ctx.owners, self.n_models, n
-            )
             self._log(
                 f"chunked scoring: {self.n_models} models x "
                 f"{len(ctx.slices)} chunks (batch_size={self.batch_size}), "
-                f"wall {result.wall_time:.3f}s"
+                f"wall {run.result.wall_time:.3f}s"
             )
-        else:
-            ctx.matrix = np.stack(result.results)
-        merged = result
-        if ctx.get("producer_result") is not None:
-            merged = ExecutionResult.merge([ctx.producer_result, result])
-        info = {"backend": self._effective_backend, "execution": merged}
-        if producer_info is not None:
-            info["sharing"] = producer_info
-        if observed:
-            info["telemetry_observed"] = observed
         return info
 
     def _predict_stage_combine(self, ctx: PlanContext) -> dict:
@@ -1201,10 +866,9 @@ class SUOD:
         )
 
     def __getstate__(self):
-        # Plans and ExecutionResults are run telemetry, not model state:
-        # predict_result_.results holds the per-task score arrays of the
-        # last scored batch, so keeping it would make pickles scale with
-        # whatever X was scored last. Pickles must not drag data along.
+        # Plans and ExecutionResults are run telemetry, not model state;
+        # a plan not yet released still holds the data it ran on.
+        # Pickles must not drag either along.
         state = self.__dict__.copy()
         for key in (
             "fit_plan_",

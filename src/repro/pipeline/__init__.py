@@ -8,10 +8,17 @@ that layer for SUOD:
 - :class:`ExecutionPlan` — an ordered stage program (project → forecast
   → share → schedule → execute → approximate → combine) with build-time
   metadata, renderable as table or JSON before anything runs;
+- :mod:`repro.pipeline.wave` — the one parallel loop (forecast →
+  assign → execute → observe → assemble): a ``Wave`` describes a
+  batch of tasks, a ``WaveRun`` carries it through the loop; the
+  only code in ``repro.core`` / ``repro.pipeline`` that talks to a
+  scheduler or a backend;
 - :mod:`repro.pipeline.sharing` — the plan-level CSE pass: the
   ``share`` stage folds redundant neighbor structures into shared
-  producer tasks whose fused query results every consumer prefix-slices
-  (bitwise-identical, see :class:`SharingPlan`);
+  producer tasks (``ProducerWave``) whose fused query results every
+  consumer prefix-slices (bitwise-identical, see :class:`SharingPlan`);
+- :mod:`repro.pipeline.detector_wave` — the detector fits / scoring
+  tasks as a wave (``DetectorWave``: per model, or model × row-chunk);
 - :class:`PlanRunner` — the single loop every backend runs through,
   with resume/partial-execution semantics;
 - :class:`StageReport` — per-stage wall time plus worker-load /

@@ -143,7 +143,9 @@ class ExecutionPlan:
         self.reports = []
         return self
 
-    _DATA_KEYS = ("X", "spaces", "matrix", "scores", "shared_neighbors")
+    # The wave runs hold what their waves were built from and produced
+    # (X, the score matrix, published neighbour pairs).
+    _DATA_KEYS = ("X", "spaces", "matrix", "scores", "detectors", "producers")
 
     def release_data(self) -> "ExecutionPlan":
         """Drop the large data arrays from the context.
@@ -175,9 +177,6 @@ class ExecutionPlan:
         arena = self.context.get("arena")
         if arena is not None:
             arena.dispose()
-            # Producer-wave results published into the arena (the share
-            # stage's fused neighbor pairs) die with it.
-            self.context.__dict__.pop("shared_neighbors", None)
         self.context.__dict__.pop("arena", None)
         for key in self.shm_keys:
             self.context.__dict__.pop(f"shared_{key}", None)

@@ -13,16 +13,18 @@ two-wave dependency DAG:
    ``k``; keys with two or more consumers fold their ``k``s to
    ``max(k_i)`` (+1 slack at fit time for self-exclusion) and become
    one :class:`SharedQuery` producer.
-2. **Producer wave** (inside ``execute``): each producer builds the
-   group's single KD-tree and answers one fused batched query at the
-   shared width (:func:`repro.kernels.kdtree_query_maxk`). Producers
-   are first-class scheduled tasks with their own cost forecasts
+2. **Producer wave** (:class:`ProducerWave`, run inside ``execute``):
+   each producer builds the group's single KD-tree and answers one
+   fused batched query at the shared width
+   (:func:`repro.kernels.kdtree_query_maxk`). Producers are first-class
+   scheduled tasks with their own cost forecasts
    (:func:`repro.scheduling.forecast_shared_query`) and task keys, so
    the adaptive scheduler arbitrates build-vs-score. Under the shm
    backend the parent publishes each ``(distance, index)`` result into
    the plan's arena as read-only :class:`SharedArrayHandle` pairs.
-3. **Consumer wave**: every consuming detector's task binds its group's
-   handles and slices its own ``k_i`` prefix
+3. **Consumer wave** (:mod:`repro.pipeline.detector_wave`): every
+   consuming detector's task binds its group's published pair and
+   slices its own ``k_i`` prefix
    (:func:`repro.kernels.slice_neighbor_prefix`) — bitwise-identical to
    a private query by the canonical tie-order contract, with
    self-exclusion applied per consumer at slice time.
@@ -41,21 +43,20 @@ replay bitwise-identically and non-neighbor pools pay nothing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.kernels.neighbors import shared_query_width
 from repro.neighbors.api import choose_engine
-from repro.neighbors.shared import (
-    build_shared_index,
-    discard_shared_neighbors,
-    fused_neighbor_query,
-    push_shared_neighbors,
-)
+from repro.neighbors.shared import build_shared_index, fused_neighbor_query
 from repro.parallel import resolve_array
+from repro.pipeline.wave import Wave
+from repro.scheduling.cost import forecast_shared_query
 
 __all__ = [
+    "ProducerWave",
     "SharedQuery",
     "SharingPlan",
     "derive_fit_sharing",
@@ -262,7 +263,8 @@ def derive_predict_sharing(approximators, spaces, n_tasks: int) -> SharingPlan:
 
 
 # ----------------------------------------------------------------------
-# Task bodies (module-level: the process backends pickle them).
+# The producer wave: task bodies (module-level: the process backends
+# pickle them) and its description for the wave runner.
 # ----------------------------------------------------------------------
 def produce_fit_query(space, ks, metric: str):
     """Producer wave, fit plan: build the group's index, run the fused
@@ -280,42 +282,77 @@ def produce_predict_query(nn, space, ks):
     return dist, idx
 
 
-def fit_one_shared(est, space, dist, idx):
-    """Consumer wave, fit plan: bind the fused result, slice, fit."""
-    X = resolve_array(space)
-    push_shared_neighbors(est, resolve_array(dist), resolve_array(idx), drop_self=True)
-    try:
-        return est.fit(X)
-    finally:
-        discard_shared_neighbors(est)
+class ProducerWave(Wave):
+    """A :class:`SharingPlan`'s producers as first-class scheduled tasks.
 
-
-def score_one_shared(approx, target, space, dist, idx):
-    """Consumer wave, predict plan: bind, slice, score.
-
-    ``target`` is the estimator whose neighbor call consumes the stage
-    (the approximator's wrapped detector); ``approx`` is the scorer the
-    plan invokes, keeping passthrough semantics identical to the
-    unshared :func:`~repro.core.suod._score_one` task.
+    One task per :class:`SharedQuery`, with its own analytic forecast
+    (:func:`~repro.scheduling.forecast_shared_query`) and the stable
+    keys ``('<kind>-share', qid)``, so the adaptive scheduler arbitrates
+    shared builds against ordinary fit/score tasks on measured
+    durations. :meth:`assemble` publishes each fused ``(distance,
+    index)`` pair for the consumers — into ``arena`` as read-only
+    handles when the plan has a shared-memory data plane (set it before
+    the wave runs), as the in-memory arrays otherwise. Fit-plan
+    producers also return the group's fitted index, kept on the query
+    for post-fit injection.
     """
-    X = resolve_array(space)
-    push_shared_neighbors(
-        target, resolve_array(dist), resolve_array(idx), drop_self=False
-    )
-    try:
-        return approx.decision_function(X)
-    finally:
-        discard_shared_neighbors(target)
 
+    def __init__(self, sharing: SharingPlan):
+        self.sharing = sharing
+        self.name = f"{sharing.kind}-share"
+        self.arena = None
+        self.published: list[tuple] = []
 
-def score_slice_shared(approx, target, space, sl, dist, idx):
-    """Chunked consumer: cut the row block off the attached views
-    worker-side, then bind and score — ships (handle, slice) only."""
-    X = resolve_array(space)[sl]
-    push_shared_neighbors(
-        target, resolve_array(dist)[sl], resolve_array(idx)[sl], drop_self=False
-    )
-    try:
-        return approx.decision_function(X)
-    finally:
-        discard_shared_neighbors(target)
+    @property
+    def n_tasks(self) -> int:
+        return len(self.sharing.queries)
+
+    def task_keys(self) -> list:
+        return [(self.name, qid) for qid in range(self.n_tasks)]
+
+    def task_weights(self) -> np.ndarray:
+        return np.array([float(q.n_query) for q in self.sharing.queries])
+
+    def costs(self) -> np.ndarray:
+        return np.array(
+            [
+                forecast_shared_query(q.n_index, q.n_query, q.n_features, q.width)
+                for q in self.sharing.queries
+            ]
+        )
+
+    def tasks(self, data) -> list:
+        if self.sharing.kind == "fit":
+            return [
+                functools.partial(
+                    produce_fit_query, data[q.space_index], tuple(q.ks), q.metric
+                )
+                for q in self.sharing.queries
+            ]
+        return [
+            functools.partial(
+                produce_predict_query, q.index, data[q.space_index], tuple(q.ks)
+            )
+            for q in self.sharing.queries
+        ]
+
+    def assemble(self, results) -> dict:
+        self.published = []
+        bytes_published = 0
+        for query, out in zip(self.sharing.queries, results):
+            if self.sharing.kind == "fit":
+                query.index, dist, idx = out
+            else:
+                dist, idx = out
+            bytes_published += dist.nbytes + idx.nbytes
+            if self.arena is not None:
+                dist = self.arena.share(dist, category="neighbors")
+                idx = self.arena.share(idx, category="neighbors")
+            self.published.append((dist, idx))
+        return {"bytes_published": bytes_published}
+
+    def consumer_pairs(self) -> dict[int, tuple]:
+        """Model index → the published pair its group's producer left."""
+        return {
+            i: self.published[qid] for i, qid in self.sharing.consumer_of.items()
+        }

@@ -1,8 +1,6 @@
 """The scheduling subsystem: forecast, assign, execute, measure, refine.
 
-Subsumes what used to live in ``repro.core.scheduling`` and
-``repro.core.cost`` (both import paths survive as deprecation shims)
-behind two protocols and a registry:
+Two protocols and a registry:
 
 - **Policies** (:mod:`repro.scheduling.policies`) — the pure functions:
   generic/shuffle splits, discounted cost ranks, LPT and Karmarkar-Karp

@@ -6,14 +6,10 @@ CLI all resolve names identically:
 
 - duplicate-name registration is rejected unless ``overwrite=True``
   (re-registering the *same* class is a no-op);
-- unknown names raise with the sorted list of registered policies;
-- legacy spellings (``'bps'``, ``'bps_lpt'``, ``'bps_kk'``) keep
-  resolving with a :class:`DeprecationWarning`.
+- unknown names raise with the sorted list of registered policies.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.scheduling.schedulers import (
     AdaptiveScheduler,
@@ -39,14 +35,6 @@ _SCHEDULERS: dict[str, type] = {
     "adaptive": AdaptiveScheduler,
 }
 
-# Pre-registry spellings still in the wild (underscores, the bare 'bps'
-# of the paper's flag). Resolved with a DeprecationWarning.
-_LEGACY_ALIASES = {
-    "bps": "bps-lpt",
-    "bps_lpt": "bps-lpt",
-    "bps_kk": "bps-kk",
-}
-
 
 def register_scheduler(name: str, cls, *, overwrite: bool = False) -> None:
     """Add a scheduler class to the :func:`get_scheduler` registry.
@@ -65,23 +53,13 @@ def register_scheduler(name: str, cls, *, overwrite: bool = False) -> None:
     _SCHEDULERS[name] = cls
 
 
-def _resolve_name(name: str) -> str:
-    if name in _SCHEDULERS:
-        return name
-    if name in _LEGACY_ALIASES:
-        canonical = _LEGACY_ALIASES[name]
-        warnings.warn(
-            f"scheduler name {name!r} is deprecated; use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return canonical
-    raise ValueError(f"Unknown scheduler {name!r}; choose from {sorted(_SCHEDULERS)}")
-
-
 def get_scheduler_class(name: str) -> type:
     """The registered class for ``name`` (without instantiating it)."""
-    return _SCHEDULERS[_resolve_name(name)]
+    if name not in _SCHEDULERS:
+        raise ValueError(
+            f"Unknown scheduler {name!r}; choose from {sorted(_SCHEDULERS)}"
+        )
+    return _SCHEDULERS[name]
 
 
 def get_scheduler(name: str, **kwargs) -> Scheduler:

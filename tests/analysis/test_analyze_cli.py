@@ -135,7 +135,6 @@ def test_list_rules_catalogue(capsys):
         "shared-state-mutation",
         "payload-arg-mutation",
         "arena-dispose",
-        "deprecated-shim-import",
         "registry-overwrite",
         "unseeded-random",
         "frozen-reference",

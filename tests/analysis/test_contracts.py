@@ -1,4 +1,4 @@
-"""Contracts checker: shim imports, registry overwrites, determinism."""
+"""Contracts checker: registry overwrites, determinism, memmap modes."""
 
 import textwrap
 
@@ -11,34 +11,6 @@ KERNEL = "src/repro/kernels/fixture.py"
 def run(source, rel_path=PATH, rule=None):
     rules = [rule] if rule else None
     return analyze_source(textwrap.dedent(source), rel_path, rules=rules)
-
-
-def test_shim_import_flagged():
-    for stmt in (
-        "import repro.core.scheduling",
-        "from repro.core.scheduling import compile_schedule",
-        "from repro.core import cost",
-        "from repro.core.cost import CostModel",
-    ):
-        found = run(stmt, rule="deprecated-shim-import")
-        assert [f.rule for f in found] == ["deprecated-shim-import"], stmt
-        assert "repro.scheduling" in found[0].hint
-
-
-def test_new_package_import_clean():
-    good = """
-    from repro.scheduling import compile_schedule
-    from repro.core import BaseDetector
-    """
-    assert run(good, rule="deprecated-shim-import") == []
-
-
-def test_shim_files_themselves_are_exempt():
-    source = "from repro.core.scheduling import compile_schedule"
-    assert (
-        run(source, "src/repro/core/scheduling.py", "deprecated-shim-import")
-        == []
-    )
 
 
 def test_registry_overwrite_flagged():

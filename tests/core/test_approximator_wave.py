@@ -289,39 +289,10 @@ class TestFallbacks:
 
 
 # ---------------------------------------------------------------------------
-# Failure, resumption
+# Resumption (a failing PSA block: tests/pipeline/test_sharing.py, with
+# every other wave's failure path)
 # ---------------------------------------------------------------------------
-class ExplodingRegressor:
-    """Picklable regressor whose fit always fails (worker-side)."""
-
-    def fit(self, X, y):
-        raise RuntimeError("approximator exploded")
-
-
 class TestFailureAndResume:
-    @needs_shm_fs
-    def test_failing_task_surfaces_and_leaves_no_segments(self, data):
-        Xtr, _ = data
-        before = shm_segments()
-        clf = SUOD(
-            make_pool(),
-            n_jobs=2,
-            backend="shm_processes",
-            approx_clf=ExplodingRegressor(),
-            random_state=2,
-        )
-        try:
-            with pytest.raises(RuntimeError, match="approximator exploded"):
-                clf.fit(Xtr)
-            plan = clf.fit_plan_
-            assert plan.completed[-1] == "execute"  # approximate left no report
-            assert plan.context.get("arena") is None
-            assert plan.context.get("shared_spaces") is None
-            assert shm_segments() == before
-            assert not hasattr(clf, "approximators_")
-        finally:
-            clf.close()
-
     @needs_shm_fs
     @pytest.mark.parametrize(
         "backend,n_jobs", [("sequential", 1), ("shm_processes", 2)]

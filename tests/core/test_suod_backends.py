@@ -13,6 +13,7 @@ Two contracts:
 
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from repro import SUOD
 from repro.detectors import HBOS, KNN, LOF, IsolationForest
 from repro.detectors.base import BaseDetector
 from repro.pipeline import PlanRunner
+from repro.scheduling import get_scheduler
 
 SHM_DIR = "/dev/shm"
+PARALLEL_BACKENDS = ["threads", "work_stealing", "processes", "shm_processes"]
 needs_shm_fs = pytest.mark.skipif(
     not os.path.isdir(SHM_DIR), reason="no /dev/shm on this platform"
 )
@@ -76,24 +79,47 @@ class FailingDetector(BaseDetector):
 class TestBitwiseEqualityMatrix:
     @pytest.mark.parametrize("batch_size", [None, 17])
     @pytest.mark.parametrize(
-        "backend", ["threads", "work_stealing", "processes", "shm_processes"]
+        "backend,n_jobs,scheduler",
+        [(b, 2, None) for b in PARALLEL_BACKENDS]
+        # Codeblock 1's call: workers requested from the one-worker
+        # default backend (also with README's configured instance).
+        + [("sequential", 4, None), ("sequential", 4, "adaptive-instance")],
     )
-    def test_backend_matches_sequential(self, data, reference, backend, batch_size):
+    def test_backend_matches_sequential(
+        self, data, reference, backend, n_jobs, scheduler, batch_size
+    ):
         Xtr, Xte, ytr, yte = data
         ref_train, M0, s0 = reference
-        clf = SUOD(
-            fresh_pool(),
-            random_state=3,
-            n_jobs=2,
-            backend=backend,
-            batch_size=batch_size,
-        ).fit(Xtr)
-        try:
-            np.testing.assert_array_equal(clf.decision_scores_, ref_train)
-            np.testing.assert_array_equal(clf.decision_function_matrix(Xte), M0)
-            np.testing.assert_array_equal(clf.decision_function(Xte), s0)
-        finally:
-            clf.close()
+        if scheduler is not None:
+            scheduler = get_scheduler("adaptive", smoothing=0.8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clf = SUOD(
+                fresh_pool(),
+                random_state=3,
+                n_jobs=n_jobs,
+                backend=backend,
+                scheduler=scheduler,
+                batch_size=batch_size,
+            ).fit(Xtr)
+            try:
+                np.testing.assert_array_equal(clf.decision_scores_, ref_train)
+                np.testing.assert_array_equal(clf.decision_function_matrix(Xte), M0)
+                np.testing.assert_array_equal(clf.decision_function(Xte), s0)
+            finally:
+                clf.close()
+        ignored = [w for w in caught if "n_workers=4 is ignored" in str(w.message)]
+        assert len(ignored) == (backend == "sequential")
+        if backend == "sequential":
+            # One worker, told once; nothing scheduled, nothing observed.
+            assert not clf.fit_assignment_.any()
+            assert clf.fit_plan_.meta["scheduler"] == "single-worker"
+            assert clf.predict_plan_.report_for("schedule").info == {
+                "policy": "single-worker",
+                "n_tasks": clf.predict_plan_.meta["n_tasks"],
+                "tasks_per_worker": [clf.predict_plan_.meta["n_tasks"]],
+            }
+            assert clf._make_scheduler().n_observed == 0
 
     def test_shm_three_workers_chunked(self, data, reference):
         Xtr, Xte, ytr, yte = data

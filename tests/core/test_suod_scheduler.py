@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.suod import SUOD
 from repro.data import make_outlier_dataset
-from repro.detectors import sample_model_pool
+from repro.detectors import KNN, LOF, AvgKNN, sample_model_pool
 from repro.scheduling import (
     AdaptiveScheduler,
     BpsScheduler,
@@ -78,22 +78,14 @@ class TestSchedulerParameter:
             clf = _fit(data, scheduler=name)
             np.testing.assert_array_equal(clf.decision_scores_, reference)
 
-    def test_unknown_name_raises_at_init(self):
+    @pytest.mark.parametrize("name", ["nope", "bps"])
+    def test_unknown_name_raises_at_init(self, name):
         with pytest.raises(ValueError, match="Unknown scheduler"):
-            SUOD(_pool(), scheduler="nope")
+            SUOD(_pool(), scheduler=name)
 
     def test_wrong_type_raises_at_init(self):
         with pytest.raises(TypeError, match="scheduler must be"):
             SUOD(_pool(), scheduler=42)
-
-    def test_legacy_name_string_warns_and_works(self, data):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            clf = SUOD(
-                _pool(), n_jobs=3, backend="threads", scheduler="bps", random_state=0
-            )
-        with pytest.warns(DeprecationWarning):
-            clf.fit(data)
-        assert clf.fit_plan_.report_for("schedule").info["policy"] == "bps-lpt"
 
     def test_single_worker_skips_scheduling(self, data):
         clf = SUOD(_pool(), n_jobs=1, scheduler="adaptive", random_state=0).fit(data)
@@ -140,6 +132,29 @@ class TestSuodFeedbackLoop:
         sched_info = clf.predict_plan_.report_for("schedule").info
         assert sched_info["policy"] == "adaptive"
         assert sched_info["n_observed"] == fit_keys + m
+
+    def test_execute_stage_counts_every_wave_it_observed(self):
+        # Three neighbour detectors on one unprojected space: the share
+        # stage adds a one-task producer wave to both plans, and its
+        # durations are fed to the scheduler like the detectors' are.
+        X, _ = make_outlier_dataset(300, 6, contamination=0.1, random_state=1)
+        pool = [KNN(n_neighbors=5), LOF(n_neighbors=8), AvgKNN(n_neighbors=6)]
+        clf = SUOD(
+            pool,
+            n_jobs=2,
+            backend="threads",
+            scheduler="adaptive",
+            rp_flag_global=False,
+            approx_flag_global=False,
+            random_state=0,
+        ).fit(X)
+        clf.decision_function(X[:40])
+        model = clf._make_scheduler().cost_model
+        for plan in (clf.fit_plan_, clf.predict_plan_):
+            info = plan.report_for("execute").info
+            assert info["sharing"]["producers"] == 1
+            assert model.has_observations([(f"{plan.kind}-share", 0)])
+            assert info["telemetry_observed"] == 1 + 3
 
     def test_chunked_tasks_share_model_identity(self, data):
         clf = _fit(data, scheduler="adaptive", backend="work_stealing", batch_size=64)

@@ -6,6 +6,7 @@ implementation (re-derived here as straight-line reference code) across
 sequential, thread, and work-stealing backends.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 from repro import SUOD
 from repro.data import make_outlier_dataset
 from repro.detectors import HBOS, KNN, LOF, AvgKNN, IsolationForest
-from repro.parallel import ExecutionResult
+from repro.parallel import ExecutionResult, get_backend
 from repro.pipeline import ExecutionPlan, PlanContext, PlanRunner, Stage
+from repro.pipeline.wave import Wave, WaveRun, n_workers_for
+from repro.scheduling import Scheduler
 
 
 def make_pool():
@@ -110,6 +113,129 @@ class TestPlanRunner:
         )
         with pytest.raises(TypeError, match="dict or None"):
             PlanRunner().run(plan)
+
+
+# ---------------------------------------------------------------------------
+# The wave runner on a fake wave: forecast -> assign -> execute ->
+# observe -> assemble, with nothing of SUOD around it
+# ---------------------------------------------------------------------------
+class FakeWave(Wave):
+    """Six tasks returning their own index; records what it was asked."""
+
+    name = "fake"
+    n_tasks = 6
+
+    def __init__(self, interpreter_bound=False):
+        self.interpreter_bound = interpreter_bound
+        self.forecasts = 0
+        self.assembled = None
+
+    def task_keys(self):
+        return [("fake", i % 3) for i in range(6)]
+
+    def task_weights(self):
+        return np.arange(1.0, 7.0)
+
+    def costs(self):
+        self.forecasts += 1
+        return [6, 5, 4, 3, 2, 1]
+
+    def tasks(self, data):
+        return [functools.partial(int, data[i]) for i in range(6)]
+
+    def assemble(self, results):
+        self.assembled = list(results)
+        return {"checksum": sum(results)}
+
+
+class RecordingScheduler(Scheduler):
+    """Deals tasks round-robin from the last worker down."""
+
+    name = "recording"
+    adaptive = True
+
+    def __init__(self, uses_costs):
+        self.uses_costs = uses_costs
+        self.assign_calls, self.observe_calls = [], []
+
+    def assign(self, n_tasks, n_workers, costs=None, *, task_keys=None, weights=None):
+        self.assign_calls.append((n_tasks, n_workers, costs, task_keys, weights))
+        return (n_workers - 1) - np.arange(n_tasks) % n_workers
+
+    def observe(self, durations, *, task_keys=None, weights=None):
+        self.observe_calls.append((durations, task_keys, weights))
+        return len(durations)
+
+
+class TestWaveRun:
+    DATA = ["10", "11", "12", "13", "14", "15"]
+
+    def test_assignment_respected_results_stripped_and_observed(self):
+        wave, scheduler = FakeWave(), RecordingScheduler(uses_costs=True)
+        run = WaveRun(wave, get_backend("simulated", n_workers=3), scheduler)
+        assert (run.n_workers, run.policy) == (3, "recording")
+        np.testing.assert_array_equal(run.forecast(), [6.0, 5, 4, 3, 2, 1])
+        np.testing.assert_array_equal(run.schedule(), [2, 1, 0, 2, 1, 0])
+        [(n_tasks, n_workers, costs, keys, weights)] = scheduler.assign_calls
+        assert (n_tasks, n_workers, keys) == (6, 3, wave.task_keys())
+        assert costs is run.costs and wave.forecasts == 1
+        np.testing.assert_array_equal(weights, wave.task_weights())
+
+        ledger = run.run(self.DATA)
+        assert wave.assembled == [10, 11, 12, 13, 14, 15]
+        assert run.result.results == [None] * 6  # stripped once assembled
+        # The simulated backend's virtual workers follow the assignment.
+        times = run.result.task_times
+        np.testing.assert_allclose(
+            run.result.worker_times,
+            [times[2] + times[5], times[1] + times[4], times[0] + times[3]],
+        )
+        [(durations, keys, weights)] = scheduler.observe_calls
+        assert durations is times and keys == wave.task_keys()
+        assert ledger == {
+            "tasks": 6,
+            "checksum": 75,
+            "tasks_per_worker": [2, 2, 2],
+            "wave_wall_s": run.result.wall_time,
+            "execution": run.result,
+            "telemetry_observed": 6,
+        }
+
+    def test_cost_blind_scheduler_gets_no_costs(self):
+        wave, scheduler = FakeWave(), RecordingScheduler(uses_costs=False)
+        run = WaveRun(wave, get_backend("simulated", n_workers=2), scheduler)
+        assert run.forecast() is None
+        run.schedule()
+        assert scheduler.assign_calls[0][2] is None
+        assert wave.forecasts == 0
+
+    @pytest.mark.parametrize(
+        "backend,interpreter_bound,n_workers",
+        [
+            ("threads", True, 1),  # GIL-bound tasks on GIL-sharing workers
+            ("threads", False, 3),
+            ("simulated", True, 3),
+            ("sequential", False, 1),
+        ],
+    )
+    def test_single_worker_rule(self, backend, interpreter_bound, n_workers):
+        wave, scheduler = FakeWave(interpreter_bound), RecordingScheduler(True)
+        pool = get_backend(backend, n_workers=1 if backend == "sequential" else 3)
+        run = WaveRun(wave, pool, scheduler)
+        assert run.n_workers == n_workers_for(wave, pool) == n_workers
+        run.forecast()
+        run.schedule()
+        ledger = run.run(self.DATA)
+        assert wave.assembled == [10, 11, 12, 13, 14, 15]
+        assert len(ledger["tasks_per_worker"]) == n_workers
+        assert run.result.worker_times.shape == (n_workers,)
+        if n_workers == 1:
+            # Nothing forecast, nothing asked of the scheduler.
+            assert run.policy == "single-worker" and run.costs is None
+            assert wave.forecasts == 0 and scheduler.assign_calls == []
+            assert not run.assignment.any()
+        # Measured durations still feed a multi-worker backend's scheduler.
+        assert len(scheduler.observe_calls) == (pool.n_workers > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.data import make_outlier_dataset
 from repro.detectors import ABOD, HBOS, KNN, LOF, AvgKNN, LoOP
 from repro.neighbors import kdtree_build_count
 from repro.pipeline.sharing import derive_fit_sharing
+from repro.supervised import RandomForestRegressor
 
 # n >= 256 so the auto engine resolves to kd_tree (the sharable regime).
 N_TRAIN, N_TEST, D = 320, 96, 6
@@ -174,7 +175,7 @@ class TestParityMatrix:
     @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
     def test_chunked_predict_parity(self, data, redundant, backend):
         # batch_size forces (model x chunk) grain: shared consumers run
-        # through the slice task bodies.
+        # through score_task's row-slice path.
         Xtr, Xte = data
         shared = fit_predict(
             Xtr, Xte, share=True, backend=backend, n_jobs=2, batch_size=40
@@ -218,11 +219,50 @@ class TestParityMatrix:
 # ---------------------------------------------------------------------------
 # /dev/shm hygiene: published producer results die with their plan
 # ---------------------------------------------------------------------------
-class ExplodingLOF(LOF):
-    """Consumer that joins a sharing group, then fails mid-fit."""
+class Saboteur(KNN):
+    """A sharing-group member that raises where ``explode_in`` says.
 
-    def fit(self, X):
-        raise RuntimeError("consumer exploded")
+    The switch is instance state, so it travels with the pickled task
+    to process workers and can be flipped between calls.
+    """
+
+    explode_in = None
+
+    def _fit(self, X):
+        if self.explode_in == "fit":
+            raise RuntimeError("detector fit exploded")
+        return super()._fit(X)
+
+    def _score(self, X):
+        if self.explode_in == "score":
+            raise RuntimeError("score task exploded")
+        return super()._score(X)
+
+
+class ExplodingForest(RandomForestRegressor):
+    """Approximator prototype whose tree blocks fail while ``armed``."""
+
+    armed = True
+
+    def fit_block(self, X, y, seeds):
+        if self.armed:
+            raise RuntimeError("PSA block exploded")
+        return super().fit_block(X, y, seeds)
+
+
+def exploding_index_build(X, metric="euclidean"):
+    raise RuntimeError("fit producer exploded")
+
+
+#: wave -> (plan that fails, last stage that completed, error pattern)
+FAILING_WAVES = {
+    "fit producer": ("fit", "schedule", "fit producer exploded"),
+    "predict producer": ("predict", "schedule", "NoneType"),
+    "detector fit": ("fit", "schedule", "detector fit exploded"),
+    "score task": ("predict", "schedule", "score task exploded"),
+    "score chunk": ("predict", "schedule", "score task exploded"),
+    "PSA block": ("fit", "execute", "PSA block exploded"),
+}
 
 
 class TestShmHygiene:
@@ -235,22 +275,58 @@ class TestShmHygiene:
         clf.close()
         assert shm_segments() == before
 
-    def test_failing_consumer_leaves_no_segments(self, data):
-        Xtr, _ = data
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "shm_processes"])
+    @pytest.mark.parametrize("wave", list(FAILING_WAVES))
+    def test_failing_task_surfaces_and_leaves_no_segments(
+        self, data, monkeypatch, wave, backend
+    ):
+        # Every wave goes through the one runner: whichever task fails,
+        # on whichever backend, its own exception surfaces, the plan's
+        # arena (spaces + published neighbour pairs) is torn down with
+        # it, and the estimator stays usable.
+        Xtr, Xte = data
+        kind, last_done, message = FAILING_WAVES[wave]
         before = shm_segments()
-        pool = [KNN(5), AvgKNN(12), ExplodingLOF(9)]
+        saboteur, forest = Saboteur(9), ExplodingForest(n_estimators=4, random_state=0)
         clf = SUOD(
-            pool,
-            share_flag=True,
-            backend="shm_processes",
-            n_jobs=2,
+            [KNN(5), AvgKNN(12), saboteur],
+            backend=backend,
+            n_jobs=1 if backend == "sequential" else 2,
             rp_flag_global=False,
-            approx_flag_global=False,
+            approx_flag_global=wave == "PSA block",
+            approx_clf=forest,
+            batch_size=40 if wave == "score chunk" else None,
             random_state=0,
         )
-        with pytest.raises(RuntimeError, match="consumer exploded"):
-            clf.fit(Xtr)
+        forest.armed = wave == "PSA block"
+        if wave == "detector fit":
+            saboteur.explode_in = "fit"
+        with monkeypatch.context() as patch:
+            if wave == "fit producer":
+                patch.setattr(
+                    "repro.pipeline.sharing.build_shared_index", exploding_index_build
+                )
+            if kind == "predict":
+                clf.fit(Xtr)
+                if wave == "predict producer":
+                    patch.setattr(clf.shared_index_[0], "_tree", None)
+                else:
+                    # The fitted copy: process workers hand back new objects.
+                    clf.base_estimators_[2].explode_in = "score"
+            with pytest.raises((RuntimeError, AttributeError), match=message):
+                clf.fit(Xtr) if kind == "fit" else clf.decision_function(Xte)
+        plan = clf.fit_plan_ if kind == "fit" else clf.predict_plan_
+        assert plan.completed[-1] == last_done  # the failing stage left no report
+        assert plan.context.get("arena") is None
+        assert plan.context.get("shared_spaces") is None
+        if kind == "fit":
+            assert not hasattr(clf, "decision_scores_")
         clf.close()
-        # The failed execute stage tore the arena down: the published
-        # fused (distance, index) pairs are gone with it.
+        assert shm_segments() == before
+        # Disarmed, the same estimator fits and scores.
+        saboteur.explode_in, forest.armed = None, False
+        try:
+            assert np.isfinite(clf.fit(Xtr).decision_function(Xte)).all()
+        finally:
+            clf.close()
         assert shm_segments() == before

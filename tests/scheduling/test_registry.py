@@ -60,13 +60,14 @@ class TestRoundTrip:
 
 
 class TestUnknownName:
-    def test_error_lists_registered_policies(self):
-        with pytest.raises(ValueError, match="Unknown scheduler 'nope'"):
-            get_scheduler("nope")
+    # The pre-registry spellings ('bps', underscores) are unknown names now.
+    @pytest.mark.parametrize("name", ["nope", "bps", "bps_lpt", "bps_kk"])
+    def test_error_lists_registered_policies(self, name):
+        with pytest.raises(ValueError, match=f"Unknown scheduler '{name}'"):
+            get_scheduler(name)
         with pytest.raises(ValueError) as exc:
-            get_scheduler_class("nope")
-        for name in list_schedulers():
-            assert name in str(exc.value)
+            get_scheduler_class(name)
+        assert str(sorted(list_schedulers())) in str(exc.value)
 
 
 class TestRegistration:
@@ -99,19 +100,3 @@ class TestRegistration:
             assert get_scheduler_class("custom-rr") is GenericScheduler
         finally:
             _SCHEDULERS.pop("custom-rr", None)
-
-
-class TestLegacyNames:
-    @pytest.mark.parametrize(
-        "legacy, canonical",
-        [("bps", "bps-lpt"), ("bps_lpt", "bps-lpt"), ("bps_kk", "bps-kk")],
-    )
-    def test_legacy_spelling_resolves_with_warning(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            scheduler = get_scheduler(legacy)
-        assert scheduler.name == canonical
-
-    def test_canonical_names_do_not_warn(self, recwarn):
-        get_scheduler("bps-lpt")
-        get_scheduler("bps-kk")
-        assert not [w for w in recwarn if w.category is DeprecationWarning]

@@ -26,7 +26,7 @@ REFERENCE_PATH = "repro/kernels/reference.py"
 # this pin is the deliberate, reviewed act of changing what "correct"
 # means for every kernel; tests/analysis/test_freeze.py recomputes it.
 REFERENCE_SHA256 = (
-    "70796a1475bde399da1cc2f6682f3174e371221d2e67a6fa84bf5a62ea0ecdc4"
+    "632fe7eb03c2d5291df29e8dd422659c42b1f5b4a82233c6f1a2dd29887a39ec"
 )
 
 

@@ -11,9 +11,10 @@ backends are held to:
   forest concatenated into one node arena, all rows routed through all
   trees in a level-synchronous gather loop. Serves isolation-forest
   scoring and random-forest / GBM prediction.
-- :mod:`repro.kernels.neighbors` — block-batched KD-tree k-NN with
-  vectorised leaf scans (``argpartition``-style candidate merges instead
-  of per-element heap pushes). Serves KNN / LOF / LoOP scoring.
+- :mod:`repro.kernels.neighbors` — block-batched exact KD-tree k-NN:
+  a GEMM filter–refine scan and a pruned sweep behind one derived
+  choice, one exact-distance + canonical-selection helper, one bitwise
+  answer. Serves KNN / LOF / LoOP / ABOD fitting and scoring.
 - :mod:`repro.kernels.splits` — CART split search over all candidate
   features in one 2-D argsort + cumsum pass. Serves
   ``DecisionTreeRegressor.fit`` and therefore every PSA approximator fit.

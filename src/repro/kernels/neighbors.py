@@ -1,45 +1,133 @@
-"""Batched KD-tree k-nearest-neighbor search.
+"""Batched exact KD-tree k-NN: two block engines, one canonical answer.
 
-The reference path (:meth:`repro.neighbors.KDTree._query_one`) answers one
-query at a time with a best-first node traversal — correct, but the
-interpreter pays per query per node. This kernel answers a whole *block*
-of queries with two vectorised sweeps:
+The answer of a query is *defined*, not computed by a particular
+traversal: the ``k`` lexicographically smallest ``(distance, index)``
+pairs, where ``distance`` is the elementwise expression
+``sqrt(((x - q) ** 2).sum())`` evaluated in the tree's dtype and
+``index`` the row's original position. That is a pure function of the
+data — independent of ``k``'s neighbours in a batch, of block shapes, of
+BLAS builds and thread counts — and the per-query best-first search
+frozen in :func:`repro.kernels.reference.kdtree_query_best_first` is its
+oracle. Two block engines find *candidates* for that answer; one helper
+(:func:`_select_exact`) computes every exact distance and makes every
+selection, so the engines cannot disagree on a bit they both reach.
 
-1. **Home-leaf routing.** Every query descends near-child-only to its
-   home leaf in one level-synchronous gather loop (the same trick the
-   tree kernels use), and the home leaves are scanned in groups to seed
-   each query's candidate set — so pruning bounds are warm before the
-   real search starts.
-2. **Pruned breadth-first sweep.** A frontier of ``(query, node, bound)``
-   states starts at the root and advances one tree level per Python
-   iteration. Leaves reached by the frontier are scanned in one flat
-   vectorised pass per level; far children are generated only while
-   their lower bound is within the query's current kth distance, and
-   stale frontier entries are re-filtered against the (monotonically
-   shrinking) kth bound each level.
+Filter–refine scan (``_scan_block``)
+------------------------------------
+For a slab of query rows sized so that ``rows x n`` stays cache-scale
+(``_SCAN_BLOCK``), one GEMM evaluates an approximate squared distance
+to every indexed row; each row's k-th smallest approximate value
+(``np.partition``), widened by a proven rounding bound, is a threshold
+no true neighbour can exceed; the few cells under it (``>= k`` per row
+by construction, ``~k`` in practice) are refined exactly.
 
-Candidate selection uses the canonical ``(distance, index)`` order: the k
-smallest distances, ties broken toward the smaller original index.
+*The filter value.* With ``c`` the (approximate) mean of the data,
+``a = fl(q - c)`` and ``b = fl(x - c)`` the stored centred vectors, the
+cached operand row ``[-2 b | B]`` (``B = fl(|b|^2)``) and the query row
+``[a | 1]`` give ``A = fl(B - 2 a.b)`` in a single ``d + 1`` term dot
+product. ``|a|^2`` is never added: a per-row constant cannot change
+which cells pass. Centring keeps ``|a|, |b|`` at the scale of the
+cloud's spread, so a cloud offset by 1e8 filters as tightly as one at
+the origin.
+
+*The bound.* Write ``u = eps / 2``, ``M = |a|^2 + max_x |b|^2`` and
+``S`` for the float sum of squares the exact expression computes before
+its ``sqrt``. Up to factors ``1 + O(d u)``:
+
+- dot product of ``d + 1`` terms, any summation order, with or without
+  FMA: ``|A - (|b|^2 - 2 a.b)| <= (d + 1) u (2 |a||b| + |b|^2) + d u
+  |b|^2 <= (3 d + 2) u M``;
+- centring rounds each coordinate once, so ``| |a - b| - |q - x| | <=
+  u (|a| + |b|)`` and ``| |a - b|^2 - |q - x|^2 | <= 4 u M``;
+- the exact expression: ``d`` roundings of the differences, ``d``
+  squarings, ``d - 1`` additions give ``|S - |q - x|^2| <= (d + 2) u
+  |q - x|^2 <= (2 d + 4) u M``.
+
+So ``|A + |a|^2 - S| <= (5 d + 10) u M =: e0`` for every cell of the
+row. Let ``t`` be the row's k-th smallest ``A``: ``k`` cells have ``S
+<= t + |a|^2 + e0``, hence so has the k-th smallest ``S``. A pair of
+the canonical answer has ``sqrt(S)`` not above the k-th smallest
+*rounded* root, which lets its ``S`` exceed the k-th smallest ``S`` by
+at most a factor ``1 + 4 u`` (``<= 8 u M``), hence ``A <= t + 2 e0 + 8
+u M = t + (5 d + 14) eps M``. The code keeps ``A <= t + 2 e`` with ``e
+= 3 (d + 4) (eps M + tiny)``, i.e. ``(6 d + 24) eps M``: the ``(d +
+10) eps M`` to spare covers the dropped second-order factors, the
+rounding of ``M`` and of the threshold itself, and ``tiny`` (the
+smallest normal) covers the absolute error of squares that underflow,
+gradually or flushed. The margin is derived, not tuned; its price is a
+threshold ~1e-14 of the cloud's squared spread wider than ideal.
+
+*Why GEMM rounding cannot show.* Conservativeness means the survivor
+set always contains the canonical answer; which *extra* cells survive
+depends on how the BLAS build sums, but extras are exactly-refined and
+rejected by the same selection. The output is the canonical answer for
+every batch shape, BLAS build and thread count.
+
+*Non-finite rows.* Squares that overflow make ``M``, hence the
+threshold, non-finite (``inf - inf`` cells are NaN): such a row keeps
+every cell and is scanned exactly — slow and still canonical.
+
+*When the filter cannot discriminate.* ``e`` scales with the farthest
+indexed row. A few rows beyond ~1e7 times the cloud's spread (float64;
+a few hundred times for a float32 cast) push ``2 e`` past the cloud's
+own squared distances: most cells survive and the scan degrades toward
+an exact scan of every row — canonical, in bounded memory (survivors
+are refined at most ~``_SCAN_BLOCK`` at a time), at about the cost of
+the sweep in high ``d``. A per-cell bound (``|b_j|^2`` in place of the
+maximum) would remove the cliff; it is left as a follow-up.
+
+Pruned sweep (``_sweep_block``)
+-------------------------------
+1. **Seeding.** Every query descends near-child-only to the deepest
+   node that still holds ``>= k`` rows (its home leaf when ``k`` fits
+   in one) in one level-synchronous gather loop, and that node's slice
+   is scanned — so every kth bound is finite before the search starts,
+   whatever ``k`` is relative to the leaf occupancy.
+2. **Pruned breadth-first sweep.** A frontier of ``(query, node,
+   bound)`` states starts at the root and advances one tree level per
+   Python iteration. Far children are generated only while their lower
+   bound is within the query's current kth distance; reached leaves are
+   collected and scanned in bound-ascending chunks, stale entries
+   re-filtered against the (monotonically shrinking) kth bound.
+
 Pruning is *non-strict* — a subtree whose lower bound exactly ties the
 current kth distance is still visited — so every candidate tied at the
-kth distance is always scanned. That makes the output a pure function of
-the data (the k lexicographically smallest ``(distance, index)`` pairs),
-independent of traversal order *and* of how tight the pruning bound is;
-the reference path and this kernel must agree bitwise even on
-adversarial, tie-heavy inputs.
+kth distance is scanned. The sweep tracks the per-dimension offsets
+accumulated along each root-to-node path and prunes on
+``sqrt(sum(offsets ** 2))``. The squared offsets are reduced with the
+same row-wise sum as the distance computation itself and every term is
+elementwise dominated, so the bound is a true lower bound of the
+*computed* distance of any point in the subtree — float rounding
+included — which keeps non-strict pruning exact. (Both the sweep's and
+the oracle's bounds assume a squared gap does not flush to zero: with
+coordinates closer than ``sqrt(tiny)`` only the scan is canonical.)
 
-That freedom buys a better bound than the reference's: the sweep tracks
-the per-dimension offsets accumulated along each root-to-node path and
-prunes on ``sqrt(sum(offsets ** 2))`` rather than ``max(offsets)``. The
-squared offsets are reduced with the same row-wise sum as the distance
-computation itself and every term is elementwise dominated, so the bound
-is a true lower bound of the *computed* distance of any point in the
-subtree — float rounding included — which keeps non-strict pruning
-exact.
+Which engine runs
+-----------------
+:func:`choose_block_engine` compares two estimates in units of one
+scanned row of the scan (:func:`block_engine_costs`): ``q n`` for the
+scan against ``20 q s + 8000 log2(n / leaf_size)`` for the sweep, with
+``s`` = :func:`expected_scanned`. The two constants were fitted (mean
+regret 0.7 %, worst 1.4x) to 225 timed cells, ``d`` in {2, 3, 5, 8, 12}
+x ``n`` in {500, 2k, 6k, 20k, 100k} x ``k`` in {5, 11, 41} x ``q`` in
+{1, 16, 512}, one BLAS thread; sweep time / scan time at ``q = 512, k
+= 11`` (``>1``: the scan wins; ``*`` marks cells the rule gives to the
+sweep):
 
-Leaf distances are computed with the same elementwise expression as the
-reference (``sqrt(((block - x) ** 2).sum(axis))``), so every candidate
-distance is bitwise-identical to the per-query path.
+====  =====  =====  ======  ======  =======
+d     n=500  2000   6000    20000   100000
+====  =====  =====  ======  ======  =======
+2     1.3    0.66*  0.33*   0.13*   0.02*
+3     1.9    1.1    0.59*   0.24*   0.05*
+5     6.2    2.9    2.5     1.05*   0.20*
+8     9.7    10     9.3     4.6     1.7
+12    11     14     21      15      9.5
+====  =====  =====  ======  ======  =======
+
+(base numbers, ms: d=2/n=100k scan 208, sweep 4.8; d=8/n=6000 scan
+10.7, sweep 99; d=12/n=6000 scan 10.8, sweep 232). At ``q = 1`` the
+sweep's per-level arrays amortise over nothing and the scan wins 2.6-8x
+up to ``n = 20 000`` in every ``d`` (0.09-0.3 ms against 0.3-1.8 ms).
 
 Prefix-slice contract (the basis of the shared-computation plane)
 -----------------------------------------------------------------
@@ -66,6 +154,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "block_engine_costs",
+    "choose_block_engine",
+    "expected_scanned",
     "kdtree_query_batched",
     "kdtree_query_maxk",
     "shared_query_width",
@@ -73,6 +164,67 @@ __all__ = [
 ]
 
 _LEAF = -1
+
+# Approximate distances (query rows x indexed rows) one scan block may
+# hold: 2 MB of float64, so the GEMM output, its partition copy and the
+# threshold mask stay cache-scale whatever n is (32 MB blocks measured
+# +26 MB peak RSS on the 6000x8 workload for no speed).
+_SCAN_BLOCK = 1 << 18
+# Engine rule constants, in units of one scanned row of the scan engine
+# (measured; regime table in the module docstring).
+_SWEEP_ROW_COST = 20.0
+_SWEEP_LEVEL_COST = 8000.0
+
+
+def expected_scanned(
+    n_samples: int, n_features: int, k: int, leaf_size: int = 40
+) -> float:
+    """Rows the pruned sweep is expected to scan for one query.
+
+    The k-neighbor ball of a query holds ``k`` rows, so in units where
+    one row occupies unit volume its side is ``k ** (1/d)``; every leaf
+    cell the ball touches is scanned whole, which dilates the side by
+    one leaf cell, ``leaf_size ** (1/d)``. The sweep cannot scan more
+    than all ``n_samples`` rows. One formula, two readers (through
+    :func:`block_engine_costs`): the engine rule and the share
+    producers' cost forecast
+    (:func:`repro.scheduling.forecast_shared_query`), so what the
+    scheduler ranks cannot drift from what the kernel does.
+    ``leaf_size`` defaults to :class:`~repro.neighbors.KDTree`'s.
+    """
+    inv_d = 1.0 / max(int(n_features), 1)
+    side = float(k) ** inv_d + float(leaf_size) ** inv_d
+    return min(float(n_samples), side ** max(int(n_features), 1))
+
+
+def block_engine_costs(
+    n_queries: int, n_samples: int, n_features: int, k: int, leaf_size: int = 40
+) -> dict[str, float]:
+    """Estimated cost of answering one query batch with each block engine.
+
+    In units of one row of the scan: the scan touches every row once
+    per query through a GEMM; the sweep touches :func:`expected_scanned`
+    rows per query through elementwise distances and merge passes
+    (``_SWEEP_ROW_COST`` scan rows each) and pays ``_SWEEP_LEVEL_COST``
+    scan rows per tree level however few rows share them. Constants and
+    the regime table they were measured on are in the module docstring.
+    """
+    depth = np.log2(max(n_samples / leaf_size, 2.0))
+    scanned = expected_scanned(n_samples, n_features, k, leaf_size)
+    return {
+        "scan": float(n_queries) * float(n_samples),
+        "sweep": _SWEEP_ROW_COST * n_queries * scanned + _SWEEP_LEVEL_COST * depth,
+    }
+
+
+def choose_block_engine(
+    n_queries: int, n_samples: int, n_features: int, k: int, leaf_size: int = 40
+) -> str:
+    """``'scan'`` or ``'sweep'``: the cheaper engine by
+    :func:`block_engine_costs` — derived from what the call can observe,
+    never a parameter."""
+    costs = block_engine_costs(n_queries, n_samples, n_features, k, leaf_size)
+    return min(costs, key=costs.get)
 
 
 def kdtree_query_batched(
@@ -86,12 +238,27 @@ def kdtree_query_batched(
     """k nearest neighbors of every query row, block-batched.
 
     ``tree`` is a built :class:`repro.neighbors.KDTree`; inputs are
-    assumed validated by the caller (:meth:`KDTree.query`). Queries are
-    processed in blocks of ``block_rows`` to bound the working set.
+    assumed validated by the caller (:meth:`KDTree.query`). The engine
+    is chosen by :func:`choose_block_engine`; queries are processed in
+    blocks of at most ``block_rows`` (inside a block the scan filters in
+    slabs of ``_SCAN_BLOCK`` approximate distances) to bound the working
+    set.
     Returns ``(distances, indices)`` sorted ascending per row by
-    ``(distance, index)``.
+    ``(distance, index)`` — the same bytes from either engine.
     """
+    engine = choose_block_engine(
+        X_query.shape[0], tree.n_samples_, tree.n_features_, k, tree.leaf_size
+    )
+    return _query_blocks(
+        _BLOCK_ENGINES[engine], tree, X_query, k, exclude_self, block_rows
+    )
+
+
+def _query_blocks(run, tree, X_query, k, exclude_self, block_rows):
+    """Run block engine ``run`` over ``X_query`` (the tests' engine hook)."""
     q = X_query.shape[0]
+    # Block-local query ids are sorted as 16-bit keys (_select_exact).
+    block_rows = min(block_rows, 1 << 16)
     # Distances come back in the tree's serving dtype (float64 default;
     # float32 when the tree was cast). Internal selection state stays
     # float64 either way — promotion is exact, so the float64 path is
@@ -100,9 +267,7 @@ def kdtree_query_batched(
     out_i = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block_rows):
         stop = min(start + block_rows, q)
-        d, i = _query_block(
-            tree, X_query[start:stop], k, start if exclude_self else None
-        )
+        d, i = run(tree, X_query[start:stop], k, start if exclude_self else None)
         out_d[start:stop] = d
         out_i[start:stop] = i
     return out_d, out_i
@@ -182,38 +347,39 @@ def slice_neighbor_prefix(
     )
 
 
-def _query_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
+def _sweep_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
+    """Pruned-sweep engine for one block of queries (module docstring)."""
     split_dim, split_val = tree._split_dim, tree._split_val
     left, right = tree._left, tree._right
     m = Xq.shape[0]
-    n = tree.n_samples_
+    state = _new_state(tree, Xq, k, self_start)
+    best_d, best_i, kth = state[3:6]
 
-    # Candidate state: per query the best-k (distance, index) pairs seen,
-    # kept sorted by the canonical order. Unfilled slots hold +inf with a
-    # sentinel index of n, which sorts after every real candidate.
-    best_d = np.full((m, k), np.inf)
-    best_i = np.full((m, k), n, dtype=np.int64)
-    kth = np.full(m, np.inf)
-    self_idx = None if self_start is None else np.arange(self_start, self_start + m)
-
-    state = (tree, Xq, k, best_d, best_i, kth, self_idx)
-
-    # Phase 1: near-child-only descent of every query to its home leaf.
-    home = np.zeros(m, dtype=np.int64)
-    active = np.nonzero(split_dim[home] != _LEAF)[0]
+    # Phase 1: near-child-only descent of every query, stopping at the
+    # deepest node that still holds enough rows to fill the answer (node
+    # sizes only shrink along a path). Scanning that node's slice makes
+    # every kth finite before the sweep starts, whatever k is relative
+    # to the leaf occupancy; for k within a leaf it is the home leaf.
+    need = k if self_start is None else k + 1
+    size = tree._end - tree._start
+    seed = np.zeros(m, dtype=np.int64)
+    active = np.nonzero(split_dim[seed] != _LEAF)[0]
     while active.size:
-        nodes = home[active]
+        nodes = seed[active]
         dim = split_dim[nodes]
         go_right = Xq[active, dim] - split_val[nodes] >= 0.0
         nxt = np.where(go_right, right[nodes], left[nodes])
-        home[active] = nxt
+        fits = size[nxt] >= need
+        active, nxt = active[fits], nxt[fits]
+        seed[active] = nxt
         active = active[split_dim[nxt] != _LEAF]
-    _scan_leaves(state, np.arange(m), home)
+    _scan_leaves(state, np.arange(m), seed)
 
-    # Phase 2a: pruned breadth-first sweep from the root; the home leaf
-    # of each query is skipped (already scanned). Each frontier state
-    # tracks the per-dimension offsets of its root-to-node path, giving
-    # the sum-of-squares lower bound described in the module docstring.
+    # Phase 2a: pruned breadth-first sweep from the root; each query's
+    # seed node is dropped when the frontier reaches it (its whole
+    # subtree is already scanned). Each frontier state tracks the
+    # per-dimension offsets of its root-to-node path, giving the
+    # sum-of-squares lower bound described in the module docstring.
     # Reached leaves are *collected* with their bounds, not scanned yet.
     qs = np.arange(m)
     nodes = np.zeros(m, dtype=np.int64)
@@ -222,16 +388,13 @@ def _query_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     pend: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while qs.size:
         # Bounds only age: drop frontier entries the latest kth beats.
-        keep = bounds <= kth[qs]
+        keep = (bounds <= kth[qs]) & (nodes != seed[qs])
         qs, nodes, bounds, off = qs[keep], nodes[keep], bounds[keep], off[keep]
         if not qs.size:
             break
         at_leaf = split_dim[nodes] == _LEAF
         if at_leaf.any():
-            lq, ln, lb = qs[at_leaf], nodes[at_leaf], bounds[at_leaf]
-            fresh = ln != home[lq]
-            if fresh.any():
-                pend.append((lq[fresh], ln[fresh], lb[fresh]))
+            pend.append((qs[at_leaf], nodes[at_leaf], bounds[at_leaf]))
         inner = ~at_leaf
         qs, nodes, bounds, off = qs[inner], nodes[inner], bounds[inner], off[inner]
         if not qs.size:
@@ -276,57 +439,179 @@ def _query_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     return best_d, best_i
 
 
-def _scan_leaves(state, lq: np.ndarray, ln: np.ndarray) -> None:
-    """Scan every (query, leaf) pair of one sweep level in a single pass.
+def _scan_operands(tree):
+    """The tree's filter operands, built on first use and cached on it.
 
-    The variable-length leaf slices are expanded into one flat candidate
-    list with a repeat/cumsum trick, all candidate distances are computed
-    in one vectorised expression, and the per-query best-k sets are
-    rebuilt with one segmented lexsort over ``(query, distance, index)``
-    — no Python iteration over leaves or queries.
+    ``(centre, [-2 (x - centre) | |x - centre|^2], max |x - centre|^2,
+    inverse permutation)`` over the reordered ``_data``, in its dtype.
+    Derived state: :class:`~repro.neighbors.KDTree` drops it from
+    pickles (so nothing reaches an artifact) and from ``cast()`` clones.
+    A race between threads builds equal values twice; the last
+    assignment wins.
     """
-    tree, Xq, k, best_d, best_i, kth, self_idx = state
-    # Expand each pair's leaf slice into flat per-candidate arrays.
+    ops = tree.__dict__.get("_scan_cache")
+    if ops is None:
+        data = np.asarray(tree._data)
+        n, d = data.shape
+        operand = np.empty((n, d + 1), dtype=data.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # repro: allow[contiguous-reduction] -- the centre only has to lie near the data; any summation order gives a valid (conservative) filter and no output bit depends on it
+            centre = data.mean(axis=0)
+            centred = data - centre
+            x_sq = np.einsum("ij,ij->i", centred, centred)
+            np.multiply(centred, -2.0, out=operand[:, :d])
+            operand[:, d] = x_sq
+            x_sq_max = float(x_sq.max())
+        inv_perm = np.empty(n, dtype=np.int64)
+        inv_perm[tree._perm] = np.arange(n)
+        ops = tree._scan_cache = (centre, operand, x_sq_max, inv_perm)
+    return ops
+
+
+def _scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
+    """Filter–refine engine for one block of queries (module docstring)."""
+    centre, operand, x_sq_max, inv_perm = _scan_operands(tree)
+    m, d = Xq.shape
+    n = tree.n_samples_
+    state = _new_state(tree, Xq, k, self_start)
+    info = np.finfo(operand.dtype)
+    survivors = []
+    # Overflowing squares are expected input here, not an error: they
+    # make the threshold non-finite and the row falls back to all rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_aug = np.ones((m, d + 1), dtype=operand.dtype)
+        np.subtract(Xq, centre, out=q_aug[:, :d])
+        q_sq = np.einsum("ij,ij->i", q_aug[:, :d], q_aug[:, :d])
+        # e bounds |approx + |q|^2 - computed squared distance| for every
+        # pair of a row (derivation in the module docstring).
+        e = (3.0 * (d + 4)) * (
+            float(info.eps) * (q_sq.astype(np.float64) + x_sq_max) + float(info.tiny)
+        )
+        # The filter runs in row slabs of _SCAN_BLOCK cells. Survivors
+        # of several slabs are refined together (one selection over
+        # ~k m pairs beats m / slab small ones), but never more than
+        # about _SCAN_BLOCK at a time: a filter that cannot discriminate
+        # (non-finite rows, a few rows so far out that e swamps the
+        # cloud's own distances) degrades to an exact scan in bounded
+        # memory, not to an (m, n) candidate list.
+        slab = max(1, _SCAN_BLOCK // n)
+        held = 0
+        for lo in range(0, m, slab):
+            # |x|^2 - 2 q.x for the slab in one GEMM; the row constant
+            # |q|^2 cannot change which cells pass and is never added.
+            approx = q_aug[lo : lo + slab] @ operand.T
+            rows = approx.shape[0]
+            if self_start is not None:
+                own = inv_perm[self_start + lo : self_start + lo + rows]
+                approx[np.arange(rows), own] = np.inf
+            kth_approx = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            threshold = kth_approx + 2.0 * e[lo : lo + rows]
+            threshold[~np.isfinite(threshold)] = np.inf
+            # "not greater" keeps NaN cells too: never drop what cannot
+            # be proven worse. (Flat nonzero: 10x the 2-D form's speed.)
+            cells = np.flatnonzero(~(approx > threshold[:, None]))
+            cells += lo * n
+            survivors.append(cells)
+            held += cells.size
+            if held >= _SCAN_BLOCK or lo + slab >= m:
+                _select_exact(state, *np.divmod(np.concatenate(survivors), n))
+                survivors, held = [], 0
+    best_d, best_i = state[3:5]
+    return best_d, best_i
+
+
+def _new_state(tree, Xq: np.ndarray, k: int, self_start: int | None):
+    """Candidate state of one block: per query the best-k (distance,
+    index) pairs seen, kept sorted by the canonical order. Unfilled
+    slots hold +inf with a sentinel index of n, which sorts after every
+    real candidate."""
+    m = Xq.shape[0]
+    best_d = np.full((m, k), np.inf)
+    best_i = np.full((m, k), tree.n_samples_, dtype=np.int64)
+    kth = np.full(m, np.inf)
+    self_idx = None if self_start is None else np.arange(self_start, self_start + m)
+    return (tree, Xq, k, best_d, best_i, kth, self_idx)
+
+
+def _scan_leaves(state, lq: np.ndarray, ln: np.ndarray) -> None:
+    """Scan every (query, node) pair of one sweep step in a single pass.
+
+    The variable-length node slices are expanded into one flat candidate
+    list with a repeat/cumsum trick and handed to :func:`_select_exact`
+    — no Python iteration over nodes or queries.
+    """
+    tree = state[0]
     lens = tree._end[ln] - tree._start[ln]
     pair_of = np.repeat(np.arange(ln.size), lens)
     offsets = np.arange(pair_of.size) - np.repeat(
         np.concatenate(([0], np.cumsum(lens)[:-1])), lens
     )
-    data_row = tree._start[ln][pair_of] + offsets
-    elem_q = lq[pair_of]
+    _select_exact(state, lq[pair_of], tree._start[ln][pair_of] + offsets)
+
+
+def _select_exact(state, elem_q: np.ndarray, data_row: np.ndarray) -> None:
+    """Exact distances of candidate pairs, folded into the best-k state.
+
+    ``(elem_q[j], data_row[j])`` is one candidate: a block-local query
+    and a row of the tree's reordered data. This is the only place
+    either engine computes a distance or ranks a candidate: all
+    distances come from one vectorised expression and the per-query
+    best-k sets are rebuilt with one segmented lexsort over ``(query,
+    distance, index)``.
+    """
+    tree, Xq, k, best_d, best_i, kth, self_idx = state
     elem_i = tree._perm[data_row]
-    # Same elementwise expression as the reference per-query scan —
+    # Same elementwise expression as the best-first oracle's leaf scan —
     # bitwise-identical distances.
     elem_d = np.sqrt(((tree._data[data_row] - Xq[elem_q]) ** 2).sum(axis=1))
-    if self_idx is not None:
-        elem_d = np.where(elem_i == self_idx[elem_q], np.inf, elem_d)
 
     # Candidates strictly worse than their query's current kth distance
     # can never enter the canonical answer (non-strict keeps ties); the
     # filter leaves the expensive merge a fraction of the scanned set.
     keep = elem_d <= kth[elem_q]
+    if self_idx is not None:
+        keep &= elem_i != self_idx[elem_q]
     elem_q, elem_d, elem_i = elem_q[keep], elem_d[keep], elem_i[keep]
     if not elem_q.size:
         return
 
     # Merge with the touched queries' current best-k and keep the k
-    # smallest per query in the canonical (distance, index) order.
-    seen = np.zeros(kth.size, dtype=bool)
-    seen[elem_q] = True
-    touched = np.nonzero(seen)[0]
-    q_all = np.concatenate([elem_q, np.repeat(touched, k)])
-    d_all = np.concatenate([elem_d, best_d[touched].ravel()])
-    i_all = np.concatenate([elem_i, best_i[touched].ravel()])
-    order = np.lexsort((i_all, d_all, q_all))
-    q_sorted = q_all[order]
+    # smallest per query in the canonical (distance, index) order. A
+    # query's unfilled (sentinel) slots come along only when it has
+    # fewer than k new candidates — they are padding, there so that
+    # every touched query sorts at least k entries.
+    n_new = np.bincount(elem_q, minlength=kth.size)
+    touched = np.nonzero(n_new)[0]
+    cur_d, cur_i = best_d[touched], best_i[touched]
+    carry = (cur_i < tree.n_samples_) | (n_new[touched] < k)[:, None]
+    q_all = np.concatenate([elem_q, np.repeat(touched, k)[carry.ravel()]])
+    d_all = np.concatenate([elem_d, cur_d[carry]])
+    i_all = np.concatenate([elem_i, cur_i[carry]])
+    # Canonical (query, distance, index) order without a three-key
+    # lexsort (8x the cost at these sizes): any-order sort by distance,
+    # then a stable sort by the 16-bit query id (a radix pass), then
+    # index order restored inside the runs of equal (query, distance) —
+    # none on generic data, every element on lattices and duplicates.
+    order = np.argsort(d_all)
+    order = order[np.argsort(q_all[order].astype(np.uint16), kind="stable")]
+    q_sorted, d_sorted = q_all[order], d_all[order]
+    tied = (q_sorted[1:] == q_sorted[:-1]) & (d_sorted[1:] == d_sorted[:-1])
+    if tied.any():
+        starts_run = np.r_[True, ~tied]
+        pos = np.nonzero(np.r_[False, tied] | np.r_[tied, False])[0]
+        run = np.cumsum(starts_run)[pos]
+        order[pos] = order[pos][np.lexsort((i_all[order[pos]], run))]
     # Rank of each candidate within its query segment; the first k win.
     seg_start = np.nonzero(np.r_[True, q_sorted[1:] != q_sorted[:-1]])[0]
     rank = np.arange(q_sorted.size) - np.repeat(
         seg_start, np.diff(np.r_[seg_start, q_sorted.size])
     )
     keep = order[rank < k]
-    # Every query holds >= k candidates (best-k is padded), so the kept
-    # entries form exactly k rows per touched query, ascending by query.
+    # The kept entries form exactly k rows per touched query, ascending
+    # by query.
     best_d[touched] = d_all[keep].reshape(touched.size, k)
     best_i[touched] = i_all[keep].reshape(touched.size, k)
     kth[touched] = best_d[touched, -1]
+
+
+_BLOCK_ENGINES = {"scan": _scan_block, "sweep": _sweep_block}

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "kdtree_query_heap",
+    "kdtree_query_best_first",
     "iforest_score_loop",
     "forest_predict_loop",
     "gbm_predict_loop",
@@ -86,6 +87,74 @@ def kdtree_query_heap(tree, X_query: np.ndarray, k: int, *, exclude_self: bool =
     out_i = np.empty((q, k), dtype=np.int64)
     for qi in range(q):
         out_d[qi], out_i[qi] = _query_one_heap(
+            tree, X_query[qi], k, qi if exclude_self else -1
+        )
+    return out_d, out_i
+
+
+# ---------------------------------------------------------------------------
+# KD-tree: the per-query best-first search with vectorised leaf merges
+# (``KDTree._query_one`` / ``mode="single"`` until PR 18). It defines the
+# canonical answer — the k lexicographically smallest (distance, index)
+# pairs under the elementwise distance — that both block engines of
+# ``repro.kernels.neighbors`` must reproduce bitwise.
+# ---------------------------------------------------------------------------
+def _query_one_best_first(tree, x: np.ndarray, k: int, self_index: int):
+    # Current best-k, kept sorted by (distance, index); unfilled
+    # slots hold +inf with a sentinel index that sorts last.
+    best_d = np.full(k, np.inf)
+    best_i = np.full(k, tree.n_samples_, dtype=np.int64)
+    kth = np.inf
+    # Min-heap of nodes to visit as (lower_bound_dist, node).
+    node_heap: list[tuple[float, int]] = [(0.0, 0)]
+    while node_heap:
+        bound, node = heapq.heappop(node_heap)
+        # Non-strict: a subtree whose lower bound ties the current kth
+        # distance is still visited, so every candidate tied at the
+        # kth distance is scanned and the canonical (distance, index)
+        # selection is independent of traversal order.
+        if bound > kth:
+            break
+        dim = tree._split_dim[node]
+        if dim == _LEAF:
+            lo, hi = tree._start[node], tree._end[node]
+            block = tree._data[lo:hi]
+            d = np.sqrt(((block - x) ** 2).sum(axis=1))
+            orig = tree._perm[lo:hi]
+            if self_index >= 0:
+                keep = orig != self_index
+                d, orig = d[keep], orig[keep]
+            cand_d = np.concatenate([best_d, d])
+            cand_i = np.concatenate([best_i, orig])
+            # Complex key = lexicographic (distance, index) order.
+            sel = np.argsort(cand_d + 1j * cand_i)[:k]
+            best_d, best_i = cand_d[sel], cand_i[sel]
+            kth = best_d[-1]
+            continue
+        diff = x[dim] - tree._split_val[node]
+        near, far = (
+            (tree._right[node], tree._left[node])
+            if diff >= 0
+            else (tree._left[node], tree._right[node])
+        )
+        heapq.heappush(node_heap, (bound, near))
+        far_bound = max(bound, abs(diff))
+        if far_bound <= kth:
+            heapq.heappush(node_heap, (far_bound, far))
+    return best_d, best_i
+
+
+def kdtree_query_best_first(
+    tree, X_query: np.ndarray, k: int, *, exclude_self: bool = False
+):
+    """The canonical-order oracle: one best-first search per row, in the
+    tree's serving dtype."""
+    X_query = np.asarray(X_query, dtype=tree._data.dtype)
+    q = X_query.shape[0]
+    out_d = np.empty((q, k), dtype=tree._data.dtype)
+    out_i = np.empty((q, k), dtype=np.int64)
+    for qi in range(q):
+        out_d[qi], out_i[qi] = _query_one_best_first(
             tree, X_query[qi], k, qi if exclude_self else -1
         )
     return out_d, out_i

@@ -1,7 +1,7 @@
 """Unified nearest-neighbor facade with automatic engine dispatch.
 
 ``algorithm='auto'`` picks the KD-tree for low-dimensional Euclidean data
-(where pruning wins) and chunked brute force otherwise — mirroring how the
+and chunked brute force otherwise — mirroring how the
 paper's proximity detectors behave under the RP module, which shrinks
 dimensionality into KD-tree territory. The exact rule lives in
 :func:`choose_engine` so callers and docs can interrogate it.
@@ -30,21 +30,28 @@ _KDTREE_MIN_SAMPLES = 256
 def choose_engine(n_samples: int, n_features: int, metric: str) -> str:
     """The ``algorithm='auto'`` heuristic: which engine serves a dataset.
 
-    Returns ``'kd_tree'`` only inside the regime where tree pruning can
-    actually win, and falls back to the already-vectorised
+    Returns ``'kd_tree'`` for low/medium-dimensional Euclidean data and
+    falls back to the already-vectorised
     :func:`~repro.neighbors.brute.brute_force_kneighbors` otherwise:
 
     - ``metric != 'euclidean'`` — the KD-tree's split-plane bounds are
       Euclidean lower bounds; other metrics go brute.
     - ``n_features > 15`` — in high dimensions every split-plane gap is
       small relative to typical point distances (the curse of
-      dimensionality), pruning stops discarding subtrees, and the tree
-      degenerates to a full scan paying traversal overhead on top. The
+      dimensionality) and pruning stops discarding subtrees. The
       paper's RP module projects the costly detectors *below* this
       threshold by design, which is what keeps their KNN/LOF/LoOP
-      members on the fast engine.
+      members on the KD-tree and therefore on the sharing plane.
     - ``n_samples < 256`` — one (n, n) distance matrix is a single
       vectorised operation; a tree cannot amortise its build cost.
+
+    "Where pruning wins" is no longer what ``'kd_tree'`` means: inside
+    it, :func:`repro.kernels.neighbors.choose_block_engine` runs the
+    pruned sweep only in its own regime (low ``d``, large ``n``) and a
+    GEMM filter–refine scan of the tree's reordered data elsewhere —
+    same canonical answer, so the choice here is about the *contract*
+    (canonical ``(distance, index)`` order, prefix-sliceable, shareable),
+    not about speed alone.
 
     Both engines return identical neighbor sets on Euclidean data up to
     the tie rule at equal distances (the KD-tree resolves ties toward

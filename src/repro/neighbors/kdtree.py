@@ -1,32 +1,36 @@
 """From-scratch KD-tree for exact Euclidean k-NN queries.
 
-Array-backed, iteratively queried, with vectorised leaf evaluation:
-internal nodes store a split dimension/value; leaves store point-index
-slices into a reordered copy of the data, so each visited leaf costs one
-small vectorised distance computation rather than a Python loop over
-points.
+Array-backed: internal nodes store a split dimension/value; every node
+stores the ``[start, end)`` slice it owns in a reordered copy of the
+data, so a leaf — or any subtree — is one contiguous block.
 
-Queries run through one of two engines with identical results:
+A query's answer is the ``k`` smallest distances with ties broken toward
+the smaller original index (the canonical ``(distance, index)`` order) —
+a pure function of the data. :meth:`KDTree.query` hands every batch,
+from one row up, to :func:`repro.kernels.kdtree_query_batched`, which
+runs one of two block engines with bitwise-identical results and picks
+between them from ``(q, n, d, k, leaf_size)``:
 
-- a per-query best-first traversal (:meth:`KDTree._query_one`) whose leaf
-  scans merge candidates with one vectorised selection per leaf instead
-  of per-element heap pushes — the reference path;
-- the block-batched kernel (:func:`repro.kernels.kdtree_query_batched`)
-  that answers whole query blocks with level-synchronous sweeps — the
-  fast path :meth:`query` dispatches to for non-trivial batches.
+- the **filter–refine scan** — one GEMM of approximate squared
+  distances against the reordered data, a conservative per-row
+  threshold, exact refinement of the survivors; wins wherever
+  split-plane bounds barely prune (``d >= 8``), on small trees and for
+  one-row serving queries;
+- the **pruned sweep** — level-synchronous traversal with
+  sum-of-squares lower bounds; wins in low ``d`` on large trees, where
+  it touches a vanishing share of the rows.
 
-Both engines return the k smallest distances with ties broken toward the
-smaller original index (the canonical ``(distance, index)`` order), which
-is what makes their outputs provably — and testably — identical.
+The per-query best-first search that defines the canonical answer lives
+on as the parity oracle in :mod:`repro.kernels.reference`
+(``kdtree_query_best_first``); nothing on a production path calls it.
 
 The tree targets low/medium dimensionality (the regime the paper's RP
 module creates); :class:`repro.neighbors.api.NearestNeighbors` dispatches
-back to brute force when ``d`` is large and pruning cannot win.
+back to brute force when ``d`` is large.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 
 import numpy as np
@@ -58,11 +62,6 @@ def kdtree_build_count() -> int:
     to the parent. Read deltas around the region under test.
     """
     return _build_count
-
-# Below this many query rows the per-query reference path wins: the
-# batched kernel's fixed setup (frontier arrays, leaf grouping) is not
-# worth amortising over a handful of rows.
-_BATCH_MIN_QUERIES = 16
 
 
 class KDTree:
@@ -163,7 +162,9 @@ class KDTree:
         if dt == self._data.dtype:
             return self
         clone = object.__new__(KDTree)
-        clone.__dict__.update(self.__dict__)
+        # Without derived state: operands cached from _data in the source
+        # dtype are rebuilt by the clone in its own.
+        clone.__dict__.update(self.__getstate__())
         clone._split_val = self._split_val.astype(dt)
         clone._data = self._data.astype(dt)
         return clone
@@ -186,11 +187,10 @@ class KDTree:
         order. With ``exclude_self`` the query is assumed row-aligned
         with the indexed data and each point skips itself.
 
-        ``mode`` selects the engine: ``'batched'`` runs the
-        block-batched kernel (``block_rows`` queries per block),
-        ``'single'`` the per-query reference traversal, and ``'auto'``
-        (default) picks batched for non-trivial query counts. Both
-        engines return identical arrays.
+        ``mode`` is kept for source compatibility: ``'auto'`` and
+        ``'batched'`` both run :func:`repro.kernels.kdtree_query_batched`
+        (``block_rows`` queries per block at most), which picks its
+        block engine from ``(q, n, d, k, leaf_size)``.
         """
         # Queries run in the tree's serving dtype (float64 unless the
         # tree was cast for float32 serving).
@@ -202,71 +202,15 @@ class KDTree:
         max_k = self.n_samples_ - 1 if exclude_self else self.n_samples_
         if not 1 <= k <= max_k:
             raise ValueError(f"k={k} out of range [1, {max_k}]")
-        if mode not in ("auto", "batched", "single"):
-            raise ValueError(f"mode must be auto|batched|single, got {mode!r}")
+        if mode not in ("auto", "batched"):
+            raise ValueError(f"mode must be auto|batched, got {mode!r}")
+        return kdtree_query_batched(
+            self, X_query, k, exclude_self=exclude_self, block_rows=block_rows
+        )
 
-        q = X_query.shape[0]
-        if mode == "batched" or (mode == "auto" and q >= _BATCH_MIN_QUERIES):
-            return kdtree_query_batched(
-                self, X_query, k, exclude_self=exclude_self, block_rows=block_rows
-            )
-        out_d = np.empty((q, k), dtype=self._data.dtype)
-        out_i = np.empty((q, k), dtype=np.int64)
-        for qi in range(q):
-            out_d[qi], out_i[qi] = self._query_one(
-                X_query[qi], k, qi if exclude_self else -1
-            )
-        return out_d, out_i
-
-    def _query_one(self, x: np.ndarray, k: int, self_index: int):
-        """Best-first single-query search — the kernel's reference path.
-
-        Node visit order and pruning bounds are the classic best-first
-        traversal; each visited leaf is folded into the running best-k
-        with one vectorised ``(distance, index)`` selection (the
-        canonical order the batched kernel reproduces) instead of
-        per-element heap pushes.
-        """
-        # Current best-k, kept sorted by (distance, index); unfilled
-        # slots hold +inf with a sentinel index that sorts last.
-        best_d = np.full(k, np.inf)
-        best_i = np.full(k, self.n_samples_, dtype=np.int64)
-        kth = np.inf
-        # Min-heap of nodes to visit as (lower_bound_dist, node).
-        node_heap: list[tuple[float, int]] = [(0.0, 0)]
-        while node_heap:
-            bound, node = heapq.heappop(node_heap)
-            # Non-strict: a subtree whose lower bound ties the current kth
-            # distance is still visited, so every candidate tied at the
-            # kth distance is scanned and the canonical (distance, index)
-            # selection is independent of traversal order — the property
-            # that makes this path and the batched kernel provably equal.
-            if bound > kth:
-                break
-            dim = self._split_dim[node]
-            if dim == _LEAF:
-                lo, hi = self._start[node], self._end[node]
-                block = self._data[lo:hi]
-                d = np.sqrt(((block - x) ** 2).sum(axis=1))
-                orig = self._perm[lo:hi]
-                if self_index >= 0:
-                    keep = orig != self_index
-                    d, orig = d[keep], orig[keep]
-                cand_d = np.concatenate([best_d, d])
-                cand_i = np.concatenate([best_i, orig])
-                # Complex key = lexicographic (distance, index) order.
-                sel = np.argsort(cand_d + 1j * cand_i)[:k]
-                best_d, best_i = cand_d[sel], cand_i[sel]
-                kth = best_d[-1]
-                continue
-            diff = x[dim] - self._split_val[node]
-            near, far = (
-                (self._right[node], self._left[node])
-                if diff >= 0
-                else (self._left[node], self._right[node])
-            )
-            heapq.heappush(node_heap, (bound, near))
-            far_bound = max(bound, abs(diff))
-            if far_bound <= kth:
-                heapq.heappush(node_heap, (far_bound, far))
-        return best_d, best_i
+    def __getstate__(self) -> dict:
+        # The scan engine's operands are derived from _data on first
+        # use; pickles and artifacts carry the tree only.
+        state = self.__dict__.copy()
+        state.pop("_scan_cache", None)
+        return state

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import FAMILIES, family_of
+from repro.kernels.neighbors import block_engine_costs
 from repro.supervised import RandomForestRegressor
 from repro.supervised.tree import _resolve_max_features
 from repro.utils.random import check_random_state
@@ -193,12 +194,18 @@ def forecast_shared_query(
 
     A producer builds one KD-tree over the group's space and answers one
     fused batched query at the shared width: ``n log n · d`` for the
-    build plus ``q log n · d`` traversal and ``q · K`` candidate
-    maintenance for the query. The sharing plane schedules producers as
-    first-class tasks with these forecasts, so BPS/adaptive policies
-    arbitrate build-vs-score placement instead of treating shared work
-    as free; the adaptive loop then refines them from measured
-    durations under the producers' own task keys.
+    build, then the query priced by the kernel's own engine rule —
+    :func:`repro.kernels.neighbors.block_engine_costs` gives the rows
+    each block engine would touch (all ``n`` per query for the
+    filter–refine scan, the weighted expected pruned-sweep rows
+    otherwise), the kernel runs the cheaper one, and a touched row costs
+    ``d`` — plus ``q · K`` candidate maintenance. Sharing the helper
+    keeps the ranking BPS/adaptive policies see tied to what the kernel
+    does. The sharing plane schedules producers as first-class tasks
+    with these forecasts, so the policies arbitrate build-vs-score
+    placement instead of treating shared work as free; the adaptive
+    loop then refines them from measured durations under the producers'
+    own task keys.
     """
     n, q, d, k = (
         float(n_index),
@@ -207,7 +214,8 @@ def forecast_shared_query(
         float(width),
     )
     log_n = np.log2(max(n, 2.0))
-    return n * log_n * d + q * log_n * d + q * k
+    rows = min(block_engine_costs(n_query, n_index, n_features, width).values())
+    return n * log_n * d + rows * d + q * k
 
 
 def forecast_approximator_fit(

@@ -94,25 +94,31 @@ Pruning is *non-strict* — a subtree whose lower bound exactly ties the
 current kth distance is still visited — so every candidate tied at the
 kth distance is scanned. The sweep tracks the per-dimension offsets
 accumulated along each root-to-node path and prunes on
-``sqrt(sum(offsets ** 2))``. The squared offsets are reduced with the
-same row-wise sum as the distance computation itself and every term is
+``sqrt(sum(offsets ** 2))``. The offsets are kept in the tree's dtype
+and their squares reduced with the same row-wise sum as the distance
+computation itself; every operation is monotone and every term
 elementwise dominated, so the bound is a true lower bound of the
 *computed* distance of any point in the subtree — float rounding
-included — which keeps non-strict pruning exact. (Both the sweep's and
-the oracle's bounds assume a squared gap does not flush to zero: with
-coordinates closer than ``sqrt(tiny)`` only the scan is canonical.)
+included — which keeps non-strict pruning exact. (A float64 bound over
+a float32 tree is not: it can exceed a distance that rounded down onto
+a tie with kth. Both the sweep's and the oracle's bounds assume a
+squared gap does not flush to zero: with coordinates closer than
+``sqrt(tiny)`` only the scan is canonical.)
 
 Which engine runs
 -----------------
 :func:`choose_block_engine` compares two estimates in units of one
-scanned row of the scan (:func:`block_engine_costs`): ``q n`` for the
-scan against ``20 q s + 8000 log2(n / leaf_size)`` for the sweep, with
-``s`` = :func:`expected_scanned`. The two constants were fitted (mean
-regret 0.7 %, worst 1.4x) to 225 timed cells, ``d`` in {2, 3, 5, 8, 12}
-x ``n`` in {500, 2k, 6k, 20k, 100k} x ``k`` in {5, 11, 41} x ``q`` in
-{1, 16, 512}, one BLAS thread; sweep time / scan time at ``q = 512, k
-= 11`` (``>1``: the scan wins; ``*`` marks cells the rule gives to the
-sweep):
+scanned row of the scan: ``q n`` for the scan against ``20 q s + 8000
+log2(n / leaf_size)`` for the sweep, with ``s`` =
+:func:`expected_scanned`. The two constants come from 225 timed cells,
+``d`` in {2, 3, 5, 8, 12} x ``n`` in {500, 2k, 6k, 20k, 100k} x ``k`` in
+{5, 11, 41} x ``q`` in {1, 16, 512}, one BLAS thread;
+``benchmarks/fit_knn_engine_rule.py`` re-times the grid, re-fits the
+pair and prints the regret of the committed one (last run: mean regret
+0.7 %, worst cell 1.44x; the best pair on the search grid, (19, 19 500),
+reaches 0.5 % / 1.43x — the optimum is flat, so the round numbers
+stay). Sweep time / scan time at ``q = 512, k = 11`` (``>1``: the scan
+wins; ``*`` marks cells the rule gives to the sweep):
 
 ====  =====  =====  ======  ======  =======
 d     n=500  2000   6000    20000   100000
@@ -128,6 +134,9 @@ d     n=500  2000   6000    20000   100000
 10.7, sweep 99; d=12/n=6000 scan 10.8, sweep 232). At ``q = 1`` the
 sweep's per-level arrays amortise over nothing and the scan wins 2.6-8x
 up to ``n = 20 000`` in every ``d`` (0.09-0.3 ms against 0.3-1.8 ms).
+The repo benchmark (``perfbench/``) has no workload on the sweep side of
+the rule: the starred cells rest on this micro-benchmark and the tier-1
+regime test alone until a low-``d`` workload is added.
 
 Prefix-slice contract (the basis of the shared-computation plane)
 -----------------------------------------------------------------
@@ -154,7 +163,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "block_engine_costs",
+    "SWEEP_ROW_COST",
     "choose_block_engine",
     "expected_scanned",
     "kdtree_query_batched",
@@ -171,8 +180,9 @@ _LEAF = -1
 # +26 MB peak RSS on the 6000x8 workload for no speed).
 _SCAN_BLOCK = 1 << 18
 # Engine rule constants, in units of one scanned row of the scan engine
-# (measured; regime table in the module docstring).
-_SWEEP_ROW_COST = 20.0
+# (measured; regime table in the module docstring). The row cost is
+# public: the share producers' forecast weighs sweep rows by it too.
+SWEEP_ROW_COST = 20.0
 _SWEEP_LEVEL_COST = 8000.0
 
 
@@ -185,9 +195,9 @@ def expected_scanned(
     one row occupies unit volume its side is ``k ** (1/d)``; every leaf
     cell the ball touches is scanned whole, which dilates the side by
     one leaf cell, ``leaf_size ** (1/d)``. The sweep cannot scan more
-    than all ``n_samples`` rows. One formula, two readers (through
-    :func:`block_engine_costs`): the engine rule and the share
-    producers' cost forecast
+    than all ``n_samples`` rows. One formula, two readers: the engine
+    rule (:func:`choose_block_engine`) and the share producers' cost
+    forecast
     (:func:`repro.scheduling.forecast_shared_query`), so what the
     scheduler ranks cannot drift from what the kernel does.
     ``leaf_size`` defaults to :class:`~repro.neighbors.KDTree`'s.
@@ -197,34 +207,25 @@ def expected_scanned(
     return min(float(n_samples), side ** max(int(n_features), 1))
 
 
-def block_engine_costs(
+def choose_block_engine(
     n_queries: int, n_samples: int, n_features: int, k: int, leaf_size: int = 40
-) -> dict[str, float]:
-    """Estimated cost of answering one query batch with each block engine.
+) -> str:
+    """``'scan'`` or ``'sweep'``: the engine estimated cheaper for one
+    query batch — derived from what the call can observe, never a
+    parameter.
 
     In units of one row of the scan: the scan touches every row once
     per query through a GEMM; the sweep touches :func:`expected_scanned`
     rows per query through elementwise distances and merge passes
-    (``_SWEEP_ROW_COST`` scan rows each) and pays ``_SWEEP_LEVEL_COST``
+    (``SWEEP_ROW_COST`` scan rows each) and pays ``_SWEEP_LEVEL_COST``
     scan rows per tree level however few rows share them. Constants and
     the regime table they were measured on are in the module docstring.
     """
     depth = np.log2(max(n_samples / leaf_size, 2.0))
     scanned = expected_scanned(n_samples, n_features, k, leaf_size)
-    return {
-        "scan": float(n_queries) * float(n_samples),
-        "sweep": _SWEEP_ROW_COST * n_queries * scanned + _SWEEP_LEVEL_COST * depth,
-    }
-
-
-def choose_block_engine(
-    n_queries: int, n_samples: int, n_features: int, k: int, leaf_size: int = 40
-) -> str:
-    """``'scan'`` or ``'sweep'``: the cheaper engine by
-    :func:`block_engine_costs` — derived from what the call can observe,
-    never a parameter."""
-    costs = block_engine_costs(n_queries, n_samples, n_features, k, leaf_size)
-    return min(costs, key=costs.get)
+    scan = float(n_queries) * float(n_samples)
+    sweep = SWEEP_ROW_COST * n_queries * scanned + _SWEEP_LEVEL_COST * depth
+    return "scan" if scan <= sweep else "sweep"
 
 
 def kdtree_query_batched(
@@ -381,10 +382,14 @@ def _sweep_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     # per-dimension offsets of its root-to-node path, giving the
     # sum-of-squares lower bound described in the module docstring.
     # Reached leaves are *collected* with their bounds, not scanned yet.
+    # Offsets and bounds live in the query dtype: the bound must round
+    # exactly as the distance it bounds does (a float64 bound over
+    # float32 distances can land above a distance that rounded down to a
+    # tie with kth, and prune the tied smaller-index row).
     qs = np.arange(m)
     nodes = np.zeros(m, dtype=np.int64)
-    bounds = np.zeros(m)
-    off = np.zeros((m, Xq.shape[1]))
+    bounds = np.zeros(m, dtype=Xq.dtype)
+    off = np.zeros((m, Xq.shape[1]), dtype=Xq.dtype)
     pend: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while qs.size:
         # Bounds only age: drop frontier entries the latest kth beats.

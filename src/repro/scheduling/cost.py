@@ -32,7 +32,11 @@ import numpy as np
 
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import FAMILIES, family_of
-from repro.kernels.neighbors import block_engine_costs
+from repro.kernels.neighbors import (
+    SWEEP_ROW_COST,
+    choose_block_engine,
+    expected_scanned,
+)
 from repro.supervised import RandomForestRegressor
 from repro.supervised.tree import _resolve_max_features
 from repro.utils.random import check_random_state
@@ -194,18 +198,21 @@ def forecast_shared_query(
 
     A producer builds one KD-tree over the group's space and answers one
     fused batched query at the shared width: ``n log n · d`` for the
-    build, then the query priced by the kernel's own engine rule —
-    :func:`repro.kernels.neighbors.block_engine_costs` gives the rows
-    each block engine would touch (all ``n`` per query for the
-    filter–refine scan, the weighted expected pruned-sweep rows
-    otherwise), the kernel runs the cheaper one, and a touched row costs
-    ``d`` — plus ``q · K`` candidate maintenance. Sharing the helper
-    keeps the ranking BPS/adaptive policies see tied to what the kernel
-    does. The sharing plane schedules producers as first-class tasks
-    with these forecasts, so the policies arbitrate build-vs-score
-    placement instead of treating shared work as free; the adaptive
-    loop then refines them from measured durations under the producers'
-    own task keys.
+    build, then ``q · rows · d`` for the query, where ``rows`` is what
+    the engine the kernel will run
+    (:func:`repro.kernels.neighbors.choose_block_engine`) touches per
+    query — all ``n`` for the filter–refine scan,
+    :func:`repro.kernels.neighbors.expected_scanned` for the pruned
+    sweep, each worth ``SWEEP_ROW_COST`` scan rows (elementwise
+    distances and merges against one GEMM; unweighted, low-``d``
+    producers on large ``n`` rank far too cheap) — plus ``q · K``
+    candidate maintenance. Sharing the helpers keeps the ranking
+    BPS/adaptive policies see tied to what the kernel does. The sharing
+    plane schedules producers as first-class tasks with these
+    forecasts, so the policies arbitrate build-vs-score placement
+    instead of treating shared work as free; the adaptive loop then
+    refines them from measured durations under the producers' own task
+    keys.
     """
     n, q, d, k = (
         float(n_index),
@@ -214,8 +221,11 @@ def forecast_shared_query(
         float(width),
     )
     log_n = np.log2(max(n, 2.0))
-    rows = min(block_engine_costs(n_query, n_index, n_features, width).values())
-    return n * log_n * d + rows * d + q * k
+    if choose_block_engine(n_query, n_index, n_features, width) == "scan":
+        rows = n
+    else:
+        rows = SWEEP_ROW_COST * expected_scanned(n_index, n_features, width)
+    return n * log_n * d + q * rows * d + q * k
 
 
 def forecast_approximator_fit(

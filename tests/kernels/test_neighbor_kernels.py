@@ -199,6 +199,22 @@ class TestDistanceTies:
             _check(tree, X[:300], k)
         _check(KDTree(X, leaf_size=5), X, k, exclude_self=True)
 
+    @pytest.mark.parametrize("cloud", ["half_integer_lattice", "offset"])
+    def test_low_d_bound_ties_in_float32(self, cloud):
+        # d=2, float32: a subtree's split-plane bound ties the k-th
+        # distance only if it rounds as the distance does — a float64
+        # bound sits a hair above a float32 distance that rounded down
+        # and prunes the tied smaller-index row.
+        rng = np.random.default_rng(5)
+        for n, k in ((334, 15), (200, 6), (480, 30)):
+            if cloud == "offset":
+                # float32 spacing at 1e6 is 1/16: a cast cloud is a lattice
+                X = 1e6 + rng.standard_normal((n, 2))
+            else:
+                X = np.round(rng.standard_normal((n, 2)) * 4) / 2
+            for tree in _trees(X, 8):
+                _check(tree, X, k, exclude_self=True)
+
     def test_all_identical_points(self):
         X = np.ones((40, 3))
         for tree in _trees(X, 8):

@@ -26,7 +26,7 @@ REFERENCE_PATH = "repro/kernels/reference.py"
 # this pin is the deliberate, reviewed act of changing what "correct"
 # means for every kernel; tests/analysis/test_freeze.py recomputes it.
 REFERENCE_SHA256 = (
-    "632fe7eb03c2d5291df29e8dd422659c42b1f5b4a82233c6f1a2dd29887a39ec"
+    "43ff8c54ba7bf186dc41b51d71dc29a722257cc0c172d1b90310f7c020ad9b13"
 )
 
 

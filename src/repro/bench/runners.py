@@ -1006,14 +1006,9 @@ def run_kernel_benchmarks(
         np.array_equal,
     )
 
-    # -- CART split search: per-feature loop vs one 2-D pass ------------
+    # -- CART fit: float-sort oracle vs the rank-space builder ----------
     X_split = rng.integers(0, 6, size=(split_rows, split_features)).astype(np.float64)
     y_split = rng.standard_normal(split_rows)
-
-    def fit_tree(engine):
-        return DecisionTreeRegressor(split_search=engine, random_state=seed).fit(
-            X_split, y_split
-        )
 
     def trees_equal(a, b):
         return (
@@ -1027,8 +1022,8 @@ def run_kernel_benchmarks(
 
     add_row(
         "tree_fit_split_search",
-        lambda: fit_tree("loop"),
-        lambda: fit_tree("vectorized"),
+        lambda: reference.cart_fit_loop(X_split, y_split, random_state=seed),
+        lambda: DecisionTreeRegressor(random_state=seed).fit(X_split, y_split),
         trees_equal,
     )
 

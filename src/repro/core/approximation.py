@@ -30,7 +30,7 @@ from repro.parallel.shm import resolve_array
 from repro.pipeline.wave import Wave
 from repro.scheduling.cost import forecast_approximator_fit
 from repro.supervised import RandomForestRegressor
-from repro.utils.validation import check_array, check_is_fitted
+from repro.utils.validation import check_is_fitted
 
 __all__ = [
     "Approximator",
@@ -79,9 +79,8 @@ class Approximator:
         """
         if not self.enabled:
             return self
-        X_train = check_array(X_train, name="X_train")
-        self.check_aligned(X_train.shape[0])
-        self.regressor_ = self.new_regressor()
+        self.check_aligned(len(X_train))
+        self.regressor_ = self.new_regressor()  # its fit validates X_train
         self.regressor_.fit(X_train, self.detector.decision_scores_)
         return self
 
@@ -155,12 +154,12 @@ def fit_approximators(
 # ----------------------------------------------------------------------
 def _fit_whole(regressor, X, y):
     """Wave task: fit one approximator's regressor in one piece."""
-    return regressor.fit(check_array(resolve_array(X), name="X_train"), y)
+    return regressor.fit(resolve_array(X), y)
 
 
 def _fit_block(regressor, X, y, seeds) -> list:
     """Wave task: fit the trees of one seed block of one forest."""
-    return regressor.fit_block(check_array(resolve_array(X), name="X_train"), y, seeds)
+    return regressor.fit_block(resolve_array(X), y, seeds)
 
 
 def _supports_blocks(regressor) -> bool:

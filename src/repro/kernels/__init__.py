@@ -15,8 +15,9 @@ backends are held to:
   a GEMM filter–refine scan and a pruned sweep behind one derived
   choice, one exact-distance + canonical-selection helper, one bitwise
   answer. Serves KNN / LOF / LoOP / ABOD fitting and scoring.
-- :mod:`repro.kernels.splits` — CART split search over all candidate
-  features in one 2-D argsort + cumsum pass. Serves
+- :mod:`repro.kernels.splits` — rank-space CART split search: one dense
+  ``uint16`` rank table per training matrix, then every node's
+  candidates in one radix argsort + cumsum pass, no float sort. Serves
   ``DecisionTreeRegressor.fit`` and therefore every PSA approximator fit.
 - :mod:`repro.kernels.angles` — chunked einsum angle-variance for ABOD.
 - :mod:`repro.kernels.reference` — the frozen pre-refactor
@@ -32,7 +33,7 @@ from repro.kernels.neighbors import (
     shared_query_width,
     slice_neighbor_prefix,
 )
-from repro.kernels.splits import best_split_all_features
+from repro.kernels.splits import RankedSplitSearch, rank_table
 from repro.kernels.trees import (
     FlatForest,
     flatten_forest,
@@ -51,6 +52,7 @@ __all__ = [
     "kdtree_query_maxk",
     "shared_query_width",
     "slice_neighbor_prefix",
-    "best_split_all_features",
+    "rank_table",
+    "RankedSplitSearch",
     "pairwise_angle_variance",
 ]

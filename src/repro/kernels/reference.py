@@ -17,6 +17,7 @@ module: its value is that it does not change.
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "forest_predict_loop",
     "gbm_predict_loop",
     "best_split_loop",
+    "cart_fit_loop",
     "abod_scores_loop",
 ]
 
@@ -250,9 +252,12 @@ def best_split_loop(
     *,
     min_samples_leaf: int = 1,
 ):
-    """The pre-refactor per-feature split search of ``DecisionTreeRegressor``.
+    """The per-feature float-sort split search of ``DecisionTreeRegressor``.
 
-    Same contract as :func:`repro.kernels.best_split_all_features`.
+    ``idx`` are the node's row indices into ``X``, ``y_node = y[idx]`` and
+    ``sum_total`` its sum. Returns ``(feature, pos, order, proxy_gain)``:
+    ``order`` sorts the node's rows by the winning feature and the split
+    puts positions ``[0..pos]`` left; ``None`` when no valid split exists.
     """
     n_i = idx.size
     best_gain, best_f, best_pos, best_order = -np.inf, -1, -1, None
@@ -281,6 +286,130 @@ def best_split_loop(
     if best_f < 0:
         return None
     return best_f, best_pos, best_order, float(best_gain)
+
+
+# ---------------------------------------------------------------------------
+# CART: the whole float-sort tree builder (``DecisionTreeRegressor.fit``
+# until PR 19) over ``best_split_loop``. It defines the tree — every node
+# array and the importances — that the rank-space builder of
+# ``repro.kernels.splits`` / ``repro.supervised.tree`` must reproduce
+# byte for byte.
+# ---------------------------------------------------------------------------
+def _resolve_max_features(max_features, n_features: int) -> int:
+    if max_features is None:
+        return n_features
+    if isinstance(max_features, str):
+        if max_features == "sqrt":
+            return max(1, int(np.sqrt(n_features)))
+        if max_features == "log2":
+            return max(1, int(np.log2(n_features)))
+        raise ValueError(f"Unknown max_features string {max_features!r}")
+    if isinstance(max_features, float):
+        return max(1, int(max_features * n_features))
+    return int(max_features)
+
+
+def cart_fit_loop(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    max_depth=None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+    max_features=None,
+    min_impurity_decrease: float = 0.0,
+    random_state=None,
+) -> SimpleNamespace:
+    """The pre-refactor ``DecisionTreeRegressor.fit``: a float copy of the
+    rows, ``y[idx]`` re-gathered at every node, one merge sort per
+    candidate feature. ``random_state`` is a seed or a ``Generator``."""
+    n, d = X.shape
+    rng = np.random.default_rng(random_state)
+    m_try = _resolve_max_features(max_features, d)
+    max_depth = np.inf if max_depth is None else max_depth
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+    n_node: list[int] = []
+    importances = np.zeros(d, dtype=np.float64)
+
+    def new_node(idx: np.ndarray) -> int:
+        node = len(feature)
+        feature.append(_UNDEFINED)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[idx].mean()))
+        n_node.append(idx.size)
+        return node
+
+    root_idx = np.arange(n)
+    stack: list[tuple[np.ndarray, int, int]] = [(root_idx, 0, new_node(root_idx))]
+    depth_seen = 0
+
+    while stack:
+        idx, depth, node = stack.pop()
+        depth_seen = max(depth_seen, depth)
+        n_i = idx.size
+        y_i = y[idx]
+        node_var = y_i.var()
+        if (
+            depth >= max_depth
+            or n_i < min_samples_split
+            or n_i < 2 * min_samples_leaf
+            or node_var <= 1e-15
+        ):
+            continue
+
+        feats = rng.choice(d, size=m_try, replace=False) if m_try < d else np.arange(d)
+        sum_total = y_i.sum()
+        found = best_split_loop(
+            X, idx, feats, y_i, sum_total, min_samples_leaf=min_samples_leaf
+        )
+        if found is None:
+            continue
+        best_f, best_pos, best_order, _ = found
+
+        # Convert proxy back to true weighted impurity decrease.
+        sum_left = y_i[best_order][: best_pos + 1].sum()
+        n_l = best_pos + 1
+        n_r = n_i - n_l
+        child_sse = (
+            (y_i**2).sum() - sum_left**2 / n_l - (sum_total - sum_left) ** 2 / n_r
+        )
+        decrease = (n_i * node_var - child_sse) / n
+        if decrease < min_impurity_decrease - 1e-15:
+            continue
+
+        xs = X[idx[best_order], best_f]
+        thr = 0.5 * (xs[best_pos] + xs[best_pos + 1])
+        left_idx = idx[best_order][: best_pos + 1]
+        right_idx = idx[best_order][best_pos + 1 :]
+
+        feature[node] = best_f
+        threshold[node] = float(thr)
+        importances[best_f] += decrease
+        l_node = new_node(left_idx)
+        r_node = new_node(right_idx)
+        left[node], right[node] = l_node, r_node
+        stack.append((left_idx, depth + 1, l_node))
+        stack.append((right_idx, depth + 1, r_node))
+
+    total = importances.sum()
+    return SimpleNamespace(
+        feature_=np.array(feature, dtype=np.int64),
+        threshold_=np.array(threshold, dtype=np.float64),
+        children_left_=np.array(left, dtype=np.int64),
+        children_right_=np.array(right, dtype=np.int64),
+        value_=np.array(value, dtype=np.float64),
+        n_node_samples_=np.array(n_node, dtype=np.int64),
+        n_nodes_=len(feature),
+        max_depth_=depth_seen,
+        feature_importances_=importances / total if total > 0 else importances,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -234,21 +234,27 @@ def forecast_approximator_fit(
     """Analytic cost of fitting ``n_estimators`` approximator trees on an
     ``(n, d)`` space (same units as :class:`AnalyticCostModel`).
 
-    A bagged CART tree sorts ``m_try`` candidate features over every
-    node's rows: ``n log n · m_try`` per level, for ``min(max_depth,
-    log2 n)`` levels; the node count (at most ``2n``, at most
-    ``2^(depth+1)``) carries a fixed per-node interpreter overhead, worth
-    about a thousand row comparisons on the measured fits. The PSA wave
-    schedules its (model × tree-block) tasks on these forecasts — a
-    block's cost is linear in its tree count — and the adaptive loop
-    refines them under the ``('fit-approx', model)`` task keys.
+    The rank-space builder (:mod:`repro.kernels.splits`) makes one linear
+    pass — flat gather, 16-bit radix sort, cumsum, proxy — over ``m_try``
+    candidate features of every node's rows: ``n · m_try`` cells per
+    level, for ``min(max_depth, log2 n)`` levels; there is no comparison
+    sort and so no ``log n`` factor. The node count (at most ``2n``, at
+    most ``2^(depth+1)``) carries a fixed per-node interpreter overhead
+    worth 128 cells — the least-squares fit, in log time, over measured
+    fits at n 60–3000 × d 4–100 × depth 4/12 (the bound overstates real
+    node counts roughly fourfold, which the constant absorbs). The
+    once-per-task rank table (~4 % of a 25-tree block at 1500 × 80) is
+    left out so that a block's cost stays linear in its tree count. The
+    PSA wave schedules its (model × tree-block) tasks on these forecasts
+    and the adaptive loop refines them under the ``('fit-approx', model)``
+    task keys.
     """
     n, d = max(float(n), 2.0), max(int(d), 1)
     m_try = float(_resolve_max_features(max_features, d))
     log_n = np.log2(n)
     depth = log_n if max_depth is None else min(float(max_depth), log_n)
     nodes = min(2.0 * n, 2.0 ** (depth + 1.0))
-    return float(n_estimators) * (n * log_n * m_try * depth + 1024.0 * nodes)
+    return float(n_estimators) * (n * m_try * depth + 128.0 * nodes)
 
 
 class CostPredictor:

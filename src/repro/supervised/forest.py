@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import flatten_forest, forest_value_sum
+from repro.kernels import flatten_forest, forest_value_sum, rank_table
 from repro.supervised.tree import DecisionTreeRegressor
 from repro.utils.random import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted, column_or_1d
@@ -98,7 +98,7 @@ class RandomForestRegressor:
         """
         return spawn_seeds(check_random_state(self.random_state), self.n_estimators)
 
-    def _fit_tree(self, X, y, seed: int):
+    def _fit_tree(self, X, y, ranks, seed: int):
         n = X.shape[0]
         tree_rng = np.random.default_rng(seed)
         idx = tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
@@ -110,7 +110,9 @@ class RandomForestRegressor:
             min_impurity_decrease=self.min_impurity_decrease,
             random_state=tree_rng,
         )
-        return tree.fit(X[idx], y[idx]), idx
+        # The bootstrap sample is an index into the shared rank table,
+        # not a float copy of X.
+        return tree.fit_ranked(X, y, ranks, idx), idx
 
     def fit_block(self, X, y, seeds) -> list[DecisionTreeRegressor]:
         """Fit the trees of one contiguous slice of :meth:`tree_seeds`.
@@ -120,7 +122,8 @@ class RandomForestRegressor:
         available block-wise (``fit`` handles it).
         """
         X, y = self._check_fit(X, y)
-        return [self._fit_tree(X, y, seed)[0] for seed in seeds]
+        ranks = rank_table(X)
+        return [self._fit_tree(X, y, ranks, seed)[0] for seed in seeds]
 
     def assemble_blocks(self, blocks, n_features: int) -> "RandomForestRegressor":
         """Become the forest whose trees are ``blocks`` joined in order.
@@ -140,11 +143,12 @@ class RandomForestRegressor:
     def fit(self, X, y) -> "RandomForestRegressor":
         X, y = self._check_fit(X, y)
         n = X.shape[0]
+        ranks = rank_table(X)
         trees = []
         oob_sum = np.zeros(n)
         oob_cnt = np.zeros(n)
         for seed in self.tree_seeds():
-            tree, idx = self._fit_tree(X, y, seed)
+            tree, idx = self._fit_tree(X, y, ranks, seed)
             trees.append(tree)
             if self.oob_score:
                 mask = np.ones(n, dtype=bool)

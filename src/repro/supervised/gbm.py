@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import forest_value_sum
+from repro.kernels import forest_value_sum, rank_table
 from repro.supervised.forest import _flat_cart_forest
 from repro.supervised.tree import DecisionTreeRegressor
 from repro.utils.random import check_random_state, spawn_seeds
@@ -84,6 +84,7 @@ class GradientBoostingRegressor:
         importances = np.zeros(X.shape[1])
 
         n_sub = max(2, int(round(self.subsample * n)))
+        ranks = rank_table(X)  # one table for every stage: X never changes
         for k, seed in enumerate(seeds):
             residual = y - pred
             stage_rng = np.random.default_rng(seed)
@@ -97,7 +98,7 @@ class GradientBoostingRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=stage_rng,
             )
-            tree.fit(X[rows], residual[rows])
+            tree.fit_ranked(X, residual, ranks, rows)
             self.estimators_.append(tree)
             pred += self.learning_rate * tree.predict(X)
             self.train_score_[k] = float(((y - pred) ** 2).mean())

@@ -1,32 +1,32 @@
-"""CART regression tree with vectorised split search.
+"""CART regression tree grown in rank space.
 
 The tree is stored in flat arrays (feature, threshold, children, value),
-built iteratively with an explicit stack. Split search per node runs
-through :func:`repro.kernels.best_split_all_features`: every candidate
-feature is evaluated in one 2-D stable argsort + cumsum pass (variance-
-reduction / MSE criterion), so a node costs one interpreter round trip
-instead of one per feature. ``split_search='loop'`` selects the frozen
-per-feature reference loop instead — bitwise-identical trees, kept for
-parity tests and before/after benchmarks.
+built iteratively with an explicit stack. It never sorts a float: the
+training matrix is replaced once by its dense per-feature rank table
+(:func:`repro.kernels.rank_table`), every node's split search
+(:class:`repro.kernels.RankedSplitSearch`, variance-reduction / MSE
+criterion) radix-sorts the node's gathered 16-bit ranks for all
+candidate features at once, and ``X`` is read only for the two values
+either side of a chosen threshold. A node carries its targets down the
+stack in sorted order, so one reduction per node yields its value, the
+mean its variance is taken around and the split search's total.
+:meth:`DecisionTreeRegressor.fit_ranked` lets an ensemble compute the
+table once and grow every tree on an index sample of it. The trees are
+byte-identical to the float-sort builder frozen as
+:func:`repro.kernels.reference.cart_fit_loop`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import best_split_all_features, tree_apply
-from repro.kernels.reference import best_split_loop
+from repro.kernels import RankedSplitSearch, rank_table, tree_apply
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_is_fitted, column_or_1d
 
 __all__ = ["DecisionTreeRegressor"]
 
 _UNDEFINED = -2
-
-_SPLIT_SEARCHES = {
-    "vectorized": best_split_all_features,
-    "loop": best_split_loop,
-}
 
 
 def _resolve_max_features(max_features, n_features: int) -> int:
@@ -63,9 +63,6 @@ class DecisionTreeRegressor:
         Features sampled (without replacement) per split.
     min_impurity_decrease : float, default 0.0
         Minimum weighted impurity decrease to accept a split.
-    split_search : {'vectorized', 'loop'}, default 'vectorized'
-        Split-search engine: the all-features-at-once kernel or the
-        per-feature reference loop. Both grow bitwise-identical trees.
     random_state : seed or Generator
         Controls feature subsampling.
 
@@ -85,7 +82,6 @@ class DecisionTreeRegressor:
         min_samples_leaf: int = 1,
         max_features=None,
         min_impurity_decrease: float = 0.0,
-        split_search: str = "vectorized",
         random_state=None,
     ):
         self.max_depth = max_depth
@@ -93,7 +89,6 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.min_impurity_decrease = min_impurity_decrease
-        self.split_search = split_search
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -104,23 +99,36 @@ class DecisionTreeRegressor:
             raise ValueError("X and y have inconsistent lengths")
         if sample_weight is not None:
             raise NotImplementedError("sample_weight is not supported")
+        return self.fit_ranked(X, y, rank_table(X))
+
+    def fit_ranked(self, X, y, ranks, rows=None) -> "DecisionTreeRegressor":
+        """Grow the tree on rows ``rows`` of ``X`` (all rows when ``None``).
+
+        The entry ensembles use: ``ranks = rank_table(X)`` is computed
+        once per training matrix and shared by every tree grown on it,
+        and a bootstrap or subsample is the index array ``rows`` (repeats
+        allowed) instead of a copy of ``X``. ``y`` is aligned with ``X``.
+        The result is byte-for-byte ``fit(X[rows], y[rows])``. Inputs are
+        trusted: validate at the public ``fit`` of the caller.
+        """
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.split_search not in _SPLIT_SEARCHES:
-            raise ValueError(
-                f"split_search must be one of {tuple(_SPLIT_SEARCHES)}, "
-                f"got {self.split_search!r}"
-            )
-        find_split = _SPLIT_SEARCHES[self.split_search]
 
-        n, d = X.shape
+        d = X.shape[1]
+        if rows is None:
+            rows = np.arange(X.shape[0])
+        n = rows.size
         rng = check_random_state(self.random_state)
         m_try = _resolve_max_features(self.max_features, d)
         max_depth = np.inf if self.max_depth is None else self.max_depth
+        min_split = max(self.min_samples_split, 2 * self.min_samples_leaf)
+        find_split = RankedSplitSearch(ranks, n, m_try, self.min_samples_leaf)
+        all_feats = np.arange(d)
+        reduce = np.add.reduce
 
         feature: list[int] = []
         threshold: list[float] = []
@@ -130,56 +138,53 @@ class DecisionTreeRegressor:
         n_node: list[int] = []
         importances = np.zeros(d, dtype=np.float64)
 
-        def new_node(idx: np.ndarray) -> int:
+        def new_node(size: int) -> int:
             node = len(feature)
             feature.append(_UNDEFINED)
             threshold.append(np.nan)
             left.append(-1)
             right.append(-1)
-            value.append(float(y[idx].mean()))
-            n_node.append(idx.size)
+            value.append(np.nan)  # the mean, set when the node is popped
+            n_node.append(size)
             return node
 
-        root_idx = np.arange(n)
-        stack: list[tuple[np.ndarray, int, int]] = [(root_idx, 0, new_node(root_idx))]
+        # A node carries its rows of X and their targets down the stack;
+        # both are cut from the parent's sorted order, never re-gathered.
+        stack = [(rows, y[rows], 0, new_node(n))]
         depth_seen = 0
 
         while stack:
-            idx, depth, node = stack.pop()
+            idx, y_i, depth, node = stack.pop()
             depth_seen = max(depth_seen, depth)
             n_i = idx.size
-            y_i = y[idx]
-            node_var = y_i.var()
-            if (
-                depth >= max_depth
-                or n_i < self.min_samples_split
-                or n_i < 2 * self.min_samples_leaf
-                or node_var <= 1e-15
-            ):
+            # One reduction gives the node's value, the mean its variance
+            # is taken around and the split search's total.
+            sum_total = reduce(y_i)
+            mean = sum_total / n_i
+            value[node] = float(mean)
+            if depth >= max_depth or n_i < min_split:
+                continue
+            # Population variance, spelled as ndarray.var computes it.
+            dev = y_i - mean
+            dev *= dev
+            node_var = reduce(dev) / n_i
+            if node_var <= 1e-15:
                 continue
 
-            feats = (
-                rng.choice(d, size=m_try, replace=False) if m_try < d else np.arange(d)
-            )
-            sum_total = y_i.sum()
-            found = find_split(
-                X,
-                idx,
-                feats,
-                y_i,
-                sum_total,
-                min_samples_leaf=self.min_samples_leaf,
-            )
+            feats = rng.choice(d, size=m_try, replace=False) if m_try < d else all_feats
+            found = find_split(idx, feats, y_i, sum_total)
             if found is None:
                 continue
-            best_f, best_pos, best_order, _ = found
+            j, best_pos, best_order = found
+            best_f = int(feats[j])
+            y_sorted = y_i[best_order]
 
             # Convert proxy back to true weighted impurity decrease.
-            sum_left = y_i[best_order][: best_pos + 1].sum()
             n_l = best_pos + 1
             n_r = n_i - n_l
+            sum_left = reduce(y_sorted[:n_l])
             child_sse = (
-                (y_i**2).sum()
+                reduce(y_i * y_i)
                 - sum_left**2 / n_l
                 - (sum_total - sum_left) ** 2 / n_r
             )
@@ -187,19 +192,17 @@ class DecisionTreeRegressor:
             if decrease < self.min_impurity_decrease - 1e-15:
                 continue
 
-            xs = X[idx[best_order], best_f]
-            thr = 0.5 * (xs[best_pos] + xs[best_pos + 1])
-            left_idx = idx[best_order][: best_pos + 1]
-            right_idx = idx[best_order][best_pos + 1 :]
-
+            idx_sorted = idx[best_order]
+            lo = X[idx_sorted[best_pos], best_f]
+            hi = X[idx_sorted[n_l], best_f]
             feature[node] = best_f
-            threshold[node] = float(thr)
+            threshold[node] = float(0.5 * (lo + hi))
             importances[best_f] += decrease
-            l_node = new_node(left_idx)
-            r_node = new_node(right_idx)
+            l_node = new_node(n_l)
+            r_node = new_node(n_r)
             left[node], right[node] = l_node, r_node
-            stack.append((left_idx, depth + 1, l_node))
-            stack.append((right_idx, depth + 1, r_node))
+            stack.append((idx_sorted[:n_l], y_sorted[:n_l], depth + 1, l_node))
+            stack.append((idx_sorted[n_l:], y_sorted[n_l:], depth + 1, r_node))
 
         self.feature_ = np.array(feature, dtype=np.int64)
         self.threshold_ = np.array(threshold, dtype=np.float64)

@@ -1,21 +1,26 @@
-"""Vectorised all-features split search vs the per-feature loop, bitwise.
+"""Rank-space CART builder vs the frozen float-sort oracle, byte for byte.
 
-Tie-heavy integer features are the adversarial case: equal values forbid
-splits between them, stable sort order decides neighborhood layout, and
-any deviation from the reference's float summation order would move a
-threshold. The two engines must grow byte-identical trees.
+The live builder (``repro.kernels.splits`` + ``DecisionTreeRegressor``)
+sorts dense integer ranks where the oracle
+(``repro.kernels.reference.cart_fit_loop``) merge-sorts the float values.
+Ties are the adversarial case: equal values forbid splits between them,
+stable order decides which rows land left, and any deviation from the
+oracle's float summation order would move a threshold. Every tree array
+and the importances must be identical, not close.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import best_split_all_features
-from repro.kernels.reference import best_split_loop
+import repro.kernels.splits as splits
+from repro.kernels import RankedSplitSearch, rank_table
+from repro.kernels.reference import _cart_apply, best_split_loop, cart_fit_loop
 from repro.supervised import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
     RandomForestRegressor,
 )
+from repro.utils.random import spawn_seeds
 
 _TREE_ATTRS = (
     "feature_",
@@ -28,19 +33,33 @@ _TREE_ATTRS = (
 )
 
 
-def _assert_same_tree(a, b):
-    assert a.n_nodes_ == b.n_nodes_
-    assert a.max_depth_ == b.max_depth_
+def _assert_same_tree(oracle, live):
+    assert oracle.n_nodes_ == live.n_nodes_
+    assert oracle.max_depth_ == live.max_depth_
     for attr in _TREE_ATTRS:
-        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr), err_msg=attr)
+        a, b = getattr(oracle, attr), getattr(live, attr)
+        assert a.dtype == b.dtype, attr
+        # tobytes: NaN leaf thresholds and the sign of zero count too.
+        assert a.tobytes() == b.tobytes(), attr
+
+
+def _assert_fit_matches_oracle(X, y, **params):
+    live = DecisionTreeRegressor(**params).fit(X, y)
+    _assert_same_tree(cart_fit_loop(X, y, **params), live)
+    return live
 
 
 def _datasets(rng):
     n = 400
     yield "continuous", rng.standard_normal((n, 7)), rng.standard_normal(n)
     yield (
-        "tie-heavy",
+        "integer",
         rng.integers(0, 4, size=(n, 7)).astype(float),
+        rng.standard_normal(n),
+    )
+    yield (
+        "quantised",
+        np.round(rng.standard_normal((n, 7)), 1),
         rng.standard_normal(n),
     )
     yield (
@@ -50,105 +69,209 @@ def _datasets(rng):
         ),
         rng.standard_normal(n),
     )
+    signed_zero = rng.integers(-1, 2, size=(n, 4)).astype(float)
+    signed_zero[rng.random((n, 4)) < 0.3] = -0.0
+    yield "signed-zero", signed_zero, rng.standard_normal(n)
+    # Duplicate rows with distinct targets: what a bootstrap produces.
+    base = rng.standard_normal((n // 4, 5))
+    yield "duplicate-rows", base[rng.integers(0, n // 4, n)], rng.standard_normal(n)
 
 
-class TestSplitFunctionParity:
+class TestRankTable:
+    def test_dense_ranks_are_order_and_tie_isomorphic(self, rng):
+        for name, X, _ in _datasets(rng):
+            table = rank_table(X)
+            assert table.shape == X.shape[::-1] and table.dtype == np.uint16, name
+            for f in range(X.shape[1]):
+                col, r = X[:, f], table[f].astype(np.int64)
+                below = col[:, None] < col[None, :]
+                assert (below == (r[:, None] < r[None, :])).all()
+                assert r.max() == np.unique(col).size - 1  # dense, -0.0 == 0.0
+
+    def test_width_follows_the_largest_rank(self, rng):
+        wide = rng.permutation(70_000).astype(float)
+        X = np.column_stack([wide, wide % 3])
+        table = rank_table(X)
+        assert table.dtype == np.uint32
+        np.testing.assert_array_equal(table[0], wide.astype(np.uint32))
+        assert rank_table(X[:65_536]).dtype == np.uint16
+
+
+class TestSplitSearchParity:
+    @staticmethod
+    def _both(X, y, idx, feats, msl=1):
+        y_node = y[idx]
+        total = y_node.sum()
+        oracle = best_split_loop(X, idx, feats, y_node, total, min_samples_leaf=msl)
+        search = RankedSplitSearch(rank_table(X), idx.size, feats.size, msl)
+        return oracle, search(idx, feats, y_node, total)
+
     def test_node_level_parity(self, rng):
         for name, X, y in _datasets(rng):
             idx = np.arange(X.shape[0])
             feats = np.arange(X.shape[1])
             for msl in (1, 5):
-                a = best_split_loop(X, idx, feats, y, y.sum(), min_samples_leaf=msl)
-                b = best_split_all_features(
-                    X, idx, feats, y, y.sum(), min_samples_leaf=msl
-                )
-                assert (a is None) == (b is None), (name, msl)
-                if a is not None:
-                    assert a[0] == b[0] and a[1] == b[1], (name, msl)
-                    np.testing.assert_array_equal(a[2], b[2], err_msg=name)
-                    assert a[3] == b[3]
+                oracle, live = self._both(X, y, idx, feats, msl)
+                assert (oracle is None) == (live is None), (name, msl)
+                if oracle is not None:
+                    assert oracle[0] == feats[live[0]] and oracle[1] == live[1]
+                    np.testing.assert_array_equal(oracle[2], live[2], err_msg=name)
 
-    def test_subset_node_and_feature_subset(self, rng):
+    def test_repeated_rows_and_unsorted_candidates(self, rng):
         X = rng.integers(0, 3, size=(200, 9)).astype(float)
         y = rng.standard_normal(200)
-        idx = rng.choice(200, size=70, replace=False)
+        idx = rng.integers(0, 200, size=70)  # with repeats, like a bootstrap
         feats = np.array([7, 2, 5])  # unsorted candidate order matters
-        a = best_split_loop(X, idx, feats, y[idx], y[idx].sum())
-        b = best_split_all_features(X, idx, feats, y[idx], y[idx].sum())
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a[:2] == b[:2]
-            np.testing.assert_array_equal(a[2], b[2])
+        oracle, live = self._both(X, y, idx, feats)
+        assert oracle[0] == feats[live[0]] and oracle[1] == live[1]
+        np.testing.assert_array_equal(oracle[2], live[2])
+
+    def test_two_row_node(self):
+        X = np.array([[1.0, 5.0], [1.0, 4.0]])
+        y = np.array([0.0, 1.0])
+        oracle, live = self._both(X, y, np.arange(2), np.arange(2))
+        assert (oracle[0], oracle[1]) == (1, 0) == (live[0], live[1])
+        np.testing.assert_array_equal(live[2], [1, 0])
 
     def test_no_valid_split(self):
         X = np.ones((10, 3))
         y = np.arange(10.0)
-        idx = np.arange(10)
-        feats = np.arange(3)
-        assert best_split_loop(X, idx, feats, y, y.sum()) is None
-        assert best_split_all_features(X, idx, feats, y, y.sum()) is None
+        oracle, live = self._both(X, y, np.arange(10), np.arange(3))
+        assert oracle is None and live is None
 
 
 class TestFittedTreeParity:
-    @pytest.mark.parametrize("msl,mss", [(1, 2), (4, 10)])
-    def test_full_trees_identical(self, rng, msl, mss):
-        for name, X, y in _datasets(rng):
-            loop = DecisionTreeRegressor(
-                split_search="loop",
-                min_samples_leaf=msl,
-                min_samples_split=mss,
-                random_state=11,
-            ).fit(X, y)
-            vec = DecisionTreeRegressor(
-                split_search="vectorized",
-                min_samples_leaf=msl,
-                min_samples_split=mss,
-                random_state=11,
-            ).fit(X, y)
-            _assert_same_tree(loop, vec)
+    @pytest.mark.parametrize("msl", [1, 3])
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 1])
+    def test_tie_grid(self, rng, msl, max_features):
+        for _, X, y in _datasets(rng):
+            _assert_fit_matches_oracle(
+                X, y, min_samples_leaf=msl, max_features=max_features, random_state=11
+            )
 
-    def test_max_features_rng_alignment(self, rng):
-        # Feature subsampling draws from the node RNG before the split
-        # search; both engines must consume it identically.
-        X = rng.integers(0, 5, size=(300, 10)).astype(float)
-        y = rng.standard_normal(300)
-        loop = DecisionTreeRegressor(
-            split_search="loop", max_features="sqrt", random_state=5
-        ).fit(X, y)
-        vec = DecisionTreeRegressor(
-            split_search="vectorized", max_features="sqrt", random_state=5
-        ).fit(X, y)
-        _assert_same_tree(loop, vec)
+    def test_stopping_rules(self, rng):
+        for _, X, y in _datasets(rng):
+            _assert_fit_matches_oracle(
+                X, y, min_samples_leaf=4, min_samples_split=10, random_state=11
+            )
+            _assert_fit_matches_oracle(
+                X, y, max_depth=3, min_impurity_decrease=1e-3, random_state=11
+            )
 
-    def test_invalid_split_search_rejected(self, rng):
-        X = rng.standard_normal((20, 2))
-        with pytest.raises(ValueError, match="split_search"):
-            DecisionTreeRegressor(split_search="fast").fit(X, X[:, 0])
+    def test_two_rows(self):
+        X = np.array([[0.0, 1.0], [-0.0, 2.0]])
+        live = _assert_fit_matches_oracle(X, np.array([1.0, 3.0]))
+        assert live.n_nodes_ == 3 and live.feature_[0] == 1
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_seeded_random_sweep(self, case):
+        rng = np.random.default_rng(1000 + case)
+        n, d = int(rng.integers(2, 300)), int(rng.integers(1, 12))
+        levels = int(rng.choice([2, 5, 50, 10**6]))  # tie level
+        X = rng.integers(0, levels, size=(n, d)).astype(float) / 7.0
+        y = np.round(rng.standard_normal(n), int(rng.integers(0, 4)))
+        _assert_fit_matches_oracle(
+            X,
+            y,
+            max_depth=[None, 2, 6][case % 3],
+            min_samples_leaf=int(rng.integers(1, 4)),
+            max_features=[None, "sqrt", 1, 0.5][case % 4],
+            random_state=case,
+        )
+
+    @pytest.mark.parametrize("digit_bits", [3, 8])
+    def test_multi_pass_radix_forced(self, rng, monkeypatch, digit_bits):
+        # A uint16 table sorted in digits narrower than its width takes
+        # the same several-pass LSD path a uint32 table takes at 16 bits.
+        monkeypatch.setattr(splits, "_DIGIT_BITS", digit_bits)
+        X = rng.integers(0, 300, size=(500, 6)).astype(float)
+        y = rng.standard_normal(500)
+        search = RankedSplitSearch(rank_table(X), 500, 6)
+        assert search.passes == -(-16 // digit_bits) > 1
+        for max_features in (None, "sqrt"):
+            _assert_fit_matches_oracle(X, y, max_features=max_features, random_state=2)
+
+    def test_wide_ranks_take_two_passes(self, rng):
+        n = 70_000
+        X = np.column_stack([rng.permutation(n), rng.integers(0, 5, n)]).astype(float)
+        y = rng.standard_normal(n)
+        assert RankedSplitSearch(rank_table(X), n, 2).passes == 2
+        _assert_fit_matches_oracle(X, y, max_depth=3)
 
 
-class TestEnsemblesOnTieHeavyData:
-    def test_forest_scores_bitwise(self, rng):
+def _oracle_forest(forest, X, y):
+    """What ``RandomForestRegressor`` grew before it shared a rank table:
+    one float copy ``X[idx]`` and one float-sort tree per seed."""
+    trees = []
+    for seed in forest.tree_seeds():
+        tree_rng = np.random.default_rng(seed)
+        n = X.shape[0]
+        idx = tree_rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        trees.append(
+            cart_fit_loop(
+                X[idx],
+                y[idx],
+                max_depth=forest.max_depth,
+                min_samples_split=forest.min_samples_split,
+                min_samples_leaf=forest.min_samples_leaf,
+                max_features=forest.max_features,
+                min_impurity_decrease=forest.min_impurity_decrease,
+                random_state=tree_rng,
+            )
+        )
+    return trees
+
+
+class TestEnsemblesShareOneTable:
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forest_trees_match_oracle(self, rng, bootstrap):
         X = rng.integers(0, 4, size=(250, 6)).astype(float)
         y = rng.standard_normal(250)
+        forest = RandomForestRegressor(
+            n_estimators=6, min_samples_leaf=2, bootstrap=bootstrap, random_state=3
+        ).fit(X, y)
+        for oracle, live in zip(_oracle_forest(forest, X, y), forest.estimators_):
+            _assert_same_tree(oracle, live)
 
-        def build(engine):
-            trees = RandomForestRegressor(n_estimators=6, random_state=3)
-            # Forests construct their own trees; patch the engine through
-            # the tree default by fitting trees directly instead.
-            trees.fit(X, y)
-            return trees
+    def test_fit_equals_blocks_for_every_block_count(self, rng):
+        X = np.round(rng.standard_normal((200, 5)), 1)
+        y = rng.standard_normal(200)
+        proto = RandomForestRegressor(n_estimators=6, random_state=9)
+        whole = RandomForestRegressor(n_estimators=6, random_state=9).fit(X, y)
+        seeds = proto.tree_seeds()
+        for n_blocks in range(1, 7):
+            cuts = np.linspace(0, 6, n_blocks + 1).astype(int)
+            blocks = [
+                proto.fit_block(X, y, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+            ]
+            joined = RandomForestRegressor(n_estimators=6, random_state=9)
+            joined.assemble_blocks(blocks, X.shape[1])
+            for a, b in zip(whole.estimators_, joined.estimators_):
+                _assert_same_tree(a, b)
+            assert (
+                whole.feature_importances_.tobytes()
+                == joined.feature_importances_.tobytes()
+            )
 
-        # The forest always uses the vectorized engine; its per-tree
-        # reference is covered by test_full_trees_identical. Here we pin
-        # end-to-end determinism of the ensemble on tie-heavy data.
-        a = build("vectorized").predict(X)
-        b = build("vectorized").predict(X)
-        np.testing.assert_array_equal(a, b)
-
-    def test_gbm_deterministic_on_ties(self, rng):
+    def test_gbm_subsampled_stages_match_oracle(self, rng):
         X = rng.integers(0, 3, size=(200, 5)).astype(float)
         y = rng.standard_normal(200)
-        a = GradientBoostingRegressor(n_estimators=10, random_state=4).fit(X, y)
-        b = GradientBoostingRegressor(n_estimators=10, random_state=4).fit(X, y)
-        np.testing.assert_array_equal(a.predict(X), b.predict(X))
-        np.testing.assert_array_equal(a.train_score_, b.train_score_)
+        gbm = GradientBoostingRegressor(
+            n_estimators=8, subsample=0.6, min_samples_leaf=2, random_state=4
+        ).fit(X, y)
+        # The stage loop as it was: a float copy of the stage's rows.
+        n, n_sub = 200, 120
+        pred = np.full(n, float(y.mean()))
+        for seed, live in zip(spawn_seeds(4, 8), gbm.estimators_):
+            stage_rng = np.random.default_rng(seed)
+            rows = stage_rng.choice(n, size=n_sub, replace=False)
+            oracle = cart_fit_loop(
+                X[rows],
+                (y - pred)[rows],
+                max_depth=3,
+                min_samples_leaf=2,
+                random_state=stage_rng,
+            )
+            _assert_same_tree(oracle, live)
+            pred += 0.1 * oracle.value_[_cart_apply(oracle, X)]
+        np.testing.assert_array_equal(gbm.predict(X), pred)

@@ -54,7 +54,7 @@ def test_scheduler_trajectory(benchmark, cfg):
     print(
         format_table(
             rows,
-            columns=["policy", "batch", "makespan", "vs_lower_bound", "steals"],
+            columns=["policy", "batch", "makespan", "vs_lower_bound"],
             title="\nStatic vs adaptive makespan per batch (virtual clock)",
         )
     )

@@ -2,28 +2,20 @@
 
 One fixed, deliberately transport-bound workload (an HBOS pool over a
 synthetic matrix — per-byte compute at the floor, so engine costs are
-what the clock sees) is pushed through every backend at several worker
-counts: sequential, threads, work stealing, pickling processes, and
-shared-memory processes. The predict phase scores the test set as a
-stream of consecutive batches — the serving pattern — so per-execute
-engine costs (pool spawn, per-task data transport) are weighted the way
-a request stream weights them.
+what the clock sees) is pushed through every real backend at several
+worker counts: sequential, threads and shared-memory processes. The
+predict phase scores the test set as a stream of consecutive batches —
+the serving pattern — so per-execute engine costs (pool spawn, per-task
+data transport) are weighted the way a request stream weights them.
 
 Shape expectations pinned here:
 
 - every configuration reproduces the sequential reference bitwise
   (the engine may move bytes differently, never change them);
-- the shared-memory process backend beats the pickling process backend
-  at the largest worker count — the zero-copy data plane plus the
-  persistent pool must actually pay for their complexity;
 - the same JSON rows are what ``python -m repro scaling --quick --json``
-  emits, committed as ``BENCH_pr3.json`` and uploaded from CI by the
-  ``bench-smoke`` job, so regressions in the engine become visible as
-  a perf trajectory across PRs.
-
-The asserted speedup floor here is deliberately looser than the
-measured-and-committed number in ``BENCH_pr3.json`` (≥ 1.5×): CI
-runners are noisy shared machines, and a hard 1.5× gate would flake.
+  emits and what CI's ``bench-smoke`` job uploads, so regressions in the
+  engine become visible as a perf trajectory. Timings are informational
+  on shared hosts; only parity is asserted.
 """
 
 from conftest import run_once
@@ -59,28 +51,11 @@ def test_backend_scaling(benchmark, cfg):
             title="\nBackend scaling — fit + predict wall clock",
         )
     )
-    ratio = meta["shm_speedup_vs_processes"]
-    print(
-        f"\nshm_processes vs processes (t={meta['shm_speedup_worker_count']}): "
-        f"{ratio:.2f}x"
-    )
-
     # The engine may move bytes differently, never change them.
     assert meta["scores_identical"], "a backend produced different scores"
     assert all(r["identical"] for r in rows)
 
     # Every backend × worker count actually ran.
     backends = {r["backend"] for r in rows}
-    assert backends == {
-        "sequential",
-        "threads",
-        "work_stealing",
-        "processes",
-        "shm_processes",
-    }
+    assert backends == {"sequential", "threads", "shm_processes"}
     assert {r["n_workers"] for r in rows} == {1, 2, 4}
-
-    # The zero-copy plane + persistent pool must beat pickling processes
-    # at the largest worker count (loose floor; BENCH_pr3.json records
-    # the measured >= 1.5x on a quiet host).
-    assert ratio is not None and ratio > 1.2, f"shm vs processes only {ratio:.2f}x"

@@ -25,15 +25,15 @@ forecast per-task costs, and the chosen worker assignment — without
 training anything (fit plans stop after the schedule stage).
 
 ``scaling`` runs the backend-scaling benchmark (sequential vs threads vs
-work stealing vs pickling processes vs shared-memory processes, across
-worker counts) and can emit its rows as machine-readable JSON — the
-format committed as ``BENCH_pr3.json`` and uploaded by the CI
-``bench-smoke`` job, so the perf trajectory accumulates over PRs.
+shared-memory processes, across worker counts) and can emit its rows as
+machine-readable JSON — the format committed as ``BENCH_pr3.json`` and
+uploaded by the CI ``bench-smoke`` job, so the perf trajectory
+accumulates over PRs.
 
 ``schedulers`` lists the registered scheduling policies and ablates
 every one of them: single-batch makespans on noisy forecasts (A3) plus
 the multi-batch static-vs-adaptive trajectory on the virtual-clock
-work-stealing backend — the behavioural check that the ``adaptive``
+simulated backend — the behavioural check that the ``adaptive``
 policy's telemetry feedback actually closes the forecast gap. Its JSON
 output is committed as ``BENCH_pr4.json`` and uploaded by CI.
 
@@ -125,7 +125,6 @@ from repro.bench.ablations import (
 from repro.bench.runners import (
     run_backend_scaling,
     run_claims_case,
-    run_dynamic_scheduling,
     run_fig3_decision_surface,
     run_plan_overhead,
     run_psa_comparison,
@@ -141,7 +140,6 @@ EXPERIMENTS = {
     "table5": (run_table5_full_system, "Table 5 — full system vs baseline"),
     "fig3": (run_fig3_decision_surface, "Figure 3 — decision surfaces"),
     "claims": (run_claims_case, "§4.5 — claims fraud case"),
-    "dynamic": (run_dynamic_scheduling, "Static vs work-stealing scheduling"),
     "stages": (run_plan_overhead, "Plan stage telemetry — per-stage wall times"),
     "jl": (run_jl_distortion, "A1 — JL distortion ablation"),
     "cost": (run_cost_predictor_validation, "A2 — cost predictor validation"),
@@ -152,14 +150,7 @@ EXPERIMENTS = {
     "approximators": (run_approximator_ablation, "A4 — approximator ablation"),
 }
 
-_BACKENDS = (
-    "sequential",
-    "threads",
-    "processes",
-    "shm_processes",
-    "simulated",
-    "work_stealing",
-)
+_BACKENDS = ("sequential", "threads", "shm_processes", "simulated")
 
 
 class CLIError(Exception):
@@ -419,12 +410,6 @@ def run_scaling_command(argv=None) -> int:
                 title="\nBackend scaling — fit + predict wall clock",
             )
         )
-        ratio = meta["shm_speedup_vs_processes"]
-        if ratio is not None:
-            print(
-                f"\nshm_processes vs processes (t={meta['shm_speedup_worker_count']}): "
-                f"{ratio:.2f}x faster"
-            )
         print(f"scores identical across backends: {meta['scores_identical']}")
         print(f"[scaling done in {elapsed:.1f}s]")
     if args.json_path and args.json_path != "-":
@@ -443,7 +428,7 @@ def run_schedulers_command(argv=None) -> int:
             "List the registered scheduling policies and ablate all of "
             "them: single-batch makespans under noisy forecasts (A3) and "
             "the multi-batch static-vs-adaptive trajectory on the "
-            "virtual-clock work-stealing backend. Exits non-zero if the "
+            "virtual-clock simulated backend. Exits non-zero if the "
             "adaptive policy fails to improve on its first batch."
         ),
     )
@@ -533,11 +518,11 @@ def run_schedulers_command(argv=None) -> int:
         print(
             format_table(
                 traj_rows,
-                columns=["policy", "batch", "makespan", "vs_lower_bound", "steals"],
+                columns=["policy", "batch", "makespan", "vs_lower_bound"],
                 title=(
                     f"\nStatic vs adaptive over {traj_meta['batches']} batches "
                     f"(m={traj_meta['m']}, t={traj_meta['t']}, "
-                    f"virtual-clock work stealing)"
+                    f"virtual-clock replay)"
                 ),
             )
         )

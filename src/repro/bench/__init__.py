@@ -17,7 +17,6 @@ from repro.bench.runners import (
     run_table5_full_system,
     run_fig3_decision_surface,
     run_claims_case,
-    run_dynamic_scheduling,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "run_table5_full_system",
     "run_fig3_decision_surface",
     "run_claims_case",
-    "run_dynamic_scheduling",
 ]

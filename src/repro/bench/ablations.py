@@ -200,7 +200,7 @@ def run_scheduler_trajectory(
     A skewed pool — one task carrying ``heavy_fraction * m`` cost units
     among unit-cost peers — is scheduled from a maximally wrong forecast
     (all tasks look equal) and replayed through the virtual-clock
-    work-stealing backend for ``batches`` consecutive rounds. After each
+    simulated backend for ``batches`` consecutive rounds. After each
     round every scheduler is offered the batch's measured per-task
     durations (``ExecutionResult.task_times``); static policies ignore
     them, the adaptive policy folds them into its telemetry-refined cost
@@ -209,12 +209,12 @@ def run_scheduler_trajectory(
     adaptive makespan has dropped to the oracle's while the static
     policies stay flat. Deterministic (virtual clock, seeded shuffle).
     """
-    from repro.parallel import WorkStealingBackend
+    from repro.parallel import SimulatedClusterBackend
 
     true_costs = np.ones(m)
     true_costs[m - 1] = heavy_fraction * m  # hidden heavy task, last in order
     forecast = np.ones(m)  # the maximally wrong static guess
-    backend = WorkStealingBackend(n_workers=t)
+    backend = SimulatedClusterBackend(n_workers=t)
     lower_bound = float(max(true_costs.sum() / t, true_costs.max()))
     tasks = [None] * m  # replay mode never calls them
 
@@ -231,7 +231,6 @@ def run_scheduler_trajectory(
                     "batch": batch,
                     "makespan": float(result.wall_time),
                     "vs_lower_bound": float(result.wall_time / lower_bound),
-                    "steals": int(result.total_steals),
                 }
             )
 

@@ -40,7 +40,7 @@ from repro.detectors import (
     sample_model_pool,
 )
 from repro.metrics import makespan, precision_at_n, roc_auc_score
-from repro.parallel import WorkStealingBackend, chunk_slices
+from repro.parallel import chunk_slices
 from repro.pipeline import PlanRunner
 from repro.projection import PROJECTION_METHODS, jl_target_dim, make_projector
 from repro.supervised import RandomForestRegressor
@@ -52,7 +52,6 @@ __all__ = [
     "run_table5_full_system",
     "run_fig3_decision_surface",
     "run_claims_case",
-    "run_dynamic_scheduling",
     "run_plan_overhead",
     "run_backend_scaling",
     "run_kernel_benchmarks",
@@ -304,92 +303,9 @@ def run_table4_bps(
 
 
 # ---------------------------------------------------------------------------
-# Dynamic scheduling — static (Generic/BPS) vs work stealing
-# ---------------------------------------------------------------------------
-def _ws_replay(costs: np.ndarray, assignment: np.ndarray, t: int):
-    res = WorkStealingBackend(t).execute(
-        [None] * costs.size, assignment, known_costs=costs
-    )
-    return res.wall_time, res.total_steals
-
-
-def run_dynamic_scheduling(
-    cfg: BenchConfig,
-    *,
-    m_list=(40, 120),
-    t_list=(2, 4, 8),
-    sigmas=(0.5, 1.5),
-    chunk_factor: int = 4,
-):
-    """Static vs dynamic makespan on skewed synthetic cost pools.
-
-    Pools draw per-task costs from a log-normal (``sigma`` controls the
-    skew) and are sorted descending — the worst case for a contiguous
-    split, and the shape a family-ordered model pool produces. BPS
-    schedules on *noisy* forecasts (rank-correlated with the truth, as
-    the cost predictor's are); every schedule is judged on true costs
-    via deterministic virtual-clock replay:
-
-    - ``generic`` / ``bps`` — static makespan of the assignment;
-    - ``ws_gen`` / ``ws_bps`` — work-stealing replay seeded by the same
-      assignment (steal counts show how much the forecast missed);
-    - ``ws_chunk`` — work stealing after splitting every task into
-      ``chunk_factor`` equal chunks (the SUOD ``batch_size`` grain);
-    - ``ideal`` — the sum/t lower bound on any schedule.
-    """
-    rows = []
-    for m in m_list:
-        for sigma in sigmas:
-            for t in t_list:
-                fields = (
-                    "generic",
-                    "bps",
-                    "ws_gen",
-                    "ws_bps",
-                    "ws_chunk",
-                    "steals",
-                    "ideal",
-                )
-                acc = {k: [] for k in fields}
-                for trial in range(cfg.trials):
-                    rng = np.random.default_rng(1000 * trial + m + int(10 * sigma))
-                    true = np.sort(rng.lognormal(0.0, sigma, m))[::-1]
-                    forecast = true * rng.lognormal(0.0, 0.5, m)
-                    gen_a = generic_schedule(m, t)
-                    bps_a = bps_schedule(forecast, t)
-                    acc["generic"].append(makespan(true, gen_a, t))
-                    acc["bps"].append(makespan(true, bps_a, t))
-                    ws_g, steals = _ws_replay(true, gen_a, t)
-                    ws_b, _ = _ws_replay(true, bps_a, t)
-                    acc["ws_gen"].append(ws_g)
-                    acc["ws_bps"].append(ws_b)
-                    acc["steals"].append(steals)
-                    chunked = np.repeat(true / chunk_factor, chunk_factor)
-                    chunk_a = generic_schedule(chunked.size, t)
-                    acc["ws_chunk"].append(_ws_replay(chunked, chunk_a, t)[0])
-                    acc["ideal"].append(true.sum() / t)
-                mean = {k: float(np.mean(v)) for k, v in acc.items()}
-                mean.update(
-                    m=m,
-                    sigma=sigma,
-                    t=t,
-                    redu_pct=100.0 * (mean["generic"] - mean["ws_gen"])
-                    / mean["generic"],
-                )
-                rows.append(mean)
-    return rows, {
-        "config": cfg.describe(),
-        "chunk_factor": chunk_factor,
-        "forecast_noise": "lognormal(0, 0.5) multiplicative",
-    }
-
-
-# ---------------------------------------------------------------------------
 # Plan stage telemetry — per-stage wall times + planner overhead
 # ---------------------------------------------------------------------------
-def run_plan_overhead(
-    cfg: BenchConfig, *, n_jobs: int = 4, backend: str = "work_stealing"
-):
+def run_plan_overhead(cfg: BenchConfig, *, n_jobs: int = 4, backend: str = "threads"):
     """Per-stage timings of a planned fit + predict pass.
 
     Fits and scores a heterogeneous pool through the plan pipeline and
@@ -429,7 +345,6 @@ def run_plan_overhead(
                     "stage": report.stage,
                     "wall_s": report.wall_time,
                     "share_pct": 100.0 * report.wall_time / total,
-                    "steals": report.total_steals,
                 }
             )
         stage_sum = plan.total_wall_time
@@ -452,8 +367,6 @@ def run_plan_overhead(
         "n_jobs": n_jobs,
         "backend": backend,
         "combined_wall": merged.wall_time,
-        "combined_steals": merged.total_steals,
-        "combined_idle": float(merged.idle_times.sum()),
     }
     return rows, meta
 
@@ -678,16 +591,10 @@ def run_claims_case(cfg: BenchConfig, *, n_workers: int = 10):
 
 
 # ---------------------------------------------------------------------------
-# Backend scaling — sequential vs threads vs work stealing vs processes
-# vs shm processes, across worker counts (the perf trajectory benchmark)
+# Backend scaling — sequential vs threads vs shm processes, across worker
+# counts (the perf trajectory benchmark)
 # ---------------------------------------------------------------------------
-SCALING_BACKENDS = (
-    "sequential",
-    "threads",
-    "work_stealing",
-    "processes",
-    "shm_processes",
-)
+SCALING_BACKENDS = ("sequential", "threads", "shm_processes")
 
 
 def _scaling_pool(n_models: int, seed: int) -> list:
@@ -728,9 +635,9 @@ def run_backend_scaling(
     (best-of), which is the stable statistic on a shared host. The
     predict phase scores the test set in ``predict_batches``
     consecutive row batches — the serving pattern the ROADMAP targets —
-    so per-call engine costs (a pickling backend spawns its pool on
-    *every* execute; a persistent pool stays warm) are weighted as a
-    request stream weights them, not amortised into one giant call.
+    so per-call engine costs (a thread pool spawns on *every* execute; a
+    persistent process pool stays warm) are weighted as a request stream
+    weights them, not amortised into one giant call.
     Batch boundaries never change the numbers: per-row scoring is
     batch-separable, and the concatenated batch scores are compared
     bitwise against a single-pass sequential reference. Pools that
@@ -742,9 +649,7 @@ def run_backend_scaling(
 
     Returns rows of ``{backend, n_workers, fit_s, predict_s, total_s,
     speedup_vs_sequential, identical}`` plus a meta dict carrying the
-    generating config, host facts, and the headline
-    ``shm_speedup_vs_processes`` ratio at the largest worker count
-    where both ran.
+    generating config and host facts.
     """
     if repeats is None:
         repeats = max(2, cfg.trials)
@@ -827,21 +732,6 @@ def run_backend_scaling(
     for r in rows:
         r["speedup_vs_sequential"] = seq_total / r["total_s"]
 
-    def _total(backend: str, t: int) -> float | None:
-        for r in rows:
-            if r["backend"] == backend and r["n_workers"] == t:
-                return r["total_s"]
-        return None
-
-    shm_vs_procs = None
-    largest_t = None
-    for t in sorted({r["n_workers"] for r in rows}, reverse=True):
-        procs, shm = _total("processes", t), _total("shm_processes", t)
-        if procs is not None and shm is not None:
-            shm_vs_procs = procs / shm
-            largest_t = t
-            break
-
     meta = {
         "config": cfg.describe(),
         "benchmark": "backend_scaling",
@@ -856,8 +746,6 @@ def run_backend_scaling(
         "worker_counts": list(worker_counts),
         "host": _host_meta(),
         "scores_identical": all_identical,
-        "shm_speedup_vs_processes": shm_vs_procs,
-        "shm_speedup_worker_count": largest_t,
     }
     return rows, meta
 

@@ -64,7 +64,12 @@ from repro.combination import (
 from repro.core.approximation import Approximator, ApproximatorWave
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import family_of, is_costly
-from repro.parallel import ExecutionResult, chunk_slices, get_backend
+from repro.parallel import (
+    ExecutionResult,
+    chunk_slices,
+    get_backend,
+    get_backend_class,
+)
 from repro.pipeline import ExecutionPlan, PlanContext, PlanRunner, Stage
 from repro.pipeline.detector_wave import DetectorWave
 from repro.pipeline.sharing import (
@@ -141,13 +146,12 @@ class SUOD:
         for externally managed feedback.
     n_jobs : int, default 1
         Worker count t.
-    backend : {'sequential', 'threads', 'processes', 'shm_processes', \
-'simulated', 'work_stealing'}
+    backend : {'sequential', 'threads', 'shm_processes', 'simulated'}
         Execution backend (see :mod:`repro.parallel`). With ``n_jobs=1``
-        the sequential backend is always used. ``'work_stealing'`` keeps
-        the BPS/generic assignment as a locality hint but lets idle
-        workers steal queued tasks at runtime, which recovers from bad
-        cost forecasts. ``'shm_processes'`` runs processes over a
+        the sequential backend is always used. ``'threads'`` overlaps
+        tasks inside GIL-releasing NumPy/BLAS calls; interpreter-bound
+        waves (the PSA tree fits) run on one of its workers.
+        ``'shm_processes'`` runs processes over a
         shared-memory data plane: the plan runner materialises ``X``'s
         projected spaces into shared segments once, task payloads carry
         handles instead of array copies, and a persistent worker pool
@@ -161,12 +165,10 @@ class SUOD:
         unchunked ones (per-row scorers are row-separable), under every
         backend. Fitting keeps the per-model grain: detector training
         couples all rows, so a train-time row split would change the
-        models themselves. Chunking pairs naturally with
-        ``threads``/``work_stealing`` and with ``shm_processes``, where
-        a chunk task ships only (handle, slice) and each worker slices
-        rows off its attached view; under plain ``processes`` each
-        chunk task pickles its row block, so the finer grain multiplies
-        copies.
+        models themselves. Chunking pairs naturally with ``threads``
+        and with ``shm_processes``, where a chunk task ships only
+        (handle, slice) and each worker slices rows off its attached
+        view.
     combination : {'average', 'maximization', 'moa'}, default 'average'
         Combiner for the final score (the paper reports Avg and MOA).
     standardisation : {'ecdf', 'zscore'}, default 'ecdf'
@@ -238,6 +240,7 @@ class SUOD:
             raise ValueError("n_jobs must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be None or >= 1")
+        get_backend_class(backend)  # fail fast on unknown names
         if isinstance(scheduler, str):
             get_scheduler_class(scheduler)  # fail fast on unknown names
         elif scheduler is not None and not isinstance(scheduler, Scheduler):
@@ -856,7 +859,7 @@ class SUOD:
 
     # ------------------------------------------------------------------
     def merged_telemetry(self) -> ExecutionResult:
-        """One combined wall-time/steal/idle summary over every wave the
+        """One combined wall-time/worker-load summary over every wave the
         last fit and predict plans pushed through the backend: share
         producers, detector fits, PSA blocks, scoring tasks (see
         :meth:`ExecutionResult.merge`)."""

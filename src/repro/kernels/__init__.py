@@ -1,7 +1,7 @@
 """Vectorised, batch-oriented compute kernels for the scoring substrate.
 
-PRs 1–4 made the *orchestration* fast (work stealing, a zero-copy shm
-data plane, adaptive scheduling); this package makes the *compute* those
+The *orchestration* layers (a zero-copy shm data plane, adaptive
+scheduling) came first; this package makes the *compute* those
 layers schedule fast. Each kernel replaces a per-row / per-tree /
 per-feature Python loop with a batched NumPy formulation that produces
 **bitwise-identical** results — the same parity bar the execution

@@ -7,26 +7,22 @@ interface:
 - :class:`SequentialBackend` — single worker, measures true per-task cost;
 - :class:`ThreadBackend` — one thread per worker (real concurrency for
   NumPy-bound tasks that release the GIL);
-- :class:`ProcessBackend` — one process per worker;
 - :class:`SimulatedClusterBackend` — executes tasks once on the local
   core while *replaying* their measured costs through t virtual workers
   with a virtual clock. On a single-core host this reproduces exactly the
   quantity the BPS scheduler optimises (the makespan of the assignment)
-  without needing t physical cores — see DESIGN.md substitution table;
-- :class:`WorkStealingBackend` — dynamic scheduling: per-worker deques
-  seeded by the static assignment, with runtime stealing when a queue
-  runs dry. Also supports a deterministic virtual-clock replay
-  (``known_costs=...``) for static-vs-dynamic comparisons;
+  without needing t physical cores — see DESIGN.md substitution table.
+  With ``known_costs=...`` it replays a schedule deterministically
+  without executing anything (Tables 4/5, scheduler trajectories);
 - :class:`SharedMemoryProcessBackend` — processes with a *persistent*
   worker pool and zero-copy data transport: task payloads reference
   arrays through :class:`SharedArrayHandle` descriptors into a
   :class:`SharedMemoryArena`, each worker attaches a segment once and
   scores read-only views off it (see :mod:`repro.parallel.shm`).
 
-Static backends take a pre-computed ``assignment`` (task -> worker), so
+Every backend takes a pre-computed ``assignment`` (task -> worker), so
 the scheduling policy (generic vs BPS) stays a separate, testable
-concern; the work-stealing backend treats the assignment as a locality
-hint it may override at runtime. :mod:`repro.parallel.chunking` splits
+concern. :mod:`repro.parallel.chunking` splits
 scoring work along the sample axis so the scheduling unit becomes
 (model × row-block) instead of a whole model.
 """
@@ -35,13 +31,11 @@ from repro.parallel.execution import (
     ExecutionResult,
     SequentialBackend,
     ThreadBackend,
-    ProcessBackend,
     SimulatedClusterBackend,
     get_backend,
     get_backend_class,
     register_backend,
 )
-from repro.parallel.work_stealing import WorkStealingBackend
 from repro.parallel.shm import (
     SharedArrayHandle,
     SharedMemoryArena,
@@ -55,9 +49,7 @@ __all__ = [
     "ExecutionResult",
     "SequentialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "SimulatedClusterBackend",
-    "WorkStealingBackend",
     "SharedArrayHandle",
     "SharedMemoryArena",
     "SharedMemoryProcessBackend",

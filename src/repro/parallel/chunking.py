@@ -5,8 +5,8 @@ single expensive model lower-bounds the makespan no matter how good the
 schedule, and one task must hold all n rows in memory at once. Splitting
 the sample axis into row blocks turns the unit into (model × chunk):
 
-- the longest task shrinks by the chunk factor, so both static schedules
-  and work stealing can pack workers tighter;
+- the longest task shrinks by the chunk factor, so a static schedule
+  can pack workers tighter;
 - peak per-task memory is bounded by ``batch_size`` rows, which is what
   lets a dataset larger than a worker's budget stream through;
 - per-row scorers are row-separable, so chunked results are *bitwise

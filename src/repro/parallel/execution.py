@@ -1,8 +1,8 @@
 """Worker backends executing pre-assigned task groups.
 
 A *task* is any zero-argument callable returning a picklable result (for
-the process backend the callable itself must pickle too — module-level
-functions plus bound arguments work; lambdas do not).
+the shared-memory process backend the callable itself must pickle too —
+module-level functions plus bound arguments work; lambdas do not).
 
 The division of labour with the scheduler is strict: schedulers
 (:mod:`repro.scheduling`) produce an ``assignment`` array mapping
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "ExecutionResult",
     "SequentialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "SimulatedClusterBackend",
     "get_backend",
     "get_backend_class",
@@ -50,35 +49,17 @@ class ExecutionResult:
         Busy time per worker (same clock as ``wall_time``).
     task_times : numpy.ndarray
         Measured per-task wall-clock duration, in submission order.
-        Every backend records it (sequential, threads, processes,
-        shm_processes, work_stealing); virtual-clock modes (simulated,
-        work-stealing replay) report the deterministic known costs. This
-        is the signal the adaptive scheduling feedback loop
+        Every backend records it (sequential, threads, shm_processes);
+        the simulated backend's ``known_costs`` replay reports the
+        deterministic known costs. This is the signal the adaptive
+        scheduling feedback loop
         (:class:`repro.scheduling.TelemetryRefinedCostModel`) consumes.
-    idle_times : numpy.ndarray
-        Per-worker idle seconds: time a worker spent without a task
-        while the run was still in flight. Static backends leave this
-        empty; dynamic backends (work stealing) populate it — on a
-        well-balanced run it stays near zero.
-    steal_counts : numpy.ndarray
-        Per-worker count of tasks *stolen* from another worker's queue.
-        Empty for static backends; a high total under
-        :class:`WorkStealingBackend` means the initial assignment (or
-        cost forecast behind it) was badly off.
     """
 
     results: list = field(default_factory=list)
     wall_time: float = 0.0
     worker_times: np.ndarray = field(default_factory=lambda: np.zeros(1))
     task_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    idle_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    steal_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
-
-    @property
-    def total_steals(self) -> int:
-        return int(self.steal_counts.sum()) if self.steal_counts.size else 0
 
     @property
     def n_failed(self) -> int:
@@ -94,30 +75,23 @@ class ExecutionResult:
         """Combine results of sequential phases into one summary.
 
         Wall times add (the phases ran one after another); per-worker
-        arrays are zero-padded to the widest worker count and summed, so
-        a fit + predict pair reports one wall-time / steal / idle
-        balance sheet. An empty input merges to a neutral zero result.
+        busy times are zero-padded to the widest worker count and summed,
+        so a fit + predict pair reports one wall-time / load balance
+        sheet. An empty input merges to a neutral zero result.
         """
         results = list(results)
         if not results:
             return cls(results=[], worker_times=np.zeros(0))
-
-        def _padded_sum(arrays: list[np.ndarray], dtype) -> np.ndarray:
-            width = max((a.size for a in arrays), default=0)
-            out = np.zeros(width, dtype=dtype)
-            for a in arrays:
-                out[: a.size] += a
-            return out
-
+        worker_times = np.zeros(max(r.worker_times.size for r in results))
+        for r in results:
+            worker_times[: r.worker_times.size] += r.worker_times
         return cls(
             results=[r for res in results for r in res.results],
             wall_time=float(sum(r.wall_time for r in results)),
-            worker_times=_padded_sum([r.worker_times for r in results], np.float64),
+            worker_times=worker_times,
             task_times=np.concatenate([r.task_times for r in results])
             if any(r.task_times.size for r in results)
             else np.zeros(0),
-            idle_times=_padded_sum([r.idle_times for r in results], np.float64),
-            steal_counts=_padded_sum([r.steal_counts for r in results], np.int64),
         )
 
 
@@ -218,20 +192,6 @@ class ThreadBackend(_BackendBase):
         return out
 
 
-class ProcessBackend(_BackendBase):
-    """One process per worker. Tasks and results must pickle."""
-
-    def execute(self, tasks: Sequence[Callable], assignment) -> ExecutionResult:
-        _, groups = self._group(tasks, assignment)
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [pool.submit(_run_group, [tasks[i] for i in g]) for g in groups]
-            outputs = [f.result() for f in futures]
-        out = self._scatter(tasks, groups, outputs)
-        out.wall_time = time.perf_counter() - t0
-        return out
-
-
 class SimulatedClusterBackend(_BackendBase):
     """Virtual t-worker cluster driven by measured single-core costs.
 
@@ -244,7 +204,8 @@ class SimulatedClusterBackend(_BackendBase):
     comparisons (Table 4) are faithful on a single-core host.
 
     ``known_costs`` replays a schedule against pre-measured costs without
-    executing anything (used for fast what-if sweeps and tests).
+    executing anything — the repo's one virtual-clock replay (what-if
+    sweeps, scheduler trajectories, tests).
     """
 
     def execute(
@@ -276,7 +237,6 @@ class SimulatedClusterBackend(_BackendBase):
 _BACKENDS = {
     "sequential": SequentialBackend,
     "threads": ThreadBackend,
-    "processes": ProcessBackend,
     "simulated": SimulatedClusterBackend,
 }
 
@@ -284,8 +244,8 @@ _BACKENDS = {
 def register_backend(name: str, cls, *, overwrite: bool = False) -> None:
     """Add a backend class to the :func:`get_backend` registry.
 
-    Used by sibling modules (work stealing, shared memory) so the
-    registry stays the single lookup point without circular imports.
+    Used by sibling modules (the shared-memory backend) so the registry
+    stays the single lookup point without circular imports.
     Re-registering the same class under its existing name is a no-op;
     replacing a registered name with a *different* class requires
     ``overwrite=True``, so a built-in cannot be shadowed silently.
@@ -317,9 +277,8 @@ def get_backend(name: str, n_workers: int = 1):
         if n_workers != 1:
             warnings.warn(
                 f"backend 'sequential' always runs one worker; "
-                f"n_workers={n_workers} is ignored (pick 'threads', "
-                f"'processes', 'shm_processes' or 'work_stealing' for "
-                f"real parallelism)",
+                f"n_workers={n_workers} is ignored (pick 'threads' or "
+                f"'shm_processes' for real parallelism)",
                 UserWarning,
                 stacklevel=2,
             )

@@ -1,11 +1,10 @@
 """Zero-copy shared-memory data plane for process execution.
 
-The pickling :class:`~repro.parallel.execution.ProcessBackend` ships a
-full copy of every bound array (the data matrix, each projected space)
-through the task pickle stream — once per task, per execute call. For a
-scoring pass over m models that is m copies of X through a pipe, which
-swamps the work it parallelises. This module replaces the copies with
-*references*:
+A process pool that pickles its tasks ships a full copy of every bound
+array (the data matrix, each projected space) through the task pickle
+stream — once per task, per execute call. For a scoring pass over m
+models that is m copies of X through a pipe, which swamps the work it
+parallelises. This module replaces the copies with *references*:
 
 - :class:`SharedArrayHandle` — a tiny picklable descriptor (segment
   name + shape + dtype) naming a ``multiprocessing.shared_memory``
@@ -350,7 +349,7 @@ class SharedMemoryArena:
 class SharedMemoryProcessBackend(_BackendBase):
     """Process backend with a persistent pool and handle-based payloads.
 
-    Differences from :class:`~repro.parallel.execution.ProcessBackend`:
+    Differences from a plain per-call process pool:
 
     - the ``ProcessPoolExecutor`` is created once and **reused across
       execute calls** (and therefore across plan stages and repeated

@@ -21,8 +21,8 @@ that layer for SUOD:
   tasks as a wave (``DetectorWave``: per model, or model × row-chunk);
 - :class:`PlanRunner` — the single loop every backend runs through,
   with resume/partial-execution semantics;
-- :class:`StageReport` — per-stage wall time plus worker-load /
-  steal / idle telemetry folded up from
+- :class:`StageReport` — per-stage wall time plus worker-load and
+  per-task telemetry folded up from
   :class:`~repro.parallel.ExecutionResult`.
 
 :class:`repro.SUOD` is a façade over this package: its ``fit`` /

@@ -219,9 +219,6 @@ class ExecutionPlan:
                 )
                 if facts:
                     row["detail"] = facts
-            if report is not None and report.execution is not None:
-                row["steals"] = report.total_steals
-                row["idle_s"] = report.total_idle
             rows.append(row)
         return rows
 

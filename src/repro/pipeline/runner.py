@@ -4,7 +4,7 @@
 already carry a report (resume semantics), timing each one, and folding
 any :class:`~repro.parallel.ExecutionResult` a stage produced into its
 :class:`~repro.pipeline.stage.StageReport`. All SUOD passes — fit and
-predict, sequential through work-stealing and shared-memory processes —
+predict, sequential through threads and shared-memory processes —
 flow through this one loop, so backend behaviour and telemetry cannot
 drift between call sites.
 

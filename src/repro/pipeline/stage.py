@@ -48,7 +48,7 @@ class Stage:
         Performs the step against the shared plan context. May return an
         info dict for the stage's report; an ``"execution"`` key holding
         an :class:`ExecutionResult` is lifted onto the report so worker
-        loads / steal / idle telemetry fold up automatically.
+        loads and per-task times fold up automatically.
     description : str
         One line of human-readable intent, shown by ``repro plan``.
     """
@@ -79,16 +79,6 @@ class StageReport:
         return self.execution.worker_times
 
     @property
-    def total_steals(self) -> int:
-        return 0 if self.execution is None else self.execution.total_steals
-
-    @property
-    def total_idle(self) -> float:
-        if self.execution is None or not self.execution.idle_times.size:
-            return 0.0
-        return float(self.execution.idle_times.sum())
-
-    @property
     def task_times(self) -> np.ndarray:
         """Measured per-task durations of the backend run (empty if none).
 
@@ -115,8 +105,6 @@ class StageReport:
                 "wall_time": float(self.execution.wall_time),
                 "worker_times": jsonify(self.execution.worker_times),
                 "task_times": jsonify(self.execution.task_times),
-                "idle_times": jsonify(self.execution.idle_times),
-                "steal_counts": jsonify(self.execution.steal_counts),
                 "n_tasks": len(self.execution.results),
             }
         return out

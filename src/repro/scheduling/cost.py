@@ -333,8 +333,9 @@ class TelemetryRefinedCostModel:
     Notes
     -----
     The model is deliberately backend-agnostic: virtual-clock replays
-    (:class:`~repro.parallel.WorkStealingBackend` with ``known_costs``)
-    feed deterministic durations, real backends feed measured seconds.
+    (:class:`~repro.parallel.SimulatedClusterBackend` with
+    ``known_costs``) feed deterministic durations, real backends feed
+    measured seconds.
     ``SUOD(scheduler='adaptive')`` wires the loop automatically — the
     execute stage observes, the next schedule stage refines.
     """

@@ -11,7 +11,6 @@ from repro.bench.ablations import (
 )
 from repro.bench.runners import (
     run_claims_case,
-    run_dynamic_scheduling,
     run_fig3_decision_surface,
     run_psa_comparison,
     run_table1_projection,
@@ -85,20 +84,6 @@ class TestRunners:
         assert r["redu_pct"] == pytest.approx(
             100 * (r["generic"] - r["bps"]) / r["generic"]
         )
-
-    def test_dynamic_scheduling_invariants(self):
-        rows, meta = run_dynamic_scheduling(
-            TINY, m_list=(20,), t_list=(2, 4), sigmas=(1.0,)
-        )
-        assert len(rows) == 2
-        for r in rows:
-            # Stealing never loses to its seed schedule; no schedule
-            # beats the sum/t lower bound.
-            assert r["ws_gen"] <= r["generic"] * (1 + 1e-9)
-            assert r["ws_bps"] <= r["bps"] * (1 + 1e-9)
-            assert r["ws_gen"] >= r["ideal"] * (1 - 1e-9)
-            assert r["ws_chunk"] >= r["ideal"] * (1 - 1e-9)
-        assert meta["chunk_factor"] == 4
 
     def test_table5_shape(self):
         rows, meta = run_table5_full_system(TINY, datasets=("Cardio",), t_list=(2, 4))

@@ -37,10 +37,10 @@ needs_shm_fs = pytest.mark.skipif(
 )
 TREE_ARRAYS = ("feature_", "threshold_", "children_left_", "children_right_", "value_")
 
-BACKENDS = ("sequential", "threads", "work_stealing", "processes", "shm_processes")
+BACKENDS = ("sequential", "threads", "shm_processes")
 #: Backends whose workers are separate interpreters: the wave spreads
-#: over all of them. Thread backends run it as one worker's queue.
-SPREADING = ("processes", "shm_processes")
+#: over all of them. ``threads`` runs it as one worker's queue.
+SPREADING = ("shm_processes",)
 
 
 def shm_segments() -> set:
@@ -130,8 +130,11 @@ class TestParityMatrix:
 
     def test_default_seeded_forest_matches_oracle(self, data):
         Xtr, Xte = data
-        clf = SUOD(make_pool(), n_jobs=2, backend="processes", random_state=2)
-        clf.fit(Xtr)
+        clf = SUOD(make_pool(), n_jobs=2, backend="shm_processes", random_state=2)
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         seed = clf.fit_plan_.context.approx_seed
         expected = oracle_for(clf, Xtr, RandomForestRegressor(random_state=seed))
         spaces_te = [proj.transform(Xte) for proj in clf.projectors_]
@@ -177,7 +180,7 @@ class TestApproximatorWave:
         return approximators, ApproximatorWave(approximators, [Xtr] * 3, n_workers)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4, 5, 7, 16])
-    @pytest.mark.parametrize("backend", ["sequential", "threads", "work_stealing"])
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
     def test_any_block_count_and_assignment(self, data, fitted, backend, n_workers):
         Xtr, Xte = data
         approximators, wave = self._wave(fitted, Xtr, small_forest(), n_workers)
@@ -230,7 +233,9 @@ class TestApproximatorWave:
 # Fallback paths
 # ---------------------------------------------------------------------------
 class TestFallbacks:
-    @pytest.mark.parametrize("backend,n_jobs", [("sequential", 1), ("processes", 2)])
+    @pytest.mark.parametrize(
+        "backend,n_jobs", [("sequential", 1), ("shm_processes", 2)]
+    )
     def test_regressor_without_block_support_gets_one_task_per_model(
         self, data, backend, n_jobs
     ):
@@ -241,7 +246,11 @@ class TestFallbacks:
             backend=backend,
             approx_clf=Ridge(alpha=0.5),
             random_state=2,
-        ).fit(Xtr)
+        )
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         info = clf.fit_plan_.report_for("approximate").info
         assert info["tasks"] == 3 and info["blocks_per_model"] == 1
         expected = oracle_for(clf, Xtr, Ridge(alpha=0.5))
@@ -255,8 +264,16 @@ class TestFallbacks:
         Xtr, Xte = data
         proto = RandomForestRegressor(n_estimators=12, oob_score=True, random_state=3)
         clf = SUOD(
-            make_pool(), n_jobs=2, backend="processes", approx_clf=proto, random_state=2
-        ).fit(Xtr)
+            make_pool(),
+            n_jobs=2,
+            backend="shm_processes",
+            approx_clf=proto,
+            random_state=2,
+        )
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         info = clf.fit_plan_.report_for("approximate").info
         # Not 6 tasks: out-of-bag scoring couples the trees.
         assert info["tasks"] == 3 and info["blocks_per_model"] == 1
@@ -331,7 +348,7 @@ class TestFailureAndResume:
 
     def test_replayed_plan_reproduces_the_wave(self, data):
         Xtr, _ = data
-        clf = SUOD(make_pool(), n_jobs=2, backend="processes", random_state=4)
+        clf = SUOD(make_pool(), n_jobs=2, backend="shm_processes", random_state=4)
         plan = clf.build_fit_plan(Xtr)
         PlanRunner().run(plan)
         first = [
@@ -348,6 +365,7 @@ class TestFailureAndResume:
             if a.approximated
             for t in a.regressor_.estimators_
         ]
+        clf.close()
         assert len(first) == len(again)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
@@ -358,7 +376,11 @@ class TestFailureAndResume:
 class TestTelemetry:
     def test_wave_result_and_fit_result_stay_separate(self, data):
         Xtr, _ = data
-        clf = SUOD(make_pool(), n_jobs=2, backend="processes", random_state=2).fit(Xtr)
+        clf = SUOD(make_pool(), n_jobs=2, backend="shm_processes", random_state=2)
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         assert clf.fit_result_.task_times.shape == (clf.n_models,)
         report = clf.fit_plan_.report_for("approximate")
         assert report.execution is clf.approx_result_
@@ -375,10 +397,14 @@ class TestTelemetry:
         clf = SUOD(
             make_pool(),
             n_jobs=2,
-            backend="processes",
+            backend="shm_processes",
             scheduler="adaptive",
             random_state=2,
-        ).fit(Xtr)
+        )
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         model = clf._make_scheduler().cost_model
         costly = [i for i, flag in enumerate(clf.approx_flags_) if flag]
         assert model.has_observations([("fit-approx", i) for i in costly])
@@ -389,8 +415,16 @@ class TestTelemetry:
     def test_cost_blind_scheduler_still_assigns_the_wave(self, data):
         Xtr, _ = data
         clf = SUOD(
-            make_pool(), n_jobs=2, backend="processes", bps_flag=False, random_state=2
-        ).fit(Xtr)
+            make_pool(),
+            n_jobs=2,
+            backend="shm_processes",
+            bps_flag=False,
+            random_state=2,
+        )
+        try:
+            clf.fit(Xtr)
+        finally:
+            clf.close()
         info = clf.fit_plan_.report_for("approximate").info
         assert info["tasks_per_worker"] == [3, 3]
 
@@ -423,7 +457,11 @@ class TestTelemetry:
     def test_pickle_drops_the_wave_result_and_does_not_grow(self, data):
         Xtr, _ = data
         serial = SUOD(make_pool(), n_jobs=1, random_state=2).fit(Xtr)
-        wave = SUOD(make_pool(), n_jobs=3, backend="processes", random_state=2).fit(Xtr)
+        wave = SUOD(make_pool(), n_jobs=3, backend="shm_processes", random_state=2)
+        try:
+            wave.fit(Xtr)
+        finally:
+            wave.close()
         state = wave.__getstate__()
         assert "approx_result_" not in state
         assert "fit_result_" not in state
@@ -432,7 +470,13 @@ class TestTelemetry:
         # Same forests either way; only the small assignment vectors differ.
         assert abs(size_wave - size_serial) < 0.01 * size_serial
         clone = pickle.loads(pickle.dumps(wave))
-        assert np.array_equal(clone.decision_function(Xtr), wave.decision_function(Xtr))
+        try:
+            assert np.array_equal(
+                clone.decision_function(Xtr), wave.decision_function(Xtr)
+            )
+        finally:
+            clone.close()
+            wave.close()
 
 
 # ---------------------------------------------------------------------------

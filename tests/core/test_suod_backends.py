@@ -1,6 +1,6 @@
 """Cross-backend equivalence and shared-memory hygiene through SUOD.
 
-Two contracts:
+Three contracts:
 
 1. **Bitwise equality matrix** — every execution backend, with and
    without row-chunked scoring, reproduces the sequential reference's
@@ -9,6 +9,9 @@ Two contracts:
 2. **Segment hygiene** — a fit/predict pass through the shm data plane
    leaves no ``shared_memory`` segment behind, on the happy path and
    when a stage raises mid-plan.
+3. **Backend names** — an unknown or removed name fails at construction,
+   whatever ``n_jobs`` says; an artifact saved under a removed name
+   still loads and scores on the sequential path.
 """
 
 import os
@@ -18,14 +21,16 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import SUOD
+from repro import SUOD, load_ensemble, save_ensemble
 from repro.detectors import HBOS, KNN, LOF, IsolationForest
 from repro.detectors.base import BaseDetector
+from repro.parallel import get_backend
 from repro.pipeline import PlanRunner
 from repro.scheduling import get_scheduler
 
 SHM_DIR = "/dev/shm"
-PARALLEL_BACKENDS = ["threads", "work_stealing", "processes", "shm_processes"]
+PARALLEL_BACKENDS = ["threads", "shm_processes"]
+REGISTERED = ("sequential", "shm_processes", "simulated", "threads")
 needs_shm_fs = pytest.mark.skipif(
     not os.path.isdir(SHM_DIR), reason="no /dev/shm on this platform"
 )
@@ -259,3 +264,36 @@ class TestPlanShmLifecycle:
         assert getattr(clone, "_backend_instance_", None) is None
         np.testing.assert_array_equal(clone.decision_function(Xte), s0)
         clone.close()
+
+
+class TestBackendNames:
+    @pytest.mark.parametrize("name", ["processes", "work_stealing"])
+    def test_removed_backend_names_raise_naming_the_four(self, name):
+        for make in (
+            lambda: get_backend(name, 2),
+            lambda: SUOD(fresh_pool(), n_jobs=2, backend=name),
+        ):
+            with pytest.raises(ValueError, match=f"Unknown backend {name!r}") as exc:
+                make()
+            for kept in REGISTERED:
+                assert repr(kept) in str(exc.value)
+
+    def test_unknown_backend_rejected_at_one_worker(self):
+        # n_jobs=1 never looks the backend up while fitting; the
+        # constructor must, or a typo fits and scores silently.
+        with pytest.raises(ValueError, match="Unknown backend 'nonsense'"):
+            SUOD(fresh_pool(), backend="nonsense")
+
+    def test_artifact_saved_with_removed_name_still_scores(
+        self, data, reference, tmp_path
+    ):
+        Xtr, Xte, ytr, yte = data
+        clf = SUOD(fresh_pool(), random_state=3).fit(Xtr)
+        # What an artifact written before the backend's removal carries;
+        # loading restores state without running __init__.
+        clf.backend = "work_stealing"
+        path = save_ensemble(clf, tmp_path / "old.repro")
+        loaded = load_ensemble(path)
+        assert loaded.backend == "work_stealing"
+        np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
+        loaded.close()

@@ -71,8 +71,8 @@ class TestChunkedScoring:
         [
             dict(batch_size=17),
             dict(batch_size=64, n_jobs=2, backend="threads"),
-            dict(batch_size=17, n_jobs=3, backend="work_stealing"),
-            dict(batch_size=17, n_jobs=3, backend="work_stealing", bps_flag=False),
+            dict(batch_size=17, n_jobs=3, backend="threads"),
+            dict(batch_size=17, n_jobs=3, backend="threads", bps_flag=False),
             dict(batch_size=17, n_jobs=2, backend="simulated"),
         ],
     )
@@ -106,24 +106,24 @@ class TestChunkedScoring:
             random_state=3,
             batch_size=31,
             n_jobs=2,
-            backend="work_stealing",
+            backend="threads",
         ).fit(Xtr)
         pred = clf.predict(Xte)
         assert set(np.unique(pred)) <= {0, 1}
 
-    def test_work_stealing_telemetry_exposed(self, data):
+    def test_chunked_telemetry_exposed(self, data):
         Xtr, Xte, ytr, yte = data
         clf = SUOD(
             fresh_pool(),
             random_state=3,
             batch_size=17,
             n_jobs=3,
-            backend="work_stealing",
+            backend="threads",
         ).fit(Xtr)
         clf.decision_function(Xte)
         res = clf.predict_result_
-        assert res.steal_counts.shape == (3,)
-        assert res.idle_times.shape == (3,)
+        assert res.worker_times.shape == (3,)
+        assert res.task_times.shape == (clf.n_models * n_chunks(Xte.shape[0], 17),)
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -136,7 +136,7 @@ class TestChunkedScoring:
             random_state=3,
             batch_size=17,
             n_jobs=2,
-            backend="work_stealing",
+            backend="threads",
             approx_flag_global=False,
         ).fit(Xtr)
         # Sabotage one fitted detector so its chunk tasks raise.

@@ -157,7 +157,7 @@ class TestSuodFeedbackLoop:
             assert info["telemetry_observed"] == 1 + 3
 
     def test_chunked_tasks_share_model_identity(self, data):
-        clf = _fit(data, scheduler="adaptive", backend="work_stealing", batch_size=64)
+        clf = _fit(data, scheduler="adaptive", backend="threads", batch_size=64)
         clf.decision_function(data)
         scheduler = clf._make_scheduler()
         # Chunk tasks fold into per-model keys, not per-chunk keys.
@@ -213,11 +213,14 @@ class TestSuodFeedbackLoop:
 
 
 class TestBitwiseAcrossBackends:
-    @pytest.mark.parametrize("backend", ["threads", "work_stealing"])
+    @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
     def test_adaptive_rescheduling_keeps_scores_bitwise_identical(self, data, backend):
         # Rescheduling moves tasks between workers; results must not move.
         sequential = SUOD(_pool(), n_jobs=1, random_state=0).fit(data)
         ref = sequential.decision_function(data)
         clf = _fit(data, scheduler="adaptive", backend=backend)
-        for _ in range(3):  # three consecutive serving batches
-            np.testing.assert_array_equal(clf.decision_function(data), ref)
+        try:
+            for _ in range(3):  # three consecutive serving batches
+                np.testing.assert_array_equal(clf.decision_function(data), ref)
+        finally:
+            clf.close()

@@ -74,8 +74,12 @@ class TestSchedulingIntegration:
         pool = sample_model_pool(
             4, families=["HBOS", "IsolationForest"], random_state=0
         )
-        clf = SUOD(pool, n_jobs=2, backend="processes", random_state=0).fit(Xtr)
-        assert np.isfinite(clf.decision_function(Xte)).all()
+        clf = SUOD(pool, n_jobs=2, backend="shm_processes", random_state=0)
+        try:
+            clf.fit(Xtr)
+            assert np.isfinite(clf.decision_function(Xte)).all()
+        finally:
+            clf.close()
 
 
 class TestClaimsCase:

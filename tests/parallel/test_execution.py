@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.parallel import (
-    ProcessBackend,
     SequentialBackend,
     SimulatedClusterBackend,
     ThreadBackend,
@@ -71,17 +70,24 @@ class TestThreadBackend:
         with pytest.raises(ValueError):
             ThreadBackend(2).execute(make_tasks([1, 2]), [0])
 
-
-class TestProcessBackend:
-    def test_roundtrip(self):
-        tasks = make_tasks([3, 4])
-        res = ProcessBackend(2).execute(tasks, [0, 1])
-        assert res.results == [9, 16]
-
-    def test_exception_captured(self):
-        res = ProcessBackend(2).execute([_boom, functools.partial(_square, 1)], [0, 1])
+    def test_exception_captured_not_raised(self):
+        res = ThreadBackend(2).execute([_boom, functools.partial(_square, 2)], [0, 1])
         assert isinstance(res.results[0], RuntimeError)
-        assert res.results[1] == 1
+        assert res.results[1] == 4
+        assert res.n_failed == 1
+        with pytest.raises(RuntimeError, match="exploded"):
+            res.raise_first_error()
+
+    def test_failed_tasks_still_fill_telemetry(self):
+        res = ThreadBackend(2).execute([_boom] * 4, [0, 0, 1, 1])
+        assert res.n_failed == 4
+        assert res.task_times.shape == (4,)
+        assert res.worker_times.shape == (2,)
+
+    def test_empty_tasks(self):
+        res = ThreadBackend(2).execute([], [])
+        assert res.results == []
+        assert res.worker_times.shape == (2,)
 
 
 class TestSimulatedCluster:
@@ -119,7 +125,6 @@ class TestGetBackend:
     def test_names(self):
         assert isinstance(get_backend("sequential"), SequentialBackend)
         assert isinstance(get_backend("threads", 2), ThreadBackend)
-        assert isinstance(get_backend("processes", 2), ProcessBackend)
         assert isinstance(get_backend("simulated", 2), SimulatedClusterBackend)
 
     def test_unknown(self):
@@ -138,7 +143,8 @@ class TestExecutionResultMerge:
         merged = ExecutionResult.merge([])
         assert merged.results == []
         assert merged.wall_time == 0.0
-        assert merged.total_steals == 0
+        assert merged.worker_times.shape == (0,)
+        assert merged.task_times.shape == (0,)
 
     def test_merge_sums_wall_and_concatenates_results(self):
         from repro.parallel import ExecutionResult
@@ -166,22 +172,22 @@ class TestExecutionResultMerge:
             a.worker_times[0] + b.worker_times[0]
         )
 
-    def test_merge_work_stealing_telemetry(self):
-        from repro.parallel import ExecutionResult, WorkStealingBackend
+    def test_merge_replayed_telemetry_exactly(self):
+        from repro.parallel import ExecutionResult
 
         costs1 = np.array([4.0, 1.0, 1.0, 1.0])
-        costs2 = np.array([2.0, 2.0, 1.0, 1.0])
-        # Seed everything on worker 0 so worker 1 must steal.
-        a0 = np.zeros(4, dtype=np.int64)
-        r1 = WorkStealingBackend(2).execute([None] * 4, a0, known_costs=costs1)
-        r2 = WorkStealingBackend(2).execute([None] * 4, a0, known_costs=costs2)
+        costs2 = np.array([2.0, 2.0, 1.0])
+        r1 = SimulatedClusterBackend(2).execute(
+            [None] * 4, [0, 1, 1, 1], known_costs=costs1
+        )
+        r2 = SimulatedClusterBackend(3).execute(
+            [None] * 3, [0, 1, 2], known_costs=costs2
+        )
         merged = ExecutionResult.merge([r1, r2])
-        assert merged.total_steals == r1.total_steals + r2.total_steals
-        assert merged.total_steals > 0
-        assert merged.wall_time == pytest.approx(r1.wall_time + r2.wall_time)
-        np.testing.assert_allclose(merged.idle_times, r1.idle_times + r2.idle_times)
+        assert merged.wall_time == r1.wall_time + r2.wall_time == 6.0
+        np.testing.assert_array_equal(merged.worker_times, [6.0, 5.0, 1.0])
         np.testing.assert_array_equal(
-            merged.steal_counts, r1.steal_counts + r2.steal_counts
+            merged.task_times, np.concatenate([costs1, costs2])
         )
 
 
@@ -193,9 +199,7 @@ class TestPerTaskDurations:
     def _tasks(self):
         return [functools.partial(_sleep_return, 0.002, v) for v in range(6)]
 
-    @pytest.mark.parametrize(
-        "name", ["sequential", "threads", "processes", "shm_processes", "work_stealing"]
-    )
+    @pytest.mark.parametrize("name", ["sequential", "threads", "shm_processes"])
     def test_backend_records_positive_task_times(self, name):
         n_workers = 1 if name == "sequential" else 2
         backend = get_backend(name, n_workers)
@@ -214,16 +218,12 @@ class TestPerTaskDurations:
                 backend.shutdown()
 
     def test_virtual_clock_task_times_are_the_known_costs(self):
-        from repro.parallel import SimulatedClusterBackend, WorkStealingBackend
-
         costs = np.array([3.0, 1.0, 2.0, 5.0])
         assignment = np.array([0, 0, 1, 1])
         sim = SimulatedClusterBackend(2).execute(
             [None] * 4, assignment, known_costs=costs
         )
         np.testing.assert_array_equal(sim.task_times, costs)
-        ws = WorkStealingBackend(2).execute([None] * 4, assignment, known_costs=costs)
-        np.testing.assert_array_equal(ws.task_times, costs)
 
     def test_merge_concatenates_task_times_in_phase_order(self):
         a = SequentialBackend().execute(make_tasks([1, 2]))

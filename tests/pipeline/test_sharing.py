@@ -161,9 +161,7 @@ class TestParityMatrix:
         assert clf.sharing_predict_info_["structures_built"] == 1
         assert_bitwise_equal(shared, redundant)
 
-    @pytest.mark.parametrize(
-        "backend", ["threads", "work_stealing", "shm_processes"]
-    )
+    @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
     def test_parallel_backend_parity(self, data, redundant, backend):
         Xtr, Xte = data
         shared = fit_predict(Xtr, Xte, share=True, backend=backend, n_jobs=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import makespan
-from repro.parallel import WorkStealingBackend
+from repro.parallel import SimulatedClusterBackend
 from repro.scheduling import (
     AdaptiveScheduler,
     BpsKkScheduler,
@@ -116,7 +116,7 @@ class TestAdaptiveFeedbackLoop:
 
     A skewed pool (one hidden-heavy task among unit tasks) is scheduled
     from a maximally wrong forecast and replayed through the
-    virtual-clock work-stealing backend for several consecutive predict
+    virtual-clock simulated backend for several consecutive predict
     batches. Static BPS repeats its mistake forever; the adaptive policy
     folds batch 1's measured durations back in and reaches the optimal
     makespan from batch 2 on. Fully deterministic (virtual clock).
@@ -130,7 +130,7 @@ class TestAdaptiveFeedbackLoop:
         return costs
 
     def _replay_batches(self, scheduler):
-        backend = WorkStealingBackend(n_workers=self.T)
+        backend = SimulatedClusterBackend(n_workers=self.T)
         true_costs = self._true_costs()
         forecast = np.ones(self.M)  # the wrong static guess
         spans = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detectors import HBOS, KNN
-from repro.parallel import WorkStealingBackend
+from repro.parallel import SimulatedClusterBackend
 from repro.scheduling import (
     AnalyticCostModel,
     CostModel,
@@ -125,7 +125,7 @@ class TestRefine:
     def test_execution_result_task_times_feed_the_loop(self):
         # Virtual-clock replay produces deterministic task_times == costs.
         costs = np.array([5.0, 1.0, 1.0, 1.0])
-        backend = WorkStealingBackend(n_workers=2)
+        backend = SimulatedClusterBackend(n_workers=2)
         result = backend.execute([None] * 4, np.array([0, 0, 1, 1]), known_costs=costs)
         model = TelemetryRefinedCostModel(smoothing=1.0)
         assert model.observe_execution(result) == 4

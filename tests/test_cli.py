@@ -104,13 +104,7 @@ class TestScalingCommand:
     def test_table_output_and_identical_scores(self, capsys):
         assert main(["scaling", *self._fast]) == 0
         out = capsys.readouterr().out
-        for backend in (
-            "sequential",
-            "threads",
-            "work_stealing",
-            "processes",
-            "shm_processes",
-        ):
+        for backend in ("sequential", "threads", "shm_processes"):
             assert backend in out
         assert "scores identical across backends: True" in out
 
@@ -124,8 +118,6 @@ class TestScalingCommand:
         assert {r["backend"] for r in payload["rows"]} == {
             "sequential",
             "threads",
-            "work_stealing",
-            "processes",
             "shm_processes",
         }
         for row in payload["rows"]:

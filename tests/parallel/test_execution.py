@@ -9,6 +9,7 @@ from repro.parallel import (
     SimulatedClusterBackend,
     ThreadBackend,
     get_backend,
+    get_backend_class,
 )
 
 
@@ -119,6 +120,127 @@ class TestSimulatedCluster:
             SimulatedClusterBackend(2).execute(
                 make_tasks([1, 2]), [0, 1], known_costs=[1.0]
             )
+
+    def test_known_costs_replay_runs_no_task(self):
+        res = SimulatedClusterBackend(2).execute(
+            [_boom] * 3, [0, 1, 1], known_costs=[1.0, 2.0, 3.0]
+        )
+        assert res.results == [None, None, None]
+        assert res.n_failed == 0
+        assert res.wall_time == 5.0
+
+    def test_replay_is_deterministic(self):
+        costs = np.random.default_rng(3).lognormal(0.0, 1.0, 25)
+        a = np.arange(25) % 3
+        r1 = SimulatedClusterBackend(3).execute([None] * 25, a, known_costs=costs)
+        r2 = SimulatedClusterBackend(3).execute([None] * 25, a, known_costs=costs)
+        assert r1.wall_time == r2.wall_time
+        np.testing.assert_array_equal(r1.worker_times, r2.worker_times)
+
+    def test_replay_makespan_never_below_lower_bound(self):
+        rng = np.random.default_rng(0)
+        for t in (2, 3, 5):
+            for _ in range(20):
+                m = int(rng.integers(1, 40))
+                costs = rng.lognormal(0.0, 1.5, m)
+                a = rng.integers(0, t, m)
+                res = SimulatedClusterBackend(t).execute(
+                    [None] * m, a, known_costs=costs
+                )
+                np.testing.assert_allclose(
+                    res.worker_times, np.bincount(a, weights=costs, minlength=t)
+                )
+                assert res.wall_time == res.worker_times.max()
+                bound = max(costs.sum() / t, costs.max())
+                assert res.wall_time >= bound * (1 - 1e-12)
+
+
+#: Every registered backend, with the worker count it is exercised at.
+ALL_BACKENDS = [
+    ("sequential", 1),
+    ("threads", 2),
+    ("shm_processes", 2),
+    ("simulated", 2),
+]
+
+
+@pytest.fixture(params=[name for name, _ in ALL_BACKENDS])
+def backend_name(request):
+    return request.param
+
+
+@pytest.fixture
+def backend(backend_name):
+    b = get_backend(backend_name, dict(ALL_BACKENDS)[backend_name])
+    yield b
+    if hasattr(b, "shutdown"):
+        b.shutdown()
+
+
+class TestBackendContract:
+    """What a wave relies on from whichever backend runs it: results in
+    submission order, exceptions returned rather than raised, and
+    per-task / per-worker telemetry of a fixed shape."""
+
+    @staticmethod
+    def _spread(n_tasks, n_workers):
+        # Reversed round-robin, so no worker's tasks are a prefix.
+        return (np.arange(n_tasks)[::-1] % n_workers).astype(np.int64)
+
+    def test_registry_lookup(self, backend_name, backend):
+        assert type(backend) is get_backend_class(backend_name)
+        assert backend.n_workers == dict(ALL_BACKENDS)[backend_name]
+
+    def test_results_in_submission_order(self, backend):
+        tasks = make_tasks(range(10))
+        res = backend.execute(tasks, self._spread(10, backend.n_workers))
+        assert res.results == [v * v for v in range(10)]
+
+    def test_bad_assignment(self, backend):
+        with pytest.raises(ValueError):
+            backend.execute(make_tasks([1]), [backend.n_workers])
+
+    def test_assignment_length_mismatch(self, backend):
+        with pytest.raises(ValueError):
+            backend.execute(make_tasks([1, 2]), [0])
+
+    def test_empty_tasks(self, backend):
+        res = backend.execute([], [])
+        assert res.results == []
+        assert res.n_failed == 0
+        assert res.task_times.shape == (0,)
+        assert res.worker_times.shape == (backend.n_workers,)
+        assert res.wall_time >= 0.0
+
+    def test_exception_captured_not_raised(self, backend):
+        tasks = [_boom, functools.partial(_square, 2), _boom]
+        res = backend.execute(tasks, self._spread(3, backend.n_workers))
+        assert isinstance(res.results[0], RuntimeError)
+        assert res.results[1] == 4
+        assert isinstance(res.results[2], RuntimeError)
+        assert res.n_failed == 2
+        with pytest.raises(RuntimeError, match="exploded"):
+            res.raise_first_error()
+
+    def test_failed_tasks_still_fill_telemetry(self, backend):
+        res = backend.execute([_boom] * 4, self._spread(4, backend.n_workers))
+        assert res.n_failed == 4
+        assert res.task_times.shape == (4,)
+        assert res.worker_times.shape == (backend.n_workers,)
+
+    def test_worker_time_is_its_tasks_sum(self, backend):
+        tasks = [functools.partial(_sleep_return, 0.001, v) for v in range(6)]
+        a = self._spread(6, backend.n_workers)
+        res = backend.execute(tasks, a)
+        assert res.results == list(range(6))
+        assert res.task_times.shape == (6,)
+        assert np.all(res.task_times > 0.0)
+        np.testing.assert_allclose(
+            res.worker_times,
+            np.bincount(a, weights=res.task_times, minlength=backend.n_workers),
+            rtol=1e-9,
+        )
+        assert res.wall_time > 0.0
 
 
 class TestGetBackend:

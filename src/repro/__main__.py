@@ -8,15 +8,8 @@ Usage::
     python -m repro fig3
     python -m repro all --scale 0.05
     python -m repro plan [--phase fit|predict|both] [--format table|json]
-    python -m repro scaling [--quick] [--json out.json]
     python -m repro schedulers [--quick] [--json out.json]
-    python -m repro kernels [--quick] [--json out.json]
-    python -m repro sharing [--quick] [--json out.json]
-    python -m repro approx [--quick] [--json out.json]
-    python -m repro memory [--quick] [--json out.json]
     python -m repro serve --artifact ensemble.repro [--port 9000]
-    python -m repro service [--quick] [--json out.json]
-    python -m repro bench-all [--quick] [--json-dir DIR]
     python -m repro analyze [paths ...] [--rule RULE] [--json out.json]
 
 ``plan`` is not an experiment: it compiles a SUOD fit/predict pass into
@@ -24,73 +17,18 @@ its :class:`~repro.pipeline.ExecutionPlan` and prints the stages, the
 forecast per-task costs, and the chosen worker assignment — without
 training anything (fit plans stop after the schedule stage).
 
-``scaling`` runs the backend-scaling benchmark (sequential vs threads vs
-shared-memory processes, across worker counts) and can emit its rows as
-machine-readable JSON — the format committed as ``BENCH_pr3.json`` and
-uploaded by the CI ``bench-smoke`` job, so the perf trajectory
-accumulates over PRs.
-
 ``schedulers`` lists the registered scheduling policies and ablates
 every one of them: single-batch makespans on noisy forecasts (A3) plus
 the multi-batch static-vs-adaptive trajectory on the virtual-clock
 simulated backend — the behavioural check that the ``adaptive``
-policy's telemetry feedback actually closes the forecast gap. Its JSON
-output is committed as ``BENCH_pr4.json`` and uploaded by CI.
-
-``kernels`` microbenchmarks every vectorised compute kernel of
-:mod:`repro.kernels` against its frozen pre-refactor reference path
-(per-row KD-tree heap search, per-tree forest loops, per-feature split
-search, per-query ABOD angles) and verifies the outputs bitwise. Exits
-non-zero if any kernel's parity check fails — the gate CI bench-smoke
-enforces. Its JSON output is committed as ``BENCH_pr5.json``.
-
-``sharing`` benchmarks the shared-computation plane: the same pool of
-neighbor detectors fitted with the ``share`` stage folding every
-KD-tree build and query into one producer per ``(space, metric)`` key,
-and again with every detector building privately. Gates on bitwise
-score parity between the two modes and on the build-count invariant
-(one KD-tree per distinct key); the speedup rides along. Exits
-non-zero if either gate fails. Its JSON output is committed as
-``BENCH_pr9.json`` and uploaded by CI bench-smoke.
-
-``approx`` benchmarks PSA on the parallel plane: the heterogeneous
-pool fitted with 1 and with 2 ``shm_processes`` workers, reporting the
-``approximate`` stage's wall, its (model × tree-block) ledger, the
-speedup and each worker's busy share. Gates on the fitted ensemble
-being bitwise-identical serial vs parallel (train scores, threshold,
-held-out scores, every approximator tree); exits non-zero otherwise.
-Its JSON output is committed as ``BENCH_pr15.json`` and uploaded by CI
-bench-smoke.
-
-``memory`` benchmarks the memory plane: fresh worker processes
-cold-start the same fitted ensemble from its memmap-served arena
-artifact and from the inline rebuild baseline, comparing time-to-first-
-score and per-process resident-set growth, and gates on the parity
-contract (memmap and out-of-core scores bitwise-identical to in-RAM
-float64; float32 serving within its pinned tolerance). Exits non-zero
-if any parity check fails. Its JSON output is committed as
-``BENCH_pr7.json`` and uploaded by CI bench-smoke.
+policy's telemetry feedback actually closes the forecast gap. Exits
+non-zero if the adaptive policy stops improving by batch 3.
 
 ``serve`` runs the online scoring service: a long-lived asyncio socket
 server (:mod:`repro.serving`) around a saved v2 ensemble artifact,
 coalescing concurrent requests into cost-model-sized micro-batches with
 per-tenant admission control. It prints a ``REPRO-SERVE READY`` line
 once listening and drains cleanly on SIGTERM/SIGINT.
-
-``service`` benchmarks that serving plane: it boots real server
-processes (micro-batched and per-request), drives concurrent
-mixed-tenant clients — one deliberately past its rate limit — and
-reports throughput/p50/p99 alongside the gates CI enforces: returned
-scores bitwise-identical to offline ``decision_function`` calls,
-rate limiting observable, SIGTERM drain clean. Its JSON output is
-committed as ``BENCH_pr8.json`` and uploaded by the CI
-``service-smoke`` job.
-
-``bench-all`` drives every registered benchmark suite (scaling,
-schedulers, kernels, sharing, approx, memory, service) through one command, writing
-``bench_<name>.json`` per suite into ``--json-dir`` — the single CI
-bench-smoke step, so new subsystems are picked up by registration
-instead of workflow edits.
 
 ``analyze`` runs the :mod:`repro.analysis` static checkers over the
 source tree (bitwise-parity hazards, shm lifecycle, payload
@@ -123,7 +61,6 @@ from repro.bench.ablations import (
     run_scheduler_ablation,
 )
 from repro.bench.runners import (
-    run_backend_scaling,
     run_claims_case,
     run_fig3_decision_surface,
     run_plan_overhead,
@@ -156,8 +93,8 @@ _BACKENDS = ("sequential", "threads", "shm_processes", "simulated")
 class CLIError(Exception):
     """Operator-facing bad input: one line on stderr, exit status 2.
 
-    Distinct from exit 1, which every benchmark subcommand reserves for
-    a real gate failure (parity mismatch, no adaptive improvement …).
+    Distinct from exit 1, which ``schedulers`` and ``analyze`` reserve
+    for a real gate failure (no adaptive improvement, a new finding).
     """
 
 
@@ -318,105 +255,6 @@ def run_plan_command(argv=None) -> int:
     return 0
 
 
-def run_scaling_command(argv=None) -> int:
-    """``python -m repro scaling``: the backend-scaling benchmark."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro scaling",
-        description=(
-            "Time a fixed fit+predict workload through every execution "
-            "backend across worker counts, verify bitwise-identical "
-            "scores, and optionally write the rows as JSON (the format "
-            "of BENCH_pr3.json and of the CI bench-smoke artifact)."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller data, worker counts (1, 2, 4), 5 repeats",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts, e.g. 1,2,4",
-    )
-    parser.add_argument("--n-train", type=int, default=None)
-    parser.add_argument("--n-test", type=int, default=None)
-    parser.add_argument("--models", type=int, default=None, help="pool size m")
-    parser.add_argument(
-        "--batch-size", type=int, default=None, help="row-chunk scoring grain"
-    )
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--predict-batches",
-        type=int,
-        default=None,
-        help="serve the test set in this many consecutive batches",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    kwargs = {"seed": args.seed, "batch_size": args.batch_size}
-    if args.quick:
-        kwargs.update(
-            worker_counts=(1, 2, 4),
-            n_train=3000,
-            n_test=16000,
-            n_models=8,
-            repeats=5,
-        )
-    if args.workers is not None:
-        kwargs["worker_counts"] = tuple(
-            int(w) for w in args.workers.split(",") if w.strip()
-        )
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.n_test is not None:
-        kwargs["n_test"] = args.n_test
-    if args.models is not None:
-        kwargs["n_models"] = args.models
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.predict_batches is not None:
-        kwargs["predict_batches"] = args.predict_batches
-
-    t0 = time.perf_counter()
-    rows, meta = run_backend_scaling(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "backend",
-                    "n_workers",
-                    "fit_s",
-                    "predict_s",
-                    "total_s",
-                    "speedup_vs_sequential",
-                    "identical",
-                ],
-                title="\nBackend scaling — fit + predict wall clock",
-            )
-        )
-        print(f"scores identical across backends: {meta['scores_identical']}")
-        print(f"[scaling done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["scores_identical"] else 1
-
-
 def run_schedulers_command(argv=None) -> int:
     """``python -m repro schedulers``: list + ablate registered policies."""
     from repro.bench.ablations import run_scheduler_trajectory
@@ -536,428 +374,6 @@ def run_schedulers_command(argv=None) -> int:
     if args.json_path and args.json_path != "-":
         _emit_json(payload, args.json_path)
     return 0 if improved else 1
-
-
-def run_kernels_command(argv=None) -> int:
-    """``python -m repro kernels``: compute-kernel microbenchmarks."""
-    from repro.bench.runners import run_kernel_benchmarks
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro kernels",
-        description=(
-            "Time every vectorised compute kernel (batched KD-tree "
-            "query, LOF scoring, flat iForest/forest/GBM traversal, "
-            "one-pass CART split search, chunked ABOD angles) against "
-            "its frozen pre-refactor reference implementation and check "
-            "the outputs bitwise. Exits non-zero if any parity check "
-            "fails; timings are informational on shared hosts. The JSON "
-            "rows are the format of BENCH_pr5.json and of the CI "
-            "bench-smoke artifact."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller query/serving workloads, 3 repeats",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-index", type=int, default=None, help="index size n")
-    parser.add_argument("--n-query", type=int, default=None, help="query rows q")
-    parser.add_argument("--trees", type=int, default=None, help="forest size")
-    parser.add_argument(
-        "--serve-batch", type=int, default=None, help="rows per serving batch"
-    )
-    parser.add_argument(
-        "--serve-batches", type=int, default=None, help="consecutive batches"
-    )
-    args = parser.parse_args(argv)
-
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs.update(
-            n_index=4000,
-            n_query=1500,
-            iforest_train=2048,
-            serve_batch=256,
-            serve_batches=16,
-            ensemble_train=1000,
-            split_rows=2500,
-            abod_queries=1500,
-            repeats=3,
-        )
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.n_index is not None:
-        kwargs["n_index"] = args.n_index
-    if args.n_query is not None:
-        kwargs["n_query"] = args.n_query
-        kwargs.setdefault("abod_queries", args.n_query)
-    if args.trees is not None:
-        kwargs["n_trees"] = args.trees
-    if args.serve_batch is not None:
-        kwargs["serve_batch"] = args.serve_batch
-    if args.serve_batches is not None:
-        kwargs["serve_batches"] = args.serve_batches
-
-    t0 = time.perf_counter()
-    rows, meta = run_kernel_benchmarks(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "kernel",
-                    "reference_s",
-                    "vectorized_s",
-                    "speedup",
-                    "identical",
-                ],
-                title="\nCompute kernels — frozen reference vs vectorized",
-            )
-        )
-        print(
-            f"\nknn_query: {meta['knn_query_speedup']:.2f}x, "
-            f"iforest_scoring: {meta['iforest_speedup']:.2f}x "
-            f"(serving batches of {meta['serve_batch']} rows)"
-        )
-        print(f"all kernels bitwise-identical: {meta['all_identical']}")
-        print(f"[kernels done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["all_identical"] else 1
-
-
-def run_memory_command(argv=None) -> int:
-    """``python -m repro memory``: memory-plane cold-start benchmark."""
-    from repro.bench.runners import run_memory_benchmark
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro memory",
-        description=(
-            "Benchmark memmap-served arena artifacts against the inline "
-            "rebuild baseline: fresh spawn-context workers cold-start "
-            "the same fitted ensemble from each artifact and report "
-            "load wall, time-to-first-score, and resident-set growth. "
-            "Also gates the memory-plane parity contract: memmap, "
-            "multi-worker, and out-of-core scores must be bitwise-"
-            "identical to in-RAM float64, and float32 serving must stay "
-            "inside its pinned tolerance. Exits non-zero on any parity "
-            "failure; the JSON rows are the format of BENCH_pr7.json "
-            "and of the CI bench-smoke artifact."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller pool and training set, 2 repeats",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="concurrent cold-start workers"
-    )
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--n-train", type=int, default=None)
-    parser.add_argument("--forests", type=int, default=None, help="iForests in pool")
-    parser.add_argument("--trees", type=int, default=None, help="trees per forest")
-    parser.add_argument(
-        "--first-rows", type=int, default=None, help="rows in the first request"
-    )
-    parser.add_argument(
-        "--artifact-dir",
-        default=None,
-        help="keep the saved artifacts in this directory instead of a tempdir",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.artifact_dir is not None and not os.path.isdir(args.artifact_dir):
-        raise CLIError(
-            f"--artifact-dir {args.artifact_dir!r} is not an existing directory"
-        )
-
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs.update(
-            n_train=3000,
-            n_test=1500,
-            n_forests=2,
-            n_trees=60,
-            forest_subsample=1024,
-            repeats=2,
-        )
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.forests is not None:
-        kwargs["n_forests"] = args.forests
-    if args.trees is not None:
-        kwargs["n_trees"] = args.trees
-    if args.first_rows is not None:
-        kwargs["first_rows"] = args.first_rows
-    if args.artifact_dir is not None:
-        kwargs["artifact_dir"] = args.artifact_dir
-
-    t0 = time.perf_counter()
-    rows, meta = run_memory_benchmark(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        shown = [
-            {
-                **row,
-                "artifact_mb": round(row["artifact_bytes"] / 1e6, 1),
-                "rss_delta_mb": round(row["serving_rss_delta_bytes"] / 1e6, 1),
-            }
-            for row in rows
-        ]
-        print(
-            format_table(
-                shown,
-                columns=[
-                    "mode",
-                    "workers",
-                    "load_s",
-                    "first_score_s",
-                    "cold_total_s",
-                    "artifact_mb",
-                    "rss_delta_mb",
-                    "identical",
-                ],
-                title="\nMemory plane — memmap arenas vs inline rebuild",
-            )
-        )
-        print(
-            f"\ncold start: {meta['cold_start_speedup']:.2f}x faster via memmap "
-            f"({meta['arena_count']} arenas, "
-            f"{meta['arena_bytes'] / 1e6:.1f} MB served in place); "
-            f"serving RSS growth {meta['serving_rss_delta_ratio']:.2f}x lower"
-        )
-        print(
-            f"float32 serving: max |diff| = {meta['float32_max_abs_diff']:.2e} "
-            f"(tolerance {meta['float32_tolerance']}), "
-            f"restore bitwise = {meta['float32_restore_bitwise']}"
-        )
-        print(
-            "parity (memmap/workers/out-of-core bitwise, float32 in-tolerance): "
-            f"{meta['parity_ok']}"
-        )
-        print(f"[memory done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["parity_ok"] else 1
-
-
-def run_sharing_command(argv=None) -> int:
-    """``python -m repro sharing``: shared-computation plane benchmark."""
-    from repro.bench.runners import run_sharing_benchmark
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro sharing",
-        description=(
-            "Benchmark the shared-computation plane: fit the same pool "
-            "of neighbor detectors with the share stage on (one KD-tree "
-            "build and one fused max-k query per distinct (space, "
-            "metric) key) and off (every detector builds and queries "
-            "privately), and report fit/predict walls per backend. "
-            "Gates the prefix-slice parity contract — every score must "
-            "be bitwise-identical between the two modes — and the build "
-            "count (shared fit builds exactly one tree per distinct "
-            "key). Exits non-zero on any parity or build-count failure; "
-            "the JSON rows are the format of BENCH_pr9.json and of the "
-            "CI bench-smoke artifact."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller train/test sets, 2 repeats",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument("--n-train", type=int, default=None)
-    parser.add_argument("--n-test", type=int, default=None)
-    parser.add_argument("--d", type=int, default=None, help="feature count")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--n-jobs", type=int, default=None, help="workers for the threads rows"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs.update(n_train=2000, n_test=1000, repeats=2)
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.n_test is not None:
-        kwargs["n_test"] = args.n_test
-    if args.d is not None:
-        kwargs["n_features"] = args.d
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.n_jobs is not None:
-        kwargs["n_jobs"] = args.n_jobs
-
-    t0 = time.perf_counter()
-    rows, meta = run_sharing_benchmark(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "backend",
-                    "n_jobs",
-                    "mode",
-                    "fit_s",
-                    "predict_s",
-                    "total_s",
-                ],
-                title="\nShared-computation plane — fused producers vs redundant",
-            )
-        )
-        sharing = meta["sharing"] or {}
-        print(
-            f"\nfit: {meta['fit_speedup']:.2f}x faster shared "
-            f"(total {meta['total_speedup']:.2f}x); "
-            f"{meta['kdtree_builds_shared']} KD-tree build(s) for "
-            f"{meta['n_detectors']} detectors vs "
-            f"{meta['kdtree_builds_redundant']} redundant "
-            f"({meta['distinct_keys']} distinct key(s))"
-        )
-        print(
-            f"share stage: {sharing.get('n_tasks_before')} -> "
-            f"{sharing.get('n_tasks_after')} tasks, "
-            f"{sharing.get('queries_fused')} queries fused, "
-            f"{sharing.get('bytes_published')} bytes published"
-        )
-        print(
-            f"parity (shared vs redundant bitwise, all backends): "
-            f"{meta['parity_ok']}"
-        )
-        print(f"[sharing done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["gates_ok"] else 1
-
-
-def run_approx_command(argv=None) -> int:
-    """``python -m repro approx``: PSA-on-the-parallel-plane benchmark."""
-    from repro.bench.runners import run_approx_benchmark
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro approx",
-        description=(
-            "Benchmark the PSA wave: fit the 16-model heterogeneous pool "
-            "with n_jobs 1 and 2 (shm_processes) and report the "
-            "approximate stage's wall, its (model x tree-block) ledger, "
-            "the speedup and per-worker busy share. Gates the parity "
-            "contract - train scores, threshold, held-out scores and "
-            "every approximator tree bitwise-identical serial vs "
-            "parallel - and exits non-zero if it fails; the JSON rows "
-            "are the format of BENCH_pr15.json and of the CI bench-smoke "
-            "artifact."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: 400x40 train set, 1 repeat",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument("--n-train", type=int, default=None)
-    parser.add_argument("--d", type=int, default=None, help="feature count")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs.update(n_train=400, n_test=400, n_features=40, repeats=1)
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.d is not None:
-        kwargs["n_features"] = args.d
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-
-    t0 = time.perf_counter()
-    rows, meta = run_approx_benchmark(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "n_jobs",
-                    "approximate_s",
-                    "approximate_speedup",
-                    "fit_s",
-                    "tasks",
-                    "blocks_per_model",
-                    "tasks_per_worker",
-                    "busy_share",
-                ],
-                title="\nPSA wave - approximate-stage wall per worker count",
-            )
-        )
-        print(
-            f"\napproximate: {meta['approximate_speedup']:.2f}x faster on "
-            f"{rows[-1]['n_jobs']} workers (fit {meta['fit_speedup']:.2f}x), "
-            f"{meta['n_approximated']} forests"
-        )
-        print(f"parity (serial vs parallel bitwise): {meta['parity_ok']}")
-        print(f"[approx done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["gates_ok"] else 1
 
 
 def _parse_tenant_limits(specs) -> dict[str, tuple[float, float]]:
@@ -1098,221 +514,6 @@ def run_serve_command(argv=None) -> int:
     return 0
 
 
-def run_service_command(argv=None) -> int:
-    """``python -m repro service``: the serving-plane benchmark + gate."""
-    from repro.bench.runners import run_service_benchmark
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro service",
-        description=(
-            "Benchmark the online scoring service: boot real server "
-            "processes from a saved v2 artifact (micro-batched and "
-            "per-request), drive concurrent mixed-tenant clients (one "
-            "deliberately past its rate limit), and compare request "
-            "throughput and latency percentiles. Exits non-zero if any "
-            "gate fails: served scores must be bitwise-identical to "
-            "offline decision_function calls, the limited tenant must "
-            "see 429s while others see none, and SIGTERM must drain "
-            "each server cleanly. Timings are informational on shared "
-            "hosts; the JSON rows are the format of BENCH_pr8.json and "
-            "of the CI service-smoke artifact."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller pool, fewer requests and clients",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        default=None,
-        help="write rows + meta as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument("--requests", type=int, default=None)
-    parser.add_argument(
-        "--rows", type=int, default=None, help="rows per scoring request"
-    )
-    parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument("--n-train", type=int, default=None)
-    parser.add_argument("--models", type=int, default=None, help="pool size m")
-    parser.add_argument(
-        "--artifact-dir",
-        default=None,
-        help="keep the saved artifact in this directory instead of a tempdir",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.artifact_dir is not None and not os.path.isdir(args.artifact_dir):
-        raise CLIError(
-            f"--artifact-dir {args.artifact_dir!r} is not an existing directory"
-        )
-
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs.update(
-            n_train=800,
-            n_models=4,
-            requests=480,
-            rows_per_request=1,
-            clients=16,
-        )
-    if args.requests is not None:
-        kwargs["requests"] = args.requests
-    if args.rows is not None:
-        kwargs["rows_per_request"] = args.rows
-    if args.clients is not None:
-        kwargs["clients"] = args.clients
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.models is not None:
-        kwargs["n_models"] = args.models
-    if args.artifact_dir is not None:
-        kwargs["artifact_dir"] = args.artifact_dir
-
-    t0 = time.perf_counter()
-    rows, meta = run_service_benchmark(get_config(), **kwargs)
-    elapsed = time.perf_counter() - t0
-
-    payload = {"meta": meta, "rows": rows}
-    if args.json_path == "-":
-        _emit_json(payload, "-")
-    else:
-        print(meta["config"])
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "mode",
-                    "requests_ok",
-                    "rejected",
-                    "wall_s",
-                    "requests_per_s",
-                    "p50_ms",
-                    "p99_ms",
-                    "batch_rows_mean",
-                    "identical",
-                ],
-                title="\nScoring service — micro-batched vs per-request",
-            )
-        )
-        print(
-            f"\nthroughput: {meta['throughput_speedup']:.2f}x via micro-batching "
-            f"({meta['requests']} requests x {meta['rows_per_request']} rows, "
-            f"{meta['clients']} concurrent clients)"
-        )
-        print(
-            f"rate limiting: limited tenant saw "
-            f"{meta['limited_tenant_rejections']} rejection(s), "
-            f"measured tenants saw {meta['measured_tenant_rejections']}"
-        )
-        print(
-            "parity (served scores bitwise vs offline decision_function): "
-            f"{meta['parity_ok']}; clean SIGTERM drain: {meta['clean_shutdown']}"
-        )
-        print(f"[service done in {elapsed:.1f}s]")
-    if args.json_path and args.json_path != "-":
-        _emit_json(payload, args.json_path)
-    return 0 if meta["gates_ok"] else 1
-
-
-def run_bench_all_command(argv=None) -> int:
-    """``python -m repro bench-all``: every registered bench suite, one gate."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench-all",
-        description=(
-            "Run every registered benchmark suite "
-            f"({', '.join(BENCH_SUITES)}) and write bench_<name>.json "
-            "per suite into --json-dir. One failing suite fails the "
-            "whole run (after the remaining suites have still been "
-            "executed) — the single CI bench-smoke step, so a new "
-            "subsystem's benchmark is picked up by registering it here "
-            "instead of editing the workflow."
-        ),
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="pass --quick through to every suite"
-    )
-    parser.add_argument(
-        "--json-dir",
-        default=".",
-        metavar="DIR",
-        help="directory receiving one bench_<name>.json per suite",
-    )
-    parser.add_argument(
-        "--only",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated subset of suites to run",
-    )
-    parser.add_argument(
-        "--skip",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated suites to leave out",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="only list registered suites"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in BENCH_SUITES:
-            print(name)
-        return 0
-    selected = list(BENCH_SUITES)
-    for flag, value in (("--only", args.only), ("--skip", args.skip)):
-        if value is None:
-            continue
-        names = [n.strip() for n in value.split(",") if n.strip()]
-        unknown = sorted(set(names) - set(BENCH_SUITES))
-        if unknown:
-            raise CLIError(
-                f"{flag} names unknown suite(s) {', '.join(unknown)}; "
-                f"registered: {', '.join(BENCH_SUITES)}"
-            )
-        if flag == "--only":
-            selected = [n for n in selected if n in names]
-        else:
-            selected = [n for n in selected if n not in names]
-    if not selected:
-        raise CLIError("no suites left to run after --only/--skip")
-    try:
-        os.makedirs(args.json_dir, exist_ok=True)
-    except OSError as exc:
-        raise CLIError(f"cannot create --json-dir {args.json_dir!r}: {exc}") from exc
-
-    results = []
-    for name in selected:
-        json_path = os.path.join(args.json_dir, f"bench_{name}.json")
-        cmd_argv = (["--quick"] if args.quick else []) + ["--json", json_path]
-        print(f"=== bench-all: {name} ===", flush=True)
-        t0 = time.perf_counter()
-        code = BENCH_SUITES[name](cmd_argv)
-        results.append(
-            {
-                "suite": name,
-                "exit_code": code,
-                "json": json_path,
-                "wall_s": round(time.perf_counter() - t0, 2),
-            }
-        )
-    print(
-        format_table(
-            results,
-            columns=["suite", "exit_code", "wall_s", "json"],
-            title="\nbench-all summary",
-        )
-    )
-    failed = [r["suite"] for r in results if r["exit_code"] != 0]
-    if failed:
-        print(f"bench-all: FAILED suites: {', '.join(failed)}")
-        return 1
-    print(f"bench-all: all {len(results)} suites passed")
-    return 0
-
-
 def _print_experiment(name: str, cfg) -> None:
     runner, title = EXPERIMENTS[name]
     print(f"\n=== {title} ===")
@@ -1334,47 +535,19 @@ def _run_analyze_command(argv=None) -> int:
     return run_analyze_command(argv)
 
 
-#: Benchmark suites ``bench-all`` fans out over. Each value is a command
-#: function accepting ``["--quick", "--json", PATH]``-style argv and
-#: returning an exit code; registering a new subsystem's benchmark here
-#: is what puts it in CI's bench-smoke job.
-BENCH_SUITES = {
-    "scaling": run_scaling_command,
-    "schedulers": run_schedulers_command,
-    "kernels": run_kernels_command,
-    "sharing": run_sharing_command,
-    "approx": run_approx_command,
-    "memory": run_memory_command,
-    "service": run_service_command,
-}
-
 #: First-positional-argument dispatch: ``python -m repro <name> ...``.
 SUBCOMMANDS = {
     "plan": run_plan_command,
-    "scaling": run_scaling_command,
     "schedulers": run_schedulers_command,
-    "kernels": run_kernels_command,
-    "sharing": run_sharing_command,
-    "approx": run_approx_command,
-    "memory": run_memory_command,
     "serve": run_serve_command,
-    "service": run_service_command,
-    "bench-all": run_bench_all_command,
     "analyze": _run_analyze_command,
 }
 
 #: One-line per-subcommand summaries for ``python -m repro list``.
 _SUBCOMMAND_HELP = {
     "plan": "Inspect a fit/predict ExecutionPlan",
-    "scaling": "Backend scaling benchmark",
     "schedulers": "Scheduler registry listing + ablation",
-    "kernels": "Compute-kernel microbenchmarks + parity gate",
-    "sharing": "Shared-computation plane benchmark + parity gate",
-    "approx": "PSA parallel-wave benchmark + parity gate",
-    "memory": "Memory-plane benchmark + parity gate",
     "serve": "Online micro-batching scoring server",
-    "service": "Serving-plane benchmark + parity gate",
-    "bench-all": "Run every benchmark suite, one JSON per suite",
     "analyze": "Static invariant checks (parity/lifecycle/concurrency)",
 }
 
@@ -1395,8 +568,8 @@ def _run_experiments(argv) -> int:
         prog="python -m repro",
         description=(
             "Regenerate the SUOD paper's tables and figures; "
-            "'plan' inspects fit/predict execution plans; 'scaling' "
-            "benchmarks the execution backends."
+            "'plan' inspects fit/predict execution plans; 'serve' runs "
+            "the online scoring server."
         ),
     )
     parser.add_argument(
@@ -1404,7 +577,8 @@ def _run_experiments(argv) -> int:
         choices=sorted(EXPERIMENTS) + ["list", "all"],
         help=(
             "experiment id ('list' to enumerate, 'all' to run everything; "
-            "see also the 'plan', 'scaling', and 'kernels' subcommands)"
+            "see also the 'plan', 'schedulers', 'serve' and 'analyze' "
+            "subcommands)"
         ),
     )
     parser.add_argument("--scale", type=float, help="dataset scale in (0, 1]")

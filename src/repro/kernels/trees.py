@@ -45,8 +45,8 @@ __all__ = [
 # of forest size.
 _PAIR_BLOCK = 1 << 17
 # Row cap per chunk: beyond ~1k rows the per-level arrays outgrow cache
-# and the gather loop turns bandwidth-bound (measured on the 1-CPU dev
-# container; see benchmarks/bench_kernels.py).
+# and the gather loop turns bandwidth-bound (measured on a 1-CPU
+# container; perfbench's ``kernels.forest_score_rows_per_s`` times it).
 _CHUNK_ROW_CAP = 1024
 
 

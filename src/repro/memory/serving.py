@@ -10,7 +10,7 @@ is already float32, and casting back to float64 restores the exact
 original arrays from a stash, never a lossy up-cast.
 
 Tolerance contract (pinned by ``tests/memory/test_serving_dtype.py``
-and checked by the ``python -m repro memory`` benchmark):
+on an in-RAM model and on one served from a v2 artifact):
 
 - kernel level — ``forest_value_sum`` / KD-tree distances in float32
   agree with float64 within ``FLOAT32_KERNEL_RTOL`` relative +

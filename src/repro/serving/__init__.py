@@ -20,9 +20,10 @@ Batched scores are bitwise-identical to per-request offline
 end (the invariant the memory plane's out-of-core mode already pins),
 so coalescing changes the execution grain, never the bytes.
 
-Entry points: ``python -m repro serve`` runs a server around a saved
-v2 ensemble artifact; ``python -m repro service`` benchmarks the
-micro-batched service against per-request scoring and gates parity.
+Entry point: ``python -m repro serve`` runs a server around a saved v2
+ensemble artifact. ``tests/serving/test_server.py`` pins the parity
+with micro-batching on and with per-request batches; the repo
+benchmark (``perfbench/``) times both serve workloads.
 """
 
 from repro.serving.protocol import (

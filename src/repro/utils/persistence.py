@@ -15,9 +15,7 @@ score claim batches for months. Two levels of helper:
   does *not* read the segments: it attaches them as read-only
   ``np.memmap`` views (:class:`repro.memory.arena.ArenaView`), so cold
   start touches no data pages until first score and N worker processes
-  share one page-cache copy of the arenas. ``arenas=False`` writes the
-  same container with everything inline — the rebuild baseline the
-  ``python -m repro memory`` benchmark compares against.
+  share one page-cache copy of the arenas.
 
 Schema versioning is strict in both directions: a v1 file (the plain
 pickle format of earlier releases) or any other schema version raises
@@ -257,7 +255,7 @@ def _prepare_serving_caches(model) -> None:
             est._flat_forest()
 
 
-def save_ensemble(model, path, *, arenas: bool = True) -> Path:
+def save_ensemble(model, path) -> Path:
     """Serialise a *fitted* :class:`repro.SUOD` ensemble to ``path``.
 
     Everything prediction needs rides along: fitted detectors, the
@@ -267,11 +265,9 @@ def save_ensemble(model, path, *, arenas: bool = True) -> Path:
     identically. Run telemetry (plans, execution results) is excluded
     by ``SUOD.__getstate__``; training data never enters the file.
 
-    With ``arenas=True`` (default) every large kernel array is written
-    as an aligned raw segment that :func:`load_ensemble` serves via
-    read-only memmap; ``arenas=False`` keeps everything inline (the
-    rebuild baseline — loads materialise arrays and re-flatten forests
-    on first score).
+    Every large kernel array is written as an aligned raw segment that
+    :func:`load_ensemble` serves via read-only memmap; arrays below
+    ``_ARENA_MIN_BYTES`` stay inline in the model pickle.
 
     Raises ``TypeError`` for non-SUOD inputs and ``ValueError`` for an
     unfitted ensemble or one switched to float32 serving (artifacts
@@ -297,12 +293,9 @@ def save_ensemble(model, path, *, arenas: bool = True) -> Path:
 
     blobs: list[np.ndarray] = []
     buf = io.BytesIO()
-    if arenas:
-        _prepare_serving_caches(model)
-        with serialize_arenas():
-            _ArenaPickler(buf, blobs).dump(model)
-    else:
-        _InlinePickler(buf, pickle.HIGHEST_PROTOCOL).dump(model)
+    _prepare_serving_caches(model)
+    with serialize_arenas():
+        _ArenaPickler(buf, blobs).dump(model)
     model_bytes = buf.getvalue()
 
     specs = []

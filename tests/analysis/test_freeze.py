@@ -5,7 +5,7 @@ file *defines* bitwise correctness for every vectorized kernel — the
 parity gate compares kernels against it with ``np.array_equal``. Revert
 the edit, or (if the change is genuinely intended) update
 ``REFERENCE_SHA256`` in ``repro/analysis/checkers/freeze.py`` and
-re-run ``python -m repro kernels`` to re-establish parity.
+re-run the ``tests/kernels/`` parity suites to re-establish parity.
 """
 
 import hashlib

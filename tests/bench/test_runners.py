@@ -137,39 +137,3 @@ class TestAblations:
         apprs = {r["approximator"] for r in rows}
         assert {"(original)", "forest", "ridge"} <= apprs
 
-
-class TestKernelBenchmarks:
-    def test_rows_parity_and_gates(self):
-        from repro.bench.runners import run_kernel_benchmarks
-
-        rows, meta = run_kernel_benchmarks(
-            TINY,
-            n_index=600,
-            n_query=150,
-            iforest_train=400,
-            n_trees=10,
-            serve_batch=40,
-            serve_batches=3,
-            ensemble_train=200,
-            split_rows=250,
-            abod_queries=120,
-            repeats=1,
-        )
-        assert {r["kernel"] for r in rows} == {
-            "knn_query",
-            "lof_scores",
-            "iforest_scoring",
-            "forest_predict",
-            "gbm_predict",
-            "tree_fit_split_search",
-            "abod_angle_variance",
-        }
-        # Bitwise parity is the hard gate the CLI/CI enforce; at this
-        # miniature scale timings are noise but parity is exact.
-        assert meta["all_identical"]
-        assert all(r["identical"] for r in rows)
-        for r in rows:
-            assert r["reference_s"] > 0 and r["vectorized_s"] > 0
-            assert r["speedup"] == pytest.approx(r["reference_s"] / r["vectorized_s"])
-        assert meta["knn_query_speedup"] > 0
-        assert meta["iforest_speedup"] > 0

@@ -404,6 +404,19 @@ class TestAgainstFrozenHeapReference:
             kdtree_query_heap(tree, X, 11, exclude_self=True),
         )
 
+    def test_lof_scores(self, rng):
+        from repro.detectors.lof import _EPS
+
+        X = rng.standard_normal((800, 6))
+        Q = rng.standard_normal((150, 6))
+        lof = LOF(n_neighbors=10, algorithm="kd_tree").fit(X)
+        dist, idx = kdtree_query_heap(lof._nn._tree, Q, 10)
+        reach = np.maximum(dist, lof._kdist[idx])
+        lrd_q = 1.0 / (reach.mean(axis=1) + _EPS)
+        np.testing.assert_array_equal(
+            lof.decision_function(Q), lof._lrd[idx].mean(axis=1) / lrd_q
+        )
+
 
 class TestAgainstBruteForce:
     def test_distances_match(self, rng):

@@ -107,11 +107,20 @@ class TestArenaArtifact:
         derived = view[1:]
         assert pickle.loads(pickle.dumps(derived)).base is not None
 
-    def test_inline_artifact_equivalent(self, fitted, artifact, pool_X, tmp_path):
-        ref = load_ensemble(artifact).decision_function(pool_X)
-        inline = save_ensemble(fitted, tmp_path / "inline.repro", arenas=False)
-        assert read_ensemble_header(inline)["arenas"] == []
-        assert np.array_equal(load_ensemble(inline).decision_function(pool_X), ref)
+    def test_artifact_without_arenas_loads_bitwise(self, tmp_path):
+        # 40 x 3 rows: no fitted array reaches the 1 KB arena threshold,
+        # so the whole model rides inline in the pickle.
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        small = SUOD(
+            [HBOS(n_bins=5), KNN(n_neighbors=5)],
+            approx_flag_global=False,
+            random_state=0,
+        ).fit(X)
+        path = save_ensemble(small, tmp_path / "small.repro")
+        assert read_ensemble_header(path)["arenas"] == []
+        assert np.array_equal(
+            load_ensemble(path).decision_function(X), small.decision_function(X)
+        )
 
     def test_load_view_bounds_checked(self, artifact):
         header = read_ensemble_header(artifact)

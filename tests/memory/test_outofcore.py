@@ -1,4 +1,9 @@
-"""Out-of-core chunked scoring: bitwise parity under a tiny budget."""
+"""Out-of-core chunked scoring: bitwise parity under a tiny budget.
+
+The scored model is the fitted in-RAM ensemble or the same ensemble
+loaded from a v2 artifact (memmapped arenas); either way the streamed
+scores must equal one in-RAM pass of the fitted model.
+"""
 
 import numpy as np
 import pytest
@@ -12,10 +17,11 @@ from repro.memory.outofcore import (
     save_rows,
     score_out_of_core,
 )
+from repro.utils.persistence import load_ensemble, save_ensemble
 
 
-@pytest.fixture(scope="module")
-def model_and_data(tmp_path_factory):
+@pytest.fixture(scope="module", params=["in_ram", "artifact"])
+def model_and_data(request, tmp_path_factory):
     rng = np.random.default_rng(5)
     Xtr = rng.standard_normal((400, 6))
     Xtr[:8] += 5.0
@@ -25,14 +31,17 @@ def model_and_data(tmp_path_factory):
         approx_flag_global=False,
         random_state=0,
     ).fit(Xtr)
-    path = save_rows(Xte, tmp_path_factory.mktemp("ooc") / "rows.npy")
-    return model, Xte, path
+    ref = model.decision_function(Xte)
+    tmp = tmp_path_factory.mktemp("ooc")
+    path = save_rows(Xte, tmp / "rows.npy")
+    if request.param == "artifact":
+        model = load_ensemble(save_ensemble(model, tmp / "ens.repro"))
+    return model, Xte, path, ref
 
 
 class TestOutOfCore:
     def test_bitwise_parity_with_budget_smaller_than_dataset(self, model_and_data):
-        model, Xte, path = model_and_data
-        ref = model.decision_function(Xte)
+        model, Xte, path, ref = model_and_data
         mapped = open_rows(path)
         assert not mapped.flags.writeable
         # Budget forces many blocks: dataset is ~56KB, budget 8KB.
@@ -42,8 +51,7 @@ class TestOutOfCore:
         assert np.array_equal(got, ref)
 
     def test_explicit_block_rows_and_ragged_tail(self, model_and_data):
-        model, Xte, path = model_and_data
-        ref = model.decision_function(Xte)
+        model, Xte, path, ref = model_and_data
         # 1200 % 7 != 0: exercises the short final block.
         got = score_out_of_core(model, open_rows(path), block_rows=7)
         assert np.array_equal(got, ref)
@@ -64,11 +72,11 @@ class TestOutOfCore:
             ring.fill(np.zeros((5, 3)))
 
     def test_rejects_non_2d(self, model_and_data):
-        model, _, _ = model_and_data
+        model = model_and_data[0]
         with pytest.raises(ValueError, match="2-D"):
             score_out_of_core(model, np.zeros(8))
 
     def test_empty_dataset(self, model_and_data):
-        model, _, _ = model_and_data
+        model = model_and_data[0]
         out = score_out_of_core(model, np.empty((0, 6)))
         assert out.shape == (0,)

@@ -1,10 +1,16 @@
-"""float32 serving mode: pinned tolerances, reversibility, frozen default."""
+"""float32 serving mode: pinned tolerances, reversibility, frozen default.
+
+Every ensemble-level case runs on a fitted in-RAM model and on the same
+model loaded from a v2 artifact, whose arrays are read-only memmapped
+``ArenaView``s.
+"""
 
 import numpy as np
 import pytest
 
 from repro import SUOD
 from repro.detectors import KNN, LOF, IsolationForest
+from repro.memory.arena import ArenaView
 from repro.memory.serving import (
     FLOAT32_KERNEL_ATOL,
     FLOAT32_KERNEL_RTOL,
@@ -12,6 +18,7 @@ from repro.memory.serving import (
     serving_dtype,
     set_serving_dtype,
 )
+from repro.utils.persistence import load_ensemble, save_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +29,18 @@ def data():
     return X
 
 
-@pytest.fixture(scope="module")
-def ensemble(data):
+@pytest.fixture(scope="module", params=["in_ram", "artifact"])
+def ensemble(request, data, tmp_path_factory):
     pool = [
         IsolationForest(n_estimators=25, random_state=0),
         KNN(n_neighbors=8),
         LOF(n_neighbors=10),
     ]
-    return SUOD(pool, approx_flag_global=False, random_state=0).fit(data)
+    model = SUOD(pool, approx_flag_global=False, random_state=0).fit(data)
+    if request.param == "in_ram":
+        return model
+    path = save_ensemble(model, tmp_path_factory.mktemp("serving") / "ens.repro")
+    return load_ensemble(path)
 
 
 class TestKernelTolerance:
@@ -84,6 +95,17 @@ class TestServingDtype:
         assert serving_dtype(ensemble) == np.dtype(np.float64)
         assert np.array_equal(ensemble.decision_function(data), ref)
 
+    def test_restore_returns_the_original_arrays(self, ensemble, request):
+        forests = [e for e in ensemble.base_estimators_ if hasattr(e, "_flat_forest")]
+        before = [e._flat_forest() for e in forests]
+        if request.node.callspec.params["ensemble"] == "artifact":
+            for flat in before:
+                assert isinstance(flat.threshold, ArenaView)
+                assert not flat.threshold.flags.writeable
+        set_serving_dtype(ensemble, np.float32)
+        set_serving_dtype(ensemble, np.float64)
+        assert all(e._flat_forest() is flat for e, flat in zip(forests, before))
+
     def test_cast_actually_reaches_arrays(self, ensemble):
         try:
             set_serving_dtype(ensemble, np.float32)
@@ -106,8 +128,6 @@ class TestServingDtype:
             set_serving_dtype(ensemble, np.int32)
 
     def test_save_of_float32_model_rejected(self, ensemble, tmp_path):
-        from repro.utils.persistence import save_ensemble
-
         try:
             set_serving_dtype(ensemble, np.float32)
             with pytest.raises(ValueError, match="float64"):

@@ -114,49 +114,6 @@ class TestServeBadInput:
         assert "error:" in capsys.readouterr().err
 
 
-class TestServiceRunnerWiring:
-    def test_service_command_gates_on_meta(self, monkeypatch, capsys):
-        def fake(cfg, **kwargs):
-            rows = [
-                {
-                    "mode": m,
-                    "requests_ok": 4,
-                    "rejected": 0,
-                    "wall_s": 1.0,
-                    "requests_per_s": 4.0,
-                    "p50_ms": 1.0,
-                    "p99_ms": 2.0,
-                    "batches": 4,
-                    "batch_rows_mean": 1.0,
-                    "identical": True,
-                }
-                for m in ("micro-batch", "per-request")
-            ]
-            meta = {
-                "config": "fake",
-                "requests": 4,
-                "rows_per_request": 1,
-                "clients": 2,
-                "throughput_speedup": 1.0,
-                "limited_tenant_rejections": 1,
-                "measured_tenant_rejections": 0,
-                "parity_ok": True,
-                "rate_limit_ok": True,
-                "clean_shutdown": True,
-                "gates_ok": False,  # any failed gate must fail the run
-            }
-            return rows, meta
-
-        monkeypatch.setattr("repro.bench.runners.run_service_benchmark", fake)
-        assert main(["service"]) == 1
-        out = capsys.readouterr().out
-        assert "micro-batch" in out and "per-request" in out
-
-    def test_service_rejects_missing_artifact_dir(self, capsys):
-        assert main(["service", "--artifact-dir", "/no/such/dir"]) == 2
-        assert "--artifact-dir" in capsys.readouterr().err
-
-
 class TestServingScoresAreFinite:
     def test_artifact_scores_match_fitted_model(
         self, serving_artifact, serving_model, serving_rows

@@ -16,12 +16,20 @@ from repro.serving import (
 from repro.serving.protocol import encode_array
 
 
-@pytest.fixture(scope="module")
-def server(serving_model):
+@pytest.fixture(
+    scope="module",
+    params=[
+        {"batch_wait_ms": 2.0},
+        # Per-request execution: every batch is exactly one request.
+        {"batch_max_rows": 1, "batch_wait_ms": 0.0},
+    ],
+    ids=["micro-batched", "per-request"],
+)
+def server(request, serving_model):
     config = ServerConfig(
         port=0,
         tenant_limits={"hot": (1.0, 1.0)},
-        batch_wait_ms=2.0,
+        **request.param,
     )
     with ServerThread(serving_model, config) as handle:
         yield handle

@@ -2,13 +2,13 @@
 
 The convention under test: 0 = success, 1 = a gate failed (parity,
 scheduler trajectory, …), 2 = the operator handed the CLI something
-unusable (missing artifact, unwritable --json path, unknown suite).
+unusable (missing artifact, unwritable --json path, unknown command).
 Every subcommand funnels these through CLIError in repro.__main__.
 """
 
 import pytest
 
-from repro.__main__ import BENCH_SUITES, SUBCOMMANDS, main
+from repro.__main__ import SUBCOMMANDS, main
 
 
 def _assert_exit_2(capsys, argv, needle):
@@ -21,17 +21,23 @@ def _assert_exit_2(capsys, argv, needle):
 
 
 class TestRegistries:
-    def test_every_bench_suite_is_a_subcommand(self):
-        assert set(BENCH_SUITES) <= set(SUBCOMMANDS)
+    def test_subcommands_are_exactly_the_four(self):
+        assert set(SUBCOMMANDS) == {"plan", "schedulers", "serve", "analyze"}
 
-    def test_dispatch_covers_serving_plane(self):
-        assert {"serve", "service", "bench-all"} <= set(SUBCOMMANDS)
+    @pytest.mark.parametrize(
+        "name",
+        ["scaling", "kernels", "sharing", "approx", "memory", "service", "bench-all"],
+    )
+    def test_removed_benchmark_names_exit_2_via_argparse(self, name, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([name, "--quick"])
+        assert err.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestJsonWriteFailures:
     def test_unwritable_json_path_exits_2(self, capsys):
-        # schedulers is the cheapest real runner; every subcommand
-        # writes through the same _emit_json helper.
+        # schedulers is the subcommand that writes through _emit_json.
         _assert_exit_2(
             capsys,
             ["schedulers", "--quick", "--json", "/no/such/dir/out.json"],
@@ -44,20 +50,6 @@ class TestJsonWriteFailures:
 
 
 class TestArtifactPathValidation:
-    def test_memory_rejects_missing_artifact_dir(self, capsys):
-        _assert_exit_2(
-            capsys,
-            ["memory", "--quick", "--artifact-dir", "/no/such/dir"],
-            "--artifact-dir",
-        )
-
-    def test_service_rejects_missing_artifact_dir(self, capsys):
-        _assert_exit_2(
-            capsys,
-            ["service", "--quick", "--artifact-dir", "/no/such/dir"],
-            "--artifact-dir",
-        )
-
     def test_serve_rejects_missing_artifact(self, capsys):
         _assert_exit_2(
             capsys,
@@ -78,33 +70,6 @@ class TestAnalyzePaths:
         assert main(["analyze", "src/repro/serving", "/missing/a", "/missing/b"]) == 2
         err = capsys.readouterr().err
         assert "/missing/a" in err and "/missing/b" in err
-
-
-class TestBenchAllValidation:
-    def test_unknown_only_suite(self, capsys):
-        _assert_exit_2(capsys, ["bench-all", "--only", "nope"], "unknown suite")
-
-    def test_unknown_skip_suite(self, capsys):
-        _assert_exit_2(capsys, ["bench-all", "--skip", "nope"], "unknown suite")
-
-    def test_nothing_left_to_run(self, capsys):
-        everything = ",".join(BENCH_SUITES)
-        _assert_exit_2(
-            capsys, ["bench-all", "--skip", everything], "no suites left"
-        )
-
-    def test_uncreatable_json_dir(self, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("a file, not a directory")
-        _assert_exit_2(
-            capsys,
-            ["bench-all", "--json-dir", str(blocker / "sub")],
-            "--json-dir",
-        )
-
-    def test_list_is_cheap_and_ordered(self, capsys):
-        assert main(["bench-all", "--list"]) == 0
-        assert capsys.readouterr().out.split() == list(BENCH_SUITES)
 
 
 class TestArgparseStillOwnsUsageErrors:

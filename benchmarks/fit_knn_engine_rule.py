@@ -5,10 +5,16 @@ scan at ``q n`` and the pruned sweep at ``a q s + b log2(n / leaf_size)``
 (``s`` = ``expected_scanned``), with ``a = SWEEP_ROW_COST`` and ``b =
 _SWEEP_LEVEL_COST``. This script times both engines (forced through the
 kernel's ``_query_blocks`` hook) on the (d, n, k, q) grid named in that
-module's docstring, searches ``(a, b)`` for the smallest mean regret —
+module's docstring plus ``d`` in {20, 80} at ``n <= 6000`` (the
+dimensions RP leaves the paper's proximity detectors in), searches
+``(a, b)`` for the smallest mean regret —
 time of the engine the rule picks over time of the faster engine, minus
 one — and prints the fitted pair, the regret of the constants committed
 in the kernel, and the sweep/scan regime table at ``q = 512, k = 11``.
+The scan runs on the tree ``KDTree`` builds (one leaf where the rule
+can never pick the sweep); the sweep always runs on a split tree, so a
+cell the rule gives to the scan is checked against the sweep it gave
+up.
 
 Not a pytest benchmark (it asserts nothing: timings are host-specific);
 run it on a quiet box with one BLAS thread::
@@ -28,11 +34,29 @@ import numpy as np
 
 from repro.kernels import neighbors as kn
 from repro.neighbors import KDTree
+from repro.neighbors import kdtree as kdtree_module
 
-DIMS = (2, 3, 5, 8, 12)
+DIMS = (2, 3, 5, 8, 12, 20, 80)
 SIZES = (500, 2000, 6000, 20_000, 100_000)
+# Dimensions where nothing prunes are timed on small n only.
+HIGH_D, HIGH_D_MAX_N = 20, 6000
 KS = (5, 11, 41)
 QUERIES = (1, 16, 512)
+
+
+def sizes_for(d: int, sizes) -> list[int]:
+    return [n for n in sizes if d < HIGH_D or n <= HIGH_D_MAX_N]
+
+
+def split_tree(X) -> KDTree:
+    """The tree the sweep would run on, also where the kernel's rule
+    builds one leaf (``can_pick_sweep`` is overridden for the build)."""
+    rule = kdtree_module.can_pick_sweep
+    kdtree_module.can_pick_sweep = lambda *shape: True
+    try:
+        return KDTree(X)
+    finally:
+        kdtree_module.can_pick_sweep = rule
 
 
 def time_cells(sizes, repeats: int) -> list[dict]:
@@ -40,13 +64,15 @@ def time_cells(sizes, repeats: int) -> list[dict]:
     rng = np.random.default_rng(0)
     cells = []
     for d in DIMS:
-        for n in sizes:
-            tree = KDTree(rng.standard_normal((n, d)))
+        for n in sizes_for(d, sizes):
+            X = rng.standard_normal((n, d))
+            trees = {"scan": KDTree(X), "sweep": split_tree(X)}
             Q = rng.standard_normal((max(QUERIES), d))
             for k in KS:
                 for q in QUERIES:
                     cell = {"d": d, "n": n, "k": k, "q": q}
                     for name, run in kn._BLOCK_ENGINES.items():
+                        tree = trees[name]
                         best = np.inf
                         for _ in range(repeats + 1):  # first call warms caches
                             t0 = time.perf_counter()
@@ -96,10 +122,16 @@ def main(argv=None) -> int:
         line = f"{d:<5}"
         for n in sizes:
             c = next(
-                c
-                for c in cells
-                if (c["d"], c["n"], c["k"], c["q"]) == (d, n, 11, 512)
+                (
+                    c
+                    for c in cells
+                    if (c["d"], c["n"], c["k"], c["q"]) == (d, n, 11, 512)
+                ),
+                None,
             )
+            if c is None:
+                line += f"{'-':>9}"
+                continue
             mark = "*" if kn.choose_block_engine(512, n, d, 11) == "sweep" else " "
             line += f"{c['sweep'] / c['scan']:>8.2f}{mark}"
         print(line)

@@ -116,15 +116,6 @@ class SUOD:
     approx_clf : regressor prototype or None
         Supervised approximator (cloned per model). Default: the
         library's RandomForestRegressor.
-    share_flag : bool, default True
-        Master switch of the shared-computation plane. When on, the
-        ``share`` plan stage folds neighbor-based detectors that query
-        the same (sub)space with a KD-tree engine into one shared build
-        plus one fused batched query at ``max(k_i)`` (+1 slack at fit);
-        each consumer slices its own ``k_i`` prefix. Scores are
-        bitwise-identical either way (the canonical tie-order contract,
-        pinned by the parity tests); the flag exists to measure the
-        redundant baseline and to disable the rewrite wholesale.
     bps_flag : bool, default True
         Master switch of balanced parallel scheduling (vs generic split).
         Legacy toggle: with ``scheduler=None`` it selects between the
@@ -211,7 +202,6 @@ class SUOD:
         rp_min_samples: int = 30,
         approx_flag_global: bool = True,
         approx_clf=None,
-        share_flag: bool = True,
         bps_flag: bool = True,
         scheduler=None,
         cost_predictor=None,
@@ -257,7 +247,6 @@ class SUOD:
         self.rp_min_samples = rp_min_samples
         self.approx_flag_global = approx_flag_global
         self.approx_clf = approx_clf
-        self.share_flag = share_flag
         self.bps_flag = bps_flag
         self.scheduler = scheduler
         self.cost_predictor = cost_predictor
@@ -366,7 +355,6 @@ class SUOD:
             "n_models": self.n_models,
             "grain": grain,
             "n_tasks": n_tasks,
-            "sharing": self.share_flag,
             "bps": self.bps_flag,
             "scheduler": "single-worker"
             if self._make_backend().n_workers == 1
@@ -545,26 +533,23 @@ class SUOD:
     def _stage_share(self, ctx: PlanContext) -> dict:
         """Derive the sharing plan; its producers become a wave of their
         own, forecast here and scheduled/executed beside the detectors."""
-        ctx.sharing = ctx.producers = None
-        info = {"sharing": "disabled"}
-        if self.share_flag:
-            if ctx.kind == "fit":
-                sharing = derive_fit_sharing(self.base_estimators, ctx.spaces)
-            else:
-                sharing = derive_predict_sharing(
-                    self.approximators_, ctx.spaces, ctx.n_tasks
-                )
-            ctx.sharing = sharing
-            info = sharing.summary()
-            if sharing.active:
-                ctx.producers = WaveRun(
-                    ProducerWave(sharing), self._make_backend(), self._make_scheduler()
-                )
-                ctx.producers.forecast()
-                self._log(
-                    f"sharing: {info['queries_fused']} neighbor tasks folded into "
-                    f"{info['structures_built']} shared structure(s)"
-                )
+        if ctx.kind == "fit":
+            sharing = derive_fit_sharing(self.base_estimators, ctx.spaces)
+        else:
+            sharing = derive_predict_sharing(
+                self.approximators_, ctx.spaces, ctx.n_tasks
+            )
+        ctx.sharing, ctx.producers = sharing, None
+        info = sharing.summary()
+        if sharing.active:
+            ctx.producers = WaveRun(
+                ProducerWave(sharing), self._make_backend(), self._make_scheduler()
+            )
+            ctx.producers.forecast()
+            self._log(
+                f"sharing: {info['queries_fused']} neighbor tasks folded into "
+                f"{info['structures_built']} shared structure(s)"
+            )
         setattr(self, f"sharing_{ctx.kind}_info_", info)
         return info
 
@@ -674,13 +659,12 @@ class SUOD:
     def _fit_stage_execute(self, ctx: PlanContext) -> dict:
         """BPS + execution (Algorithm 1 lines 9-13)."""
         info = self._stage_execute(ctx)
-        run, sharing = ctx.detectors, ctx.sharing
+        run, queries = ctx.detectors, ctx.sharing.queries
         self.base_estimators_ = run.wave.fitted
         # Consumers fitted from the fused result skipped their private
         # index build; hand every group its single shared index so
         # standalone re-scoring (and predict-time sharing) work as if
         # each had built its own.
-        queries = sharing.queries if sharing is not None else []
         for query in queries:
             for i in query.consumers:
                 self.base_estimators_[i]._nn = query.index

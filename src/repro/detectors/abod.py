@@ -47,7 +47,6 @@ class ABOD(BaseDetector):
     def _neighbor_request(self) -> dict:
         return {
             "n_neighbors": self.n_neighbors,
-            "algorithm": "auto",
             "metric": "euclidean",
             "p": 2.0,
         }

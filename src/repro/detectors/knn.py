@@ -28,8 +28,6 @@ class KNN(BaseDetector):
     n_neighbors : int, default 5
     method : {'largest', 'mean', 'median'}, default 'largest'
         Reduction applied to the k neighbor distances.
-    algorithm : {'auto', 'brute', 'kd_tree'}
-        Neighbor-search engine.
     metric : str, default 'euclidean'
     contamination : float, default 0.1
     """
@@ -39,7 +37,6 @@ class KNN(BaseDetector):
         n_neighbors: int = 5,
         *,
         method: str = "largest",
-        algorithm: str = "auto",
         metric: str = "euclidean",
         contamination: float = 0.1,
     ):
@@ -48,7 +45,6 @@ class KNN(BaseDetector):
             raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
         self.n_neighbors = n_neighbors
         self.method = method
-        self.algorithm = algorithm
         self.metric = metric
 
     def _validate_params(self, X: np.ndarray) -> None:
@@ -67,18 +63,13 @@ class KNN(BaseDetector):
     def _neighbor_request(self) -> dict:
         return {
             "n_neighbors": self.n_neighbors,
-            "algorithm": self.algorithm,
             "metric": self.metric,
             "p": 2.0,
         }
 
     def _fit(self, X: np.ndarray) -> np.ndarray:
         dist, _ = neighbors_for_fit(  # self-excluded
-            self,
-            X,
-            n_neighbors=self.n_neighbors,
-            algorithm=self.algorithm,
-            metric=self.metric,
+            self, X, n_neighbors=self.n_neighbors, metric=self.metric
         )
         return self._reduce(dist)
 

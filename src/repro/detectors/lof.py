@@ -26,7 +26,6 @@ class LOF(BaseDetector):
     Parameters
     ----------
     n_neighbors : int, default 20
-    algorithm : {'auto', 'brute', 'kd_tree'}
     metric : str, default 'euclidean'
         Distance metric (the paper's model pool varies it across
         manhattan / euclidean / minkowski).
@@ -39,14 +38,12 @@ class LOF(BaseDetector):
         self,
         n_neighbors: int = 20,
         *,
-        algorithm: str = "auto",
         metric: str = "euclidean",
         p: float = 2.0,
         contamination: float = 0.1,
     ):
         super().__init__(contamination=contamination)
         self.n_neighbors = n_neighbors
-        self.algorithm = algorithm
         self.metric = metric
         self.p = p
 
@@ -59,7 +56,6 @@ class LOF(BaseDetector):
     def _neighbor_request(self) -> dict:
         return {
             "n_neighbors": self.n_neighbors,
-            "algorithm": self.algorithm,
             "metric": self.metric,
             "p": self.p,
         }
@@ -69,7 +65,6 @@ class LOF(BaseDetector):
             self,
             X,
             n_neighbors=self.n_neighbors,
-            algorithm=self.algorithm,
             metric=self.metric,
             p=self.p,
         )

@@ -1,5 +1,6 @@
 """Batched exact KD-tree k-NN: two block engines, one canonical answer.
 
+Every Euclidean k-NN query in the package, in any dimension, runs here.
 The answer of a query is *defined*, not computed by a particular
 traversal: the ``k`` lexicographically smallest ``(distance, index)``
 pairs, where ``distance`` is the elementwise expression
@@ -72,9 +73,9 @@ indexed row. A few rows beyond ~1e7 times the cloud's spread (float64;
 a few hundred times for a float32 cast) push ``2 e`` past the cloud's
 own squared distances: most cells survive and the scan degrades toward
 an exact scan of every row — canonical, in bounded memory (survivors
-are refined at most ~``_SCAN_BLOCK`` at a time), at about the cost of
-the sweep in high ``d``. A per-cell bound (``|b_j|^2`` in place of the
-maximum) would remove the cliff; it is left as a follow-up.
+are refined ``_SCAN_BLOCK`` distance terms at a time), at about the
+cost of the sweep in high ``d``. A per-cell bound (``|b_j|^2`` in place
+of the maximum) would remove the cliff; it is left as a follow-up.
 
 Pruned sweep (``_sweep_block``)
 -------------------------------
@@ -110,33 +111,45 @@ Which engine runs
 :func:`choose_block_engine` compares two estimates in units of one
 scanned row of the scan: ``q n`` for the scan against ``20 q s + 8000
 log2(n / leaf_size)`` for the sweep, with ``s`` =
-:func:`expected_scanned`. The two constants come from 225 timed cells,
-``d`` in {2, 3, 5, 8, 12} x ``n`` in {500, 2k, 6k, 20k, 100k} x ``k`` in
-{5, 11, 41} x ``q`` in {1, 16, 512}, one BLAS thread;
+:func:`expected_scanned`. The two constants come from timed cells,
+``d`` in {2, 3, 5, 8, 12} x ``n`` in {500, 2k, 6k, 20k, 100k} plus ``d``
+in {20, 80} x ``n`` in {500, 2k, 6k}, each x ``k`` in {5, 11, 41} x
+``q`` in {1, 16, 512}, one BLAS thread; the scan runs on the tree
+:class:`~repro.neighbors.KDTree` builds, the sweep on a split one.
 ``benchmarks/fit_knn_engine_rule.py`` re-times the grid, re-fits the
-pair and prints the regret of the committed one (last run: mean regret
-0.7 %, worst cell 1.44x; the best pair on the search grid, (19, 19 500),
-reaches 0.5 % / 1.43x — the optimum is flat, so the round numbers
-stay). Sweep time / scan time at ``q = 512, k = 11`` (``>1``: the scan
-wins; ``*`` marks cells the rule gives to the sweep):
+pair and prints the regret of the committed one (last run, 279 cells:
+mean regret 0.9 %, worst cell 1.43x, none at ``d >= 20``; the best
+pair on the search grid, (19, 19 500) as in the run before, reaches
+0.2 % / 1.27x — the optimum is flat, so the round numbers stay). Sweep time / scan time at ``q = 512, k = 11`` (``>1``:
+the scan wins; ``*`` marks cells the rule gives to the sweep):
 
 ====  =====  =====  ======  ======  =======
 d     n=500  2000   6000    20000   100000
 ====  =====  =====  ======  ======  =======
-2     1.3    0.66*  0.33*   0.13*   0.02*
-3     1.9    1.1    0.59*   0.24*   0.05*
-5     6.2    2.9    2.5     1.05*   0.20*
-8     9.7    10     9.3     4.6     1.7
-12    11     14     21      15      9.5
+2     1.4    0.72*  0.36*   0.14*   0.03*
+3     3.6    1.8    0.76*   0.29*   0.04*
+5     6.7    4.6    2.7     1.06*   0.22*
+8     10     9.7    9.8     4.8     1.7
+12    12     17     19      11      7.5
+20    13     16     21
+80    19     30     42
 ====  =====  =====  ======  ======  =======
 
-(base numbers, ms: d=2/n=100k scan 208, sweep 4.8; d=8/n=6000 scan
-10.7, sweep 99; d=12/n=6000 scan 10.8, sweep 232). At ``q = 1`` the
-sweep's per-level arrays amortise over nothing and the scan wins 2.6-8x
-up to ``n = 20 000`` in every ``d`` (0.09-0.3 ms against 0.3-1.8 ms).
+(base numbers, ms: d=2/n=100k scan 204, sweep 5.2; d=8/n=6000 scan
+12.1, sweep 118; d=12/n=6000 scan 16.9, sweep 319; d=80/n=6000 scan
+20.6, sweep 857). At ``q = 1`` the sweep's per-level arrays amortise
+over nothing and the scan wins 2.6-8x up to ``n = 20 000`` in every
+``d`` (0.09-0.3 ms against 0.3-1.8 ms).
 The repo benchmark (``perfbench/``) has no workload on the sweep side of
 the rule: the starred cells rest on this micro-benchmark and the tier-1
 regime test alone until a low-``d`` workload is added.
+
+The rule also sizes the tree (:class:`~repro.neighbors.KDTree`): where
+no batch can ever pick the sweep (:func:`can_pick_sweep`), the tree is
+one leaf over the rows as given and only ever runs the scan. With the
+default ``leaf_size`` a tree splits above ``n`` ~ 1070 (``d = 2``), 1730
+(3), 5650 (5), 40 000 (8) and 597 000 (12); from ``d = 16`` on it never
+does at any practical size.
 
 Prefix-slice contract (the basis of the shared-computation plane)
 -----------------------------------------------------------------
@@ -154,8 +167,7 @@ pairs. Either way every sliced distance was computed by the same
 elementwise expression, so the result is bitwise-identical to a direct
 ``exclude_self`` query at ``k_i``. :func:`kdtree_query_maxk` issues the
 fused query and :func:`slice_neighbor_prefix` applies the contract per
-consumer. (Brute force has no such contract: its tie order follows
-``argpartition`` and depends on ``k``.)
+consumer.
 """
 
 from __future__ import annotations
@@ -164,6 +176,7 @@ import numpy as np
 
 __all__ = [
     "SWEEP_ROW_COST",
+    "can_pick_sweep",
     "choose_block_engine",
     "expected_scanned",
     "kdtree_query_batched",
@@ -226,6 +239,19 @@ def choose_block_engine(
     scan = float(n_queries) * float(n_samples)
     sweep = SWEEP_ROW_COST * n_queries * scanned + _SWEEP_LEVEL_COST * depth
     return "scan" if scan <= sweep else "sweep"
+
+
+def can_pick_sweep(n_samples: int, n_features: int, leaf_size: int = 40) -> bool:
+    """Whether :func:`choose_block_engine` picks the sweep for any batch
+    over ``(n_samples, n_features, leaf_size)``.
+
+    Per query the sweep costs at least ``SWEEP_ROW_COST`` times its
+    expected rows at ``k = 1`` (they only grow with ``k``); where that
+    is ``n_samples`` scan rows or more, the scan wins every ``q`` and
+    ``k``, and :class:`~repro.neighbors.KDTree` builds no tree to sweep.
+    """
+    scanned = expected_scanned(n_samples, n_features, 1, leaf_size)
+    return SWEEP_ROW_COST * scanned < n_samples
 
 
 def kdtree_query_batched(
@@ -448,7 +474,7 @@ def _scan_operands(tree):
     """The tree's filter operands, built on first use and cached on it.
 
     ``(centre, [-2 (x - centre) | |x - centre|^2], max |x - centre|^2,
-    inverse permutation)`` over the reordered ``_data``, in its dtype.
+    inverse permutation)`` over the tree's ``_data``, in its dtype.
     Derived state: :class:`~repro.neighbors.KDTree` drops it from
     pickles (so nothing reaches an artifact) and from ``cast()`` clones.
     A race between threads builds equal values twice; the last
@@ -494,12 +520,14 @@ def _scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
         )
         # The filter runs in row slabs of _SCAN_BLOCK cells. Survivors
         # of several slabs are refined together (one selection over
-        # ~k m pairs beats m / slab small ones), but never more than
-        # about _SCAN_BLOCK at a time: a filter that cannot discriminate
-        # (non-finite rows, a few rows so far out that e swamps the
-        # cloud's own distances) degrades to an exact scan in bounded
-        # memory, not to an (m, n) candidate list.
+        # ~k m pairs beats m / slab small ones), but at most _SCAN_BLOCK
+        # distance terms (pairs x d) per selection: the refine's (pairs,
+        # d) temporaries stay the filter's size in any d, and a filter
+        # that cannot discriminate (non-finite rows, a few rows so far
+        # out that e swamps the cloud's own distances) degrades to an
+        # exact scan in bounded memory, not to an (m, n) candidate list.
         slab = max(1, _SCAN_BLOCK // n)
+        refine = max(1, _SCAN_BLOCK // d)
         held = 0
         for lo in range(0, m, slab):
             # |x|^2 - 2 q.x for the slab in one GEMM; the row constant
@@ -518,8 +546,10 @@ def _scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
             cells += lo * n
             survivors.append(cells)
             held += cells.size
-            if held >= _SCAN_BLOCK or lo + slab >= m:
-                _select_exact(state, *np.divmod(np.concatenate(survivors), n))
+            if held >= refine or lo + slab >= m:
+                cells = np.concatenate(survivors)
+                for at in range(0, cells.size, refine):
+                    _select_exact(state, *np.divmod(cells[at : at + refine], n))
                 survivors, held = [], 0
     best_d, best_i = state[3:5]
     return best_d, best_i
@@ -558,7 +588,7 @@ def _select_exact(state, elem_q: np.ndarray, data_row: np.ndarray) -> None:
     """Exact distances of candidate pairs, folded into the best-k state.
 
     ``(elem_q[j], data_row[j])`` is one candidate: a block-local query
-    and a row of the tree's reordered data. This is the only place
+    and a row of the tree's ``_data``. This is the only place
     either engine computes a distance or ranks a candidate: all
     distances come from one vectorised expression and the per-query
     best-k sets are rebuilt with one segmented lexsort over ``(query,

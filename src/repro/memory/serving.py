@@ -124,8 +124,11 @@ def _cast_nn(nn, dt: np.dtype) -> None:
         stash = (nn._X, getattr(nn, "_tree", None))
         nn._serving_f64 = stash
     base_X, base_tree = stash
-    nn._X = base_X if base_X.dtype == dt else base_X.astype(dt)
     nn._tree = None if base_tree is None else base_tree.cast(dt)
+    if base_tree is not None and base_tree._data is base_X:
+        nn._X = nn._tree._data  # a one-leaf tree indexes _X itself: cast once
+    else:
+        nn._X = base_X if base_X.dtype == dt else base_X.astype(dt)
 
 
 def _cast_stashed_array(obj, attr: str, dt: np.dtype) -> None:

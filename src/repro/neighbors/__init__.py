@@ -1,15 +1,16 @@
 """k-nearest-neighbor search substrate.
 
-Two interchangeable engines — chunked brute force and a from-scratch
-KD-tree — behind a single :class:`NearestNeighbors` facade with automatic
-dispatch (:func:`choose_engine` documents the rule). Every proximity-based
-detector in :mod:`repro.detectors` queries neighbors through this package;
-KD-tree batches route through :func:`repro.kernels.kdtree_query_batched`.
+One exact Euclidean engine — a from-scratch KD-tree whose queries return
+the canonical ``(distance, index)`` answer in any dimension, through
+:func:`repro.kernels.kdtree_query_batched` — behind the
+:class:`NearestNeighbors` facade; chunked brute force serves the other
+metrics. Every proximity-based detector in :mod:`repro.detectors`
+queries neighbors through this package.
 """
 
 from repro.neighbors.brute import brute_force_kneighbors
 from repro.neighbors.kdtree import KDTree, kdtree_build_count
-from repro.neighbors.api import NearestNeighbors, choose_engine
+from repro.neighbors.api import NearestNeighbors
 from repro.neighbors.shared import (
     build_shared_index,
     discard_shared_neighbors,
@@ -23,7 +24,6 @@ __all__ = [
     "NearestNeighbors",
     "KDTree",
     "brute_force_kneighbors",
-    "choose_engine",
     "kdtree_build_count",
     "build_shared_index",
     "discard_shared_neighbors",

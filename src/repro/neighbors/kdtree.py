@@ -1,4 +1,4 @@
-"""From-scratch KD-tree for exact Euclidean k-NN queries.
+"""From-scratch KD-tree: the one exact Euclidean k-NN index.
 
 Array-backed: internal nodes store a split dimension/value; every node
 stores the ``[start, end)`` slice it owns in a reordered copy of the
@@ -12,7 +12,7 @@ runs one of two block engines with bitwise-identical results and picks
 between them from ``(q, n, d, k, leaf_size)``:
 
 - the **filter–refine scan** — one GEMM of approximate squared
-  distances against the reordered data, a conservative per-row
+  distances against the tree's data, a conservative per-row
   threshold, exact refinement of the survivors; wins wherever
   split-plane bounds barely prune (``d >= 8``), on small trees and for
   one-row serving queries;
@@ -20,13 +20,15 @@ between them from ``(q, n, d, k, leaf_size)``:
   sum-of-squares lower bounds; wins in low ``d`` on large trees, where
   it touches a vanishing share of the rows.
 
+How much tree to build follows from the same rule: where it can never
+pick the sweep (:func:`~repro.kernels.neighbors.can_pick_sweep`) the
+tree is a single leaf over the rows as given — identity permutation, no
+build, and ``_data`` *is* the indexed array, so nothing is stored
+twice.
+
 The per-query best-first search that defines the canonical answer lives
 on as the parity oracle in :mod:`repro.kernels.reference`
 (``kdtree_query_best_first``); nothing on a production path calls it.
-
-The tree targets low/medium dimensionality (the regime the paper's RP
-module creates); :class:`repro.neighbors.api.NearestNeighbors` dispatches
-back to brute force when ``d`` is large.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import threading
 
 import numpy as np
 
-from repro.kernels.neighbors import kdtree_query_batched
+from repro.kernels.neighbors import can_pick_sweep, kdtree_query_batched
 
 __all__ = ["KDTree", "kdtree_build_count"]
 
@@ -70,13 +72,14 @@ class KDTree:
     Parameters
     ----------
     X : (n, d) array
-        Points to index. A reordered copy is kept.
+        Points to index. A split tree keeps a reordered copy; a
+        one-leaf tree keeps ``X`` itself (module docstring).
     leaf_size : int, default 40
-        Maximum number of points per leaf.
+        Maximum number of points per leaf of a split tree.
     """
 
     def __init__(self, X: np.ndarray, *, leaf_size: int = 40):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
         if X.shape[0] == 0:
@@ -84,8 +87,9 @@ class KDTree:
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = int(leaf_size)
-        n = X.shape[0]
+        n, d = X.shape
         self._perm = np.arange(n)
+        max_leaf = self.leaf_size if can_pick_sweep(n, d, self.leaf_size) else n
 
         # Flat node arrays, grown during the build.
         split_dim: list[int] = []
@@ -103,7 +107,7 @@ class KDTree:
             right.append(-1)
             start.append(lo)
             end.append(hi)
-            if hi - lo <= self.leaf_size:
+            if hi - lo <= max_leaf:
                 return node
             idx = self._perm[lo:hi]
             block = X[idx]
@@ -143,7 +147,8 @@ class KDTree:
         self._right = np.array(right, dtype=np.int64)
         self._start = np.array(start, dtype=np.int64)
         self._end = np.array(end, dtype=np.int64)
-        self._data = X[self._perm]
+        # A one-leaf tree never permuted its rows: it indexes X itself.
+        self._data = X if len(split_dim) == 1 else X[self._perm]
         self.n_samples_, self.n_features_ = X.shape
         _record_build()
 
@@ -153,7 +158,7 @@ class KDTree:
 
         Topology (splits, slices, permutation) is shared with the
         source tree; only the float payloads — split planes and the
-        reordered data block — are cast, so a float32 serving tree
+        data block — are cast, so a float32 serving tree
         costs half the data footprint. Casting to the current dtype
         returns ``self``; queries against a cast tree compute distances
         in that dtype (the float64 tree stays the bitwise reference).
@@ -187,10 +192,11 @@ class KDTree:
         order. With ``exclude_self`` the query is assumed row-aligned
         with the indexed data and each point skips itself.
 
-        ``mode`` is kept for source compatibility: ``'auto'`` and
-        ``'batched'`` both run :func:`repro.kernels.kdtree_query_batched`
+        Every call runs :func:`repro.kernels.kdtree_query_batched`
         (``block_rows`` queries per block at most), which picks its
-        block engine from ``(q, n, d, k, leaf_size)``.
+        block engine from ``(q, n, d, k, leaf_size)``. ``mode`` names
+        that one path (``'auto'`` or ``'batched'``); the repo
+        benchmark's kernel probe still spells it.
         """
         # Queries run in the tree's serving dtype (float64 unless the
         # tree was cast for float32 serving).

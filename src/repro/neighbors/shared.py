@@ -92,7 +92,6 @@ def neighbors_for_fit(
     X: np.ndarray,
     *,
     n_neighbors: int,
-    algorithm: str = "auto",
     metric: str = "euclidean",
     p: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +108,7 @@ def neighbors_for_fit(
         return slice_neighbor_prefix(
             pending.dist, pending.idx, n_neighbors, self_rows=self_rows
         )
-    est._nn = NearestNeighbors(
-        n_neighbors=n_neighbors, algorithm=algorithm, metric=metric, p=p
-    ).fit(X)
+    est._nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric, p=p).fit(X)
     return est._nn.kneighbors()
 
 
@@ -131,25 +128,16 @@ def neighbors_for_scoring(
 
 
 def build_shared_index(X: np.ndarray, *, metric: str = "euclidean") -> NearestNeighbors:
-    """Build the one KD-tree index a sharing group's consumers will bind.
-
-    The engine is pinned to ``kd_tree`` — the sharing plane only forms
-    groups whose every consumer resolves to it (the prefix-slice
-    contract does not hold for brute force).
-    """
-    return NearestNeighbors(algorithm="kd_tree", metric=metric).fit(X)
+    """Build the one KD-tree index a sharing group's consumers will bind
+    (the sharing plane forms Euclidean groups only)."""
+    return NearestNeighbors(metric=metric).fit(X)
 
 
 def fused_neighbor_query(
     nn: NearestNeighbors, X_query: np.ndarray, ks, *, cover_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """One producer-side query at ``shared_query_width(ks)`` via ``nn``.
-
-    Routes through :meth:`NearestNeighbors.kneighbors` argument
-    handling (dtype/shape checks) by querying the KD-tree directly with
-    the same validated inputs the per-detector path would use.
-    """
-    if getattr(nn, "_engine", None) != "kd_tree":
-        raise ValueError("fused queries require a kd_tree index")
+    """One producer-side query at ``shared_query_width(ks)`` against
+    ``nn``'s KD-tree, with the query rows in the index's serving dtype
+    as the per-detector path would cast them."""
     Xq = np.asarray(X_query, dtype=nn._X.dtype)
     return kdtree_query_maxk(nn._tree, Xq, ks, cover_self=cover_self)

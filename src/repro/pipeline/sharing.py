@@ -29,13 +29,12 @@ two-wave dependency DAG:
    a private query by the canonical tie-order contract, with
    self-exclusion applied per consumer at slice time.
 
-Sharing is restricted to consumers whose resolved engine is the
-KD-tree: brute force's ``argpartition`` tie order depends on ``k``, so
-its results are not prefix-sliceable (see
-:mod:`repro.kernels.neighbors`). Space identity is object identity —
-the projection stage hands unprojected models the *same* validated
-array object, while JL-projected spaces are per-model distinct, so
-per-space keying can never cross spaces.
+Sharing is restricted to Euclidean consumers — the metric the KD-tree
+serves in every dimension; other metrics keep their private brute-force
+path. Space identity is object identity — the projection stage hands
+unprojected models the *same* validated array object, while
+JL-projected spaces are per-model distinct, so per-space keying can
+never cross spaces.
 
 Derivation consumes no randomness and runs in O(m): plans with sharing
 replay bitwise-identically and non-neighbor pools pay nothing.
@@ -49,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels.neighbors import shared_query_width
-from repro.neighbors.api import choose_engine
 from repro.neighbors.shared import build_shared_index, fused_neighbor_query
 from repro.parallel import resolve_array
 from repro.pipeline.wave import Wave
@@ -121,13 +119,13 @@ class SharingPlan:
         }
 
 
-def _neighbor_spec(est, n_samples: int, n_features: int):
-    """The (k, metric) a detector would query with, iff KD-tree-backed.
+def _neighbor_spec(est, n_samples: int):
+    """The (k, metric) a detector would query with, iff Euclidean.
 
-    Returns None for non-neighbor detectors, non-KD-tree engines (no
-    prefix-slice contract) and ``k`` outside the fit-valid range (the
-    detector's own validation raises on the unshared path, keeping
-    error behaviour identical).
+    Returns None for non-neighbor detectors, other metrics (served by
+    brute force, outside the plane) and ``k`` outside the fit-valid
+    range (the detector's own validation raises on the unshared path,
+    keeping error behaviour identical).
     """
     request = getattr(est, "_neighbor_request", None)
     if request is None:
@@ -135,10 +133,7 @@ def _neighbor_spec(est, n_samples: int, n_features: int):
     spec = request()
     k = int(spec["n_neighbors"])
     metric = spec["metric"]
-    engine = spec["algorithm"]
-    if engine == "auto":
-        engine = choose_engine(n_samples, n_features, metric)
-    if engine != "kd_tree" or metric != "euclidean":
+    if metric != "euclidean":
         return None
     if not 1 <= k <= n_samples - 1:
         return None
@@ -188,8 +183,8 @@ def derive_fit_sharing(models, spaces) -> SharingPlan:
     """
     specs = []
     for est, space in zip(models, spaces):
-        n, d = space.shape
-        spec = _neighbor_spec(est, n, d)
+        n = space.shape[0]
+        spec = _neighbor_spec(est, n)
         specs.append(None if spec is None else (spec[0], spec[1], n))
     queries = _group_consumers(models, spaces, specs)
     plan = SharingPlan(kind="fit", queries=queries, n_tasks=len(models))
@@ -205,8 +200,8 @@ def derive_predict_sharing(approximators, spaces, n_tasks: int) -> SharingPlan:
     """Resource-key pass over a fitted pool: who can share at predict.
 
     Consumers are the *passthrough* scorers (PSA-approximated models
-    never run neighbor queries at predict) whose fitted index is the
-    KD-tree engine. Grouping keys on ``(index identity, space
+    never run neighbor queries at predict) whose fitted index is
+    Euclidean. Grouping keys on ``(index identity, space
     identity)``: detectors that shared a fit-time build hold the same
     injected index object, so the fit-time groups re-form with zero
     stored metadata — and independently fitted indexes never alias.
@@ -219,9 +214,8 @@ def derive_predict_sharing(approximators, spaces, n_tasks: int) -> SharingPlan:
             specs.append(None)
             continue
         nn = getattr(det, "_nn", None)
-        n, d = space.shape
         request = getattr(det, "_neighbor_request", None)
-        if nn is None or request is None or getattr(nn, "_engine", None) != "kd_tree":
+        if nn is None or request is None or nn.metric != "euclidean":
             specs.append(None)
             continue
         k = int(request()["n_neighbors"])

@@ -32,8 +32,7 @@ from repro.neighbors import neighbors_for_fit
 class Shared:
     def _fit(self, X):
         dist, _ = neighbors_for_fit(
-            self, X, n_neighbors=self.n_neighbors,
-            algorithm=self.algorithm, metric=self.metric,
+            self, X, n_neighbors=self.n_neighbors, metric=self.metric
         )
         return dist[:, -1]
 """

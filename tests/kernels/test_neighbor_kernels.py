@@ -22,7 +22,7 @@ from repro.detectors import KNN, LOF
 from repro.kernels import neighbors as kn
 from repro.kernels.reference import kdtree_query_best_first, kdtree_query_heap
 from repro.memory.arena import release_mappings
-from repro.neighbors import KDTree, brute_force_kneighbors
+from repro.neighbors import KDTree, NearestNeighbors, brute_force_kneighbors
 from repro.utils.persistence import load_ensemble, read_ensemble_header, save_ensemble
 
 ENGINES = kn._BLOCK_ENGINES
@@ -48,9 +48,21 @@ def _check(tree, Q, k, *, exclude_self=False, block_rows=1024):
     return ref
 
 
-def _trees(X, leaf_size):
-    """The float64 tree and its float32 serving cast."""
+def _n_leaves(tree) -> int:
+    return int((tree._split_dim == kn._LEAF).sum())
+
+
+def _split_tree(X, leaf_size):
+    """A tree the sweep has something to prune in: the one-leaf rule
+    must not collapse it (pass a smaller ``leaf_size`` if it does)."""
     tree = KDTree(X, leaf_size=leaf_size)
+    assert _n_leaves(tree) > 1
+    return tree
+
+
+def _trees(X, leaf_size):
+    """The float64 split tree and its float32 serving cast."""
+    tree = _split_tree(X, leaf_size)
     with np.errstate(over="ignore"):
         return [tree, tree.cast(np.float32)]
 
@@ -58,7 +70,7 @@ def _trees(X, leaf_size):
 class TestEnginesMatchOracle:
     @pytest.mark.parametrize(
         "n,d,k,leaf",
-        [(300, 3, 5, 16), (1000, 6, 10, 40), (64, 2, 2, 1), (700, 12, 16, 40)],
+        [(300, 3, 5, 2), (1500, 6, 10, 1), (120, 2, 2, 1), (1200, 5, 16, 1)],
     )
     def test_random_data(self, rng, n, d, k, leaf):
         X = rng.standard_normal((n, d))
@@ -66,17 +78,30 @@ class TestEnginesMatchOracle:
         for tree in _trees(X, leaf):
             _check(tree, Q, k)
 
+    @pytest.mark.parametrize("n,d,k", [(300, 4, 5), (700, 12, 16)])
+    def test_one_leaf_tree(self, rng, n, d, k):
+        # Where the sweep can never win the tree is one leaf over the
+        # rows as given; both engines still answer canonically.
+        X = rng.standard_normal((n, d))
+        tree = KDTree(X)
+        assert _n_leaves(tree) == 1
+        np.testing.assert_array_equal(tree._data, X)
+        with np.errstate(over="ignore"):
+            for t in (tree, tree.cast(np.float32)):
+                _check(t, rng.standard_normal((53, d)), k)
+                _check(t, X, k, exclude_self=True)
+
     def test_exclude_self(self, rng):
-        X = rng.standard_normal((200, 4))
-        for tree in _trees(X, 8):
+        X = rng.standard_normal((400, 3))
+        for tree in _trees(X, 4):
             _, idx = _check(tree, X, 6, exclude_self=True)
-            assert not (idx == np.arange(200)[:, None]).any()
+            assert not (idx == np.arange(400)[:, None]).any()
 
     def test_block_boundaries(self, rng):
         # Query counts that do not divide the block size, and a block
         # size smaller than the query count, must not change answers.
         X = rng.standard_normal((400, 3))
-        tree = KDTree(X, leaf_size=16)
+        tree = _split_tree(X, 4)
         Q = rng.standard_normal((45, 3))
         for block in (1, 7, 44, 45, 46, 1024):
             _check(tree, Q, 7, block_rows=block)
@@ -84,43 +109,46 @@ class TestEnginesMatchOracle:
     def test_exclude_self_across_blocks(self, rng):
         # Self-indices are global row numbers; a block offset must not
         # shift them.
-        X = rng.standard_normal((150, 3))
-        _check(KDTree(X, leaf_size=8), X, 4, exclude_self=True, block_rows=31)
+        X = rng.standard_normal((300, 3))
+        _check(_split_tree(X, 2), X, 4, exclude_self=True, block_rows=31)
 
     def test_scan_slab_boundaries(self, rng, monkeypatch):
         # The scan filters a block in slabs of _SCAN_BLOCK cells; slab
-        # edges (block +- 1 rows) must not show, nor shift self columns.
-        X = rng.standard_normal((300, 4))
-        tree = KDTree(X, leaf_size=16)
+        # edges (block +- 1 rows) must not show, nor shift self columns
+        # of a permuted tree.
+        X = rng.standard_normal((300, 3))
+        tree = _split_tree(X, 2)
         monkeypatch.setattr(kn, "_SCAN_BLOCK", 16 * 300)
         for q in (1, 2, 15, 16, 17, 31, 32, 33):
-            _check(tree, rng.standard_normal((q, 4)), 9)
+            _check(tree, rng.standard_normal((q, 3)), 9)
         _check(tree, X, 9, exclude_self=True)
         # Every cell survives an overflowing filter: the survivors are
         # refined slab by slab instead of all at once.
-        huge = KDTree(1e155 * X, leaf_size=16)
+        huge = _split_tree(1e155 * X, 2)
         _check(huge, 1e155 * X[:40] * 1.01, 9)
         _check(huge, 1e155 * X, 9, exclude_self=True)
 
     def test_k_against_leaf_occupancy(self, rng):
-        # Median splits of 200 rows at leaf_size 16 give 12-13 rows per
+        # Median splits of 400 rows at leaf_size 4 give 3-4 rows per
         # leaf: k just under, at and over the home leaf's occupancy
         # moves the sweep's seed node one level up.
-        X = rng.standard_normal((200, 3))
-        for tree in _trees(X, 16):
-            for k in (1, 11, 12, 13, 14, 26):
+        X = rng.standard_normal((400, 3))
+        for tree in _trees(X, 4):
+            leaves = tree._split_dim == kn._LEAF
+            assert set(tree._end[leaves] - tree._start[leaves]) == {3, 4}
+            for k in (1, 3, 4, 5, 7, 14):
                 _check(tree, X[:40] + 0.01, k)
                 _check(tree, X, k, exclude_self=True)
 
     def test_k_extremes(self, rng):
-        X = rng.standard_normal((40, 3))
-        for tree in _trees(X, 4):
-            _check(tree, rng.standard_normal((20, 3)), 40)
-            _check(tree, X, 39, exclude_self=True)
+        X = rng.standard_normal((100, 2))
+        for tree in _trees(X, 1):
+            _check(tree, rng.standard_normal((20, 2)), 100)
+            _check(tree, X, 99, exclude_self=True)
 
     def test_one_dimensional(self, rng):
         X = rng.standard_normal((500, 1))
-        _check(KDTree(X, leaf_size=8), X[:60], 5)
+        _check(_split_tree(X, 8), X[:60], 5)
 
     def test_single_point(self):
         tree = KDTree(np.array([[1.0, 2.0]]))
@@ -177,7 +205,7 @@ class TestDistanceTies:
     def test_duplicate_groups(self, rng):
         base = rng.standard_normal((15, 2))
         X = np.repeat(base, 6, axis=0)
-        for tree in _trees(X, 4):
+        for tree in _trees(X, 1):
             _, idx = _check(tree, X[:40], 8, block_rows=9)
             # Canonical rule: the six zero-distance duplicates of each
             # query are returned smallest-index-first.
@@ -197,7 +225,7 @@ class TestDistanceTies:
         for tree in _trees(X, 5):
             _check(tree, g, k, block_rows=11)
             _check(tree, X[:300], k)
-        _check(KDTree(X, leaf_size=5), X, k, exclude_self=True)
+        _check(_split_tree(X, 5), X, k, exclude_self=True)
 
     @pytest.mark.parametrize("cloud", ["half_integer_lattice", "offset"])
     def test_low_d_bound_ties_in_float32(self, cloud):
@@ -206,7 +234,7 @@ class TestDistanceTies:
         # bound sits a hair above a float32 distance that rounded down
         # and prunes the tied smaller-index row.
         rng = np.random.default_rng(5)
-        for n, k in ((334, 15), (200, 6), (480, 30)):
+        for n, k in ((334, 15), (300, 6), (480, 30)):
             if cloud == "offset":
                 # float32 spacing at 1e6 is 1/16: a cast cloud is a lattice
                 X = 1e6 + rng.standard_normal((n, 2))
@@ -217,7 +245,8 @@ class TestDistanceTies:
 
     def test_all_identical_points(self):
         X = np.ones((40, 3))
-        for tree in _trees(X, 8):
+        tree = KDTree(X, leaf_size=1)  # zero spread: always one leaf
+        for tree in (tree, tree.cast(np.float32)):
             dist, idx = _check(tree, X[:10], 5)
             np.testing.assert_array_equal(dist, 0.0)
             np.testing.assert_array_equal(idx, np.arange(5)[None, :].repeat(10, 0))
@@ -230,15 +259,15 @@ class TestAdversarialScales:
         # Uncentred, the three terms are ~1e16 and their sum ~1: every
         # digit of the filter value would be rounding noise.
         for offset, spread in ((1e8, 1.0), (1e6, 1e-3)):
-            X = offset + spread * rng.standard_normal((500, 4))
-            for tree in _trees(X, 16):
+            X = offset + spread * rng.standard_normal((500, 3))
+            for tree in _trees(X, 4):
                 _check(tree, X[:40] + 0.1 * spread, 7)
                 _check(tree, X, 7, exclude_self=True)
 
     def test_one_coordinate_scaled(self, rng):
-        X = rng.standard_normal((500, 4))
+        X = rng.standard_normal((500, 3))
         X[:, 2] *= 1e12
-        for tree in _trees(X, 16):
+        for tree in _trees(X, 4):
             _check(tree, X[:40] * 1.01, 7)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -246,8 +275,8 @@ class TestAdversarialScales:
         # Squares land in the subnormal range: the filter's relative
         # bound is zero and only its absolute floor keeps it safe.
         scale = 1e-160 if dtype is np.float64 else 1e-21
-        X = scale * rng.standard_normal((300, 4))
-        tree = KDTree(X, leaf_size=16).cast(dtype)
+        X = scale * rng.standard_normal((300, 3))
+        tree = _split_tree(X, 2).cast(dtype)
         _check(tree, X[:40] * 1.01, 7)
         _check(tree, X, 7, exclude_self=True)
 
@@ -257,17 +286,76 @@ class TestAdversarialScales:
         # inf - inf, its threshold is not finite, and the rows fall back
         # to every candidate; inf distances tie and order by index.
         for scale in (1e150, 1e155) if dtype is np.float64 else (1e18, 1e20):
-            X = scale * rng.standard_normal((300, 4))
-            tree = KDTree(X, leaf_size=16).cast(dtype)
+            X = scale * rng.standard_normal((300, 3))
+            tree = _split_tree(X, 2).cast(dtype)
             _check(tree, X[:40] * 1.01, 7)
             _check(tree, X, 7, exclude_self=True)
 
     def test_one_overflowing_row(self, rng):
-        X = rng.standard_normal((300, 4))
+        X = rng.standard_normal((300, 3))
         X[5] = 1e155
-        tree = KDTree(X, leaf_size=16)
+        tree = _split_tree(X, 2)
         _check(tree, X[:40] * 1.01, 7)
         _check(tree, X, 7, exclude_self=True)
+
+
+def _high_d_data(kind, d):
+    """300 rows in ``d`` dimensions: tie-free Gaussian, or 60 binary
+    lattice points repeated 5x (many-way ties at every boundary)."""
+    rng = np.random.default_rng(d)
+    if kind == "tie_free":
+        return rng.standard_normal((300, d)), rng.standard_normal((40, d))
+    base = rng.integers(0, 2, size=(60, d)).astype(np.float64)
+    return np.repeat(base, 5, axis=0), rng.integers(0, 2, size=(40, d)) * 1.0
+
+
+class TestHighDimensional:
+    """Every Euclidean index answers with the oracle's bytes, in the
+    dimensions RP leaves the paper's proximity detectors in."""
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("k", [1, 10, 51])
+    @pytest.mark.parametrize("kind", ["tie_free", "lattice"])
+    @pytest.mark.parametrize("d", [16, 40, 80])
+    def test_nearest_neighbors_match_oracle(self, d, kind, k, exclude_self):
+        X, Q = _high_d_data(kind, d)
+        nn = NearestNeighbors(k).fit(X)
+        if exclude_self:
+            got, Q = nn.kneighbors(), X
+        else:
+            got = nn.kneighbors(Q)
+        ref = kdtree_query_best_first(nn._tree, Q, k, exclude_self=exclude_self)
+        _assert_identical(got, ref)
+
+    def test_refine_stays_within_the_scan_block(self, rng, monkeypatch):
+        # d=80, k=51: ~77k filter survivors per 1024-row block. Every
+        # exact selection holds at most _SCAN_BLOCK (pair, coordinate)
+        # terms — also when one far row makes the filter keep every
+        # cell — and the answer is the oracle's.
+        X = rng.standard_normal((1500, 80))
+        Q = rng.standard_normal((300, 80))
+        far = X.copy()
+        far[5] = 1e8
+        held = []
+        original = kn._select_exact
+
+        def recording(state, elem_q, data_row):
+            held.append(elem_q.size * state[1].shape[1])
+            original(state, elem_q, data_row)
+
+        monkeypatch.setattr(kn, "_select_exact", recording)
+        for data in (X, far):
+            tree = KDTree(data)
+            before = len(held)
+            _assert_identical(tree.query(Q, 51), kdtree_query_best_first(tree, Q, 51))
+            assert len(held) > before
+        assert max(held) <= kn._SCAN_BLOCK
+        # Smaller budgets cut the refine finer, never the answer.
+        expected = tree.query(Q, 51)
+        monkeypatch.setattr(kn, "_SCAN_BLOCK", 80 * 97)
+        del held[:]
+        _assert_identical(tree.query(Q, 51), expected)
+        assert len(held) > 300 and max(held) <= 80 * 97
 
 
 class TestEngineRule:
@@ -296,6 +384,23 @@ class TestEngineRule:
     )
     def test_regimes(self, q, n, d, k, engine):
         assert kn.choose_block_engine(q, n, d, k) == engine
+
+    @pytest.mark.parametrize("leaf", [1, 8, 40])
+    def test_tree_splits_iff_some_batch_can_sweep(self, leaf):
+        # The sweep is cheapest per query at k=1 and wins, if ever, for
+        # large q: the one-leaf rule is exactly "no batch sweeps".
+        for d in (1, 2, 3, 5, 8, 12, 20, 80):
+            for n in (50, 500, 1100, 2000, 6000, 40_000, 100_000):
+                picks = {
+                    kn.choose_block_engine(q, n, d, k, leaf)
+                    for q in (1, 512, 10**7)
+                    for k in (1, 5, 41)
+                }
+                assert ("sweep" in picks) == kn.can_pick_sweep(n, d, leaf)
+                tree_splits = n > leaf and kn.can_pick_sweep(n, d, leaf)
+                if n <= 2000:
+                    X = np.random.default_rng(n).standard_normal((n, d))
+                    assert (_n_leaves(KDTree(X, leaf_size=leaf)) > 1) == tree_splits
 
     def test_expected_scanned(self):
         assert kn.expected_scanned(6000, 8, 41) == 6000.0  # 8-d: no pruning
@@ -326,7 +431,7 @@ class TestSweepSeeding:
         # all 1024 leaves for every query.
         X = rng.standard_normal((20_000, 3))
         Q = rng.standard_normal((64, 3))
-        tree = KDTree(X)
+        tree = _split_tree(X, 40)
         scanned = {}
         original = kn._scan_leaves
 
@@ -409,7 +514,7 @@ class TestAgainstFrozenHeapReference:
 
         X = rng.standard_normal((800, 6))
         Q = rng.standard_normal((150, 6))
-        lof = LOF(n_neighbors=10, algorithm="kd_tree").fit(X)
+        lof = LOF(n_neighbors=10).fit(X)
         dist, idx = kdtree_query_heap(lof._nn._tree, Q, 10)
         reach = np.maximum(dist, lof._kdist[idx])
         lrd_q = 1.0 / (reach.mean(axis=1) + _EPS)

@@ -1,39 +1,21 @@
 import numpy as np
 import pytest
 
-from repro.neighbors import NearestNeighbors
+from repro.neighbors import NearestNeighbors, brute_force_kneighbors
 from repro.utils.validation import NotFittedError
 
 
 class TestNearestNeighbors:
-    def test_engines_agree(self, rng):
+    def test_distances_match_brute_force(self, rng):
         X = rng.standard_normal((400, 5))
         Q = rng.standard_normal((30, 5))
-        d_b, _ = NearestNeighbors(5, algorithm="brute").fit(X).kneighbors(Q)
-        d_t, _ = NearestNeighbors(5, algorithm="kd_tree").fit(X).kneighbors(Q)
+        d_t, _ = NearestNeighbors(5).fit(X).kneighbors(Q)
+        d_b, _ = brute_force_kneighbors(X, Q, 5)
         np.testing.assert_allclose(d_b, d_t, rtol=1e-7, atol=1e-7)
 
-    def test_auto_dispatch_low_dim(self, rng):
-        nn = NearestNeighbors(3).fit(rng.standard_normal((500, 4)))
-        assert nn._engine == "kd_tree"
-
-    def test_auto_dispatch_high_dim(self, rng):
-        nn = NearestNeighbors(3).fit(rng.standard_normal((500, 40)))
-        assert nn._engine == "brute"
-
-    def test_auto_dispatch_small_n(self, rng):
-        nn = NearestNeighbors(3).fit(rng.standard_normal((50, 4)))
-        assert nn._engine == "brute"
-
-    def test_auto_dispatch_non_euclidean(self, rng):
-        nn = NearestNeighbors(3, metric="manhattan").fit(rng.standard_normal((500, 4)))
-        assert nn._engine == "brute"
-
-    def test_kdtree_non_euclidean_rejected(self, rng):
-        with pytest.raises(ValueError, match="euclidean"):
-            NearestNeighbors(3, algorithm="kd_tree", metric="manhattan").fit(
-                rng.standard_normal((10, 2))
-            )
+    def test_algorithm_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            NearestNeighbors(3, algorithm="brute")
 
     def test_self_query_excludes_self(self, rng):
         X = rng.standard_normal((40, 3))
@@ -53,7 +35,3 @@ class TestNearestNeighbors:
         nn = NearestNeighbors(2).fit(rng.standard_normal((10, 3)))
         with pytest.raises(ValueError, match="features"):
             nn.kneighbors(rng.standard_normal((2, 4)))
-
-    def test_invalid_algorithm(self):
-        with pytest.raises(ValueError):
-            NearestNeighbors(algorithm="ball_tree")

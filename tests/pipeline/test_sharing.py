@@ -1,14 +1,15 @@
 """Shared-computation plane: derivation, bitwise parity, shm hygiene.
 
-The contract under test: with ``share_flag=True`` the ``share`` stage
-folds every KD-tree build and neighbor query with the same
-``(space, metric)`` resource key into one producer task, and every
-score the ensemble emits — train scores, combined scores, predict
-matrices, chunked or not, on any backend — is **bitwise identical** to
-the fully redundant ``share_flag=False`` run. The parity matrix here
-sweeps backends × heterogeneous k × distinct spaces; the shm tests pin
-that published producer results never outlive their plan, on happy and
-failing paths alike.
+The contract under test: the ``share`` stage folds every KD-tree build
+and neighbor query with the same ``(space, metric)`` resource key into
+one producer task, and every raw score the ensemble emits — train and
+predict matrices, chunked or not, on any backend, in any dimension — is
+**bitwise identical** to each detector fitted standalone on the same
+space (with RP off every model sees ``X`` itself; with RP on, its own
+projection); combined scores agree across backends. The parity matrix
+here sweeps backends × heterogeneous k × distinct spaces; the shm tests
+pin that published producer results never outlive their plan, on happy
+and failing paths alike.
 """
 
 import os
@@ -23,7 +24,6 @@ from repro.neighbors import kdtree_build_count
 from repro.pipeline.sharing import derive_fit_sharing
 from repro.supervised import RandomForestRegressor
 
-# n >= 256 so the auto engine resolves to kd_tree (the sharable regime).
 N_TRAIN, N_TEST, D = 320, 96, 6
 
 
@@ -51,30 +51,37 @@ def data():
     return Xtr, Xte
 
 
-def fit_predict(Xtr, Xte, *, share, backend="sequential", n_jobs=1, **kw):
-    clf = SUOD(
-        neighbor_pool(),
-        share_flag=share,
-        backend=backend,
-        n_jobs=n_jobs,
-        rp_flag_global=False,
-        approx_flag_global=False,
-        contamination=0.1,
-        random_state=0,
-        **kw,
-    ).fit(Xtr)
+def fit_predict(Xtr, Xte, *, pool=neighbor_pool, **kw):
+    options = dict(rp_flag_global=False, approx_flag_global=False, random_state=0)
+    clf = SUOD(pool(), contamination=0.1, **{**options, **kw}).fit(Xtr)
     matrix = clf.decision_function_matrix(Xte)
     scores = clf.decision_function(Xte)
     return clf, matrix, scores
 
 
-def assert_bitwise_equal(shared_run, redundant_run):
-    clf_s, matrix_s, scores_s = shared_run
-    clf_r, matrix_r, scores_r = redundant_run
-    assert np.array_equal(clf_s.train_score_matrix_, clf_r.train_score_matrix_)
-    assert np.array_equal(clf_s.decision_scores_, clf_r.decision_scores_)
-    assert np.array_equal(matrix_s, matrix_r)
-    assert np.array_equal(scores_s, scores_r)
+def standalone_matrices(pool, Xtr, Xte, spaces=None):
+    """The parity oracle: each detector fitted on its own, on the space
+    the ensemble gives it (``spaces`` maps a model index and rows to
+    that space; ``X`` itself by default), stacked as raw score rows."""
+    spaces = spaces or (lambda i, X: X)
+    dets = [det.fit(spaces(i, Xtr)) for i, det in enumerate(pool())]
+    train = np.stack([det.decision_scores_ for det in dets])
+    test = np.stack(
+        [det.decision_function(spaces(i, Xte)) for i, det in enumerate(dets)]
+    )
+    return train, test
+
+
+def assert_matches_standalone(run, standalone):
+    clf, matrix, _ = run
+    train, test = standalone
+    assert np.array_equal(clf.train_score_matrix_, train)
+    assert np.array_equal(matrix, test)
+
+
+def assert_same_ensemble(run_a, run_b):
+    assert np.array_equal(run_a[0].decision_scores_, run_b[0].decision_scores_)
+    assert np.array_equal(run_a[2], run_b[2])
 
 
 def shm_segments() -> set:
@@ -129,28 +136,31 @@ class TestDerivation:
         assert not plan.active
         assert plan.summary()["structures_built"] == 0
 
-    def test_brute_regime_is_not_shared(self):
-        # Below the KD-tree row floor argpartition tie order is
-        # k-dependent, so the prefix-slice contract does not hold and
-        # derivation must refuse to fuse.
-        X = np.random.default_rng(0).normal(size=(120, 4))
-        plan = derive_fit_sharing([KNN(5), AvgKNN(8)], [X, X])
+    def test_other_metrics_are_not_shared(self, data):
+        # Non-Euclidean detectors run brute force: no tree to share.
+        Xtr, _ = data
+        plan = derive_fit_sharing(
+            [LOF(9, metric="manhattan"), LOF(5, metric="manhattan")], [Xtr, Xtr]
+        )
         assert not plan.active
 
 
 # ---------------------------------------------------------------------------
-# Bitwise parity: shared vs redundant across the backend matrix
+# Bitwise parity: shared vs standalone across the backend matrix
 # ---------------------------------------------------------------------------
 class TestParityMatrix:
     @pytest.fixture(scope="class")
-    def redundant(self, data):
-        Xtr, Xte = data
-        return fit_predict(Xtr, Xte, share=False)
+    def standalone(self, data):
+        return standalone_matrices(neighbor_pool, *data)
 
-    def test_sequential_parity_and_build_count(self, data, redundant):
+    @pytest.fixture(scope="class")
+    def sequential(self, data):
+        return fit_predict(*data)
+
+    def test_sequential_parity_and_build_count(self, data, standalone):
         Xtr, Xte = data
         before = kdtree_build_count()
-        shared = fit_predict(Xtr, Xte, share=True)
+        shared = fit_predict(Xtr, Xte)
         clf = shared[0]
         # Exactly one build per distinct (space, metric) key — here 1 —
         # across fit AND both predict calls (the injected index serves
@@ -159,34 +169,34 @@ class TestParityMatrix:
         assert clf.sharing_fit_info_["structures_built"] == 1
         assert clf.sharing_fit_info_["queries_fused"] == 5
         assert clf.sharing_predict_info_["structures_built"] == 1
-        assert_bitwise_equal(shared, redundant)
+        assert_matches_standalone(shared, standalone)
 
     @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
-    def test_parallel_backend_parity(self, data, redundant, backend):
+    def test_parallel_backend_parity(self, data, standalone, sequential, backend):
         Xtr, Xte = data
-        shared = fit_predict(Xtr, Xte, share=True, backend=backend, n_jobs=3)
+        shared = fit_predict(Xtr, Xte, backend=backend, n_jobs=3)
         try:
-            assert_bitwise_equal(shared, redundant)
+            assert_matches_standalone(shared, standalone)
+            assert_same_ensemble(shared, sequential)
         finally:
             shared[0].close()
 
     @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
-    def test_chunked_predict_parity(self, data, redundant, backend):
+    def test_chunked_predict_parity(self, data, standalone, sequential, backend):
         # batch_size forces (model x chunk) grain: shared consumers run
         # through score_task's row-slice path.
         Xtr, Xte = data
-        shared = fit_predict(
-            Xtr, Xte, share=True, backend=backend, n_jobs=2, batch_size=40
-        )
+        shared = fit_predict(Xtr, Xte, backend=backend, n_jobs=2, batch_size=40)
         try:
-            assert_bitwise_equal(shared, redundant)
+            assert_matches_standalone(shared, standalone)
+            assert_same_ensemble(shared, sequential)
         finally:
             shared[0].close()
 
     def test_projected_spaces_stay_private_but_bitwise_equal(self):
         # RP gives every neighbor model its own space object, so no
         # group reaches two consumers: sharing derives to inactive and
-        # scores still match the redundant run bitwise.
+        # each model scores as it does standalone on its projection.
         Xtr, _ = make_outlier_dataset(
             n_samples=300, n_features=12, contamination=0.1, random_state=7
         )
@@ -194,24 +204,31 @@ class TestParityMatrix:
             n_samples=80, n_features=12, contamination=0.1, random_state=8
         )
 
-        def run(share):
-            clf = SUOD(
-                [KNN(5), AvgKNN(12), LOF(9), LoOP(7)],
-                share_flag=share,
-                rp_flag_global=True,
-                approx_flag_global=False,
-                random_state=3,
-            ).fit(Xtr)
-            return clf, clf.decision_function_matrix(Xte)
+        def pool():
+            return [KNN(5), AvgKNN(12), LOF(9), LoOP(7)]
 
-        clf_s, matrix_s = run(True)
-        clf_r, matrix_r = run(False)
-        assert clf_s.sharing_fit_info_["structures_built"] == 0
-        assert np.array_equal(clf_s.decision_scores_, clf_r.decision_scores_)
-        assert np.array_equal(matrix_s, matrix_r)
+        run = fit_predict(Xtr, Xte, pool=pool, rp_flag_global=True, random_state=3)
+        clf = run[0]
+        assert clf.rp_flags_.all()
+        assert clf.sharing_fit_info_["structures_built"] == 0
+        projected = standalone_matrices(
+            pool, Xtr, Xte, lambda i, X: clf.projectors_[i].transform(X)
+        )
+        assert_matches_standalone(run, projected)
 
-    def test_share_flag_off_reports_disabled(self, redundant):
-        assert redundant[0].sharing_fit_info_ == {"sharing": "disabled"}
+    def test_high_d_pool_folds_into_one_producer(self):
+        # d = 40 with RP off: every neighbor detector reads the same
+        # space, so fit and predict each fold into one producer — and
+        # every raw score is still the standalone detector's.
+        rng = np.random.default_rng(40)
+        Xtr, Xte = rng.standard_normal((300, 40)), rng.standard_normal((60, 40))
+        before = kdtree_build_count()
+        run = fit_predict(Xtr, Xte)
+        assert kdtree_build_count() - before == 1
+        for info in (run[0].sharing_fit_info_, run[0].sharing_predict_info_):
+            assert info["structures_built"] == 1
+            assert info["queries_fused"] == 5
+        assert_matches_standalone(run, standalone_matrices(neighbor_pool, Xtr, Xte))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +284,7 @@ class TestShmHygiene:
     def test_happy_path_leaves_no_segments(self, data):
         Xtr, Xte = data
         before = shm_segments()
-        clf, _, _ = fit_predict(
-            Xtr, Xte, share=True, backend="shm_processes", n_jobs=2
-        )
+        clf, _, _ = fit_predict(Xtr, Xte, backend="shm_processes", n_jobs=2)
         clf.close()
         assert shm_segments() == before
 

@@ -179,8 +179,8 @@ class TestSharedStructureReuse:
         from repro.data import make_outlier_dataset
         from repro.detectors import KNN, LOF, AvgKNN
 
-        # n >= 256 so the neighbor engine resolves to kd_tree and the
-        # share stage actually builds (and injects) a shared tree.
+        # RP off: the three detectors read one space, so the share
+        # stage builds (and injects) a single shared tree.
         X, _ = make_outlier_dataset(
             n_samples=400, n_features=6, contamination=0.1, random_state=21
         )

@@ -276,9 +276,12 @@ def kdtree_query_batched(
     engine = choose_block_engine(
         X_query.shape[0], tree.n_samples_, tree.n_features_, k, tree.leaf_size
     )
-    return _query_blocks(
+    out = _query_blocks(
         _BLOCK_ENGINES[engine], tree, X_query, k, exclude_self, block_rows
     )
+    if exclude_self:  # fit-time self-query (_scan_operands)
+        tree.__dict__.pop("_scan_cache", None)
+    return out
 
 
 def _query_blocks(run, tree, X_query, k, exclude_self, block_rows):
@@ -334,6 +337,8 @@ def kdtree_query_maxk(
     """
     width = shared_query_width(ks, tree.n_samples_, cover_self=cover_self)
     dist, idx = tree.query(X_query, width, exclude_self=False, block_rows=block_rows)
+    if cover_self:  # fit-time self-query (_scan_operands)
+        tree.__dict__.pop("_scan_cache", None)
     return dist, idx, width
 
 
@@ -475,10 +480,10 @@ def _scan_operands(tree):
 
     ``(centre, [-2 (x - centre) | |x - centre|^2], max |x - centre|^2,
     inverse permutation)`` over the tree's ``_data``, in its dtype.
-    Derived state: :class:`~repro.neighbors.KDTree` drops it from
-    pickles (so nothing reaches an artifact) and from ``cast()`` clones.
-    A race between threads builds equal values twice; the last
-    assignment wins.
+    Derived state, a second copy of the rows: dropped from pickles (no
+    artifact holds it), ``cast()`` clones and fit-time self-queries (a
+    fitted model holds its rows once until it scores). A race between
+    threads builds equal values twice; the last assignment wins.
     """
     ops = tree.__dict__.get("_scan_cache")
     if ops is None:

@@ -23,6 +23,7 @@ from repro.kernels import neighbors as kn
 from repro.kernels.reference import kdtree_query_best_first, kdtree_query_heap
 from repro.memory.arena import release_mappings
 from repro.neighbors import KDTree, NearestNeighbors, brute_force_kneighbors
+from repro.neighbors.shared import build_shared_index, fused_neighbor_query
 from repro.utils.persistence import load_ensemble, read_ensemble_header, save_ensemble
 
 ENGINES = kn._BLOCK_ENGINES
@@ -70,7 +71,14 @@ def _trees(X, leaf_size):
 class TestEnginesMatchOracle:
     @pytest.mark.parametrize(
         "n,d,k,leaf",
-        [(300, 3, 5, 2), (1500, 6, 10, 1), (120, 2, 2, 1), (1200, 5, 16, 1)],
+        [
+            (300, 3, 5, 2),
+            (1500, 6, 10, 1),
+            (120, 2, 2, 1),
+            (1200, 5, 16, 1),
+            # the sweep in 8-d: a split tree needs n > 20 * 2**8 at leaf 1
+            (5500, 8, 16, 1),
+        ],
     )
     def test_random_data(self, rng, n, d, k, leaf):
         X = rng.standard_normal((n, d))
@@ -164,13 +172,14 @@ class TestEnginesMatchOracle:
             with pytest.raises(ValueError, match="mode"):
                 tree.query(Q, 2, mode=mode)
 
-    def test_row_separable(self, rng):
+    @pytest.mark.parametrize("n,d,leaf", [(2000, 3, 8), (6000, 8, 1)])
+    def test_row_separable(self, rng, n, d, leaf):
         # Every query row scored alone, in pairs and in the full batch
         # returns identical bytes (ROADMAP: row separability, stated
-        # for this layer).
-        X = rng.standard_normal((500, 8))
-        Q = rng.standard_normal((24, 8))
-        tree = KDTree(X)
+        # for this layer), also on a tree the sweep prunes.
+        X = rng.standard_normal((n, d))
+        Q = rng.standard_normal((24, d))
+        tree = _split_tree(X, leaf)
         for run in ENGINES.values():
             full = kn._query_blocks(run, tree, Q, 12, False, 1024)
             for width in (1, 2):
@@ -181,22 +190,26 @@ class TestEnginesMatchOracle:
 
     def test_randomized_shapes(self):
         # Seeded sweep over (n, d, k, leaf): shapes no hand-written case
-        # names.
+        # names, each drawn just past the size where the tree splits
+        # (one-leaf trees: test_one_leaf_tree, TestHighDimensional; split
+        # trees in d >= 4 have their own cases — the oracle's self-query
+        # of every row of one costs seconds).
         rng = np.random.default_rng(1234)
-        for _ in range(25):
-            n = int(rng.integers(2, 400))
-            d = int(rng.integers(1, 13))
-            leaf = int(rng.choice([1, 3, 8, 40]))
+        for _ in range(16):
+            d = int(rng.integers(1, 4))
+            leaf = int(rng.choice([1, 3, 8]))
+            splits_above = kn.SWEEP_ROW_COST * kn.expected_scanned(10**9, d, 1, leaf)
+            n = int(splits_above) + int(rng.integers(1, 100))
             X = rng.standard_normal((n, d))
             if rng.random() < 0.3:
                 X = np.round(X)  # ties
-            tree = KDTree(X, leaf_size=leaf)
+            tree = _split_tree(X, leaf)
             if rng.random() < 0.3:
                 tree = tree.cast(np.float32)
-            k = int(rng.integers(1, n + 1))
+            # k mostly within a few leaves, sometimes up to every row
+            k = int(rng.integers(1, n + 1 if rng.random() < 0.2 else 40))
             _check(tree, rng.standard_normal((int(rng.integers(1, 40)), d)), k)
-            if n > 1:
-                _check(tree, X, min(k, n - 1), exclude_self=True, block_rows=17)
+            _check(tree, X, min(k, n - 1), exclude_self=True, block_rows=17)
 
 
 class TestDistanceTies:
@@ -456,6 +469,23 @@ class TestScanOperands:
         assert "_scan_cache" not in pickle.loads(pickle.dumps(tree)).__dict__
         assert "_scan_cache" not in tree.cast(np.float32).__dict__
 
+    def test_fit_time_self_queries_leave_no_operands(self, rng):
+        # The operands are a second (n, d + 1) copy of the rows: a fitted
+        # model holds its rows once until it scores.
+        X = rng.standard_normal((300, 40))
+        knn = KNN(n_neighbors=5).fit(X)
+        tree = knn._nn._tree
+        assert tree._data is knn._nn._X
+        assert "_scan_cache" not in tree.__dict__
+        knn.decision_function(X[:4] + 0.1)
+        assert "_scan_cache" in tree.__dict__
+        # The sharing producer's fused self-covering query, likewise.
+        nn = build_shared_index(X)
+        fused_neighbor_query(nn, X, [5, 9], cover_self=True)
+        assert "_scan_cache" not in nn._tree.__dict__
+        fused_neighbor_query(nn, X[:4] + 0.1, [5, 9])
+        assert "_scan_cache" in nn._tree.__dict__
+
     def test_served_artifact_tree(self, rng, tmp_path):
         # A loaded v2 artifact serves the tree's _data as a read-only
         # memmap: the scan must answer from it bitwise, never write to
@@ -494,16 +524,17 @@ class TestAgainstFrozenHeapReference:
     order only fixes which equal-distance index is reported)."""
 
     def test_query_mode(self, rng):
-        X = rng.standard_normal((800, 5))
-        Q = rng.standard_normal((120, 5))
-        tree = KDTree(X, leaf_size=24)
+        X = rng.standard_normal((2000, 3))
+        Q = rng.standard_normal((120, 3))
+        tree = _split_tree(X, 8)
         _assert_identical(
             tree.query(Q, 9, mode="batched"), kdtree_query_heap(tree, Q, 9)
         )
 
     def test_exclude_self(self, rng):
-        X = rng.standard_normal((300, 4))
-        tree = KDTree(X, leaf_size=16)
+        X = rng.standard_normal((2000, 3))
+        tree = _split_tree(X, 8)
+        assert kn.choose_block_engine(2000, 2000, 3, 11, 8) == "sweep"
         _assert_identical(
             tree.query(X, 11, exclude_self=True, mode="batched"),
             kdtree_query_heap(tree, X, 11, exclude_self=True),
@@ -512,9 +543,10 @@ class TestAgainstFrozenHeapReference:
     def test_lof_scores(self, rng):
         from repro.detectors.lof import _EPS
 
-        X = rng.standard_normal((800, 6))
-        Q = rng.standard_normal((150, 6))
+        X = rng.standard_normal((3000, 3))
+        Q = rng.standard_normal((150, 3))
         lof = LOF(n_neighbors=10).fit(X)
+        assert _n_leaves(lof._nn._tree) > 1
         dist, idx = kdtree_query_heap(lof._nn._tree, Q, 10)
         reach = np.maximum(dist, lof._kdist[idx])
         lrd_q = 1.0 / (reach.mean(axis=1) + _EPS)
@@ -527,7 +559,7 @@ class TestAgainstBruteForce:
     def test_distances_match(self, rng):
         X = rng.standard_normal((500, 4))
         Q = rng.standard_normal((80, 4))
-        tree = KDTree(X, leaf_size=16)
+        tree = _split_tree(X, 1)
         td, _ = tree.query(Q, 8, mode="batched")
         bd, _ = brute_force_kneighbors(X, Q, 8)
         np.testing.assert_allclose(td, bd, rtol=1e-7, atol=1e-7)

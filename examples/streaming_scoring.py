@@ -7,14 +7,15 @@ stream of scoring requests — each request is a predict
 :class:`~repro.pipeline.ExecutionPlan` whose stage reports provide
 per-batch telemetry:
 
-- ``batch_size`` splits each request into row chunks, so the scheduling
-  unit is (model × chunk) — per-task memory stays bounded and the
-  longest task shrinks;
-- ``backend="threads"`` overlaps the chunks' NumPy/BLAS work on several
-  threads of one process, with no pool to spawn or data to copy.
+- ``backend="threads"`` overlaps the models' NumPy/BLAS work on several
+  threads of one process, with no pool to spawn or data to copy;
+- a dataset too large to hold in RAM is written to disk once and
+  scored out of core: :func:`~repro.memory.outofcore.score_out_of_core`
+  streams its memmapped rows through a fixed ring of small row blocks.
 
-Chunked scores are bitwise-identical to the sequential path — the demo
-verifies that on every batch, against the *reloaded* ensemble.
+Threaded and out-of-core scores are bitwise-identical to the sequential
+path — the demo verifies that on every batch and on the streamed
+dataset, against the *reloaded* ensemble.
 
 Run:  python examples/streaming_scoring.py
 """
@@ -27,6 +28,7 @@ import numpy as np
 from repro import SUOD, load_ensemble, save_ensemble
 from repro.data import make_outlier_dataset
 from repro.detectors import HBOS, KNN, LOF, AvgKNN, IsolationForest
+from repro.memory.outofcore import open_rows, save_rows, score_out_of_core
 from repro.parallel import ExecutionResult
 from repro.pipeline import PlanRunner
 
@@ -50,7 +52,6 @@ def main() -> None:
         make_pool(),
         n_jobs=4,
         backend="threads",
-        batch_size=128,
         approx_flag_global=False,  # keep raw detectors: worst-case costs
         random_state=0,
     )
@@ -67,7 +68,8 @@ def main() -> None:
         print(f"  {report.stage:<12s} {report.wall_time:8.4f}s")
 
     # -- persist + reload: the served ensemble is the reloaded one -----
-    path = Path(tempfile.mkdtemp()) / "streaming_ensemble.pkl"
+    workdir = Path(tempfile.mkdtemp())
+    path = workdir / "streaming_ensemble.pkl"
     save_ensemble(engine, path)
     served = load_ensemble(path)
     print(f"\nensemble round-tripped through {path.name}")
@@ -89,7 +91,7 @@ def main() -> None:
         telemetry = plan.report_for("execute").execution
         batch_executions.append(plan.merged_execution())
         assert np.array_equal(scores, reference.decision_function(stream)), \
-            "chunked scores must match the sequential path bitwise"
+            "threaded scores must match the sequential path bitwise"
         print(
             f"{batch_id:>5} {n_rows:>6} {latency:>8.3f}s "
             f"{n_rows / latency:>9.0f} {telemetry.task_times.size:>6}"
@@ -101,7 +103,23 @@ def main() -> None:
         f"wall {merged.wall_time:.3f}s, worker busy "
         f"{np.round(merged.worker_times, 3).tolist()} s"
     )
-    print("every batch verified bitwise-equal to the sequential engine")
+
+    # -- bounded memory: stream an on-disk dataset through a 64 KB ring --
+    big = rng.standard_normal((5000, X_train.shape[1]))
+    rows = open_rows(save_rows(big, workdir / "rows.npy"))
+    budget = 64 << 10
+    streamed = score_out_of_core(served, rows, memory_budget_bytes=budget)
+    assert np.array_equal(streamed, reference.decision_function(big)), \
+        "out-of-core scores must match the in-RAM sequential path bitwise"
+    print(
+        f"\nscored {rows.shape[0]} memmapped rows out of core "
+        f"({big.nbytes >> 10} KB of data, {budget >> 10} KB resident ring)"
+    )
+    served.close()
+    print(
+        "every batch and the streamed dataset verified bitwise-equal to "
+        "the sequential engine"
+    )
 
 
 if __name__ == "__main__":

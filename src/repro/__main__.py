@@ -130,22 +130,13 @@ def _load_serving_artifact(path: str):
         raise CLIError(f"cannot load ensemble artifact {path!r}: {exc}") from exc
 
 
-def _task_labels(plan, estimators) -> list[str]:
-    """Human label per scheduled task (family, plus rows for chunks)."""
+def _print_plan(kind: str, plan, estimators, max_rows: int = 48) -> None:
     from repro.detectors.registry import family_of
 
-    families = [family_of(est) for est in estimators]
-    owners = plan.context.get("owners")
-    if owners is None:
-        return families
-    return [f"{families[i]}[{sl.start}:{sl.stop}]" for i, sl in owners]
-
-
-def _print_plan(kind: str, plan, estimators, max_rows: int = 48) -> None:
     meta = plan.meta
     print(
         f"\n=== {kind} plan — backend={meta['backend']} n_jobs={meta['n_jobs']} "
-        f"grain={meta['grain']} tasks={meta['n_tasks']} ==="
+        f"tasks={meta['n_tasks']} ==="
     )
     print(
         format_table(
@@ -154,7 +145,7 @@ def _print_plan(kind: str, plan, estimators, max_rows: int = 48) -> None:
             title="Stages",
         )
     )
-    rows = plan.assignment_rows(labels=_task_labels(plan, estimators))
+    rows = plan.assignment_rows(labels=[family_of(est) for est in estimators])
     if rows:
         shown = rows[:max_rows]
         print(
@@ -197,9 +188,6 @@ def run_plan_command(argv=None) -> int:
     parser.add_argument("--n-jobs", type=int, default=4, help="worker count t")
     parser.add_argument("--backend", choices=_BACKENDS, default="threads")
     parser.add_argument(
-        "--batch-size", type=int, default=None, help="row-chunk scoring grain"
-    )
-    parser.add_argument(
         "--no-bps", action="store_true", help="use the generic contiguous split"
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -220,7 +208,6 @@ def run_plan_command(argv=None) -> int:
         pool,
         n_jobs=args.n_jobs,
         backend=args.backend,
-        batch_size=args.batch_size,
         bps_flag=not args.no_bps,
         random_state=args.seed,
     )

@@ -64,12 +64,7 @@ from repro.combination import (
 from repro.core.approximation import Approximator, ApproximatorWave
 from repro.detectors.base import BaseDetector
 from repro.detectors.registry import family_of, is_costly
-from repro.parallel import (
-    ExecutionResult,
-    chunk_slices,
-    get_backend,
-    get_backend_class,
-)
+from repro.parallel import ExecutionResult, get_backend, get_backend_class
 from repro.pipeline import ExecutionPlan, PlanContext, PlanRunner, Stage
 from repro.pipeline.detector_wave import DetectorWave
 from repro.pipeline.sharing import (
@@ -147,19 +142,9 @@ class SUOD:
         projected spaces into shared segments once, task payloads carry
         handles instead of array copies, and a persistent worker pool
         is reused across fit/predict and repeated scoring batches.
-    batch_size : int or None, default None
-        Row-chunk size for scoring. When set, ``decision_function`` /
-        ``predict`` split ``X`` into blocks of at most ``batch_size``
-        rows and schedule (model × chunk) tasks instead of one task per
-        model — a finer grain that packs workers tighter and bounds
-        per-task memory. Chunked scores are bitwise identical to
-        unchunked ones (per-row scorers are row-separable), under every
-        backend. Fitting keeps the per-model grain: detector training
-        couples all rows, so a train-time row split would change the
-        models themselves. Chunking pairs naturally with ``threads``
-        and with ``shm_processes``, where a chunk task ships only
-        (handle, slice) and each worker slices rows off its attached
-        view.
+        Every backend runs one task per model, in fit and in scoring;
+        to bound the rows one scoring call holds, stream them through
+        :func:`repro.memory.outofcore.score_out_of_core`.
     combination : {'average', 'maximization', 'moa'}, default 'average'
         Combiner for the final score (the paper reports Avg and MOA).
     standardisation : {'ecdf', 'zscore'}, default 'ecdf'
@@ -207,7 +192,6 @@ class SUOD:
         cost_predictor=None,
         n_jobs: int = 1,
         backend: str = "sequential",
-        batch_size: int | None = None,
         combination: str = "average",
         standardisation: str = "ecdf",
         random_state=None,
@@ -228,8 +212,6 @@ class SUOD:
             raise ValueError("standardisation must be 'ecdf' or 'zscore'")
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be None or >= 1")
         get_backend_class(backend)  # fail fast on unknown names
         if isinstance(scheduler, str):
             get_scheduler_class(scheduler)  # fail fast on unknown names
@@ -252,7 +234,6 @@ class SUOD:
         self.cost_predictor = cost_predictor
         self.n_jobs = n_jobs
         self.backend = backend
-        self.batch_size = batch_size
         self.combination = combination
         self.standardisation = standardisation
         self.random_state = random_state
@@ -348,18 +329,16 @@ class SUOD:
     # the PlanContext; fitted state lands on ``self`` exactly as the
     # monolithic fit/predict bodies used to leave it.
     # ------------------------------------------------------------------
-    def _plan_meta(self, *, grain: str, n_tasks: int) -> dict:
+    def _plan_meta(self) -> dict:
         return {
             "backend": self._effective_backend,
             "n_jobs": self.n_jobs,
             "n_models": self.n_models,
-            "grain": grain,
-            "n_tasks": n_tasks,
+            "n_tasks": self.n_models,
             "bps": self.bps_flag,
             "scheduler": "single-worker"
             if self._make_backend().n_workers == 1
             else self._make_scheduler().name,
-            "batch_size": self.batch_size,
             "shm": self._uses_shm,
         }
 
@@ -377,8 +356,6 @@ class SUOD:
             models=self.base_estimators,
             scorers=self.base_estimators,
             rng=check_random_state(self.random_state),
-            owners=None,
-            n_tasks=self.n_models,
             kind="fit",
         )
         stages = [
@@ -422,7 +399,7 @@ class SUOD:
             kind="fit",
             stages=stages,
             context=ctx,
-            meta=self._plan_meta(grain="model", n_tasks=self.n_models),
+            meta=self._plan_meta(),
             shm_keys=("spaces",) if self._uses_shm else (),
         )
         self.fit_plan_ = plan
@@ -431,10 +408,7 @@ class SUOD:
     def build_predict_plan(self, X) -> ExecutionPlan:
         """Compile a scoring pass over ``X`` into an ExecutionPlan.
 
-        Requires a fitted estimator. With ``batch_size`` set and more
-        rows than the batch, the task grain becomes (model × row-chunk);
-        forecast costs are scaled by each chunk's row fraction so BPS
-        ranks stay meaningful at the finer grain.
+        Requires a fitted estimator.
         """
         check_is_fitted(self, "base_estimators_")
         X = check_array(X, name="X")
@@ -442,21 +416,10 @@ class SUOD:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
-        n = X.shape[0]
-        chunked = self.batch_size is not None and n > self.batch_size
-        if chunked:
-            slices = chunk_slices(n, self.batch_size)
-            owners = [(i, sl) for i in range(self.n_models) for sl in slices]
-        else:
-            slices, owners = None, None
-        n_tasks = len(owners) if chunked else self.n_models
         ctx = PlanContext(
             X=X,
             models=self.base_estimators_,
             scorers=self.approximators_,
-            owners=owners,
-            slices=slices,
-            n_tasks=n_tasks,
             kind="predict",
         )
         stages = [
@@ -495,9 +458,7 @@ class SUOD:
             kind="predict",
             stages=stages,
             context=ctx,
-            meta=self._plan_meta(
-                grain="model x chunk" if chunked else "model", n_tasks=n_tasks
-            ),
+            meta=self._plan_meta(),
             shm_keys=("spaces",) if self._uses_shm else (),
         )
         self.predict_plan_ = plan
@@ -511,9 +472,7 @@ class SUOD:
         skipped exactly when the assignment cannot use them, so an
         untrained CostPredictor on one worker keeps working."""
         predictor = self._cost_predictor()
-        wave = DetectorWave(
-            ctx.kind, ctx.models, ctx.X, predictor, ctx.scorers, ctx.owners
-        )
+        wave = DetectorWave(ctx.kind, ctx.models, ctx.X, predictor, ctx.scorers)
         run = WaveRun(wave, self._make_backend(), self._make_scheduler())
         ctx.detectors = run
         ctx.costs = run.forecast()
@@ -536,9 +495,7 @@ class SUOD:
         if ctx.kind == "fit":
             sharing = derive_fit_sharing(self.base_estimators, ctx.spaces)
         else:
-            sharing = derive_predict_sharing(
-                self.approximators_, ctx.spaces, ctx.n_tasks
-            )
+            sharing = derive_predict_sharing(self.approximators_, ctx.spaces)
         ctx.sharing, ctx.producers = sharing, None
         info = sharing.summary()
         if sharing.active:
@@ -560,7 +517,7 @@ class SUOD:
         if run.n_workers > 1 and run.scheduler.adaptive:
             # How much measured telemetry backed this assignment.
             info["n_observed"] = int(run.scheduler.n_observed)
-        info["n_tasks"] = int(ctx.n_tasks)
+        info["n_tasks"] = run.wave.n_tasks
         info["tasks_per_worker"] = run.tasks_per_worker()
         if ctx.producers is not None:
             ctx.producers.schedule()
@@ -570,9 +527,9 @@ class SUOD:
     def _stage_execute(self, ctx: PlanContext) -> dict:
         """The execute stage as a two-wave DAG: the share stage's
         producers publish their fused neighbor results, then one task
-        per model (or model × chunk) runs, consumers binding their
-        group's published pair. Returns the stage info; the detector
-        wave's products are on ``ctx.detectors.wave``."""
+        per model runs, consumers binding their group's published pair.
+        Returns the stage info; the detector wave's products are on
+        ``ctx.detectors.wave``."""
         # With the shm data plane, tasks bind tiny segment handles (the
         # runner materialised ctx.spaces into the arena); otherwise they
         # bind the arrays themselves.
@@ -750,12 +707,6 @@ class SUOD:
         run = ctx.detectors
         self.predict_result_ = run.result
         ctx.matrix = run.wave.matrix
-        if ctx.owners is not None:
-            self._log(
-                f"chunked scoring: {self.n_models} models x "
-                f"{len(ctx.slices)} chunks (batch_size={self.batch_size}), "
-                f"wall {run.result.wall_time:.3f}s"
-            )
         return info
 
     def _predict_stage_combine(self, ctx: PlanContext) -> dict:
@@ -801,13 +752,7 @@ class SUOD:
         )
 
     def decision_function_matrix(self, X) -> np.ndarray:
-        """Raw (m, l) score matrix on new samples (one row per model).
-
-        With ``batch_size`` set and more rows than the batch, the work is
-        split into (model × row-chunk) tasks; otherwise each model scores
-        all rows in one task. Either way, the returned matrix is
-        identical — chunking changes the execution grain only.
-        """
+        """Raw (m, l) score matrix on new samples (one row per model)."""
         plan = self.build_predict_plan(X)
         try:
             PlanRunner(verbose=False).run(plan, until="execute")
@@ -877,5 +822,5 @@ class SUOD:
             f"SUOD(m={self.n_models}, rp={self.rp_flag_global}, "
             f"approx={self.approx_flag_global}, bps={self.bps_flag}, "
             f"scheduler={sched_name!r}, n_jobs={self.n_jobs}, "
-            f"backend={self.backend!r}, batch_size={self.batch_size})"
+            f"backend={self.backend!r})"
         )

@@ -19,8 +19,8 @@ serves both layouts).
 Where the win lands: the per-tree loop pays its interpreter overhead per
 tree per level, so it is slowest exactly where the serving architecture
 operates — small consecutive scoring batches (the stream-serving pattern
-of the execution plane, and the row chunks ``SUOD(batch_size=...)``
-ships to workers). Measured on the 1-CPU dev container with a 100-tree
+of the execution plane, the serving micro-batches and the row blocks of
+out-of-core scoring). Measured on the 1-CPU dev container with a 100-tree
 forest: ~3.7x at 128-row batches, ~2.6x at 256, converging to parity
 (±10%) for one-shot bulk scoring of several thousand rows, where both
 formulations are memory-bandwidth-bound.

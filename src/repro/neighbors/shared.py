@@ -17,9 +17,9 @@ The staged payload is one-shot: it is popped on first use, so a
 detector re-fitted outside a plan silently falls back to the standalone
 path. It is staged worker-side immediately before ``fit``/``_score``
 and never crosses a pickle boundary. Staging is **thread-local** and
-keyed by estimator identity: under the thread backends two row-chunk
-tasks of the *same* model may score concurrently, and an
-estimator-attribute stage would let one task pop the other's slices.
+keyed by estimator identity: two threads may score one fitted model at
+once (two plans in flight on the same estimator), and an
+estimator-attribute stage would let one thread pop the other's slices.
 
 This module is the statically-blessed path: the ``redundant-structure``
 analysis rule flags detector code that constructs ``NearestNeighbors``

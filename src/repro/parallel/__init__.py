@@ -22,9 +22,7 @@ interface:
 
 Every backend takes a pre-computed ``assignment`` (task -> worker), so
 the scheduling policy (generic vs BPS) stays a separate, testable
-concern. :mod:`repro.parallel.chunking` splits
-scoring work along the sample axis so the scheduling unit becomes
-(model × row-block) instead of a whole model.
+concern.
 """
 
 from repro.parallel.execution import (
@@ -43,7 +41,6 @@ from repro.parallel.shm import (
     attach_array,
     resolve_array,
 )
-from repro.parallel.chunking import chunk_slices, n_chunks, scatter_chunk_results
 
 __all__ = [
     "ExecutionResult",
@@ -58,7 +55,4 @@ __all__ = [
     "get_backend",
     "get_backend_class",
     "register_backend",
-    "chunk_slices",
-    "n_chunks",
-    "scatter_chunk_results",
 ]

@@ -18,7 +18,7 @@ that layer for SUOD:
   producer tasks (``ProducerWave``) whose fused query results every
   consumer prefix-slices (bitwise-identical, see :class:`SharingPlan`);
 - :mod:`repro.pipeline.detector_wave` — the detector fits / scoring
-  tasks as a wave (``DetectorWave``: per model, or model × row-chunk);
+  tasks as a wave (``DetectorWave``: one task per model);
 - :class:`PlanRunner` — the single loop every backend runs through,
   with resume/partial-execution semantics;
 - :class:`StageReport` — per-stage wall time plus worker-load and

@@ -87,7 +87,7 @@ class ExecutionPlan:
         Shared mutable state; stage outputs (costs, assignment, matrix,
         scores, ...) accumulate here.
     meta : dict
-        Static facts known at build time (backend, n_jobs, task grain).
+        Static facts known at build time (backend, n_jobs, task count).
     shm_keys : tuple of str
         Context keys (each an ndarray or a list of ndarrays) the runner
         materialises into a shared-memory arena right before
@@ -243,12 +243,18 @@ class ExecutionPlan:
         return rows
 
     def worker_rows(self) -> list[dict]:
-        """Per-worker planned load: task count and forecast cost sum."""
+        """Per-worker planned load: task count and forecast cost sum.
+
+        One row per worker the schedule stage actually spread the tasks
+        over (its ``tasks_per_worker``), not per worker requested.
+        """
         assignment = self.context.get("assignment")
         if assignment is None:
             return []
         a = np.asarray(assignment)
-        n_workers = int(self.meta.get("n_jobs", a.max(initial=0) + 1))
+        schedule = self.report_for("schedule")
+        per_worker = schedule.info.get("tasks_per_worker") if schedule else None
+        n_workers = len(per_worker) if per_worker else int(a.max(initial=0)) + 1
         counts = np.bincount(a, minlength=n_workers)
         rows = []
         costs = self.context.get("costs")

@@ -196,7 +196,7 @@ def derive_fit_sharing(models, spaces) -> SharingPlan:
     return plan
 
 
-def derive_predict_sharing(approximators, spaces, n_tasks: int) -> SharingPlan:
+def derive_predict_sharing(approximators, spaces) -> SharingPlan:
     """Resource-key pass over a fitted pool: who can share at predict.
 
     Consumers are the *passthrough* scorers (PSA-approximated models
@@ -232,7 +232,7 @@ def derive_predict_sharing(approximators, spaces, n_tasks: int) -> SharingPlan:
         if spec is None:
             continue
         groups.setdefault((id(index_of[i]), id(spaces[i])), []).append(i)
-    plan = SharingPlan(kind="predict", queries=[], n_tasks=n_tasks)
+    plan = SharingPlan(kind="predict", queries=[], n_tasks=len(approximators))
     for members in groups.values():
         if len(members) < 2:
             continue

@@ -313,8 +313,8 @@ class TelemetryRefinedCostModel:
     Static forecasters guess; this model measures. Every executed batch
     reports per-task wall-clock durations (``ExecutionResult.task_times``),
     keyed by a stable task identity (e.g. ``('predict', model_index)``)
-    and an optional *weight* (the task's row count, so chunked and
-    differently-sized batches observe the same per-row rate). Durations
+    and an optional *weight* (the task's row count, so differently-sized
+    batches observe the same per-row rate). Durations
     fold into an exponential moving average per key; at scheduling time
     :meth:`refine` replaces the base forecast of every observed task
     with its measured cost and *calibrates* unobserved forecasts onto

@@ -2,16 +2,17 @@
 
 Three contracts:
 
-1. **Bitwise equality matrix** — every execution backend, with and
-   without row-chunked scoring, reproduces the sequential reference's
-   ``decision_scores_``, score matrix, and test scores exactly. The
-   engine may move bytes differently; it must never change them.
+1. **Bitwise equality matrix** — every execution backend reproduces
+   the sequential reference's ``decision_scores_``, score matrix, and
+   test scores exactly. The engine may move bytes differently; it must
+   never change them.
 2. **Segment hygiene** — a fit/predict pass through the shm data plane
    leaves no ``shared_memory`` segment behind, on the happy path and
    when a stage raises mid-plan.
-3. **Backend names** — an unknown or removed name fails at construction,
-   whatever ``n_jobs`` says; an artifact saved under a removed name
-   still loads and scores on the sequential path.
+3. **Removed names** — an unknown or removed backend name fails at
+   construction, whatever ``n_jobs`` says; an artifact saved under a
+   removed backend name, or carrying the removed ``batch_size``
+   attribute, still loads and scores bitwise.
 """
 
 import os
@@ -82,16 +83,15 @@ class FailingDetector(BaseDetector):
 
 
 class TestBitwiseEqualityMatrix:
-    @pytest.mark.parametrize("batch_size", [None, 17])
     @pytest.mark.parametrize(
         "backend,n_jobs,scheduler",
-        [(b, 2, None) for b in PARALLEL_BACKENDS]
+        [(b, 2, None) for b in (*PARALLEL_BACKENDS, "simulated")]
         # Codeblock 1's call: workers requested from the one-worker
         # default backend (also with README's configured instance).
         + [("sequential", 4, None), ("sequential", 4, "adaptive-instance")],
     )
     def test_backend_matches_sequential(
-        self, data, reference, backend, n_jobs, scheduler, batch_size
+        self, data, reference, backend, n_jobs, scheduler
     ):
         Xtr, Xte, ytr, yte = data
         ref_train, M0, s0 = reference
@@ -105,7 +105,6 @@ class TestBitwiseEqualityMatrix:
                 n_jobs=n_jobs,
                 backend=backend,
                 scheduler=scheduler,
-                batch_size=batch_size,
             ).fit(Xtr)
             try:
                 np.testing.assert_array_equal(clf.decision_scores_, ref_train)
@@ -126,7 +125,7 @@ class TestBitwiseEqualityMatrix:
             }
             assert clf._make_scheduler().n_observed == 0
 
-    def test_shm_three_workers_chunked(self, data, reference):
+    def test_shm_three_workers_generic_split(self, data, reference):
         Xtr, Xte, ytr, yte = data
         _, M0, s0 = reference
         clf = SUOD(
@@ -134,7 +133,6 @@ class TestBitwiseEqualityMatrix:
             random_state=3,
             n_jobs=3,
             backend="shm_processes",
-            batch_size=31,
             bps_flag=False,
         ).fit(Xtr)
         try:
@@ -296,4 +294,21 @@ class TestBackendNames:
         loaded = load_ensemble(path)
         assert loaded.backend == "work_stealing"
         np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
+        loaded.close()
+
+    def test_artifact_saved_with_batch_size_still_scores(
+        self, data, reference, tmp_path
+    ):
+        Xtr, Xte, ytr, yte = data
+        clf = SUOD(fresh_pool(), random_state=3).fit(Xtr)
+        # Artifacts written while SUOD took ``batch_size`` carry it in
+        # their state; nothing reads it, so they score one task per model.
+        clf.batch_size = 17
+        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
+        assert loaded.batch_size == 17
+        np.testing.assert_array_equal(
+            loaded.decision_function_matrix(Xte), reference[1]
+        )
+        np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
+        assert loaded.predict_result_.task_times.shape == (loaded.n_models,)
         loaded.close()

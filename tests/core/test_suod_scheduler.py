@@ -156,13 +156,6 @@ class TestSuodFeedbackLoop:
             assert model.has_observations([(f"{plan.kind}-share", 0)])
             assert info["telemetry_observed"] == 1 + 3
 
-    def test_chunked_tasks_share_model_identity(self, data):
-        clf = _fit(data, scheduler="adaptive", backend="threads", batch_size=64)
-        clf.decision_function(data)
-        scheduler = clf._make_scheduler()
-        # Chunk tasks fold into per-model keys, not per-chunk keys.
-        assert scheduler.n_observed == 2 * clf.n_models + int(clf.approx_flags_.sum())
-
     def test_rescheduling_uses_measured_costs(self, data):
         clf = _fit(data, scheduler="adaptive")
         clf.decision_function(data)

@@ -255,7 +255,6 @@ class TestSuodPlans:
             "approximate",
             "combine",
         ]
-        assert plan.meta["grain"] == "model"
         assert plan.completed == []
 
     def test_partial_fit_plan_previews_assignment_without_fitting(self, data):
@@ -277,6 +276,25 @@ class TestSuodPlans:
         assert hasattr(clf, "base_estimators_")
         assert plan.is_complete
 
+    @pytest.mark.filterwarnings("ignore:backend 'sequential' always runs one")
+    @pytest.mark.parametrize(
+        "backend,n_jobs,n_workers", [("sequential", 4, 1), ("threads", 3, 3)]
+    )
+    def test_worker_rows_count_the_workers_the_run_had(
+        self, data, backend, n_jobs, n_workers
+    ):
+        # The sequential backend runs n_jobs=4 on its one worker: one
+        # row, not four with three empty.
+        Xtr, _ = data
+        clf = SUOD(make_pool(), n_jobs=n_jobs, backend=backend, random_state=0)
+        plan = clf.build_fit_plan(Xtr)
+        PlanRunner().run(plan, until="schedule")
+        rows = plan.worker_rows()
+        assert [row["worker"] for row in rows] == list(range(n_workers))
+        assert sum(row["n_tasks"] for row in rows) == clf.n_models
+        plan.release_data()
+        assert plan.worker_rows() == rows
+
     def test_fit_records_plan_and_execution_telemetry(self, data):
         Xtr, _ = data
         clf = SUOD(make_pool(), n_jobs=2, backend="threads", random_state=0).fit(Xtr)
@@ -292,22 +310,6 @@ class TestSuodPlans:
         assert merged.wall_time == pytest.approx(
             clf.fit_result_.wall_time + clf.approx_result_.wall_time
         )
-
-    def test_predict_plan_chunked_grain(self, data):
-        Xtr, Xte = data
-        clf = SUOD(
-            make_pool(),
-            n_jobs=2,
-            backend="threads",
-            batch_size=32,
-            random_state=0,
-        ).fit(Xtr)
-        plan = clf.build_predict_plan(Xte)
-        assert plan.meta["grain"] == "model x chunk"
-        assert plan.meta["n_tasks"] == clf.n_models * 3  # ceil(90/32)
-        PlanRunner().run(plan)
-        assert plan.context.matrix.shape == (clf.n_models, Xte.shape[0])
-        assert plan.context.scores.shape == (Xte.shape[0],)
 
     def test_plan_to_dict_is_json_serialisable(self, data):
         Xtr, _ = data
@@ -459,10 +461,9 @@ class TestScoreRegression:
         [
             dict(n_jobs=1, backend="sequential"),
             dict(n_jobs=3, backend="threads"),
-            dict(n_jobs=3, backend="threads", batch_size=32),
-            dict(n_jobs=3, backend="shm_processes", batch_size=32),
+            dict(n_jobs=3, backend="shm_processes"),
         ],
-        ids=["sequential", "threads", "threads_chunked", "shm_chunked"],
+        ids=["sequential", "threads", "shm_processes"],
     )
     def test_planned_pipeline_matches_monolith_bitwise(self, data, kwargs):
         Xtr, Xte = data

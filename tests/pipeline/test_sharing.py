@@ -3,7 +3,7 @@
 The contract under test: the ``share`` stage folds every KD-tree build
 and neighbor query with the same ``(space, metric)`` resource key into
 one producer task, and every raw score the ensemble emits — train and
-predict matrices, chunked or not, on any backend, in any dimension — is
+predict matrices, on any backend, in any dimension — is
 **bitwise identical** to each detector fitted standalone on the same
 space (with RP off every model sees ``X`` itself; with RP on, its own
 projection); combined scores agree across backends. The parity matrix
@@ -181,18 +181,6 @@ class TestParityMatrix:
         finally:
             shared[0].close()
 
-    @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
-    def test_chunked_predict_parity(self, data, standalone, sequential, backend):
-        # batch_size forces (model x chunk) grain: shared consumers run
-        # through score_task's row-slice path.
-        Xtr, Xte = data
-        shared = fit_predict(Xtr, Xte, backend=backend, n_jobs=2, batch_size=40)
-        try:
-            assert_matches_standalone(shared, standalone)
-            assert_same_ensemble(shared, sequential)
-        finally:
-            shared[0].close()
-
     def test_projected_spaces_stay_private_but_bitwise_equal(self):
         # RP gives every neighbor model its own space object, so no
         # group reaches two consumers: sharing derives to inactive and
@@ -275,7 +263,6 @@ FAILING_WAVES = {
     "predict producer": ("predict", "schedule", "NoneType"),
     "detector fit": ("fit", "schedule", "detector fit exploded"),
     "score task": ("predict", "schedule", "score task exploded"),
-    "score chunk": ("predict", "schedule", "score task exploded"),
     "PSA block": ("fit", "execute", "PSA block exploded"),
 }
 
@@ -308,7 +295,6 @@ class TestShmHygiene:
             rp_flag_global=False,
             approx_flag_global=wave == "PSA block",
             approx_clf=forest,
-            batch_size=40 if wave == "score chunk" else None,
             random_state=0,
         )
         forest.armed = wave == "PSA block"

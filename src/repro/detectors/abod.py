@@ -64,9 +64,6 @@ class ABOD(BaseDetector):
         the original ABOF definition; the chunked kernel computes it for
         all queries at once, bitwise-equal to the per-query loop.
         """
-        # Queries follow the reference matrix's serving dtype (float32
-        # mode casts _X; the default float64 cast is a no-op).
-        Q = np.asarray(Q, dtype=self._X.dtype)
         return -pairwise_angle_variance(Q, self._X, idx, eps=_EPS)
 
     def _score(self, X: np.ndarray) -> np.ndarray:

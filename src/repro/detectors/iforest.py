@@ -230,7 +230,6 @@ class IsolationForest(BaseDetector):
         state = self.__dict__.copy()
         if not serialize_arenas_active():
             state.pop("_flat_cache", None)
-        state.pop("_serving_flat64", None)
         return state
 
     def _score(self, X: np.ndarray) -> np.ndarray:

@@ -39,10 +39,7 @@ def pairwise_angle_variance(
     d = Q.shape[1]
     iu, ju = np.triu_indices(k, k=1)
     n_pairs = iu.size
-    # The serving dtype follows the inputs: float64 queries against a
-    # float64 reference stay on the bitwise-frozen path; a float32
-    # reference (serving mode) computes and returns float32.
-    out = np.empty(n, dtype=np.result_type(Q.dtype, X.dtype))
+    out = np.empty(n, dtype=np.float64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n_pairs * d))
     for s in range(0, n, chunk):
         sl = slice(s, min(s + chunk, n))

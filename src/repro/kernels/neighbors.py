@@ -4,11 +4,11 @@ Every Euclidean k-NN query in the package, in any dimension, runs here.
 The answer of a query is *defined*, not computed by a particular
 traversal: the ``k`` lexicographically smallest ``(distance, index)``
 pairs, where ``distance`` is the elementwise expression
-``sqrt(((x - q) ** 2).sum())`` evaluated in the tree's dtype and
-``index`` the row's original position. That is a pure function of the
-data — independent of ``k``'s neighbours in a batch, of block shapes, of
-BLAS builds and thread counts — and the per-query best-first search
-frozen in :func:`repro.kernels.reference.kdtree_query_best_first` is its
+``sqrt(((x - q) ** 2).sum())`` evaluated in float64 and ``index`` the
+row's original position. That is a pure function of the data —
+independent of ``k``'s neighbours in a batch, of block shapes, of BLAS
+builds and thread counts — and the per-query best-first search frozen
+in :func:`repro.kernels.reference.kdtree_query_best_first` is its
 oracle. Two block engines find *candidates* for that answer; one helper
 (:func:`_select_exact`) computes every exact distance and makes every
 selection, so the engines cannot disagree on a bit they both reach.
@@ -69,13 +69,13 @@ threshold, non-finite (``inf - inf`` cells are NaN): such a row keeps
 every cell and is scanned exactly — slow and still canonical.
 
 *When the filter cannot discriminate.* ``e`` scales with the farthest
-indexed row. A few rows beyond ~1e7 times the cloud's spread (float64;
-a few hundred times for a float32 cast) push ``2 e`` past the cloud's
-own squared distances: most cells survive and the scan degrades toward
-an exact scan of every row — canonical, in bounded memory (survivors
-are refined ``_SCAN_BLOCK`` distance terms at a time), at about the
-cost of the sweep in high ``d``. A per-cell bound (``|b_j|^2`` in place
-of the maximum) would remove the cliff; it is left as a follow-up.
+indexed row. A few rows beyond ~1e7 times the cloud's spread push
+``2 e`` past the cloud's own squared distances: most cells survive and
+the scan degrades toward an exact scan of every row — canonical, in
+bounded memory (survivors are refined ``_SCAN_BLOCK`` distance terms at
+a time), at about the cost of the sweep in high ``d``. A per-cell bound
+(``|b_j|^2`` in place of the maximum) would remove the cliff; it is left
+as a follow-up.
 
 Pruned sweep (``_sweep_block``)
 -------------------------------
@@ -95,16 +95,14 @@ Pruning is *non-strict* — a subtree whose lower bound exactly ties the
 current kth distance is still visited — so every candidate tied at the
 kth distance is scanned. The sweep tracks the per-dimension offsets
 accumulated along each root-to-node path and prunes on
-``sqrt(sum(offsets ** 2))``. The offsets are kept in the tree's dtype
-and their squares reduced with the same row-wise sum as the distance
-computation itself; every operation is monotone and every term
-elementwise dominated, so the bound is a true lower bound of the
-*computed* distance of any point in the subtree — float rounding
-included — which keeps non-strict pruning exact. (A float64 bound over
-a float32 tree is not: it can exceed a distance that rounded down onto
-a tie with kth. Both the sweep's and the oracle's bounds assume a
-squared gap does not flush to zero: with coordinates closer than
-``sqrt(tiny)`` only the scan is canonical.)
+``sqrt(sum(offsets ** 2))``. Offsets, bounds and distances are all
+float64, and the offsets' squares are reduced with the same row-wise
+sum as the distance computation itself; every operation is monotone and
+every term elementwise dominated, so the bound is a true lower bound of
+the *computed* distance of any point in the subtree — float rounding
+included — which keeps non-strict pruning exact. (Both the sweep's and
+the oracle's bounds assume a squared gap does not flush to zero: with
+coordinates closer than ``sqrt(tiny)`` only the scan is canonical.)
 
 Which engine runs
 -----------------
@@ -289,11 +287,7 @@ def _query_blocks(run, tree, X_query, k, exclude_self, block_rows):
     q = X_query.shape[0]
     # Block-local query ids are sorted as 16-bit keys (_select_exact).
     block_rows = min(block_rows, 1 << 16)
-    # Distances come back in the tree's serving dtype (float64 default;
-    # float32 when the tree was cast). Internal selection state stays
-    # float64 either way — promotion is exact, so the float64 path is
-    # bitwise-unchanged and the float32 path loses nothing in merges.
-    out_d = np.empty((q, k), dtype=tree._data.dtype)
+    out_d = np.empty((q, k), dtype=np.float64)
     out_i = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block_rows):
         stop = min(start + block_rows, q)
@@ -413,14 +407,10 @@ def _sweep_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     # per-dimension offsets of its root-to-node path, giving the
     # sum-of-squares lower bound described in the module docstring.
     # Reached leaves are *collected* with their bounds, not scanned yet.
-    # Offsets and bounds live in the query dtype: the bound must round
-    # exactly as the distance it bounds does (a float64 bound over
-    # float32 distances can land above a distance that rounded down to a
-    # tie with kth, and prune the tied smaller-index row).
     qs = np.arange(m)
     nodes = np.zeros(m, dtype=np.int64)
-    bounds = np.zeros(m, dtype=Xq.dtype)
-    off = np.zeros((m, Xq.shape[1]), dtype=Xq.dtype)
+    bounds = np.zeros(m)
+    off = np.zeros((m, Xq.shape[1]))
     pend: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while qs.size:
         # Bounds only age: drop frontier entries the latest kth beats.
@@ -479,17 +469,17 @@ def _scan_operands(tree):
     """The tree's filter operands, built on first use and cached on it.
 
     ``(centre, [-2 (x - centre) | |x - centre|^2], max |x - centre|^2,
-    inverse permutation)`` over the tree's ``_data``, in its dtype.
-    Derived state, a second copy of the rows: dropped from pickles (no
-    artifact holds it), ``cast()`` clones and fit-time self-queries (a
-    fitted model holds its rows once until it scores). A race between
-    threads builds equal values twice; the last assignment wins.
+    inverse permutation)`` over the tree's ``_data``. Derived state, a
+    second copy of the rows: dropped from pickles (no artifact holds it)
+    and after fit-time self-queries (a fitted model holds its rows once
+    until it scores). A race between threads builds equal values twice;
+    the last assignment wins.
     """
     ops = tree.__dict__.get("_scan_cache")
     if ops is None:
         data = np.asarray(tree._data)
         n, d = data.shape
-        operand = np.empty((n, d + 1), dtype=data.dtype)
+        operand = np.empty((n, d + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             # repro: allow[contiguous-reduction] -- the centre only has to lie near the data; any summation order gives a valid (conservative) filter and no output bit depends on it
             centre = data.mean(axis=0)
@@ -510,19 +500,17 @@ def _scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     m, d = Xq.shape
     n = tree.n_samples_
     state = _new_state(tree, Xq, k, self_start)
-    info = np.finfo(operand.dtype)
+    info = np.finfo(np.float64)
     survivors = []
     # Overflowing squares are expected input here, not an error: they
     # make the threshold non-finite and the row falls back to all rows.
     with np.errstate(over="ignore", invalid="ignore"):
-        q_aug = np.ones((m, d + 1), dtype=operand.dtype)
+        q_aug = np.ones((m, d + 1))
         np.subtract(Xq, centre, out=q_aug[:, :d])
         q_sq = np.einsum("ij,ij->i", q_aug[:, :d], q_aug[:, :d])
         # e bounds |approx + |q|^2 - computed squared distance| for every
         # pair of a row (derivation in the module docstring).
-        e = (3.0 * (d + 4)) * (
-            float(info.eps) * (q_sq.astype(np.float64) + x_sq_max) + float(info.tiny)
-        )
+        e = (3.0 * (d + 4)) * (float(info.eps) * (q_sq + x_sq_max) + float(info.tiny))
         # The filter runs in row slabs of _SCAN_BLOCK cells. Survivors
         # of several slabs are refined together (one selection over
         # ~k m pairs beats m / slab small ones), but at most _SCAN_BLOCK

@@ -70,30 +70,6 @@ class FlatForest:
     def n_trees(self) -> int:
         return int(self.roots.size)
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Float dtype the forest serves in (threshold/leaf payload)."""
-        return self.threshold.dtype
-
-    def cast(self, dtype) -> "FlatForest":
-        """Copy of the forest serving in ``dtype`` (float32 mode).
-
-        Only the float payload arrays are cast — node topology stays
-        int64 and shared with the source forest. Casting to the current
-        dtype returns ``self``, so the float64 path never copies.
-        """
-        dt = np.dtype(dtype)
-        if dt == self.threshold.dtype:
-            return self
-        return FlatForest(
-            feature=self.feature,
-            threshold=self.threshold.astype(dt),
-            left=self.left,
-            right=self.right,
-            leaf_value=self.leaf_value.astype(dt),
-            roots=self.roots,
-        )
-
 
 def _shift_children(children: np.ndarray, offset: int) -> np.ndarray:
     children = np.asarray(children, dtype=np.int64)
@@ -172,12 +148,7 @@ def forest_apply(
     instead of ``100 * depth``. Rows are processed in chunks of
     ``chunk_rows`` to bound the working set.
     """
-    # The stored threshold dtype keys the serving precision: float64
-    # rows pass through untouched (bitwise-frozen path), float32 forests
-    # compare in float32. The cast is a no-op unless dtypes differ.
-    X = np.asarray(X)
-    if X.dtype != flat.threshold.dtype:
-        X = X.astype(flat.threshold.dtype)
+    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     n_trees = flat.n_trees
     if chunk_rows is None:
@@ -222,16 +193,12 @@ def forest_value_sum(
     at ``O(chunk_rows * n_trees)`` instead of materialising the full
     ``(n_rows, n_trees)`` leaf matrix.
     """
-    # Accumulate in the forest's serving dtype (float64 default —
-    # bitwise-frozen; float32 when the forest was cast for serving).
-    X = np.asarray(X)
-    if X.dtype != flat.threshold.dtype:
-        X = X.astype(flat.threshold.dtype)
+    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     n_trees = flat.n_trees
     if chunk_rows is None:
         chunk_rows = max(1, min(_CHUNK_ROW_CAP, _PAIR_BLOCK // max(1, n_trees)))
-    out = np.full(n, init, dtype=flat.leaf_value.dtype)
+    out = np.full(n, init, dtype=np.float64)
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
         values = flat.leaf_value[forest_apply(flat, X[start:stop]).T]

@@ -1,14 +1,11 @@
-"""Memory plane: file-backed arenas, reduced-precision serving, out-of-core.
+"""Memory plane: file-backed arenas and out-of-core scoring.
 
-Three capabilities, all opt-in and all preserving the float64 bitwise
-contract of the compute kernels:
+Two capabilities, both opt-in and both preserving the bitwise contract
+of the compute kernels:
 
 - :mod:`repro.memory.arena` — read-only ``np.memmap`` views over the
   arena blobs of a saved ensemble artifact, picklable *by reference* so
   N worker processes share one page-cache copy of the kernel arenas;
-- :mod:`repro.memory.serving` — ``set_serving_dtype(model, 'float32')``
-  switches the kernel arenas (flat forests, KD-trees, neighbor data) to
-  float32 with a documented, test-pinned tolerance, reversibly;
 - :mod:`repro.memory.outofcore` — ``score_out_of_core`` streams the row
   axis of a disk-resident dataset through ``decision_function`` with a
   bounded ring of reusable row-block buffers, bitwise-identical to
@@ -31,13 +28,6 @@ from repro.memory.outofcore import (
     save_rows,
     score_out_of_core,
 )
-from repro.memory.serving import (
-    FLOAT32_KERNEL_ATOL,
-    FLOAT32_KERNEL_RTOL,
-    FLOAT32_SCORE_ATOL,
-    serving_dtype,
-    set_serving_dtype,
-)
 
 __all__ = [
     "ALIGNMENT",
@@ -52,9 +42,4 @@ __all__ = [
     "open_rows",
     "save_rows",
     "score_out_of_core",
-    "FLOAT32_KERNEL_ATOL",
-    "FLOAT32_KERNEL_RTOL",
-    "FLOAT32_SCORE_ATOL",
-    "serving_dtype",
-    "set_serving_dtype",
 ]

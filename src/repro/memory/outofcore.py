@@ -68,31 +68,25 @@ def block_rows_for_budget(
     memory_budget_bytes: int,
     n_features: int,
     *,
-    itemsize: int = 8,
     ring_buffers: int = 2,
 ) -> int:
-    """Largest block height whose ring fits the resident budget."""
-    per_row = max(1, int(n_features)) * itemsize * max(1, int(ring_buffers))
+    """Largest block height whose ring of float64 blocks fits the
+    resident budget."""
+    per_row = max(1, int(n_features)) * 8 * max(1, int(ring_buffers))
     return max(1, int(memory_budget_bytes) // per_row)
 
 
 class RowBlockRing:
-    """Fixed pool of reusable row-block buffers, handed out round-robin."""
+    """Fixed pool of reusable float64 row-block buffers, handed out
+    round-robin."""
 
-    def __init__(
-        self,
-        block_rows: int,
-        n_features: int,
-        dtype=np.float64,
-        *,
-        n_buffers: int = 2,
-    ):
+    def __init__(self, block_rows: int, n_features: int, *, n_buffers: int = 2):
         if block_rows < 1 or n_buffers < 1:
             raise ValueError("block_rows and n_buffers must be >= 1")
         self.block_rows = int(block_rows)
         self.n_features = int(n_features)
         self._buffers = [
-            np.empty((self.block_rows, self.n_features), dtype=np.dtype(dtype))
+            np.empty((self.block_rows, self.n_features), dtype=np.float64)
             for _ in range(int(n_buffers))
         ]
         self._next = 0
@@ -149,7 +143,7 @@ def score_out_of_core(
             memory_budget_bytes, d, ring_buffers=ring_buffers
         )
     block_rows = min(int(block_rows), n)
-    ring = RowBlockRing(block_rows, d, np.float64, n_buffers=ring_buffers)
+    ring = RowBlockRing(block_rows, d, n_buffers=ring_buffers)
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)

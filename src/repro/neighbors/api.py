@@ -64,10 +64,6 @@ class NearestNeighbors:
         k = self.n_neighbors if n_neighbors is None else n_neighbors
         exclude_self = X is None
         Xq = self._X if exclude_self else check_array(X, name="X")
-        if Xq.dtype != self._X.dtype:
-            # Queries follow the index's serving dtype (float32 mode
-            # casts _X at set_serving_dtype time; float64 is a no-op).
-            Xq = Xq.astype(self._X.dtype)
         if Xq.shape[1] != self._X.shape[1]:
             raise ValueError(
                 f"query has {Xq.shape[1]} features, index has {self._X.shape[1]}"

@@ -153,28 +153,6 @@ class KDTree:
         _record_build()
 
     # ------------------------------------------------------------------
-    def cast(self, dtype) -> "KDTree":
-        """Copy of the tree serving queries in ``dtype`` (float32 mode).
-
-        Topology (splits, slices, permutation) is shared with the
-        source tree; only the float payloads — split planes and the
-        data block — are cast, so a float32 serving tree
-        costs half the data footprint. Casting to the current dtype
-        returns ``self``; queries against a cast tree compute distances
-        in that dtype (the float64 tree stays the bitwise reference).
-        """
-        dt = np.dtype(dtype)
-        if dt == self._data.dtype:
-            return self
-        clone = object.__new__(KDTree)
-        # Without derived state: operands cached from _data in the source
-        # dtype are rebuilt by the clone in its own.
-        clone.__dict__.update(self.__getstate__())
-        clone._split_val = self._split_val.astype(dt)
-        clone._data = self._data.astype(dt)
-        return clone
-
-    # ------------------------------------------------------------------
     def query(
         self,
         X_query: np.ndarray,
@@ -198,9 +176,7 @@ class KDTree:
         that one path (``'auto'`` or ``'batched'``); the repo
         benchmark's kernel probe still spells it.
         """
-        # Queries run in the tree's serving dtype (float64 unless the
-        # tree was cast for float32 serving).
-        X_query = np.asarray(X_query, dtype=self._data.dtype)
+        X_query = np.asarray(X_query, dtype=np.float64)
         if X_query.ndim != 2 or X_query.shape[1] != self.n_features_:
             raise ValueError(
                 f"query must be (q, {self.n_features_}), got {X_query.shape}"

@@ -137,7 +137,5 @@ def fused_neighbor_query(
     nn: NearestNeighbors, X_query: np.ndarray, ks, *, cover_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One producer-side query at ``shared_query_width(ks)`` against
-    ``nn``'s KD-tree, with the query rows in the index's serving dtype
-    as the per-detector path would cast them."""
-    Xq = np.asarray(X_query, dtype=nn._X.dtype)
-    return kdtree_query_maxk(nn._tree, Xq, ks, cover_self=cover_self)
+    ``nn``'s KD-tree."""
+    return kdtree_query_maxk(nn._tree, X_query, ks, cover_self=cover_self)

@@ -125,7 +125,6 @@ class GradientBoostingRegressor:
         state = self.__dict__.copy()
         if not serialize_arenas_active():
             state.pop("_flat_cache", None)
-        state.pop("_serving_flat64", None)
         return state
 
     def predict(self, X) -> np.ndarray:

@@ -270,12 +270,10 @@ def save_ensemble(model, path) -> Path:
     ``_ARENA_MIN_BYTES`` stay inline in the model pickle.
 
     Raises ``TypeError`` for non-SUOD inputs and ``ValueError`` for an
-    unfitted ensemble or one switched to float32 serving (artifacts
-    always persist the bitwise float64 state).
+    unfitted ensemble.
     """
     import repro
     from repro.core.suod import SUOD
-    from repro.memory.serving import serving_dtype
 
     if not isinstance(model, SUOD):
         raise TypeError(
@@ -284,11 +282,6 @@ def save_ensemble(model, path) -> Path:
         )
     if not hasattr(model, "base_estimators_"):
         raise ValueError("save_ensemble requires a fitted SUOD (call fit first)")
-    if serving_dtype(model) != np.dtype(np.float64):
-        raise ValueError(
-            "save_ensemble persists the bitwise float64 state; call "
-            "set_serving_dtype(model, 'float64') before saving"
-        )
     path = Path(path)
 
     blobs: list[np.ndarray] = []

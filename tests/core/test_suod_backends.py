@@ -7,23 +7,27 @@ Three contracts:
    test scores exactly. The engine may move bytes differently; it must
    never change them.
 2. **Segment hygiene** — a fit/predict pass through the shm data plane
-   leaves no ``shared_memory`` segment behind, on the happy path and
-   when a stage raises mid-plan.
+   leaves no ``shared_memory`` segment behind, on the happy path, when a
+   stage raises mid-plan and when a pool worker is killed between calls.
 3. **Removed names** — an unknown or removed backend name fails at
    construction, whatever ``n_jobs`` says; an artifact saved under a
-   removed backend name, or carrying the removed ``batch_size``
-   attribute, still loads and scores bitwise.
+   removed backend name, or carrying the attributes of the removed
+   ``batch_size`` option or float32 serving mode, still loads and scores
+   bitwise.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from repro import SUOD, load_ensemble, save_ensemble
-from repro.detectors import HBOS, KNN, LOF, IsolationForest
+from repro.detectors import ABOD, HBOS, KNN, LOF, IsolationForest
 from repro.detectors.base import BaseDetector
 from repro.parallel import get_backend
 from repro.pipeline import PlanRunner
@@ -187,6 +191,36 @@ class TestSharedMemoryHygiene:
         assert shm_segments() == before
 
     @needs_shm_fs
+    def test_killed_worker_is_replaced_and_leaves_nothing(self, data, reference):
+        # A worker dying between calls (OOM kill, hard crash) breaks the
+        # persistent pool; the next call rebuilds it and scores bitwise.
+        Xtr, Xte, ytr, yte = data
+        before = set(os.listdir(SHM_DIR))
+        clf = SUOD(
+            fresh_pool(), random_state=3, n_jobs=2, backend="shm_processes"
+        ).fit(Xtr)
+        try:
+            np.testing.assert_array_equal(clf.decision_function(Xte), reference[2])
+            backend = clf._backend_instance_
+            old_pool = backend._pool
+            old = dict(old_pool._processes)
+            victim = next(iter(old))
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while old[victim].is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not old[victim].is_alive()
+            np.testing.assert_array_equal(clf.decision_function(Xte), reference[2])
+            assert backend._pool is not None and backend._pool is not old_pool
+            new = set(backend._pool._processes)
+            assert new and not new & set(old)
+        finally:
+            clf.close()
+        live = {p.pid for p in multiprocessing.active_children()}
+        assert not live & (set(old) | new)
+        assert set(os.listdir(SHM_DIR)) - before == set()
+
+    @needs_shm_fs
     def test_partial_plan_release_disposes_arena(self, data):
         Xtr, Xte, ytr, yte = data
         clf = SUOD(
@@ -311,4 +345,31 @@ class TestBackendNames:
         )
         np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
         assert loaded.predict_result_.task_times.shape == (loaded.n_models,)
+        loaded.close()
+
+    def test_artifact_saved_with_serving_dtype_state_still_scores(
+        self, data, tmp_path
+    ):
+        Xtr, Xte, ytr, yte = data
+        clf = SUOD(fresh_pool() + [ABOD(n_neighbors=10)], random_state=3).fit(Xtr)
+        ref = clf.decision_function_matrix(Xte), clf.decision_function(Xte)
+        # What a model switched to float32 serving and back carried in
+        # its state when saved; nothing reads these attributes any more.
+        clf._serving_dtype = np.dtype(np.float64)
+        kinds = set()
+        for est in clf.base_estimators_:
+            if hasattr(est, "_flat_forest"):
+                est._serving_flat64 = None
+                kinds.add("forest")
+            if getattr(est, "_nn", None) is not None:
+                est._nn._serving_f64 = None
+                kinds.add("neighbors")
+            if isinstance(est, ABOD):
+                est._serving_X64 = None
+                kinds.add("abod")
+        assert kinds == {"forest", "neighbors", "abod"}
+        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
+        assert loaded._serving_dtype == np.dtype(np.float64)
+        np.testing.assert_array_equal(loaded.decision_function_matrix(Xte), ref[0])
+        np.testing.assert_array_equal(loaded.decision_function(Xte), ref[1])
         loaded.close()

@@ -7,8 +7,7 @@ two ways of finding candidates for the one exact selection, so each must
 agree with the per-query oracle (``repro.kernels.reference``) to the
 last bit: on tie-heavy inputs where every selection boundary is
 degenerate, on inputs built to break the GEMM form of the filter
-(cancellation, scaling, under- and overflow), for every batch shape, in
-float64 and on ``cast(float32)`` trees.
+(cancellation, scaling, under- and overflow), for every batch shape.
 """
 
 import pickle
@@ -36,14 +35,14 @@ def _assert_identical(pair_a, pair_b):
 
 def _check(tree, Q, k, *, exclude_self=False, block_rows=1024):
     """Oracle, both forced engines and the public entry agree bitwise."""
-    Q = np.asarray(Q, dtype=tree._data.dtype)
+    Q = np.asarray(Q, dtype=np.float64)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         # Overflowing squares warn inside the (frozen) oracle's scan.
         warnings.simplefilter("ignore", RuntimeWarning)
         ref = kdtree_query_best_first(tree, Q, k, exclude_self=exclude_self)
         for run in ENGINES.values():
             got = kn._query_blocks(run, tree, Q, k, exclude_self, block_rows)
-            assert got[0].dtype == tree._data.dtype
+            assert got[0].dtype == np.float64
             _assert_identical(got, ref)
         _assert_identical(tree.query(Q, k, exclude_self=exclude_self), ref)
     return ref
@@ -61,13 +60,6 @@ def _split_tree(X, leaf_size):
     return tree
 
 
-def _trees(X, leaf_size):
-    """The float64 split tree and its float32 serving cast."""
-    tree = _split_tree(X, leaf_size)
-    with np.errstate(over="ignore"):
-        return [tree, tree.cast(np.float32)]
-
-
 class TestEnginesMatchOracle:
     @pytest.mark.parametrize(
         "n,d,k,leaf",
@@ -83,8 +75,7 @@ class TestEnginesMatchOracle:
     def test_random_data(self, rng, n, d, k, leaf):
         X = rng.standard_normal((n, d))
         Q = rng.standard_normal((53, d))
-        for tree in _trees(X, leaf):
-            _check(tree, Q, k)
+        _check(_split_tree(X, leaf), Q, k)
 
     @pytest.mark.parametrize("n,d,k", [(300, 4, 5), (700, 12, 16)])
     def test_one_leaf_tree(self, rng, n, d, k):
@@ -94,16 +85,13 @@ class TestEnginesMatchOracle:
         tree = KDTree(X)
         assert _n_leaves(tree) == 1
         np.testing.assert_array_equal(tree._data, X)
-        with np.errstate(over="ignore"):
-            for t in (tree, tree.cast(np.float32)):
-                _check(t, rng.standard_normal((53, d)), k)
-                _check(t, X, k, exclude_self=True)
+        _check(tree, rng.standard_normal((53, d)), k)
+        _check(tree, X, k, exclude_self=True)
 
     def test_exclude_self(self, rng):
         X = rng.standard_normal((400, 3))
-        for tree in _trees(X, 4):
-            _, idx = _check(tree, X, 6, exclude_self=True)
-            assert not (idx == np.arange(400)[:, None]).any()
+        _, idx = _check(_split_tree(X, 4), X, 6, exclude_self=True)
+        assert not (idx == np.arange(400)[:, None]).any()
 
     def test_block_boundaries(self, rng):
         # Query counts that do not divide the block size, and a block
@@ -141,18 +129,18 @@ class TestEnginesMatchOracle:
         # leaf: k just under, at and over the home leaf's occupancy
         # moves the sweep's seed node one level up.
         X = rng.standard_normal((400, 3))
-        for tree in _trees(X, 4):
-            leaves = tree._split_dim == kn._LEAF
-            assert set(tree._end[leaves] - tree._start[leaves]) == {3, 4}
-            for k in (1, 3, 4, 5, 7, 14):
-                _check(tree, X[:40] + 0.01, k)
-                _check(tree, X, k, exclude_self=True)
+        tree = _split_tree(X, 4)
+        leaves = tree._split_dim == kn._LEAF
+        assert set(tree._end[leaves] - tree._start[leaves]) == {3, 4}
+        for k in (1, 3, 4, 5, 7, 14):
+            _check(tree, X[:40] + 0.01, k)
+            _check(tree, X, k, exclude_self=True)
 
     def test_k_extremes(self, rng):
         X = rng.standard_normal((100, 2))
-        for tree in _trees(X, 1):
-            _check(tree, rng.standard_normal((20, 2)), 100)
-            _check(tree, X, 99, exclude_self=True)
+        tree = _split_tree(X, 1)
+        _check(tree, rng.standard_normal((20, 2)), 100)
+        _check(tree, X, 99, exclude_self=True)
 
     def test_one_dimensional(self, rng):
         X = rng.standard_normal((500, 1))
@@ -203,12 +191,13 @@ class TestEnginesMatchOracle:
             X = rng.standard_normal((n, d))
             if rng.random() < 0.3:
                 X = np.round(X)  # ties
+            # float64 spacing at 2**50 is 1/4: an offset cloud is a lattice
+            offset = 2.0**50 if rng.random() < 0.3 else 0.0
+            X = offset + X
             tree = _split_tree(X, leaf)
-            if rng.random() < 0.3:
-                tree = tree.cast(np.float32)
             # k mostly within a few leaves, sometimes up to every row
             k = int(rng.integers(1, n + 1 if rng.random() < 0.2 else 40))
-            _check(tree, rng.standard_normal((int(rng.integers(1, 40)), d)), k)
+            _check(tree, offset + rng.standard_normal((int(rng.integers(1, 40)), d)), k)
             _check(tree, X, min(k, n - 1), exclude_self=True, block_rows=17)
 
 
@@ -218,12 +207,12 @@ class TestDistanceTies:
     def test_duplicate_groups(self, rng):
         base = rng.standard_normal((15, 2))
         X = np.repeat(base, 6, axis=0)
-        for tree in _trees(X, 1):
-            _, idx = _check(tree, X[:40], 8, block_rows=9)
-            # Canonical rule: the six zero-distance duplicates of each
-            # query are returned smallest-index-first.
-            np.testing.assert_array_equal(idx[0, :6], np.arange(6))
-            _check(tree, X, 7, exclude_self=True, block_rows=13)
+        tree = _split_tree(X, 1)
+        _, idx = _check(tree, X[:40], 8, block_rows=9)
+        # Canonical rule: the six zero-distance duplicates of each query
+        # are returned smallest-index-first.
+        np.testing.assert_array_equal(idx[0, :6], np.arange(6))
+        _check(tree, X, 7, exclude_self=True, block_rows=13)
 
     @pytest.mark.parametrize("k", [1, 4, 12, 37])
     def test_integer_lattice_with_tenfold_duplicates(self, k):
@@ -235,34 +224,32 @@ class TestDistanceTies:
             axis=-1,
         ).reshape(-1, 3)
         X = np.concatenate([g] * 10)
-        for tree in _trees(X, 5):
-            _check(tree, g, k, block_rows=11)
-            _check(tree, X[:300], k)
-        _check(_split_tree(X, 5), X, k, exclude_self=True)
+        tree = _split_tree(X, 5)
+        _check(tree, g, k, block_rows=11)
+        _check(tree, X[:300], k)
+        _check(tree, X, k, exclude_self=True)
 
     @pytest.mark.parametrize("cloud", ["half_integer_lattice", "offset"])
-    def test_low_d_bound_ties_in_float32(self, cloud):
-        # d=2, float32: a subtree's split-plane bound ties the k-th
-        # distance only if it rounds as the distance does — a float64
-        # bound sits a hair above a float32 distance that rounded down
-        # and prunes the tied smaller-index row.
+    def test_low_d_bound_ties(self, cloud):
+        # d=2: a subtree's split-plane bound ties the k-th distance only
+        # if it rounds as the distance does; a bound a hair above a
+        # distance that rounded down onto a tie would prune the tied
+        # smaller-index row.
         rng = np.random.default_rng(5)
         for n, k in ((334, 15), (300, 6), (480, 30)):
             if cloud == "offset":
-                # float32 spacing at 1e6 is 1/16: a cast cloud is a lattice
-                X = 1e6 + rng.standard_normal((n, 2))
+                # float64 spacing at 2**50 is 1/4: the cloud is a lattice
+                X = 2.0**50 + rng.standard_normal((n, 2))
             else:
                 X = np.round(rng.standard_normal((n, 2)) * 4) / 2
-            for tree in _trees(X, 8):
-                _check(tree, X, k, exclude_self=True)
+            _check(_split_tree(X, 8), X, k, exclude_self=True)
 
     def test_all_identical_points(self):
         X = np.ones((40, 3))
         tree = KDTree(X, leaf_size=1)  # zero spread: always one leaf
-        for tree in (tree, tree.cast(np.float32)):
-            dist, idx = _check(tree, X[:10], 5)
-            np.testing.assert_array_equal(dist, 0.0)
-            np.testing.assert_array_equal(idx, np.arange(5)[None, :].repeat(10, 0))
+        dist, idx = _check(tree, X[:10], 5)
+        np.testing.assert_array_equal(dist, 0.0)
+        np.testing.assert_array_equal(idx, np.arange(5)[None, :].repeat(10, 0))
 
 
 class TestAdversarialScales:
@@ -273,34 +260,30 @@ class TestAdversarialScales:
         # digit of the filter value would be rounding noise.
         for offset, spread in ((1e8, 1.0), (1e6, 1e-3)):
             X = offset + spread * rng.standard_normal((500, 3))
-            for tree in _trees(X, 4):
-                _check(tree, X[:40] + 0.1 * spread, 7)
-                _check(tree, X, 7, exclude_self=True)
+            tree = _split_tree(X, 4)
+            _check(tree, X[:40] + 0.1 * spread, 7)
+            _check(tree, X, 7, exclude_self=True)
 
     def test_one_coordinate_scaled(self, rng):
         X = rng.standard_normal((500, 3))
         X[:, 2] *= 1e12
-        for tree in _trees(X, 4):
-            _check(tree, X[:40] * 1.01, 7)
+        _check(_split_tree(X, 4), X[:40] * 1.01, 7)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_squares_underflow(self, rng, dtype):
+    def test_squares_underflow(self, rng):
         # Squares land in the subnormal range: the filter's relative
         # bound is zero and only its absolute floor keeps it safe.
-        scale = 1e-160 if dtype is np.float64 else 1e-21
-        X = scale * rng.standard_normal((300, 3))
-        tree = _split_tree(X, 2).cast(dtype)
+        X = 1e-160 * rng.standard_normal((300, 3))
+        tree = _split_tree(X, 2)
         _check(tree, X[:40] * 1.01, 7)
         _check(tree, X, 7, exclude_self=True)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_squares_overflow(self, rng, dtype):
+    def test_squares_overflow(self, rng):
         # Some, then all, squared gaps overflow: the filter sees
         # inf - inf, its threshold is not finite, and the rows fall back
         # to every candidate; inf distances tie and order by index.
-        for scale in (1e150, 1e155) if dtype is np.float64 else (1e18, 1e20):
+        for scale in (1e150, 1e155):
             X = scale * rng.standard_normal((300, 3))
-            tree = _split_tree(X, 2).cast(dtype)
+            tree = _split_tree(X, 2)
             _check(tree, X[:40] * 1.01, 7)
             _check(tree, X, 7, exclude_self=True)
 
@@ -461,13 +444,12 @@ class TestSweepSeeding:
 
 
 class TestScanOperands:
-    def test_cache_is_lazy_private_and_dropped_by_cast(self, rng):
+    def test_cache_is_lazy_and_not_pickled(self, rng):
         tree = KDTree(rng.standard_normal((300, 8)))
         assert "_scan_cache" not in tree.__dict__
         tree.query(rng.standard_normal((4, 8)), 3)
         assert "_scan_cache" in tree.__dict__
         assert "_scan_cache" not in pickle.loads(pickle.dumps(tree)).__dict__
-        assert "_scan_cache" not in tree.cast(np.float32).__dict__
 
     def test_fit_time_self_queries_leave_no_operands(self, rng):
         # The operands are a second (n, d + 1) copy of the rows: a fitted

@@ -26,7 +26,7 @@ REFERENCE_PATH = "repro/kernels/reference.py"
 # this pin is the deliberate, reviewed act of changing what "correct"
 # means for every kernel; tests/analysis/test_freeze.py recomputes it.
 REFERENCE_SHA256 = (
-    "43ff8c54ba7bf186dc41b51d71dc29a722257cc0c172d1b90310f7c020ad9b13"
+    "51bfe504b2d3908dc57ddd9254dd13a7f4b710201d9df2cf312df8db4960d9ce"
 )
 
 

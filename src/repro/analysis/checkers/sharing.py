@@ -1,6 +1,6 @@
 """Redundant neighbor-structure checker.
 
-The shared-computation plane exists so each distinct ``(space, metric)``
+The shared-computation plane exists so each distinct ``(space, order)``
 resource key builds its KD-tree once and answers one fused max-k query
 for every consumer. The plane can only fold work it can see: detectors
 reach it by requesting neighbors through
@@ -82,7 +82,7 @@ class RedundantStructureChecker:
                     f"{func.name}(): this private build bypasses the "
                     "shared-computation plane, so the share stage "
                     "rebuilds a structure it may already have built "
-                    "for this (space, metric) key",
+                    "for this (space, order) key",
                     hint="request neighbors via neighbors_for_fit() / "
                     "neighbors_for_scoring() so the share stage can "
                     "fold the build, or justify with "

@@ -1,20 +1,33 @@
-"""Batched exact KD-tree k-NN: two block engines, one canonical answer.
+"""Batched exact KD-tree k-NN: one canonical answer for every order.
 
-Every Euclidean k-NN query in the package, in any dimension, runs here.
-The answer of a query is *defined*, not computed by a particular
-traversal: the ``k`` lexicographically smallest ``(distance, index)``
-pairs, where ``distance`` is the elementwise expression
-``sqrt(((x - q) ** 2).sum())`` evaluated in float64 and ``index`` the
-row's original position. That is a pure function of the data —
-independent of ``k``'s neighbours in a batch, of block shapes, of BLAS
-builds and thread counts — and the per-query best-first search frozen
-in :func:`repro.kernels.reference.kdtree_query_best_first` is its
-oracle. Two block engines find *candidates* for that answer; one helper
-(:func:`_select_exact`) computes every exact distance and makes every
-selection, so the engines cannot disagree on a bit they both reach.
+Every k-NN query in the package, for every metric and in any dimension,
+runs here. A tree carries a Minkowski order ``p`` (euclidean 2,
+manhattan 1, chebyshev ``inf``, minkowski its own ``p``), and the answer
+of a query is *defined*, not computed by a particular traversal: the
+``k`` lexicographically smallest ``(distance, index)`` pairs, where
+``index`` is the row's original position and ``distance`` the order's
+elementwise expression (:func:`_minkowski`) evaluated in float64, each
+reduced over a contiguous last axis of length ``d``:
 
-Filter–refine scan (``_scan_block``)
-------------------------------------
+- order 2: ``sqrt(((x - q) ** 2).sum())``;
+- order 1: ``|x - q|.sum()``;
+- order ``inf``: ``|x - q|.max()``;
+- any other order: ``(|x - q| ** p).sum() ** (1 / p)``.
+
+That is a pure function of the data — independent of a query's
+neighbours in a batch, of block shapes, of BLAS builds and thread
+counts. Its oracles are frozen in :mod:`repro.kernels.reference`: the
+per-query best-first search (``kdtree_query_best_first``) for order 2,
+and the chunked brute force this kernel replaced for every order, whose
+distances are these expressions bit for bit. Block engines
+find *candidates* for that answer; one helper (:func:`_select_exact`)
+computes every exact distance and makes every selection, so the engines
+cannot disagree on a bit they both reach. Order 2 has two engines (the
+filter–refine scan and the pruned sweep); every other order runs the
+exact scan, on a tree of one leaf.
+
+Filter–refine scan (``_scan_block``, order 2)
+---------------------------------------------
 For a slab of query rows sized so that ``rows x n`` stays cache-scale
 (``_SCAN_BLOCK``), one GEMM evaluates an approximate squared distance
 to every indexed row; each row's k-th smallest approximate value
@@ -77,8 +90,8 @@ a time), at about the cost of the sweep in high ``d``. A per-cell bound
 (``|b_j|^2`` in place of the maximum) would remove the cliff; it is left
 as a follow-up.
 
-Pruned sweep (``_sweep_block``)
--------------------------------
+Pruned sweep (``_sweep_block``, order 2)
+----------------------------------------
 1. **Seeding.** Every query descends near-child-only to the deepest
    node that still holds ``>= k`` rows (its home leaf when ``k`` fits
    in one) in one level-synchronous gather loop, and that node's slice
@@ -104,11 +117,25 @@ included — which keeps non-strict pruning exact. (Both the sweep's and
 the oracle's bounds assume a squared gap does not flush to zero: with
 coordinates closer than ``sqrt(tiny)`` only the scan is canonical.)
 
+Exact scan (``_exact_scan_block``, every other order)
+-----------------------------------------------------
+The sweep's bound and :func:`can_pick_sweep`'s constants are derived
+for sums of squares, so a tree of any other order is one leaf over the
+rows as given and runs this scan alone. It is the filter–refine scan
+with the filter value exact: per slab of query rows it evaluates
+:func:`_minkowski` against every indexed row, and each row's k-th
+smallest value is the threshold with margin 0 — no rounding separates
+the filter from the answer. The cells not above it (``>= k`` per row,
+more only on ties) go to :func:`_select_exact`, which recomputes the
+same expression on the same operands and ranks them. A slab holds at
+most ``max(_SCAN_BLOCK, n d)`` distance terms, so memory stays bounded
+in any ``n`` and ``d``; NaN cells are never dropped by the filter.
+
 Which engine runs
 -----------------
-:func:`choose_block_engine` compares two estimates in units of one
-scanned row of the scan: ``q n`` for the scan against ``20 q s + 8000
-log2(n / leaf_size)`` for the sweep, with ``s`` =
+For order 2, :func:`choose_block_engine` compares two estimates in
+units of one scanned row of the scan: ``q n`` for the scan against ``20
+q s + 8000 log2(n / leaf_size)`` for the sweep, with ``s`` =
 :func:`expected_scanned`. The two constants come from timed cells,
 ``d`` in {2, 3, 5, 8, 12} x ``n`` in {500, 2k, 6k, 20k, 100k} plus ``d``
 in {20, 80} x ``n`` in {500, 2k, 6k}, each x ``k`` in {5, 11, 41} x
@@ -142,12 +169,12 @@ The repo benchmark (``perfbench/``) has no workload on the sweep side of
 the rule: the starred cells rest on this micro-benchmark and the tier-1
 regime test alone until a low-``d`` workload is added.
 
-The rule also sizes the tree (:class:`~repro.neighbors.KDTree`): where
-no batch can ever pick the sweep (:func:`can_pick_sweep`), the tree is
-one leaf over the rows as given and only ever runs the scan. With the
-default ``leaf_size`` a tree splits above ``n`` ~ 1070 (``d = 2``), 1730
-(3), 5650 (5), 40 000 (8) and 597 000 (12); from ``d = 16`` on it never
-does at any practical size.
+The rule also sizes an order-2 tree (:class:`~repro.neighbors.KDTree`):
+where no batch can ever pick the sweep (:func:`can_pick_sweep`), the
+tree is one leaf over the rows as given and only ever runs the scan.
+With the default ``leaf_size`` a tree splits above ``n`` ~ 1070 (``d =
+2``), 1730 (3), 5650 (5), 40 000 (8) and 597 000 (12); from ``d = 16``
+on it never does at any practical size.
 
 Prefix-slice contract (the basis of the shared-computation plane)
 -----------------------------------------------------------------
@@ -263,20 +290,23 @@ def kdtree_query_batched(
     """k nearest neighbors of every query row, block-batched.
 
     ``tree`` is a built :class:`repro.neighbors.KDTree`; inputs are
-    assumed validated by the caller (:meth:`KDTree.query`). The engine
-    is chosen by :func:`choose_block_engine`; queries are processed in
-    blocks of at most ``block_rows`` (inside a block the scan filters in
-    slabs of ``_SCAN_BLOCK`` approximate distances) to bound the working
-    set.
+    assumed validated by the caller (:meth:`KDTree.query`). An order-2
+    tree runs the engine :func:`choose_block_engine` picks, a tree of
+    any other order the exact scan; queries are processed in blocks of
+    at most ``block_rows`` (inside a block the scans filter in slabs of
+    at most ``_SCAN_BLOCK`` cells) to bound the working set.
     Returns ``(distances, indices)`` sorted ascending per row by
-    ``(distance, index)`` — the same bytes from either engine.
+    ``(distance, index)`` — the same bytes from every engine.
     """
-    engine = choose_block_engine(
-        X_query.shape[0], tree.n_samples_, tree.n_features_, k, tree.leaf_size
-    )
-    out = _query_blocks(
-        _BLOCK_ENGINES[engine], tree, X_query, k, exclude_self, block_rows
-    )
+    # repro: allow[float-equality] -- the order is an exact parameter value, never computed
+    if tree.p == 2.0:
+        engine = choose_block_engine(
+            X_query.shape[0], tree.n_samples_, tree.n_features_, k, tree.leaf_size
+        )
+        run = _BLOCK_ENGINES[engine]
+    else:
+        run = _exact_scan_block
+    out = _query_blocks(run, tree, X_query, k, exclude_self, block_rows)
     if exclude_self:  # fit-time self-query (_scan_operands)
         tree.__dict__.pop("_scan_cache", None)
     return out
@@ -548,6 +578,63 @@ def _scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
     return best_d, best_i
 
 
+def _exact_scan_block(tree, Xq: np.ndarray, k: int, self_start: int | None):
+    """Exact-scan engine for one block of queries against a one-leaf
+    tree of any order (module docstring)."""
+    data = tree._data
+    m, d = Xq.shape
+    n = tree.n_samples_
+    state = _new_state(tree, Xq, k, self_start)
+    slab = max(1, _SCAN_BLOCK // (n * d))
+    refine = max(1, _SCAN_BLOCK // d)
+    survivors, held = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, slab):
+            rows = min(slab, m - lo)
+            diff = np.empty((rows, n, d))
+            np.subtract(data[None], Xq[lo : lo + rows, None], out=diff)
+            dist = _minkowski(diff, tree.p)
+            if self_start is not None:
+                # One leaf over the rows as given: data row == index.
+                own = np.arange(self_start + lo, self_start + lo + rows)
+                dist[np.arange(rows), own] = np.inf
+            # The filter value is the exact distance: margin 0, and
+            # "not greater" keeps ties at the k-th value and NaN cells.
+            kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+            cells = np.flatnonzero(~(dist > kth[:, None]))
+            cells += lo * n
+            survivors.append(cells)
+            held += cells.size
+            if held >= refine or lo + slab >= m:
+                cells = np.concatenate(survivors)
+                for at in range(0, cells.size, refine):
+                    _select_exact(state, *np.divmod(cells[at : at + refine], n))
+                survivors, held = [], 0
+    best_d, best_i = state[3:5]
+    return best_d, best_i
+
+
+def _minkowski(diff: np.ndarray, p: float) -> np.ndarray:
+    """Order-``p`` length of each difference vector along the last axis.
+
+    The one definition of every order's distance (module docstring).
+    ``diff`` is a temporary the caller gives up (it may be overwritten);
+    C order pins each row's summation order.
+    """
+    diff = np.ascontiguousarray(diff)
+    # repro: allow[float-equality] -- orders are exact parameter values, never computed
+    if p == 2.0:
+        return np.sqrt((diff**2).sum(axis=-1))
+    diff = np.abs(diff, out=diff)
+    # repro: allow[float-equality] -- orders are exact parameter values, never computed
+    if p == 1.0:
+        return diff.sum(axis=-1)
+    # repro: allow[float-equality] -- orders are exact parameter values, never computed
+    if p == np.inf:
+        return diff.max(axis=-1)
+    return (diff**p).sum(axis=-1) ** (1.0 / p)
+
+
 def _new_state(tree, Xq: np.ndarray, k: int, self_start: int | None):
     """Candidate state of one block: per query the best-k (distance,
     index) pairs seen, kept sorted by the canonical order. Unfilled
@@ -589,9 +676,9 @@ def _select_exact(state, elem_q: np.ndarray, data_row: np.ndarray) -> None:
     """
     tree, Xq, k, best_d, best_i, kth, self_idx = state
     elem_i = tree._perm[data_row]
-    # Same elementwise expression as the best-first oracle's leaf scan —
-    # bitwise-identical distances.
-    elem_d = np.sqrt(((tree._data[data_row] - Xq[elem_q]) ** 2).sum(axis=1))
+    # The order's one expression (for order 2 the best-first oracle's
+    # leaf scan) — bitwise-identical distances.
+    elem_d = _minkowski(tree._data[data_row] - Xq[elem_q], tree.p)
 
     # Candidates strictly worse than their query's current kth distance
     # can never enter the canonical answer (non-strict keeps ties); the

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "kdtree_query_heap",
     "kdtree_query_best_first",
+    "brute_force_kneighbors",
     "iforest_score_loop",
     "forest_predict_loop",
     "gbm_predict_loop",
@@ -160,6 +161,72 @@ def kdtree_query_best_first(
             tree, X_query[qi], k, qi if exclude_self else -1
         )
     return out_d, out_i
+
+
+# ---------------------------------------------------------------------------
+# Brute force: the chunked k-NN that served every non-Euclidean metric
+# before the KD-tree indexed every Minkowski order, with the
+# ``pairwise_distances`` expressions it called inlined. Its distances
+# define each order's expression; its indices (argpartition, then a
+# mergesort of the partition) are canonical only where no two distances
+# of a row tie.
+# ---------------------------------------------------------------------------
+def _pairwise_distances(X: np.ndarray, Y: np.ndarray, metric: str, p: float):
+    if metric in ("euclidean", "sqeuclidean"):
+        sq = (
+            np.einsum("ij,ij->i", X, X)[:, None]
+            + np.einsum("ij,ij->i", Y, Y)[None, :]
+            - 2.0 * (X @ Y.T)
+        )
+        np.maximum(sq, 0.0, out=sq)
+        if metric == "euclidean":
+            np.sqrt(sq, out=sq)
+        return sq
+    diff = np.abs(X[:, None, :] - Y[None, :, :])
+    if metric == "manhattan":
+        return diff.sum(axis=2)
+    if metric == "chebyshev":
+        return diff.max(axis=2)
+    if metric == "minkowski":
+        return (diff**p).sum(axis=2) ** (1.0 / p)
+    raise ValueError(f"Unknown metric {metric!r}")
+
+
+def brute_force_kneighbors(
+    X_index: np.ndarray,
+    X_query: np.ndarray,
+    k: int,
+    *,
+    metric: str = "euclidean",
+    p: float = 2.0,
+    exclude_self: bool = False,
+    chunk_size: int = 1024,
+):
+    """The replaced ``repro.neighbors.brute_force_kneighbors``."""
+    X_index = np.asarray(X_index, dtype=np.float64)
+    X_query = np.asarray(X_query, dtype=np.float64)
+    n = X_index.shape[0]
+    max_k = n - 1 if exclude_self else n
+    if not 1 <= k <= max_k:
+        raise ValueError(f"k={k} out of range [1, {max_k}] for index of size {n}")
+    if exclude_self and X_query.shape[0] != n:
+        raise ValueError("exclude_self requires query aligned with index")
+
+    q = X_query.shape[0]
+    dists = np.empty((q, k), dtype=np.float64)
+    idxs = np.empty((q, k), dtype=np.int64)
+    for start in range(0, q, chunk_size):
+        sl = slice(start, min(start + chunk_size, q))
+        D = _pairwise_distances(X_query[sl], X_index, metric, p)
+        if exclude_self:
+            rows = np.arange(sl.start, sl.stop)
+            D[np.arange(rows.size), rows] = np.inf
+        part = np.argpartition(D, k - 1, axis=1)[:, :k]
+        part_d = np.take_along_axis(D, part, axis=1)
+        order = np.argsort(part_d, axis=1, kind="mergesort")
+        idxs[sl] = np.take_along_axis(part, order, axis=1)
+        dists[sl] = np.take_along_axis(part_d, order, axis=1)
+    return dists, idxs
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,42 @@
-"""Unified nearest-neighbor facade: one exact Euclidean answer.
+"""Unified nearest-neighbor facade: one exact answer for every metric.
 
-Euclidean indexes are always a :class:`~repro.neighbors.KDTree`, whose
-query returns the canonical ``(distance, index)`` answer in any
-dimension; how much tree it builds (a single leaf where pruning can
-never pay) is the kernel's own cost rule, not a choice made here. Other
-metrics — the paper's LOF grid varies ``metric`` — run chunked brute
-force.
+Every index is a :class:`~repro.neighbors.KDTree`. The metric is
+resolved once, at fit, to a Minkowski order (:func:`minkowski_order`:
+euclidean 2, manhattan 1, chebyshev ``inf``, minkowski its ``p``), and
+a query returns the canonical ``(distance, index)`` answer of that
+order in any dimension. How much tree it builds (a single leaf where
+pruning can never pay, and for every order but 2) is the kernel's own
+cost rule, not a choice made here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.neighbors.brute import brute_force_kneighbors
 from repro.neighbors.kdtree import KDTree
 from repro.utils.validation import check_array, check_is_fitted
 
-__all__ = ["NearestNeighbors"]
+__all__ = ["NearestNeighbors", "minkowski_order"]
+
+_ORDERS = {"euclidean": 2.0, "manhattan": 1.0, "chebyshev": np.inf}
+
+
+def minkowski_order(metric: str, p: float = 2.0) -> float:
+    """The Minkowski order a ``(metric, p)`` pair measures with.
+
+    ``p`` is read for ``metric='minkowski'`` only and must be ``> 0``.
+    Squared Euclidean is not a Minkowski distance and is rejected with
+    every other unknown name.
+    """
+    if metric == "minkowski":
+        if not p > 0:
+            raise ValueError(f"minkowski requires p > 0, got {p}")
+        return float(p)
+    if metric not in _ORDERS:
+        raise ValueError(
+            f"Unknown metric {metric!r}; choose from {(*_ORDERS, 'minkowski')}"
+        )
+    return _ORDERS[metric]
 
 
 class NearestNeighbors:
@@ -26,10 +46,8 @@ class NearestNeighbors:
     ----------
     n_neighbors : int, default 5
         Default ``k`` used when a query does not override it.
-    metric : str, default 'euclidean'
-        One of the metrics of :mod:`repro.utils.distances`;
-        ``euclidean`` is served by the KD-tree, every other metric by
-        brute force.
+    metric : {'euclidean', 'manhattan', 'chebyshev', 'minkowski'}
+        Distance metric, resolved to a Minkowski order at fit.
     p : float
         Minkowski order when ``metric='minkowski'``.
     """
@@ -48,8 +66,16 @@ class NearestNeighbors:
     def fit(self, X) -> "NearestNeighbors":
         X = check_array(X, name="X")
         self._X = X
-        self._tree = KDTree(X) if self.metric == "euclidean" else None
+        self._tree = KDTree(X, p=minkowski_order(self.metric, self.p))
         return self
+
+    def __setstate__(self, state: dict) -> None:
+        # Indexes pickled without a tree (non-Euclidean ones, and
+        # Euclidean ones fitted on brute force by older versions) get
+        # theirs on load.
+        self.__dict__.update(state)
+        if "_X" in state and state.get("_tree") is None:
+            self._tree = KDTree(self._X, p=minkowski_order(self.metric, self.p))
 
     def kneighbors(
         self, X=None, n_neighbors: int | None = None
@@ -68,15 +94,4 @@ class NearestNeighbors:
             raise ValueError(
                 f"query has {Xq.shape[1]} features, index has {self._X.shape[1]}"
             )
-        # Whether the index holds a tree, not the metric, decides: an
-        # index pickled without one keeps the path it was fitted on.
-        if self._tree is not None:
-            return self._tree.query(Xq, k, exclude_self=exclude_self)
-        return brute_force_kneighbors(
-            self._X,
-            Xq,
-            k,
-            metric=self.metric,
-            p=self.p,
-            exclude_self=exclude_self,
-        )
+        return self._tree.query(Xq, k, exclude_self=exclude_self)

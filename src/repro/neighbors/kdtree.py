@@ -1,15 +1,18 @@
-"""From-scratch KD-tree: the one exact Euclidean k-NN index.
+"""From-scratch KD-tree: the one exact k-NN index, for every metric.
 
 Array-backed: internal nodes store a split dimension/value; every node
 stores the ``[start, end)`` slice it owns in a reordered copy of the
 data, so a leaf — or any subtree — is one contiguous block.
 
-A query's answer is the ``k`` smallest distances with ties broken toward
-the smaller original index (the canonical ``(distance, index)`` order) —
-a pure function of the data. :meth:`KDTree.query` hands every batch,
-from one row up, to :func:`repro.kernels.kdtree_query_batched`, which
-runs one of two block engines with bitwise-identical results and picks
-between them from ``(q, n, d, k, leaf_size)``:
+A tree carries a Minkowski order ``p`` (2 for euclidean, 1 for
+manhattan, ``inf`` for chebyshev). A query's answer is the ``k``
+smallest distances of that order with ties broken toward the smaller
+original index (the canonical ``(distance, index)`` order) — a pure
+function of the data; :mod:`repro.kernels.neighbors` defines each
+order's distance expression. :meth:`KDTree.query` hands every batch,
+from one row up, to :func:`repro.kernels.kdtree_query_batched`. For
+order 2 it runs one of two block engines with bitwise-identical results
+and picks between them from ``(q, n, d, k, leaf_size)``:
 
 - the **filter–refine scan** — one GEMM of approximate squared
   distances against the tree's data, a conservative per-row
@@ -20,15 +23,21 @@ between them from ``(q, n, d, k, leaf_size)``:
   sum-of-squares lower bounds; wins in low ``d`` on large trees, where
   it touches a vanishing share of the rows.
 
+Every other order runs the **exact scan**: the filter value is the
+exact distance itself, and the survivors are ranked by the same
+selection.
+
 How much tree to build follows from the same rule: where it can never
-pick the sweep (:func:`~repro.kernels.neighbors.can_pick_sweep`) the
+pick the sweep (:func:`~repro.kernels.neighbors.can_pick_sweep`), and
+for every order but 2 (the sweep's bounds are sums of squares), the
 tree is a single leaf over the rows as given — identity permutation, no
 build, and ``_data`` *is* the indexed array, so nothing is stored
 twice.
 
-The per-query best-first search that defines the canonical answer lives
-on as the parity oracle in :mod:`repro.kernels.reference`
-(``kdtree_query_best_first``); nothing on a production path calls it.
+The oracles live in :mod:`repro.kernels.reference`: the per-query
+best-first search that defines the order-2 answer
+(``kdtree_query_best_first``) and the chunked brute force this index
+replaced; nothing on a production path calls them.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ __all__ = ["KDTree", "kdtree_build_count"]
 _LEAF = -1
 
 # Monotonic count of KD-tree builds in this process. The sharing plane's
-# whole point is building each tree once per (space, metric) key; the
+# whole point is building each tree once per (space, order) key; the
 # benchmark gate and the serving-reuse tests read deltas of this counter
 # to prove it. Lock-guarded so thread-pool builds count exactly.
 _build_lock = threading.Lock()
@@ -67,29 +76,39 @@ def kdtree_build_count() -> int:
 
 
 class KDTree:
-    """Exact Euclidean KD-tree.
+    """Exact KD-tree over one Minkowski order.
 
     Parameters
     ----------
     X : (n, d) array
         Points to index. A split tree keeps a reordered copy; a
         one-leaf tree keeps ``X`` itself (module docstring).
+    p : float, default 2.0
+        Minkowski order of the distance, ``> 0`` (``inf`` allowed).
     leaf_size : int, default 40
         Maximum number of points per leaf of a split tree.
     """
 
-    def __init__(self, X: np.ndarray, *, leaf_size: int = 40):
+    # Trees pickled before the order existed are Euclidean.
+    p = 2.0
+
+    def __init__(self, X: np.ndarray, *, p: float = 2.0, leaf_size: int = 40):
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
         if X.shape[0] == 0:
             raise ValueError("cannot build a KDTree on zero points")
+        if not p > 0:
+            raise ValueError(f"p must be > 0, got {p}")
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
+        self.p = float(p)
         self.leaf_size = int(leaf_size)
         n, d = X.shape
         self._perm = np.arange(n)
-        max_leaf = self.leaf_size if can_pick_sweep(n, d, self.leaf_size) else n
+        # repro: allow[float-equality] -- the order is an exact parameter value, never computed
+        splits = self.p == 2.0 and can_pick_sweep(n, d, self.leaf_size)
+        max_leaf = self.leaf_size if splits else n
 
         # Flat node arrays, grown during the build.
         split_dim: list[int] = []
@@ -162,7 +181,7 @@ class KDTree:
         mode: str = "auto",
         block_rows: int = 1024,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest neighbors of each query point.
+        """k nearest neighbors of each query point under the tree's order.
 
         Returns ``(distances, indices)`` sorted ascending per row by
         ``(distance, index)`` — ties broken toward the smaller original
@@ -172,9 +191,9 @@ class KDTree:
 
         Every call runs :func:`repro.kernels.kdtree_query_batched`
         (``block_rows`` queries per block at most), which picks its
-        block engine from ``(q, n, d, k, leaf_size)``. ``mode`` names
-        that one path (``'auto'`` or ``'batched'``); the repo
-        benchmark's kernel probe still spells it.
+        block engine from the order and ``(q, n, d, k, leaf_size)``.
+        ``mode`` names that one path (``'auto'`` or ``'batched'``); the
+        repo benchmark's kernel probe still spells it.
         """
         X_query = np.asarray(X_query, dtype=np.float64)
         if X_query.ndim != 2 or X_query.shape[1] != self.n_features_:

@@ -127,10 +127,10 @@ def neighbors_for_scoring(
     return est._nn.kneighbors(X, n_neighbors=n_neighbors)
 
 
-def build_shared_index(X: np.ndarray, *, metric: str = "euclidean") -> NearestNeighbors:
-    """Build the one KD-tree index a sharing group's consumers will bind
-    (the sharing plane forms Euclidean groups only)."""
-    return NearestNeighbors(metric=metric).fit(X)
+def build_shared_index(X: np.ndarray, *, order: float = 2.0) -> NearestNeighbors:
+    """Build the one KD-tree index a sharing group's consumers will bind:
+    the group's Minkowski ``order``, whatever metric names spelled it."""
+    return NearestNeighbors(metric="minkowski", p=order).fit(X)
 
 
 def fused_neighbor_query(

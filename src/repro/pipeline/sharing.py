@@ -9,7 +9,8 @@ two-wave dependency DAG:
 
 1. **Derivation** (the ``share`` stage, between ``forecast`` and
    ``schedule``): each neighbor consumer contributes a *resource key*
-   ``(space identity, metric)`` — KD-tree structure identity — plus its
+   ``(space identity, order)`` — KD-tree structure identity, with
+   ``order`` the Minkowski order its metric resolves to — plus its
    ``k``; keys with two or more consumers fold their ``k``s to
    ``max(k_i)`` (+1 slack at fit time for self-exclusion) and become
    one :class:`SharedQuery` producer.
@@ -29,12 +30,13 @@ two-wave dependency DAG:
    a private query by the canonical tie-order contract, with
    self-exclusion applied per consumer at slice time.
 
-Sharing is restricted to Euclidean consumers — the metric the KD-tree
-serves in every dimension; other metrics keep their private brute-force
-path. Space identity is object identity — the projection stage hands
-unprojected models the *same* validated array object, while
-JL-projected spaces are per-model distinct, so per-space keying can
-never cross spaces.
+Every metric shares: the KD-tree answers each Minkowski order
+canonically, so ``LOF(metric='manhattan')`` and
+``LOF(metric='minkowski', p=1)`` fold into one group, and
+``KNN(metric='minkowski')`` joins the Euclidean one. Space identity is
+object identity — the projection stage hands unprojected models the
+*same* validated array object, while JL-projected spaces are per-model
+distinct, so per-space keying can never cross spaces.
 
 Derivation consumes no randomness and runs in O(m): plans with sharing
 replay bitwise-identically and non-neighbor pools pay nothing.
@@ -48,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels.neighbors import shared_query_width
+from repro.neighbors.api import minkowski_order
 from repro.neighbors.shared import build_shared_index, fused_neighbor_query
 from repro.parallel import resolve_array
 from repro.pipeline.wave import Wave
@@ -82,7 +85,7 @@ class SharedQuery:
     n_index: int
     n_query: int
     n_features: int
-    metric: str = "euclidean"
+    order: float = 2.0
     index: object | None = None
 
     @property
@@ -120,40 +123,41 @@ class SharingPlan:
 
 
 def _neighbor_spec(est, n_samples: int):
-    """The (k, metric) a detector would query with, iff Euclidean.
+    """The (k, Minkowski order) a detector would query with.
 
-    Returns None for non-neighbor detectors, other metrics (served by
-    brute force, outside the plane) and ``k`` outside the fit-valid
-    range (the detector's own validation raises on the unshared path,
-    keeping error behaviour identical).
+    Returns None for non-neighbor detectors, and for a metric the index
+    rejects or ``k`` outside the fit-valid range (the detector's own
+    validation raises on the unshared path, keeping error behaviour
+    identical).
     """
     request = getattr(est, "_neighbor_request", None)
     if request is None:
         return None
     spec = request()
     k = int(spec["n_neighbors"])
-    metric = spec["metric"]
-    if metric != "euclidean":
+    try:
+        order = minkowski_order(spec["metric"], spec["p"])
+    except ValueError:
         return None
     if not 1 <= k <= n_samples - 1:
         return None
-    return k, metric
+    return k, order
 
 
 def _group_consumers(models, spaces, specs) -> list[SharedQuery]:
     """Fold per-consumer resource keys into producer queries.
 
-    ``specs[i]`` is ``(k, metric, index_rows)`` or None. Groups of one
+    ``specs[i]`` is ``(k, order, index_rows)`` or None. Groups of one
     are dropped: a single consumer's private build is already optimal.
     """
-    groups: dict[tuple[int, str], list[int]] = {}
+    groups: dict[tuple[int, float], list[int]] = {}
     for i, spec in enumerate(specs):
         if spec is None:
             continue
-        _k, metric, _rows = spec
-        groups.setdefault((id(spaces[i]), metric), []).append(i)
+        _k, order, _rows = spec
+        groups.setdefault((id(spaces[i]), order), []).append(i)
     queries = []
-    for (_sid, metric), members in groups.items():
+    for (_sid, order), members in groups.items():
         if len(members) < 2:
             continue
         rep = members[0]
@@ -168,7 +172,7 @@ def _group_consumers(models, spaces, specs) -> list[SharedQuery]:
                 n_index=specs[rep][2],
                 n_query=int(spaces[rep].shape[0]),
                 n_features=int(spaces[rep].shape[1]),
-                metric=metric,
+                order=order,
             )
         )
     return queries
@@ -200,11 +204,11 @@ def derive_predict_sharing(approximators, spaces) -> SharingPlan:
     """Resource-key pass over a fitted pool: who can share at predict.
 
     Consumers are the *passthrough* scorers (PSA-approximated models
-    never run neighbor queries at predict) whose fitted index is
-    Euclidean. Grouping keys on ``(index identity, space
-    identity)``: detectors that shared a fit-time build hold the same
-    injected index object, so the fit-time groups re-form with zero
-    stored metadata — and independently fitted indexes never alias.
+    never run neighbor queries at predict) with a fitted index, of any
+    metric. Grouping keys on ``(index identity, space identity)``:
+    detectors that shared a fit-time build hold the same injected index
+    object, so the fit-time groups re-form with zero stored metadata —
+    and independently fitted indexes never alias.
     """
     specs: list = []
     index_of: dict[int, object] = {}
@@ -215,14 +219,14 @@ def derive_predict_sharing(approximators, spaces) -> SharingPlan:
             continue
         nn = getattr(det, "_nn", None)
         request = getattr(det, "_neighbor_request", None)
-        if nn is None or request is None or nn.metric != "euclidean":
+        if nn is None or request is None:
             specs.append(None)
             continue
         k = int(request()["n_neighbors"])
         if not 1 <= k <= nn._X.shape[0]:
             specs.append(None)
             continue
-        specs.append((k, "euclidean", int(nn._X.shape[0])))
+        specs.append((k, int(nn._X.shape[0])))
         index_of[len(specs) - 1] = nn
 
     # Group key = (index identity, space identity): share the fused
@@ -242,9 +246,9 @@ def derive_predict_sharing(approximators, spaces) -> SharingPlan:
             space_index=rep,
             consumers=members,
             ks=ks,
-            width=shared_query_width(ks, specs[rep][2]),
+            width=shared_query_width(ks, specs[rep][1]),
             cover_self=False,
-            n_index=specs[rep][2],
+            n_index=specs[rep][1],
             n_query=int(spaces[rep].shape[0]),
             n_features=int(spaces[rep].shape[1]),
             index=index_of[rep],
@@ -260,11 +264,12 @@ def derive_predict_sharing(approximators, spaces) -> SharingPlan:
 # The producer wave: task bodies (module-level: the process backends
 # pickle them) and its description for the wave runner.
 # ----------------------------------------------------------------------
-def produce_fit_query(space, ks, metric: str):
-    """Producer wave, fit plan: build the group's index, run the fused
-    self-covering query. Returns ``(index, distances, indices)``."""
+def produce_fit_query(space, ks, order: float):
+    """Producer wave, fit plan: build the group's index of Minkowski
+    ``order``, run the fused self-covering query. Returns ``(index,
+    distances, indices)``."""
     X = resolve_array(space)
-    nn = build_shared_index(X, metric=metric)
+    nn = build_shared_index(X, order=order)
     dist, idx, _width = fused_neighbor_query(nn, X, ks, cover_self=True)
     return nn, dist, idx
 
@@ -319,7 +324,7 @@ class ProducerWave(Wave):
         if self.sharing.kind == "fit":
             return [
                 functools.partial(
-                    produce_fit_query, data[q.space_index], tuple(q.ks), q.metric
+                    produce_fit_query, data[q.space_index], tuple(q.ks), q.order
                 )
                 for q in self.sharing.queries
             ]

@@ -28,7 +28,7 @@ loop stays free to accept and queue the next wave.
 
 The batcher also audits the shared-computation plane's serving
 contract: a fitted ensemble's neighbor structures (the KD-trees the
-``share`` stage built once per ``(space, metric)`` key and injected
+``share`` stage built once per ``(space, order)`` key and injected
 into every consumer) must be **reused** across micro-batches, never
 rebuilt per batch. Each executed batch folds the process KD-tree build
 delta into ``stats.structure_builds``; a healthy shared ensemble holds

@@ -19,11 +19,7 @@ from repro.utils.persistence import (
 )
 from repro.utils.random import check_random_state, spawn_seeds
 from repro.utils.scaling import StandardScaler, MinMaxScaler
-from repro.utils.distances import (
-    pairwise_distances,
-    pairwise_distances_chunked,
-    cdist_to_self_excluded,
-)
+from repro.utils.distances import pairwise_distances
 
 __all__ = [
     "check_array",
@@ -39,6 +35,4 @@ __all__ = [
     "StandardScaler",
     "MinMaxScaler",
     "pairwise_distances",
-    "pairwise_distances_chunked",
-    "cdist_to_self_excluded",
 ]

@@ -1,30 +1,17 @@
-"""Vectorised pairwise-distance kernels.
+"""Dense Euclidean distance matrices.
 
-Every proximity-based detector (kNN, LOF, LoOP, ABOD, CBLOF) is built on
-these primitives. Distances are computed in chunks so memory stays bounded
-at ``chunk_size * n`` floats regardless of query size.
+OCSVM's kernels, k-means and the JL ablation measure squared or plain
+Euclidean distances between two point sets; k-NN distances of every
+metric are the KD-tree kernel's own (:mod:`repro.kernels.neighbors`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
-__all__ = [
-    "pairwise_distances",
-    "pairwise_distances_chunked",
-    "cdist_to_self_excluded",
-]
+__all__ = ["pairwise_distances"]
 
-_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev", "minkowski")
-
-
-def _check_metric(metric: str, p: float) -> None:
-    if metric not in _METRICS:
-        raise ValueError(f"Unknown metric {metric!r}; choose from {_METRICS}")
-    if metric == "minkowski" and p <= 0:
-        raise ValueError(f"minkowski requires p > 0, got {p}")
+_METRICS = ("euclidean", "sqeuclidean")
 
 
 def pairwise_distances(
@@ -32,16 +19,14 @@ def pairwise_distances(
     Y: np.ndarray | None = None,
     *,
     metric: str = "euclidean",
-    p: float = 2.0,
 ) -> np.ndarray:
     """Dense ``(len(X), len(Y))`` distance matrix.
 
-    ``euclidean`` and ``sqeuclidean`` use the expanded dot-product identity
-    (one BLAS matmul); ``manhattan`` / ``chebyshev`` / ``minkowski`` use
-    broadcasting and therefore cost ``O(n * m * d)`` memory transient per
-    chunk — go through :func:`pairwise_distances_chunked` for large inputs.
+    Uses the expanded dot-product identity (one BLAS matmul), clipped at
+    zero: rounding can push tiny squared distances below it.
     """
-    _check_metric(metric, p)
+    if metric not in _METRICS:
+        raise ValueError(f"Unknown metric {metric!r}; choose from {_METRICS}")
     X = np.asarray(X, dtype=np.float64)
     Y = X if Y is None else np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2:
@@ -50,58 +35,13 @@ def pairwise_distances(
         raise ValueError(
             f"Dimension mismatch: X has {X.shape[1]} features, Y has {Y.shape[1]}"
         )
-
-    if metric in ("euclidean", "sqeuclidean"):
-        # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y  (clipped: rounding can
-        # push tiny distances below zero).
-        sq = (
-            np.einsum("ij,ij->i", X, X)[:, None]
-            + np.einsum("ij,ij->i", Y, Y)[None, :]
-            - 2.0 * (X @ Y.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        if metric == "euclidean":
-            np.sqrt(sq, out=sq)
-        return sq
-
-    diff = np.abs(X[:, None, :] - Y[None, :, :])
-    if metric == "manhattan":
-        return diff.sum(axis=2)
-    if metric == "chebyshev":
-        return diff.max(axis=2)
-    return (diff**p).sum(axis=2) ** (1.0 / p)
-
-
-def pairwise_distances_chunked(
-    X: np.ndarray,
-    Y: np.ndarray | None = None,
-    *,
-    metric: str = "euclidean",
-    p: float = 2.0,
-    chunk_size: int = 512,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(row_slice, distance_block)`` pairs over chunks of ``X``.
-
-    Memory use is bounded by ``chunk_size * len(Y)`` doubles.
-    """
-    _check_metric(metric, p)
-    X = np.asarray(X, dtype=np.float64)
-    Yv = X if Y is None else np.asarray(Y, dtype=np.float64)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    for start in range(0, X.shape[0], chunk_size):
-        sl = slice(start, min(start + chunk_size, X.shape[0]))
-        yield sl, pairwise_distances(X[sl], Yv, metric=metric, p=p)
-
-
-def cdist_to_self_excluded(
-    X: np.ndarray, *, metric: str = "euclidean", p: float = 2.0
-) -> np.ndarray:
-    """Self distance matrix with the diagonal set to ``+inf``.
-
-    Convenient for "nearest neighbor excluding the point itself" queries
-    used when scoring training data.
-    """
-    D = pairwise_distances(X, None, metric=metric, p=p)
-    np.fill_diagonal(D, np.inf)
-    return D
+    # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y
+    sq = (
+        np.einsum("ij,ij->i", X, X)[:, None]
+        + np.einsum("ij,ij->i", Y, Y)[None, :]
+        - 2.0 * (X @ Y.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    if metric == "euclidean":
+        np.sqrt(sq, out=sq)
+    return sq

@@ -8,6 +8,7 @@ the edit, or (if the change is genuinely intended) update
 re-run the ``tests/kernels/`` parity suites to re-establish parity.
 """
 
+import ast
 import hashlib
 from pathlib import Path
 
@@ -24,6 +25,19 @@ def test_pin_matches_tree():
         "reference.py changed; see this test's docstring before "
         "updating the pin"
     )
+
+
+def test_reference_is_self_contained():
+    # The frozen paths (brute force included) inline what they called:
+    # NumPy and the standard library only, nothing from the live package.
+    tree = ast.parse(REFERENCE_FILE.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert imported == {"__future__", "heapq", "types", "numpy"}
 
 
 def test_checker_passes_on_real_reference():

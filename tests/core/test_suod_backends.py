@@ -12,7 +12,8 @@ Three contracts:
 3. **Removed names** — an unknown or removed backend name fails at
    construction, whatever ``n_jobs`` says; an artifact saved under a
    removed backend name, or carrying the attributes of the removed
-   ``batch_size`` option or float32 serving mode, still loads and scores
+   ``batch_size`` option or float32 serving mode, or holding neighbour
+   indexes fitted without a tree (brute force), still loads and scores
    bitwise.
 """
 
@@ -370,6 +371,32 @@ class TestBackendNames:
         assert kinds == {"forest", "neighbors", "abod"}
         loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
         assert loaded._serving_dtype == np.dtype(np.float64)
+        np.testing.assert_array_equal(loaded.decision_function_matrix(Xte), ref[0])
+        np.testing.assert_array_equal(loaded.decision_function(Xte), ref[1])
+        loaded.close()
+
+    def test_artifact_with_tree_less_neighbor_indexes_still_scores(
+        self, data, tmp_path
+    ):
+        Xtr, Xte, ytr, yte = data
+        clf = SUOD(
+            [
+                LOF(n_neighbors=10, metric="manhattan"),
+                LOF(n_neighbors=10, metric="minkowski", p=3.0),
+                KNN(n_neighbors=8),
+            ],
+            rp_flag_global=False,
+            approx_flag_global=False,
+            random_state=3,
+        ).fit(Xtr)
+        ref = clf.decision_function_matrix(Xte), clf.decision_function(Xte)
+        # What an artifact of the brute-force era holds for every
+        # non-Euclidean detector: an index with no tree.
+        for est in clf.base_estimators_[:2]:
+            est._nn._tree = None
+        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
+        orders = [est._nn._tree.p for est in loaded.base_estimators_]
+        assert orders == [1.0, 3.0, 2.0]
         np.testing.assert_array_equal(loaded.decision_function_matrix(Xte), ref[0])
         np.testing.assert_array_equal(loaded.decision_function(Xte), ref[1])
         loaded.close()

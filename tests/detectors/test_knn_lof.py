@@ -13,13 +13,13 @@ def X():
 class TestKNN:
     def test_largest_is_kth_distance(self, X):
         det = KNN(n_neighbors=3, method="largest").fit(X)
-        from repro.neighbors import brute_force_kneighbors
+        from repro.kernels.reference import brute_force_kneighbors
 
         d, _ = brute_force_kneighbors(X, X, 3, exclude_self=True)
         np.testing.assert_allclose(det.decision_scores_, d[:, -1])
 
     def test_mean_median_reductions(self, X):
-        from repro.neighbors import brute_force_kneighbors
+        from repro.kernels.reference import brute_force_kneighbors
 
         d, _ = brute_force_kneighbors(X, X, 5, exclude_self=True)
         mean_det = KNN(n_neighbors=5, method="mean").fit(X)

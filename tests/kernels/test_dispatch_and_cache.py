@@ -10,8 +10,8 @@ from repro.detectors.iforest import (
     _average_path_length,
     _leaf_path_adjust,
 )
-from repro.kernels.reference import kdtree_query_best_first
-from repro.neighbors import NearestNeighbors, brute_force_kneighbors
+from repro.kernels.reference import brute_force_kneighbors, kdtree_query_best_first
+from repro.neighbors import NearestNeighbors
 
 
 def n_leaves(tree) -> int:
@@ -19,7 +19,8 @@ def n_leaves(tree) -> int:
 
 
 class TestNeighborDispatch:
-    """The metric picks the engine; the kernel's rule sizes the tree."""
+    """Every metric is a KD-tree of its Minkowski order; the kernel's rule
+    sizes an order-2 tree, every other order is one leaf."""
 
     @pytest.mark.parametrize("n,d", [(50, 4), (400, 6), (300, 20), (1000, 80)])
     def test_euclidean_is_always_the_kd_tree(self, rng, n, d):
@@ -31,14 +32,31 @@ class TestNeighborDispatch:
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
 
-    @pytest.mark.parametrize("metric", ["manhattan", "chebyshev", "minkowski"])
-    def test_other_metrics_run_brute_force(self, rng, metric):
-        X = rng.standard_normal((300, 4))
+    @pytest.mark.parametrize(
+        "metric,order",
+        [("manhattan", 1.0), ("chebyshev", np.inf), ("minkowski", 3.0)],
+    )
+    @pytest.mark.parametrize("n,d", [(300, 4), (20_000, 2)])
+    def test_other_metrics_are_one_leaf_trees_of_their_order(
+        self, rng, metric, order, n, d
+    ):
+        # 20000 x 2 splits under order 2; no other order ever splits.
+        X = rng.standard_normal((n, d))
         nn = NearestNeighbors(4, metric=metric, p=3.0).fit(X)
-        assert nn._tree is None
-        Q = rng.standard_normal((9, 4))
+        assert nn._tree.p == order
+        assert n_leaves(nn._tree) == 1
+        assert nn._tree._data is nn._X
+        Q = rng.standard_normal((9, d))
         expected = brute_force_kneighbors(X, Q, 4, metric=metric, p=3.0)
         np.testing.assert_array_equal(nn.kneighbors(Q)[0], expected[0])
+        np.testing.assert_array_equal(nn.kneighbors(Q)[1], expected[1])
+
+    @pytest.mark.parametrize(
+        "metric,p", [("sqeuclidean", 2.0), ("cosine", 2.0), ("minkowski", 0.0)]
+    )
+    def test_metrics_that_are_no_minkowski_order_are_rejected(self, rng, metric, p):
+        with pytest.raises(ValueError, match="metric|p > 0"):
+            NearestNeighbors(3, metric=metric, p=p).fit(rng.standard_normal((9, 2)))
 
     def test_high_d_is_one_leaf_over_the_indexed_rows(self, rng):
         # d=80: the sweep can never win, so there is nothing to build —
@@ -59,18 +77,19 @@ class TestNeighborDispatch:
         assert tree._data is not nn._X
         np.testing.assert_array_equal(tree._data, nn._X[tree._perm])
 
-    def test_index_without_a_tree_keeps_brute_force(self, rng):
+    def test_index_without_a_tree_builds_one_on_load(self, rng):
         # An index pickled by a version that fitted it on brute force
-        # carries _tree=None: it still scores on that path.
+        # carries _tree=None: loading builds its tree, and it answers
+        # canonically.
         X = rng.standard_normal((200, 20))
         nn = NearestNeighbors(6).fit(X)
         nn._tree = None
         nn = pickle.loads(pickle.dumps(nn))
+        assert np.shares_memory(nn._tree._data, nn._X)  # one leaf, no copy
         Q = rng.standard_normal((11, 20))
-        d_old, i_old = nn.kneighbors(Q)
-        d_ref, i_ref = brute_force_kneighbors(X, Q, 6)
-        np.testing.assert_array_equal(d_old, d_ref)
-        np.testing.assert_array_equal(i_old, i_ref)
+        got, ref = nn.kneighbors(Q), kdtree_query_best_first(nn._tree, Q, 6)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 class TestLeafPathAdjustCache:

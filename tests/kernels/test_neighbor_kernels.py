@@ -8,6 +8,9 @@ agree with the per-query oracle (``repro.kernels.reference``) to the
 last bit: on tie-heavy inputs where every selection boundary is
 degenerate, on inputs built to break the GEMM form of the filter
 (cancellation, scaling, under- and overflow), for every batch shape.
+Every other Minkowski order runs the exact scan, pinned against the
+frozen brute force it replaced (distances bitwise; indices in the
+canonical order where distances tie).
 """
 
 import pickle
@@ -19,9 +22,13 @@ import pytest
 from repro import SUOD
 from repro.detectors import KNN, LOF
 from repro.kernels import neighbors as kn
-from repro.kernels.reference import kdtree_query_best_first, kdtree_query_heap
+from repro.kernels.reference import (
+    brute_force_kneighbors,
+    kdtree_query_best_first,
+    kdtree_query_heap,
+)
 from repro.memory.arena import release_mappings
-from repro.neighbors import KDTree, NearestNeighbors, brute_force_kneighbors
+from repro.neighbors import KDTree, NearestNeighbors
 from repro.neighbors.shared import build_shared_index, fused_neighbor_query
 from repro.utils.persistence import load_ensemble, read_ensemble_header, save_ensemble
 
@@ -545,3 +552,189 @@ class TestAgainstBruteForce:
         td, _ = tree.query(Q, 8, mode="batched")
         bd, _ = brute_force_kneighbors(X, Q, 8)
         np.testing.assert_allclose(td, bd, rtol=1e-7, atol=1e-7)
+
+
+# (metric, p) pairs of every non-Euclidean order, and what they resolve to.
+ORDERS = [
+    ("manhattan", 2.0),
+    ("chebyshev", 2.0),
+    ("minkowski", 1.0),
+    ("minkowski", 1.5),
+    ("minkowski", 3.0),
+]
+ORDER_IDS = ["manhattan", "chebyshev", "minkowski-p1", "minkowski-p1.5", "minkowski-p3"]
+
+
+def _order_data(kind):
+    """(X, new queries) for the every-order grid: continuous rows,
+    an integer lattice (every k-th boundary a tie under every order), or
+    continuous rows each present six times."""
+    rng = np.random.default_rng(30)
+    if kind == "continuous":
+        return rng.standard_normal((240, 5)), rng.standard_normal((300, 5))
+    if kind == "lattice":
+        return (
+            rng.integers(0, 5, size=(240, 3)).astype(np.float64),
+            rng.integers(0, 5, size=(300, 3)).astype(np.float64),
+        )
+    base = rng.standard_normal((40, 5))
+    X = np.repeat(base, 6, axis=0)
+    return X, np.concatenate([base, rng.standard_normal((260, 5))])
+
+
+def _canonical_brute(X, Q, k, metric, p, exclude_self):
+    """The frozen brute force's full rows in (distance, index) order,
+    cut at k: the canonical answer where distances tie."""
+    width = len(X) - 1 if exclude_self else len(X)
+    dist, idx = brute_force_kneighbors(
+        X, Q, width, metric=metric, p=p, exclude_self=exclude_self
+    )
+    order = np.lexsort((idx, dist))[:, :k]
+    return (
+        np.take_along_axis(dist, order, axis=1),
+        np.take_along_axis(idx, order, axis=1),
+    )
+
+
+class TestEveryOrderMatchesFrozenBruteForce:
+    """Every metric is a KD-tree of its Minkowski order, answered by the
+    exact scan: distances are the replaced brute force's bit for bit,
+    indices its own where no distance ties and the canonical (distance,
+    index) order where they do."""
+
+    @pytest.mark.parametrize("query", ["exclude_self", "q1", "q300"])
+    @pytest.mark.parametrize("kind", ["continuous", "lattice", "duplicates"])
+    @pytest.mark.parametrize("metric,p", ORDERS, ids=ORDER_IDS)
+    def test_parity_grid(self, metric, p, kind, query):
+        X, Q = _order_data(kind)
+        k = 10
+        nn = NearestNeighbors(k, metric=metric, p=p).fit(X)
+        exclude_self = query == "exclude_self"
+        if exclude_self:
+            got, Q = nn.kneighbors(), X
+        else:
+            Q = Q[:1] if query == "q1" else Q
+            got = nn.kneighbors(Q)
+        brute = brute_force_kneighbors(
+            X, Q, k, metric=metric, p=p, exclude_self=exclude_self
+        )
+        np.testing.assert_array_equal(got[0], brute[0])
+        if kind == "continuous":
+            np.testing.assert_array_equal(got[1], brute[1])
+        else:
+            _assert_identical(got, _canonical_brute(X, Q, k, metric, p, exclude_self))
+
+    @pytest.mark.parametrize("metric,p", ORDERS, ids=ORDER_IDS)
+    def test_lattice_answers_are_prefixes(self, metric, p):
+        X, Q = _order_data("lattice")
+        nn = NearestNeighbors(metric=metric, p=p).fit(X)
+        for query in (None, Q):
+            d5, i5 = nn.kneighbors(query, n_neighbors=5)
+            d10, i10 = nn.kneighbors(query, n_neighbors=10)
+            _assert_identical((d5, i5), (d10[:, :5], i10[:, :5]))
+
+    @pytest.mark.parametrize("metric,p", ORDERS, ids=ORDER_IDS)
+    def test_k_extremes(self, metric, p):
+        X, Q = _order_data("lattice")
+        nn = NearestNeighbors(metric=metric, p=p).fit(X)
+        n = len(X)
+        for k in (1, n - 1, n):
+            ref = _canonical_brute(X, Q[:20], k, metric, p, False)
+            _assert_identical(nn.kneighbors(Q[:20], n_neighbors=k), ref)
+        for k in (1, n - 1):
+            ref = _canonical_brute(X, X, k, metric, p, True)
+            _assert_identical(nn.kneighbors(n_neighbors=k), ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 80, 200])
+    @pytest.mark.parametrize("metric,p", [("manhattan", 2.0), ("minkowski", 3.0)])
+    def test_reduction_lengths(self, rng, metric, p, d):
+        # Scan and refine reduce each distance over a contiguous axis of
+        # length d, as brute force did: the same bits at every unroll
+        # and pairwise-block boundary of the summation.
+        X = rng.standard_normal((300, d))
+        Q = rng.standard_normal((40, d))
+        nn = NearestNeighbors(7, metric=metric, p=p).fit(X)
+        _assert_identical(
+            nn.kneighbors(Q), brute_force_kneighbors(X, Q, 7, metric=metric, p=p)
+        )
+        _assert_identical(
+            nn.kneighbors(),
+            brute_force_kneighbors(X, X, 7, metric=metric, p=p, exclude_self=True),
+        )
+
+    def test_slab_and_refine_boundaries(self, rng, monkeypatch):
+        # Slabs of one query row up to whole blocks, refines of one pair
+        # up to many rows: only the working set changes, never the answer.
+        X = rng.integers(0, 4, size=(150, 3)).astype(np.float64)
+        Q = rng.integers(0, 4, size=(45, 3)).astype(np.float64)
+        tree = KDTree(X, p=1.0)
+        expected = _canonical_brute(X, Q, 9, "manhattan", 2.0, False)
+        expected_self = _canonical_brute(X, X, 9, "manhattan", 2.0, True)
+        for budget in (1, 3 * 7, 150 * 3, 150 * 3 * 5 + 1, 1 << 18):
+            monkeypatch.setattr(kn, "_SCAN_BLOCK", budget)
+            for block in (1, 16, 1024):
+                _assert_identical(tree.query(Q, 9, block_rows=block), expected)
+                _assert_identical(
+                    tree.query(X, 9, exclude_self=True, block_rows=block),
+                    expected_self,
+                )
+
+    def test_minkowski_two_is_the_euclidean_tree(self, rng):
+        for n, d in ((2000, 2), (300, 8), (300, 80)):
+            X = rng.standard_normal((n, d))
+            Q = rng.standard_normal((30, d))
+            nn = NearestNeighbors(6, metric="minkowski", p=2.0).fit(X)
+            euclid = NearestNeighbors(6).fit(X)
+            assert nn._tree.p == 2.0
+            ref = kdtree_query_best_first(euclid._tree, Q, 6)
+            _assert_identical(nn.kneighbors(Q), ref)
+            _assert_identical(euclid.kneighbors(Q), ref)
+
+    def test_exact_scan_at_order_two_is_canonical(self, rng):
+        # The exact scan is order-agnostic: on a one-leaf Euclidean tree
+        # it returns the best-first oracle's bytes too.
+        X = rng.standard_normal((400, 6))
+        tree = KDTree(X)
+        assert _n_leaves(tree) == 1
+        for Q, self_q in ((rng.standard_normal((50, 6)), False), (X, True)):
+            got = kn._query_blocks(kn._exact_scan_block, tree, Q, 8, self_q, 1024)
+            ref = kdtree_query_best_first(tree, Q, 8, exclude_self=self_q)
+            _assert_identical(got, ref)
+
+    @pytest.mark.parametrize(
+        "p,scipy_metric,kwargs",
+        [
+            (2.0, "euclidean", {}),
+            (1.0, "cityblock", {}),
+            (np.inf, "chebyshev", {}),
+            (3.0, "minkowski", {"p": 3}),
+            (1.5, "minkowski", {"p": 1.5}),
+        ],
+    )
+    def test_distance_expression_matches_scipy(self, rng, p, scipy_metric, kwargs):
+        from scipy.spatial.distance import cdist
+
+        X, Y = rng.standard_normal((20, 6)), rng.standard_normal((15, 6))
+        ours = kn._minkowski(Y[None, :, :] - X[:, None, :], p)
+        ref = cdist(X, Y, metric=scipy_metric, **kwargs)
+        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-9)
+
+    def test_other_orders_never_build_scan_operands(self, rng):
+        tree = KDTree(rng.standard_normal((300, 8)), p=1.0)
+        tree.query(rng.standard_normal((4, 8)), 3)
+        assert "_scan_cache" not in tree.__dict__
+
+    def test_self_query_memory_is_bounded(self, rng):
+        # Brute force broadcast (1024, n, d) differences here: a 610 MB
+        # traced peak. The exact scan holds max(_SCAN_BLOCK, n d) terms
+        # per slab.
+        import tracemalloc
+
+        X = rng.standard_normal((1000, 40))
+        tracemalloc.start()
+        try:
+            NearestNeighbors(10, metric="manhattan").fit(X).kneighbors()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.neighbors import NearestNeighbors, brute_force_kneighbors
+from repro.kernels.reference import brute_force_kneighbors
+from repro.neighbors import NearestNeighbors
 from repro.utils.validation import NotFittedError
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.neighbors import KDTree, brute_force_kneighbors
+from repro.kernels.reference import brute_force_kneighbors
+from repro.neighbors import KDTree
 
 
 def _split_tree(X, leaf_size):
@@ -75,3 +76,22 @@ class TestKDTree:
         _, i = tree.query(X, 1)
         # nearest neighbor of each point (self included) is itself
         np.testing.assert_array_equal(i[:, 0], np.arange(400))
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])
+    def test_order_must_be_positive(self, rng, p):
+        with pytest.raises(ValueError, match="p must be > 0"):
+            KDTree(rng.standard_normal((10, 2)), p=p)
+
+    def test_tree_pickled_without_an_order_is_euclidean(self, rng):
+        import pickle
+
+        X = rng.standard_normal((2000, 2))
+        tree = _split_tree(X, 4)
+        Q = rng.standard_normal((15, 2))
+        expected = tree.query(Q, 5)
+        del tree.__dict__["p"]  # what a tree pickled before orders holds
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone.p == 2.0
+        got = clone.query(Q, 5)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])

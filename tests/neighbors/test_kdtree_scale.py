@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.neighbors import KDTree, brute_force_kneighbors
+from repro.kernels.reference import brute_force_kneighbors
+from repro.neighbors import KDTree
 
 
 class TestKDTreeScale:

@@ -1,7 +1,7 @@
 """Shared-computation plane: derivation, bitwise parity, shm hygiene.
 
 The contract under test: the ``share`` stage folds every KD-tree build
-and neighbor query with the same ``(space, metric)`` resource key into
+and neighbor query with the same ``(space, order)`` resource key into
 one producer task, and every raw score the ensemble emits — train and
 predict matrices, on any backend, in any dimension — is
 **bitwise identical** to each detector fitted standalone on the same
@@ -37,6 +37,20 @@ def neighbor_pool():
         LoOP(n_neighbors=7),
         ABOD(n_neighbors=10),
         HBOS(n_bins=12),
+    ]
+
+
+def metric_pool():
+    """Two groups of non-Euclidean LOFs, and the paper grid's
+    ``KNN(metric='minkowski')`` (p = 2) beside a Euclidean KNN: three
+    distinct (space, order) keys on one space."""
+    return [
+        LOF(n_neighbors=9, metric="manhattan"),
+        LOF(n_neighbors=5, metric="manhattan"),
+        LOF(n_neighbors=12, metric="minkowski", p=3.0),
+        LOF(n_neighbors=7, metric="minkowski", p=3.0),
+        KNN(n_neighbors=6, metric="minkowski"),
+        KNN(n_neighbors=8),
     ]
 
 
@@ -136,13 +150,13 @@ class TestDerivation:
         assert not plan.active
         assert plan.summary()["structures_built"] == 0
 
-    def test_other_metrics_are_not_shared(self, data):
-        # Non-Euclidean detectors run brute force: no tree to share.
+    def test_groups_key_on_the_minkowski_order(self, data):
+        # Metric names that spell one order fold into one group.
         Xtr, _ = data
-        plan = derive_fit_sharing(
-            [LOF(9, metric="manhattan"), LOF(5, metric="manhattan")], [Xtr, Xtr]
-        )
-        assert not plan.active
+        models = metric_pool() + [LOF(4, metric="minkowski", p=1.0)]
+        plan = derive_fit_sharing(models, [Xtr] * len(models))
+        groups = {q.order: sorted(q.consumers) for q in plan.queries}
+        assert groups == {1.0: [0, 1, 6], 3.0: [2, 3], 2.0: [4, 5]}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +176,7 @@ class TestParityMatrix:
         before = kdtree_build_count()
         shared = fit_predict(Xtr, Xte)
         clf = shared[0]
-        # Exactly one build per distinct (space, metric) key — here 1 —
+        # Exactly one build per distinct (space, order) key — here 1 —
         # across fit AND both predict calls (the injected index serves
         # every later query).
         assert kdtree_build_count() - before == 1
@@ -180,6 +194,25 @@ class TestParityMatrix:
             assert_same_ensemble(shared, sequential)
         finally:
             shared[0].close()
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "shm_processes"])
+    def test_every_metric_shares_bitwise(self, data, backend):
+        # One build per distinct (space, order) key across fit and
+        # predict (process-pool builds are invisible to this counter),
+        # and every raw score is the standalone detector's.
+        Xtr, Xte = data
+        before = kdtree_build_count()
+        n_jobs = 1 if backend == "sequential" else 3
+        run = fit_predict(Xtr, Xte, pool=metric_pool, backend=backend, n_jobs=n_jobs)
+        try:
+            if backend != "shm_processes":
+                assert kdtree_build_count() - before == 3
+            for info in (run[0].sharing_fit_info_, run[0].sharing_predict_info_):
+                assert info["structures_built"] == 3
+                assert info["queries_fused"] == 6
+            assert_matches_standalone(run, standalone_matrices(metric_pool, *data))
+        finally:
+            run[0].close()
 
     def test_projected_spaces_stay_private_but_bitwise_equal(self):
         # RP gives every neighbor model its own space object, so no
@@ -253,14 +286,14 @@ class ExplodingForest(RandomForestRegressor):
         return super().fit_block(X, y, seeds)
 
 
-def exploding_index_build(X, metric="euclidean"):
+def exploding_index_build(X, order=2.0):
     raise RuntimeError("fit producer exploded")
 
 
 #: wave -> (plan that fails, last stage that completed, error pattern)
 FAILING_WAVES = {
     "fit producer": ("fit", "schedule", "fit producer exploded"),
-    "predict producer": ("predict", "schedule", "NoneType"),
+    "predict producer": ("predict", "schedule", "'str' object has no attribute"),
     "detector fit": ("fit", "schedule", "detector fit exploded"),
     "score task": ("predict", "schedule", "score task exploded"),
     "PSA block": ("fit", "execute", "PSA block exploded"),
@@ -308,7 +341,8 @@ class TestShmHygiene:
             if kind == "predict":
                 clf.fit(Xtr)
                 if wave == "predict producer":
-                    patch.setattr(clf.shared_index_[0], "_tree", None)
+                    # Not None: an index loaded without a tree builds one.
+                    patch.setattr(clf.shared_index_[0], "_tree", "no tree")
                 else:
                     # The fitted copy: process workers hand back new objects.
                     clf.base_estimators_[2].explode_in = "score"

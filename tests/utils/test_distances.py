@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from repro.utils.distances import (
-    cdist_to_self_excluded,
-    pairwise_distances,
-    pairwise_distances_chunked,
-)
+from repro.utils.distances import pairwise_distances
 
 
 @pytest.fixture
@@ -15,26 +11,12 @@ def XY(rng):
 
 
 class TestPairwiseDistances:
-    @pytest.mark.parametrize(
-        "metric,scipy_metric",
-        [
-            ("euclidean", "euclidean"),
-            ("sqeuclidean", "sqeuclidean"),
-            ("manhattan", "cityblock"),
-            ("chebyshev", "chebyshev"),
-        ],
-    )
-    def test_matches_scipy(self, XY, metric, scipy_metric):
+    @pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+    def test_matches_scipy(self, XY, metric):
         X, Y = XY
         ours = pairwise_distances(X, Y, metric=metric)
-        ref = cdist(X, Y, metric=scipy_metric)
+        ref = cdist(X, Y, metric=metric)
         np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-9)
-
-    def test_minkowski_matches_scipy(self, XY):
-        X, Y = XY
-        ours = pairwise_distances(X, Y, metric="minkowski", p=3)
-        ref = cdist(X, Y, metric="minkowski", p=3)
-        np.testing.assert_allclose(ours, ref, rtol=1e-9)
 
     def test_self_distance_zero_diagonal(self, rng):
         X = rng.standard_normal((10, 4))
@@ -53,41 +35,12 @@ class TestPairwiseDistances:
         D = pairwise_distances(X, metric="sqeuclidean")
         assert (D >= 0).all()
 
-    def test_unknown_metric(self, XY):
+    @pytest.mark.parametrize("metric", ["cosine", "manhattan", "minkowski"])
+    def test_unknown_metric(self, XY, metric):
+        # k-NN distances of other metrics are the KD-tree kernel's own.
         with pytest.raises(ValueError, match="Unknown metric"):
-            pairwise_distances(*XY, metric="cosine")
+            pairwise_distances(*XY, metric=metric)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="Dimension mismatch"):
             pairwise_distances(rng.random((3, 2)), rng.random((3, 3)))
-
-    def test_bad_minkowski_p(self, XY):
-        with pytest.raises(ValueError, match="p > 0"):
-            pairwise_distances(*XY, metric="minkowski", p=0)
-
-
-class TestChunked:
-    def test_chunks_cover_and_match(self, rng):
-        X = rng.standard_normal((23, 4))
-        Y = rng.standard_normal((9, 4))
-        full = pairwise_distances(X, Y)
-        rebuilt = np.empty_like(full)
-        slices = []
-        for sl, block in pairwise_distances_chunked(X, Y, chunk_size=5):
-            rebuilt[sl] = block
-            slices.append(sl)
-        np.testing.assert_allclose(rebuilt, full)
-        assert slices[0].start == 0 and slices[-1].stop == 23
-
-    def test_invalid_chunk(self, rng):
-        with pytest.raises(ValueError):
-            list(pairwise_distances_chunked(rng.random((3, 2)), chunk_size=0))
-
-
-class TestSelfExcluded:
-    def test_diagonal_inf(self, rng):
-        X = rng.standard_normal((8, 3))
-        D = cdist_to_self_excluded(X)
-        assert np.isinf(np.diag(D)).all()
-        off = D[~np.eye(8, dtype=bool)]
-        assert np.isfinite(off).all()

@@ -10,7 +10,7 @@ Usage::
     python -m repro plan [--phase fit|predict|both] [--format table|json]
     python -m repro schedulers [--quick] [--json out.json]
     python -m repro serve --artifact ensemble.repro [--port 9000]
-    python -m repro analyze [paths ...] [--rule RULE] [--json out.json]
+    python -m repro analyze [paths ...] [--json out.json]
 
 ``plan`` is not an experiment: it compiles a SUOD fit/predict pass into
 its :class:`~repro.pipeline.ExecutionPlan` and prints the stages, the
@@ -33,7 +33,7 @@ once listening and drains cleanly on SIGTERM/SIGINT.
 ``analyze`` runs the :mod:`repro.analysis` static checkers over the
 source tree (bitwise-parity hazards, shm lifecycle, payload
 concurrency, repo contracts, frozen-reference pin) and exits non-zero
-on any new finding — the blocking CI ``analyze`` job.
+on any finding — the blocking CI ``analyze`` job.
 
 Experiments honour the same REPRO_* environment variables as the
 benchmark suite; CLI flags override them.
@@ -94,7 +94,7 @@ class CLIError(Exception):
     """Operator-facing bad input: one line on stderr, exit status 2.
 
     Distinct from exit 1, which ``schedulers`` and ``analyze`` reserve
-    for a real gate failure (no adaptive improvement, a new finding).
+    for a real gate failure (no adaptive improvement, an analysis finding).
     """
 
 

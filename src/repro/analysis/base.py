@@ -1,18 +1,17 @@
-"""Checker protocol and the per-file context checkers analyse.
+"""The per-file context checkers analyse, and AST name helpers.
 
 The engine parses every file exactly once into a :class:`FileContext`
-(source text, AST with parent links, pragma table) and hands the same
-context to every selected checker, so N checkers cost one parse.
-Checkers are plain classes declaring their rule catalogue; the registry
-(:mod:`repro.analysis.registry`) resolves them by name under the same
-contract as the backend and scheduler registries.
+(source text, AST with parent links) and hands the same context to
+every checker, so N checkers cost one parse. A checker is a plain class
+satisfying :class:`Checker`; the built-ins are listed once in
+:data:`repro.analysis.checkers.CHECKERS`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from repro.analysis.findings import Finding, RuleSpec
 
@@ -103,20 +102,18 @@ class FileContext:
         )
 
 
-@runtime_checkable
 class Checker(Protocol):
-    """What the engine requires of a registered checker.
+    """What the engine requires of a checker in ``CHECKERS``.
 
     Attributes
     ----------
     name : str
-        Registry name (``'parity'``, ``'lifecycle'``, ...).
+        Short name shown in ``--list-rules`` (``'parity'``, ...).
     description : str
         One line for ``--list-rules`` and the docs catalogue.
     rules : tuple of RuleSpec
-        Every rule id this checker can emit. The engine uses the union
-        over registered checkers to validate ``--rule`` filters and to
-        decide which pragmas can go stale.
+        Every rule id this checker can emit; ids are unique across
+        checkers, since a pragma names a rule by id.
     """
 
     name: str

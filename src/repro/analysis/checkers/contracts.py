@@ -4,9 +4,9 @@ Codifies conventions the repo adopted in earlier PRs but until now
 enforced only by review:
 
 ``registry-overwrite``
-    ``register_backend(..., overwrite=True)`` (and the scheduler /
-    checker equivalents) silently replaces a built-in; legitimate only
-    in tests, so any occurrence in ``src/`` is flagged.
+    ``register_backend(..., overwrite=True)`` (and the scheduler
+    equivalent) silently replaces a built-in; legitimate only in tests,
+    so any occurrence in ``src/`` is flagged.
 
 ``unseeded-random``
     Calls into the legacy ``np.random.*`` global generator (or a
@@ -35,9 +35,7 @@ from repro.analysis.findings import Finding, RuleSpec
 
 __all__ = ["ContractsChecker"]
 
-_REGISTER_FNS = frozenset(
-    {"register_backend", "register_scheduler", "register_checker"}
-)
+_REGISTER_FNS = frozenset({"register_backend", "register_scheduler"})
 
 # Legacy global-state RNG entry points (np.random.<fn> module calls).
 _GLOBAL_RNG_FNS = frozenset(

@@ -1,10 +1,10 @@
 """``python -m repro analyze`` — the static-analysis CLI and CI gate.
 
-Exit status is the contract: 0 when the tree is clean (after pragmas
-and baseline), 1 when any new finding or parse error remains — so the
+Exit status is the contract: 0 when the tree is clean (after pragmas),
+1 when any finding or parse error remains, 2 on a missing path — so the
 CI job is just the command itself. ``--json`` writes the full report
-for the artifact upload; ``--rule`` narrows to specific rules;
-``--update-baseline`` accepts the current findings as the new baseline.
+for the artifact upload. Every rule runs on every file; the only way to
+accept a finding is a justified pragma next to the code.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-import repro.analysis.checkers  # noqa: F401  (registers built-ins)
-from repro.analysis.baseline import Baseline
+from repro.analysis.checkers import CHECKERS, RULES
 from repro.analysis.engine import analyze_paths
-from repro.analysis.registry import all_rules, get_checker, list_checkers
 
-__all__ = ["run_analyze_command", "build_parser", "DEFAULT_BASELINE"]
+__all__ = ["run_analyze_command", "build_parser"]
 
-DEFAULT_BASELINE = ".repro-analyze-baseline.json"
 DEFAULT_PATHS = ("src/repro",)
 
 
@@ -31,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checks: bitwise-parity hazards, shm "
             "lifecycle, payload concurrency, repo contracts, and the "
-            "frozen-reference pin. Exits non-zero on any new finding."
+            "frozen-reference pin. Exits non-zero on any finding."
         ),
     )
     parser.add_argument(
@@ -39,13 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=list(DEFAULT_PATHS),
         help=f"files or directories to analyse (default: {DEFAULT_PATHS[0]})",
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        dest="rules",
-        metavar="RULE",
-        help="restrict to RULE (repeatable); default is every rule",
     )
     parser.add_argument(
         "--json",
@@ -58,23 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=f"baseline suppression file (default: {DEFAULT_BASELINE} "
-        "at the analysis root, when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--root",
         metavar="DIR",
         default=".",
@@ -84,25 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_rule_catalogue(out) -> None:
-    catalogue = all_rules()
     print("rules:", file=out)
-    for rule_id, (checker_name, spec) in sorted(catalogue.items()):
-        print(
-            f"  {rule_id:24s} [{checker_name}] {spec.summary}", file=out
-        )
+    for rule_id, (checker_name, spec) in sorted(RULES.items()):
+        print(f"  {rule_id:24s} [{checker_name}] {spec.summary}", file=out)
     print("\ncheckers:", file=out)
-    for name in list_checkers():
-        print(f"  {name:24s} {get_checker(name).description}", file=out)
+    for checker in sorted(CHECKERS, key=lambda c: c.name):
+        print(f"  {checker.name:24s} {checker.description}", file=out)
 
 
 def _render_table(report, out) -> None:
     if not report.findings and not report.parse_errors:
-        extras = []
-        if report.suppressed:
-            extras.append(f"{len(report.suppressed)} pragma-suppressed")
-        if report.baselined:
-            extras.append(f"{len(report.baselined)} baselined")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        n = len(report.suppressed)
+        suffix = f" ({n} pragma-suppressed)" if n else ""
         print(
             f"analyze: {report.files_scanned} files clean{suffix}", file=out
         )
@@ -143,48 +109,7 @@ def run_analyze_command(argv=None, out=None) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline = None
-    baseline_path = None
-    if not args.no_baseline:
-        baseline_path = (
-            Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-        )
-        if baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline and not args.update_baseline:
-            print(f"analyze: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-
-    try:
-        report = analyze_paths(
-            args.paths,
-            root=root,
-            rules=args.rules,
-            baseline=None if args.update_baseline else baseline,
-        )
-    except ValueError as exc:  # unknown --rule
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        target = baseline_path or root / DEFAULT_BASELINE
-        pairs = []
-        for finding in report.findings:
-            file_path = root / finding.path
-            text = ""
-            if file_path.exists():
-                lines = file_path.read_text(encoding="utf-8").splitlines()
-                if 0 < finding.line <= len(lines):
-                    text = lines[finding.line - 1]
-            pairs.append((finding, text))
-        Baseline.from_findings(pairs).dump(target)
-        print(
-            f"analyze: baselined {len(report.findings)} findings to "
-            f"{target}",
-            file=out,
-        )
-        return 0
-
+    report = analyze_paths(args.paths, root=root)
     if args.json:
         payload = json.dumps(report.to_dict(), indent=2)
         if args.json == "-":
@@ -193,10 +118,4 @@ def run_analyze_command(argv=None, out=None) -> int:
             Path(args.json).write_text(payload + "\n", encoding="utf-8")
     if args.json != "-":
         _render_table(report, out)
-    for key in report.stale_baseline:
-        print(
-            f"analyze: stale baseline entry {key!r} matched nothing — "
-            "remove it",
-            file=sys.stderr,
-        )
     return report.exit_code

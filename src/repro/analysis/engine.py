@@ -1,48 +1,35 @@
-"""Analysis engine: walk, parse once, run checkers, suppress, report.
+"""Analysis engine: walk, parse once, run every checker, suppress, report.
 
-The engine owns the file lifecycle so checkers stay pure AST visitors:
+The engine owns the file lifecycle so checkers stay pure AST visitors.
+One fixed pass per file:
 
 1. walk the requested roots for ``*.py`` files (skipping caches/VCS);
 2. parse each file once into a :class:`FileContext` with parent links;
-3. run every selected checker against the shared context;
+3. run every checker in :data:`~repro.analysis.checkers.CHECKERS`;
 4. apply ``# repro: allow[rule] -- why`` pragmas, marking each pragma
    used as it suppresses;
-5. emit ``stale-pragma`` findings for pragmas that suppressed nothing
-   (only when the rules they name actually ran — a ``--rule`` filter
-   must not condemn pragmas for other rules);
-6. optionally subtract a baseline of accepted pre-existing findings.
+5. emit ``stale-pragma`` findings for pragmas that suppressed nothing.
 
-An :class:`AnalysisCache` memoises per-file results keyed on content
-hash and rule selection, so repeated runs in one process (tests, the
-CLI analysing overlapping roots) re-analyse only changed files.
+A justified pragma next to the code is the only way to accept a
+finding.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-import repro.analysis.checkers  # noqa: F401  (registers built-ins)
 from repro.analysis.base import FileContext, attach_parents
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding, RuleSpec
-from repro.analysis.pragmas import parse_pragmas
-from repro.analysis.registry import (
-    get_checker,
-    list_checkers,
-    register_checker,
-    resolve_rules,
-)
+from repro.analysis.checkers import CHECKERS
+from repro.analysis.findings import Finding
+from repro.analysis.pragmas import STALE_PRAGMA_RULE, parse_pragmas
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisReport",
     "analyze_source",
     "analyze_paths",
     "iter_python_files",
-    "STALE_PRAGMA_RULE",
 ]
 
 _SKIP_DIRS = {
@@ -55,55 +42,6 @@ _SKIP_DIRS = {
     ".eggs",
 }
 
-# stale-pragma is emitted by the engine itself (it needs the full
-# suppression outcome), not by a checker's check(); it cannot be
-# pragma'd away — remove the dead pragma instead.
-STALE_PRAGMA_RULE = RuleSpec(
-    "stale-pragma", "allow-pragma that no longer suppresses any finding"
-)
-
-
-class PragmaHygieneChecker:
-    """Registry stand-in that owns the ``stale-pragma`` rule id.
-
-    The findings themselves come from the engine's suppression pass
-    (only it knows which pragmas earned their keep); registering the
-    rule here keeps ``--rule stale-pragma`` filters, ``--list-rules``,
-    and duplicate-id detection uniform across every rule.
-    """
-
-    name = "pragmas"
-    description = (
-        "pragma hygiene: allow-pragmas must suppress a live finding "
-        "(emitted by the engine's suppression pass)"
-    )
-    rules = (STALE_PRAGMA_RULE,)
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        return []
-
-
-register_checker(PragmaHygieneChecker.name, PragmaHygieneChecker)
-
-
-@dataclass
-class AnalysisCache:
-    """Per-file memo keyed on (path, content sha256, rule selection)."""
-
-    _store: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-
-    def get(self, rel_path: str, digest: str, rules_key) -> list | None:
-        found = self._store.get((rel_path, digest, rules_key))
-        if found is not None:
-            self.hits += 1
-        return found
-
-    def put(self, rel_path: str, digest: str, rules_key, findings) -> None:
-        self.misses += 1
-        self._store[(rel_path, digest, rules_key)] = findings
-
 
 @dataclass
 class AnalysisReport:
@@ -111,10 +49,8 @@ class AnalysisReport:
 
     findings: list[Finding]
     suppressed: list[Finding]
-    baselined: list[Finding]
     files_scanned: int
     parse_errors: list[tuple[str, str]]
-    stale_baseline: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -128,14 +64,9 @@ class AnalysisReport:
             "files_scanned": self.files_scanned,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
             "counts_by_rule": dict(sorted(counts.items())),
             "parse_errors": [
                 {"path": p, "error": e} for p, e in self.parse_errors
-            ],
-            "stale_baseline": [
-                {"rule": r, "path": p, "line_text": t}
-                for r, p, t in self.stale_baseline
             ],
         }
 
@@ -157,44 +88,19 @@ def iter_python_files(roots: list[Path]):
                 yield path
 
 
-def _selected_checkers(rules: frozenset[str]):
-    """Instantiate each registered checker that owns a selected rule."""
-    chosen = []
-    for name in list_checkers():
-        checker = get_checker(name)
-        if any(spec.id in rules for spec in checker.rules):
-            chosen.append(checker)
-    return chosen
+def _analyze_file(rel_path: str, raw: bytes):
+    """One file through the whole pass: ``(kept, suppressed)`` findings.
 
-
-def analyze_source(
-    source: str,
-    rel_path: str = "<memory>.py",
-    *,
-    rules=None,
-    raw: bytes | None = None,
-) -> list[Finding]:
-    """Analyse one in-memory source string (the test entry point).
-
-    Returns post-suppression findings, including any ``stale-pragma``
-    findings, sorted by location. Raises ``SyntaxError`` on bad input.
+    Raises ``SyntaxError`` / ``UnicodeDecodeError`` on unparseable input.
     """
-    selected = resolve_rules(rules)
-    raw_bytes = source.encode("utf-8") if raw is None else raw
+    source = raw.decode("utf-8")
     tree = attach_parents(ast.parse(source, filename=rel_path))
-    ctx = FileContext(
-        rel_path=rel_path, source=source, raw=raw_bytes, tree=tree
-    )
-    findings: list[Finding] = []
-    for checker in _selected_checkers(selected):
-        for finding in checker.check(ctx):
-            if finding.rule in selected:
-                findings.append(finding)
-    kept, _ = _apply_pragmas(ctx, findings, selected)
-    return sorted(kept, key=Finding.sort_key)
+    ctx = FileContext(rel_path=rel_path, source=source, raw=raw, tree=tree)
+    findings = [f for checker in CHECKERS for f in checker.check(ctx)]
+    return _apply_pragmas(ctx, findings)
 
 
-def _apply_pragmas(ctx: FileContext, findings, selected):
+def _apply_pragmas(ctx: FileContext, findings):
     """Suppress pragma-covered findings; flag pragmas that earn nothing."""
     pragmas = parse_pragmas(ctx.source)
     kept: list[Finding] = []
@@ -208,111 +114,64 @@ def _apply_pragmas(ctx: FileContext, findings, selected):
             suppressed.append(finding)
         else:
             kept.append(finding)
-    if STALE_PRAGMA_RULE.id in selected:
-        for pragma in pragmas:
-            # Only rules that actually ran can prove a pragma stale.
-            unexercised = pragma.rules - selected
-            if not pragma.used and not unexercised:
-                kept.append(
-                    ctx.finding(
-                        STALE_PRAGMA_RULE,
-                        pragma.line,
-                        "allow pragma for "
-                        f"{sorted(pragma.rules)} suppresses nothing: the "
-                        "finding it acknowledged is gone, so the pragma "
-                        "is stale",
-                        hint="delete the pragma (its justification: "
-                        f"{pragma.justification!r})",
-                        checker="engine",
-                    )
+    for pragma in pragmas:
+        # Every rule runs on every file, so a pragma that suppressed
+        # nothing is stale — including one naming an unknown rule id.
+        if not pragma.used:
+            kept.append(
+                ctx.finding(
+                    STALE_PRAGMA_RULE,
+                    pragma.line,
+                    "allow pragma for "
+                    f"{sorted(pragma.rules)} suppresses nothing: the "
+                    "finding it acknowledged is gone, so the pragma "
+                    "is stale",
+                    hint="delete the pragma (its justification: "
+                    f"{pragma.justification!r})",
+                    checker="engine",
                 )
+            )
     return kept, suppressed
 
 
-def analyze_paths(
-    paths,
-    *,
-    root: Path | None = None,
-    rules=None,
-    cache: AnalysisCache | None = None,
-    baseline: Baseline | None = None,
-) -> AnalysisReport:
+def analyze_source(source: str, rel_path: str = "<memory>.py") -> list[Finding]:
+    """Analyse one in-memory source string (the test entry point).
+
+    Returns post-suppression findings, including any ``stale-pragma``
+    findings, sorted by location. Raises ``SyntaxError`` on bad input.
+    """
+    kept, _ = _analyze_file(rel_path, source.encode("utf-8"))
+    return sorted(kept, key=Finding.sort_key)
+
+
+def analyze_paths(paths, *, root: Path | None = None) -> AnalysisReport:
     """Analyse files/trees and return an :class:`AnalysisReport`.
 
     ``root`` anchors the relative paths reported in findings (defaults
-    to the current working directory); ``baseline`` subtracts accepted
-    pre-existing findings after pragma suppression.
+    to the current working directory).
     """
     root = (root or Path.cwd()).resolve()
-    selected = resolve_rules(rules)
-    rules_key = tuple(sorted(selected))
-    checkers = _selected_checkers(selected)
-    all_kept: list[tuple[Finding, str]] = []
+    findings: list[Finding] = []
     suppressed: list[Finding] = []
     parse_errors: list[tuple[str, str]] = []
     files_scanned = 0
     for path in iter_python_files([Path(p) for p in paths]):
         files_scanned += 1
-        raw = path.read_bytes()
         resolved = path.resolve()
         try:
             rel_path = resolved.relative_to(root).as_posix()
         except ValueError:
             rel_path = resolved.as_posix()
-        digest = hashlib.sha256(raw).hexdigest()
-        if cache is not None:
-            hit = cache.get(rel_path, digest, rules_key)
-            if hit is not None:
-                kept, supp, errors = hit
-                all_kept.extend(kept)
-                suppressed.extend(supp)
-                parse_errors.extend(errors)
-                continue
-        kept_pairs: list[tuple[Finding, str]] = []
-        supp_here: list[Finding] = []
-        errors_here: list[tuple[str, str]] = []
         try:
-            source = raw.decode("utf-8")
-            tree = attach_parents(ast.parse(source, filename=str(path)))
+            kept, supp = _analyze_file(rel_path, path.read_bytes())
         except (SyntaxError, UnicodeDecodeError) as exc:
-            errors_here.append((rel_path, str(exc)))
-        else:
-            ctx = FileContext(
-                rel_path=rel_path, source=source, raw=raw, tree=tree
-            )
-            findings: list[Finding] = []
-            for checker in checkers:
-                for finding in checker.check(ctx):
-                    if finding.rule in selected:
-                        findings.append(finding)
-            kept, supp_here = _apply_pragmas(ctx, findings, selected)
-            for finding in kept:
-                line_text = (
-                    ctx.lines[finding.line - 1]
-                    if 0 < finding.line <= len(ctx.lines)
-                    else ""
-                )
-                kept_pairs.append((finding, line_text))
-        if cache is not None:
-            cache.put(
-                rel_path, digest, rules_key, (kept_pairs, supp_here, errors_here)
-            )
-        all_kept.extend(kept_pairs)
-        suppressed.extend(supp_here)
-        parse_errors.extend(errors_here)
-    baselined: list[Finding] = []
-    stale_baseline: list[tuple[str, str, str]] = []
-    if baseline is not None:
-        new, baselined = baseline.filter(all_kept)
-        stale_baseline = baseline.stale()
-        final = new
-    else:
-        final = [f for f, _ in all_kept]
+            parse_errors.append((rel_path, str(exc)))
+            continue
+        findings.extend(kept)
+        suppressed.extend(supp)
     return AnalysisReport(
-        findings=sorted(final, key=Finding.sort_key),
+        findings=sorted(findings, key=Finding.sort_key),
         suppressed=suppressed,
-        baselined=baselined,
         files_scanned=files_scanned,
         parse_errors=sorted(parse_errors),
-        stale_baseline=stale_baseline,
     )

@@ -2,9 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location. It is
 deliberately plain data (no AST nodes, no file handles) so reports can
-be sorted, serialised to JSON for the CI artifact, keyed into the
-baseline file, and rendered by the CLI table without touching the
-checker that produced it.
+be sorted, serialised to JSON for the CI artifact, and rendered by the
+CLI table without touching the checker that produced it.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ class Finding:
     ----------
     rule : str
         Rule id (e.g. ``'contiguous-reduction'``) — the name a pragma
-        or ``--rule`` filter refers to.
+        refers to.
     path : str
         Posix-style path of the offending file, relative to the
-        analysis root (stable across machines, usable as baseline key).
+        analysis root (stable across machines).
     line, col : int
         1-based line and 0-based column of the offending node.
     message : str
@@ -56,7 +55,7 @@ class Finding:
         ``'error'`` or ``'warning'``; both fail the CI gate, the split
         is informational (how certain the checker is).
     checker : str
-        Registered name of the checker that produced the finding.
+        Name of the checker that produced the finding.
     """
 
     rule: str

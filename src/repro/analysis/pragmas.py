@@ -20,7 +20,16 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-__all__ = ["Pragma", "parse_pragmas", "PRAGMA_RE"]
+from repro.analysis.findings import RuleSpec
+
+__all__ = ["Pragma", "parse_pragmas", "PRAGMA_RE", "STALE_PRAGMA_RULE"]
+
+# Emitted by the engine's suppression pass, not by a checker: only it
+# knows which pragmas earned their keep. It cannot be pragma'd away —
+# remove the dead pragma instead.
+STALE_PRAGMA_RULE = RuleSpec(
+    "stale-pragma", "allow-pragma that no longer suppresses any finding"
+)
 
 # Justification after ' -- ' is required for the pragma to be valid.
 PRAGMA_RE = re.compile(

@@ -153,7 +153,7 @@ class SUOD:
         model's training scores) is the robust default here because some
         detectors (notably ABOD) emit score distributions whose tails are
         orders of magnitude wider than their standard deviation and would
-        dominate an averaged z-score — see DESIGN.md.
+        dominate an averaged z-score — see docs/architecture.md.
     random_state : seed or Generator.
     verbose : bool, default False
 

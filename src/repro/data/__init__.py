@@ -6,7 +6,7 @@ replicas matched on (n, d, outlier count) from the paper's Table A.1,
 built from the configurable generator in :mod:`repro.data.synthetic`.
 :mod:`repro.data.toy` reproduces the Fig. 3 two-dimensional set, and
 :mod:`repro.data.claims` the IQVIA-like pharmacy-claims workload (§4.5).
-See the substitution table in DESIGN.md.
+See the substitution table in docs/architecture.md.
 """
 
 from repro.data.synthetic import make_outlier_dataset

@@ -11,7 +11,8 @@ interface:
   core while *replaying* their measured costs through t virtual workers
   with a virtual clock. On a single-core host this reproduces exactly the
   quantity the BPS scheduler optimises (the makespan of the assignment)
-  without needing t physical cores — see DESIGN.md substitution table.
+  without needing t physical cores — see the substitution table in
+  docs/architecture.md.
   With ``known_costs=...`` it replays a schedule deterministically
   without executing anything (Tables 4/5, scheduler trajectories);
 - :class:`SharedMemoryProcessBackend` — processes with a *persistent*

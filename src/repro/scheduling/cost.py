@@ -57,6 +57,10 @@ __all__ = [
 _FAMILY_ORDER = sorted(FAMILIES) + ["unknown"]
 N_META_FEATURES = 8
 
+# Timings below one microsecond are floored before the log: a zero-length
+# timing stays finite, and no real fit is that fast.
+_MIN_SECONDS = 1e-6
+
 
 @runtime_checkable
 class CostModel(Protocol):
@@ -262,9 +266,9 @@ class CostPredictor:
 
     Mirrors the paper's predictor: features are dataset meta-features
     concatenated with a model embedding; the target is measured execution
-    time (the paper uses the sum of 10 trials; the trainer below uses a
-    configurable trial count). Forecasts for unknown families are clamped
-    to the pool maximum.
+    time (the paper uses the sum of 10 trials; the trainer below records
+    the fastest of a configurable number of timed fits). Forecasts for
+    unknown families are clamped to the pool maximum.
 
     Use :func:`train_cost_predictor` to build one from local timings, or
     call :meth:`fit` with your own ``(features, seconds)`` design matrix.
@@ -286,7 +290,10 @@ class CostPredictor:
             max_depth=None,
             random_state=self.random_state,
         )
-        self._rf.fit(features, np.log1p(seconds))
+        # log(seconds), not log1p(seconds): log1p is near-linear below a
+        # second, so the millisecond-scale fits would all read as ~0 and
+        # the forest could not rank them against each other.
+        self._rf.fit(features, np.log(np.maximum(seconds, _MIN_SECONDS)))
         self.n_features_in_ = features.shape[1]
         return self
 
@@ -299,7 +306,7 @@ class CostPredictor:
         """Forecast per-model execution time (seconds) on dataset X."""
         check_is_fitted(self, "_rf")
         feats = self.build_features(models, X)
-        pred = np.expm1(self._rf.predict(feats))
+        pred = np.exp(self._rf.predict(feats))
         unknown = np.array([family_of(m) == "unknown" for m in models])
         if unknown.any():
             mx = pred[~unknown].max() if (~unknown).any() else 1.0
@@ -489,7 +496,7 @@ def train_cost_predictor(
     n_grid: Sequence[int] = (200, 500, 1000),
     d_grid: Sequence[int] = (5, 20, 50),
     models_per_family: int = 2,
-    n_trials: int = 1,
+    n_trials: int = 2,
     random_state=None,
 ) -> tuple[CostPredictor, dict]:
     """Fit a :class:`CostPredictor` on locally measured timings.
@@ -497,14 +504,18 @@ def train_cost_predictor(
     Replaces the authors' offline corpus (11 families x 47 datasets x 10
     trials) with a locally generated grid: synthetic Gaussian datasets of
     sizes ``n_grid x d_grid``, ``models_per_family`` random configurations
-    per family (drawn from the Table B.1 grid where available), each fitted
-    ``n_trials`` times.
+    per family (drawn from the Table B.1 grid where available). Each cell
+    is fitted once untimed, then ``n_trials`` (at least 2) timed times,
+    and records the fastest, so a fit slowed by other work on the host
+    does not count.
 
     Returns ``(predictor, report)`` where ``report`` holds the raw timing
     table for validation (e.g. the Spearman check of experiment A2).
     """
     from repro.detectors.registry import TABLE_B1_GRID, sample_model_pool
 
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     rng = check_random_state(random_state)
     fams = list(families) if families is not None else sorted(TABLE_B1_GRID)
 
@@ -530,11 +541,12 @@ def train_cost_predictor(
                     )
                 )
             for model in pool:
-                elapsed = 0.0
+                model.fit(X)  # untimed warm-up: lazy imports, first touch
+                elapsed = float("inf")
                 for _ in range(n_trials):
                     t0 = time.perf_counter()
                     model.fit(X)
-                    elapsed += time.perf_counter() - t0
+                    elapsed = min(elapsed, time.perf_counter() - t0)
                 rows.append(np.concatenate([meta, model_embedding(model)]))
                 times.append(elapsed)
                 records.append(

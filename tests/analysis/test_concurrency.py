@@ -9,7 +9,8 @@ PATH = "src/repro/parallel/fixture.py"
 
 def run(source, rule=None):
     rules = [rule] if rule else ["shared-state-mutation", "payload-arg-mutation"]
-    return analyze_source(textwrap.dedent(source), PATH, rules=rules)
+    found = analyze_source(textwrap.dedent(source), PATH)
+    return [f for f in found if f.rule in rules]
 
 
 def test_payload_mutating_module_state_flagged():

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis import analyze_source
 
 PATH = "src/repro/pipeline/fixture.py"
@@ -9,15 +11,22 @@ KERNEL = "src/repro/kernels/fixture.py"
 
 
 def run(source, rel_path=PATH, rule=None):
-    rules = [rule] if rule else None
-    return analyze_source(textwrap.dedent(source), rel_path, rules=rules)
+    found = analyze_source(textwrap.dedent(source), rel_path)
+    return [f for f in found if rule is None or f.rule == rule]
 
 
-def test_registry_overwrite_flagged():
-    bad = """
-    from repro.parallel.execution import register_backend
+@pytest.mark.parametrize(
+    "module, register",
+    [
+        ("repro.parallel.execution", "register_backend"),
+        ("repro.scheduling", "register_scheduler"),
+    ],
+)
+def test_registry_overwrite_flagged(module, register):
+    bad = f"""
+    from {module} import {register}
 
-    register_backend("serial", object, overwrite=True)
+    {register}("serial", object, overwrite=True)
     """
     found = run(bad, rule="registry-overwrite")
     assert [f.rule for f in found] == ["registry-overwrite"]
@@ -134,4 +143,5 @@ def test_memory_plane_sources_pass_memmap_rule():
 
     for rel in ("src/repro/memory/arena.py", "src/repro/memory/outofcore.py"):
         source = Path(rel).read_text()
-        assert analyze_source(source, rel, rules=["memmap-mode"]) == [], rel
+        found = analyze_source(source, rel)
+        assert [f for f in found if f.rule == "memmap-mode"] == [], rel

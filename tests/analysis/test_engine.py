@@ -1,8 +1,11 @@
-"""Engine mechanics: file walking, parse errors, and the per-file cache."""
+"""Engine mechanics: file walking, parse errors, and the rule catalogue."""
 
 import textwrap
 
-from repro.analysis import AnalysisCache, analyze_paths
+import pytest
+
+from repro.analysis import RuleSpec, analyze_paths
+from repro.analysis.checkers import CHECKERS, RULES, rule_catalogue
 from repro.analysis.engine import iter_python_files
 
 BAD = textwrap.dedent(
@@ -48,30 +51,21 @@ def test_parse_errors_reported_and_fail_the_gate(tmp_path):
     assert report.exit_code == 1
 
 
-def test_cache_hits_on_unchanged_files(tmp_path):
-    root = _fixture_tree(tmp_path)
-    cache = AnalysisCache()
-    first = analyze_paths([root], root=root, cache=cache)
-    assert cache.misses == 2 and cache.hits == 0
-    second = analyze_paths([root], root=root, cache=cache)
-    assert cache.hits == 2
-    assert [f.sort_key() for f in second.findings] == [
-        f.sort_key() for f in first.findings
-    ]
+def test_catalogue_maps_every_rule_to_its_checker():
+    assert len(RULES) == 13
+    assert RULES["contiguous-reduction"][0] == "parity"
+    assert RULES["arena-dispose"][0] == "lifecycle"
+    assert RULES["frozen-reference"][0] == "reference-freeze"
+    assert RULES["stale-pragma"][0] == "pragmas"
+    for rule_id, (_, spec) in RULES.items():
+        assert spec.id == rule_id
+    assert all(checker.rules for checker in CHECKERS)
 
 
-def test_cache_invalidated_by_edit_and_rule_selection(tmp_path):
-    root = _fixture_tree(tmp_path)
-    target = root / "src" / "repro" / "detectors" / "fixture.py"
-    cache = AnalysisCache()
-    analyze_paths([root], root=root, cache=cache)
+def test_duplicate_rule_id_rejected():
+    class Clash:
+        name = "clash"
+        rules = (RuleSpec("contiguous-reduction", "mine now"),)
 
-    # Different rule selection: same bytes, different key.
-    analyze_paths([root], root=root, cache=cache, rules=["float-equality"])
-    assert cache.misses == 4
-
-    # Content edit: the fixed file re-analyses and the finding clears.
-    target.write_text("def f(x):\n    return x > 0.5\n", encoding="utf-8")
-    report = analyze_paths([root], root=root, cache=cache)
-    assert report.findings == []
-    assert cache.hits == 1  # clean.py unchanged
+    with pytest.raises(ValueError, match="claimed by both"):
+        rule_catalogue(CHECKERS + (Clash(),))

@@ -41,26 +41,16 @@ def test_reference_is_self_contained():
 
 
 def test_checker_passes_on_real_reference():
-    report = analyze_paths(
-        [REFERENCE_FILE], root=REPO_ROOT / "src", rules=["frozen-reference"]
-    )
+    report = analyze_paths([REFERENCE_FILE], root=REPO_ROOT / "src")
     assert report.findings == []
 
 
 def test_checker_fails_on_drift():
     tampered = REFERENCE_FILE.read_bytes() + b"\n# innocent whitespace\n"
-    found = analyze_source(
-        tampered.decode("utf-8"),
-        "repro/kernels/reference.py",
-        rules=["frozen-reference"],
-        raw=tampered,
-    )
+    found = analyze_source(tampered.decode("utf-8"), "repro/kernels/reference.py")
     assert [f.rule for f in found] == ["frozen-reference"]
     assert "REFERENCE_SHA256" in found[0].hint
 
 
 def test_other_files_not_hashed():
-    found = analyze_source(
-        "x = 1\n", "repro/kernels/trees.py", rules=["frozen-reference"]
-    )
-    assert found == []
+    assert analyze_source("x = 1\n", "repro/kernels/trees.py") == []

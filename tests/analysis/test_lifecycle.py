@@ -8,7 +8,8 @@ PATH = "src/repro/pipeline/fixture.py"
 
 
 def run(source):
-    return analyze_source(textwrap.dedent(source), PATH, rules=["arena-dispose"])
+    found = analyze_source(textwrap.dedent(source), PATH)
+    return [f for f in found if f.rule == "arena-dispose"]
 
 
 def test_never_disposed_flagged():

@@ -11,8 +11,8 @@ NEUTRAL = "src/repro/bench/fixture.py"
 
 
 def run(source, rel_path, rule=None):
-    rules = [rule] if rule else None
-    return analyze_source(textwrap.dedent(source), rel_path, rules=rules)
+    found = analyze_source(textwrap.dedent(source), rel_path)
+    return [f for f in found if rule is None or f.rule == rule]
 
 
 # -- contiguous-reduction ---------------------------------------------

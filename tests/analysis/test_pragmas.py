@@ -9,7 +9,8 @@ SCORING = "src/repro/detectors/fixture.py"
 
 
 def run(source, rules=None):
-    return analyze_source(textwrap.dedent(source), SCORING, rules=rules)
+    found = analyze_source(textwrap.dedent(source), SCORING)
+    return [f for f in found if rules is None or f.rule in rules]
 
 
 def test_end_of_line_pragma_suppresses():
@@ -69,14 +70,14 @@ def test_stale_pragma_reported():
     assert "left behind" in found[0].hint
 
 
-def test_pragma_not_stale_when_its_rule_did_not_run():
+def test_pragma_for_unknown_rule_is_stale():
     source = """
     def f(x):
-        # repro: allow[float-equality] -- judged under a filtered run
-        return x > 0.5
+        return x > 0.5  # repro: allow[no-such-rule] -- names no rule at all
     """
-    # float-equality did not execute, so the pragma cannot be condemned.
-    assert run(source, rules=["arena-dispose", "stale-pragma"]) == []
+    found = run(source)
+    assert [f.rule for f in found] == ["stale-pragma"]
+    assert "no-such-rule" in found[0].message
 
 
 def test_parse_pragmas_targets():

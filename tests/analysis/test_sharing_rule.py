@@ -8,9 +8,8 @@ DETECTOR_PATH = "src/repro/detectors/fixture.py"
 
 
 def run(source, path=DETECTOR_PATH):
-    return analyze_source(
-        textwrap.dedent(source), path, rules=["redundant-structure"]
-    )
+    found = analyze_source(textwrap.dedent(source), path)
+    return [f for f in found if f.rule == "redundant-structure"]
 
 
 BAD_FIT = """

@@ -113,6 +113,44 @@ class TestCostPredictor:
             CostPredictor().forecast([KNN()], rng.random((10, 2)))
 
 
+class TestTimingProtocol:
+    def test_records_fastest_timed_fit_after_untimed_warm_up(self, monkeypatch):
+        # A fake clock advances only inside HBOS.fit, by a scripted
+        # duration per call: per cell, one warm-up then n_trials timed fits.
+        import types
+
+        import repro.scheduling.cost as cost
+
+        now = [0.0]
+        durations = iter([1.0, 5.0, 3.0, 4.0, 0.5, 6.0, 2.0, 7.0])
+        real_fit = HBOS.fit
+
+        def scripted_fit(self, X, y=None):
+            now[0] += next(durations)
+            return real_fit(self, X)
+
+        monkeypatch.setattr(HBOS, "fit", scripted_fit)
+        monkeypatch.setattr(
+            cost, "time", types.SimpleNamespace(perf_counter=lambda: now[0])
+        )
+        _, report = train_cost_predictor(
+            families=["HBOS"],
+            n_grid=(60,),
+            d_grid=(3,),
+            models_per_family=2,
+            n_trials=3,
+            random_state=0,
+        )
+        # The minimum of the timed fits: not their sum, and never the
+        # (faster) warm-up.
+        assert report["seconds"].tolist() == [3.0, 2.0]
+        assert next(durations, None) is None
+
+    def test_needs_two_timed_fits(self):
+        with pytest.raises(ValueError, match="n_trials"):
+            train_cost_predictor(families=["HBOS"], n_trials=1)
+
+
 @pytest.mark.slow
 class TestTrainedPredictor:
     def test_rank_correlation_on_timings(self):

@@ -52,16 +52,9 @@ def _leaf_path_adjust(depth: int, size: int) -> float:
 
 
 class _ITree:
-    """One isolation tree stored in flat arrays."""
+    """The isolation-tree builder: one tree grown into flat arrays."""
 
-    __slots__ = (
-        "feature",
-        "threshold",
-        "left",
-        "right",
-        "path_adjust",
-        "features_used",
-    )
+    __slots__ = ("feature", "threshold", "left", "right", "path_adjust")
 
     def __init__(
         self,
@@ -75,7 +68,6 @@ class _ITree:
         left: list[int] = []
         right: list[int] = []
         path_adjust: list[float] = []  # depth + c(size) at leaves, 0 internal
-        self.features_used = feature_subset
 
         stack: list[tuple[np.ndarray, int, int, int]] = []
 
@@ -129,25 +121,6 @@ class _ITree:
         self.right = np.array(right, dtype=np.int64)
         self.path_adjust = np.array(path_adjust, dtype=np.float64)
 
-    def path_length(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised path length of each sample through this one tree.
-
-        Kept as the per-tree reference path (and for introspection);
-        scoring routes through the flat batched forest traversal of
-        :mod:`repro.kernels.trees`, which walks all trees at once with
-        bitwise-identical results.
-        """
-        node_of = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node_of] != _LEAF
-        while active.any():
-            rows = np.nonzero(active)[0]
-            nodes = node_of[rows]
-            f = self.feature[nodes]
-            go_left = X[rows, f] <= self.threshold[nodes]
-            node_of[rows] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active[rows] = self.feature[node_of[rows]] != _LEAF
-        return self.path_adjust[node_of]
-
 
 class IsolationForest(BaseDetector):
     """Isolation forest detector.
@@ -183,23 +156,23 @@ class IsolationForest(BaseDetector):
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < self.max_features <= 1.0:
             raise ValueError("max_features must be in (0, 1]")
+        if self.max_samples != "auto" and int(self.max_samples) < 2:
+            raise ValueError("max_samples must be >= 2")
 
-    def _fit(self, X: np.ndarray) -> np.ndarray:
+    def _grow_trees(self, X: np.ndarray) -> list[_ITree]:
+        """Every isolation tree, grown from ``random_state`` in fit order.
+
+        ``fit`` flattens them into ``forest_`` and keeps nothing else of
+        them; parity tests call this on a fresh twin to get the same
+        trees from a separate builder run.
+        """
         n, d = X.shape
-        if self.max_samples == "auto":
-            sub = min(256, n)
-        else:
-            sub = int(self.max_samples)
-            if not 2 <= sub:
-                raise ValueError("max_samples must be >= 2")
-            sub = min(sub, n)
-        self._sub = sub
+        sub = self._subsample_size(n)
         height_limit = int(np.ceil(np.log2(max(sub, 2))))
         n_feat = max(1, int(self.max_features * d))
         rng = check_random_state(self.random_state)
-        seeds = spawn_seeds(rng, self.n_estimators)
-        self._trees: list[_ITree] = []
-        for seed in seeds:
+        trees = []
+        for seed in spawn_seeds(rng, self.n_estimators):
             t_rng = np.random.default_rng(seed)
             idx = t_rng.choice(n, size=sub, replace=False) if sub < n else np.arange(n)
             feats = (
@@ -207,36 +180,27 @@ class IsolationForest(BaseDetector):
                 if n_feat < d
                 else np.arange(d)
             )
-            self._trees.append(_ITree(X[idx], height_limit, t_rng, feats))
-        self._flat_cache = None
+            trees.append(_ITree(X[idx], height_limit, t_rng, feats))
+        return trees
+
+    def _subsample_size(self, n: int) -> int:
+        if self.max_samples == "auto":
+            return min(256, n)
+        return min(int(self.max_samples), n)
+
+    def _fit(self, X: np.ndarray) -> np.ndarray:
+        self._sub = self._subsample_size(X.shape[0])
+        self.forest_ = flatten_forest(
+            (t.feature, t.threshold, t.left, t.right, t.path_adjust)
+            for t in self._grow_trees(X)
+        )
         return self._score(X)
-
-    def _flat_forest(self):
-        """The fitted trees concatenated for batched traversal (cached)."""
-        if getattr(self, "_flat_cache", None) is None:
-            self._flat_cache = flatten_forest(
-                (t.feature, t.threshold, t.left, t.right, t.path_adjust)
-                for t in self._trees
-            )
-        return self._flat_cache
-
-    def __getstate__(self):
-        # The flat arena duplicates the trees; rebuild it lazily on load
-        # instead of pickling it — except under an arena-serialising
-        # ensemble save, where the flat arrays become the memmapped
-        # artifact blobs workers serve from.
-        from repro.memory.arena import serialize_arenas_active
-
-        state = self.__dict__.copy()
-        if not serialize_arenas_active():
-            state.pop("_flat_cache", None)
-        return state
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         # One batched traversal per row chunk; the leaf path adjustments
         # accumulate tree-by-tree in fit order, bitwise the same sum the
         # per-tree scoring loop produced.
-        depths = forest_value_sum(self._flat_forest(), X)
-        depths /= len(self._trees)
+        depths = forest_value_sum(self.forest_, X)
+        depths /= self.forest_.n_trees
         c = float(_average_path_length(np.array([self._sub]))[0]) or 1.0
         return 2.0 ** (-depths / c)

@@ -39,7 +39,6 @@ from repro.kernels.trees import (
     flatten_forest,
     forest_apply,
     forest_value_sum,
-    tree_apply,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "flatten_forest",
     "forest_apply",
     "forest_value_sum",
-    "tree_apply",
     "kdtree_query_batched",
     "kdtree_query_maxk",
     "shared_query_width",

@@ -1,11 +1,12 @@
 """Flat batched tree traversal.
 
-Every tree in this library is already stored in flat arrays (``feature``,
+Every tree builder in this library grows flat arrays (``feature``,
 ``threshold``, ``left``, ``right`` plus a per-node payload), but before
 this kernel existed each consumer walked its trees *one at a time*:
 isolation forests looped Python-level over 100+ trees, and the regression
 forests looped over their estimators calling ``predict`` per tree. The
-kernels here concatenate a whole forest into one node arena and route
+kernels here concatenate a whole forest into one node arena — which a
+fitted forest keeps as its only tree state, ``forest_`` — and route
 **all rows through all trees simultaneously** with a level-synchronous
 gather loop, so the Python interpreter runs ``O(max depth)`` iterations
 instead of ``O(n_trees * depth)`` — with bitwise-identical results,
@@ -35,7 +36,6 @@ import numpy as np
 __all__ = [
     "FlatForest",
     "flatten_forest",
-    "tree_apply",
     "forest_apply",
     "forest_value_sum",
 ]
@@ -109,32 +109,6 @@ def flatten_forest(trees) -> FlatForest:
         leaf_value=np.concatenate(values),
         roots=np.array(roots, dtype=np.int64),
     )
-
-
-def tree_apply(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    X: np.ndarray,
-    *,
-    root: int = 0,
-) -> np.ndarray:
-    """Leaf node reached by every row of ``X`` in a single tree.
-
-    The level-synchronous loop: all still-active rows take one step per
-    iteration, so the Python overhead is ``O(depth)``, not ``O(n)``.
-    """
-    node_of = np.full(X.shape[0], root, dtype=np.int64)
-    active = np.nonzero(feature[node_of] >= 0)[0]
-    while active.size:
-        nodes = node_of[active]
-        f = feature[nodes]
-        go_left = X[active, f] <= threshold[nodes]
-        nxt = np.where(go_left, left[nodes], right[nodes])
-        node_of[active] = nxt
-        active = active[feature[nxt] >= 0]
-    return node_of
 
 
 def forest_apply(

@@ -19,8 +19,6 @@ from repro.memory.arena import (
     load_view,
     mapped_file,
     release_mappings,
-    serialize_arenas,
-    serialize_arenas_active,
 )
 from repro.memory.outofcore import (
     RowBlockRing,
@@ -36,8 +34,6 @@ __all__ = [
     "load_view",
     "mapped_file",
     "release_mappings",
-    "serialize_arenas",
-    "serialize_arenas_active",
     "RowBlockRing",
     "open_rows",
     "save_rows",

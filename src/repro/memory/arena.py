@@ -24,7 +24,6 @@ corrupting every process serving it.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -39,8 +38,6 @@ __all__ = [
     "load_view",
     "mapped_file",
     "release_mappings",
-    "serialize_arenas",
-    "serialize_arenas_active",
 ]
 
 # Arena blobs are aligned so every float64/float32 view is naturally
@@ -148,28 +145,3 @@ def load_view(path, offset: int, dtype, shape) -> ArenaView:
     view = np.ndarray(shape, dtype=dt, buffer=raw, offset=offset).view(ArenaView)
     view._arena_source = (canonical_path(path), offset, dt.str, shape)
     return view
-
-
-# ---------------------------------------------------------------------------
-# Arena-serialisation flag: estimators drop their derived flat caches
-# from pickles by default (they are rebuildable); during an arena-backed
-# ensemble save the caches *are* the artifact, so __getstate__ keeps
-# them while the flag is active. Thread-local so a concurrent task
-# pickle on another thread is unaffected.
-_flag = threading.local()
-
-
-@contextlib.contextmanager
-def serialize_arenas():
-    """Context: estimator ``__getstate__`` keeps derived kernel arenas."""
-    depth = getattr(_flag, "depth", 0)
-    _flag.depth = depth + 1
-    try:
-        yield
-    finally:
-        _flag.depth = depth
-
-
-def serialize_arenas_active() -> bool:
-    """True while inside a :func:`serialize_arenas` context (this thread)."""
-    return getattr(_flag, "depth", 0) > 0

@@ -19,11 +19,11 @@ from repro.utils.validation import check_array, check_is_fitted, column_or_1d
 __all__ = ["RandomForestRegressor"]
 
 
-def _flat_cart_forest(estimators):
+def _flat_cart_forest(trees):
     """Concatenate fitted CART trees for batched traversal."""
     return flatten_forest(
         (t.feature_, t.threshold_, t.children_left_, t.children_right_, t.value_)
-        for t in estimators
+        for t in trees
     )
 
 
@@ -49,7 +49,9 @@ class RandomForestRegressor:
 
     Attributes
     ----------
-    estimators_ : list of fitted trees
+    forest_ : FlatForest
+        Every tree in one node arena (:mod:`repro.kernels.trees`), in
+        tree order; ``predict`` traverses it in one batched pass.
     feature_importances_ : (d,) array, mean of tree importances
     oob_score_ : float, only when ``oob_score=True``
     """
@@ -131,12 +133,13 @@ class RandomForestRegressor:
         With ``blocks`` covering :meth:`tree_seeds` in tree order the
         result is bitwise the forest :meth:`fit` grows, including
         ``feature_importances_`` (same trees, same summation order).
+        The trees are flattened into ``forest_`` and not kept.
         """
-        self.estimators_ = [tree for block in blocks for tree in block]
+        trees = [tree for block in blocks for tree in block]
+        self.forest_ = _flat_cart_forest(trees)
         self.n_features_in_ = n_features
-        self._flat_cache = None
         self.feature_importances_ = np.mean(
-            [t.feature_importances_ for t in self.estimators_], axis=0
+            [t.feature_importances_ for t in trees], axis=0
         )
         return self
 
@@ -170,26 +173,9 @@ class RandomForestRegressor:
             )
         return self
 
-    def _flat_forest(self):
-        if getattr(self, "_flat_cache", None) is None:
-            self._flat_cache = _flat_cart_forest(self.estimators_)
-        return self._flat_cache
-
-    def __getstate__(self):
-        # The flat arena duplicates the trees; rebuild it lazily on load
-        # instead of pickling it — except under an arena-serialising
-        # ensemble save, where the flat arrays become the memmapped
-        # artifact blobs workers serve from.
-        from repro.memory.arena import serialize_arenas_active
-
-        state = self.__dict__.copy()
-        if not serialize_arenas_active():
-            state.pop("_flat_cache", None)
-        return state
-
     def predict(self, X) -> np.ndarray:
         """Mean prediction across trees (batched flat traversal)."""
-        check_is_fitted(self, "estimators_")
+        check_is_fitted(self, "forest_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -198,8 +184,8 @@ class RandomForestRegressor:
         # One batched traversal per row chunk; leaf means accumulate
         # tree-by-tree in fit order, bitwise the same sum the per-tree
         # prediction loop produced.
-        out = forest_value_sum(self._flat_forest(), X)
-        out /= len(self.estimators_)
+        out = forest_value_sum(self.forest_, X)
+        out /= self.forest_.n_trees
         return out
 
     def score(self, X, y) -> float:

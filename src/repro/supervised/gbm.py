@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import forest_value_sum, rank_table
+from repro.kernels import forest_apply, forest_value_sum, rank_table
 from repro.supervised.forest import _flat_cart_forest
 from repro.supervised.tree import DecisionTreeRegressor
 from repro.utils.random import check_random_state, spawn_seeds
@@ -39,7 +39,8 @@ class GradientBoostingRegressor:
 
     Attributes
     ----------
-    estimators_ : list of fitted stage trees
+    forest_ : FlatForest
+        The stage trees in one node arena, in boosting order.
     init_ : float — the constant initial prediction (target mean)
     train_score_ : (n_estimators,) array of training MSE per stage
     feature_importances_ : (d,) mean impurity importances over stages
@@ -79,7 +80,7 @@ class GradientBoostingRegressor:
         seeds = spawn_seeds(rng, self.n_estimators)
         self.init_ = float(y.mean())
         pred = np.full(n, self.init_)
-        self.estimators_ = []
+        trees = []
         self.train_score_ = np.empty(self.n_estimators)
         importances = np.zeros(X.shape[1])
 
@@ -99,7 +100,7 @@ class GradientBoostingRegressor:
                 random_state=stage_rng,
             )
             tree.fit_ranked(X, residual, ranks, rows)
-            self.estimators_.append(tree)
+            trees.append(tree)
             pred += self.learning_rate * tree.predict(X)
             self.train_score_[k] = float(((y - pred) ** 2).mean())
             importances += tree.feature_importances_
@@ -107,28 +108,11 @@ class GradientBoostingRegressor:
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         self.n_features_in_ = X.shape[1]
-        self._flat_cache = None
+        self.forest_ = _flat_cart_forest(trees)
         return self
 
-    def _flat_forest(self):
-        if getattr(self, "_flat_cache", None) is None:
-            self._flat_cache = _flat_cart_forest(self.estimators_)
-        return self._flat_cache
-
-    def __getstate__(self):
-        # The flat arena duplicates the trees; rebuild it lazily on load
-        # instead of pickling it — except under an arena-serialising
-        # ensemble save, where the flat arrays become the memmapped
-        # artifact blobs workers serve from.
-        from repro.memory.arena import serialize_arenas_active
-
-        state = self.__dict__.copy()
-        if not serialize_arenas_active():
-            state.pop("_flat_cache", None)
-        return state
-
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
+        check_is_fitted(self, "forest_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -138,23 +122,24 @@ class GradientBoostingRegressor:
         # boosting order with the learning-rate scaling, bitwise the same
         # sum the per-stage prediction loop produced.
         return forest_value_sum(
-            self._flat_forest(), X, init=self.init_, scale=self.learning_rate
+            self.forest_, X, init=self.init_, scale=self.learning_rate
         )
 
     def staged_predict(self, X):
         """Yield predictions after each boosting stage (for early-stop
-        diagnostics). Deliberately lazy: each consumed stage pays one
-        tree traversal, so breaking out early costs only the stages
-        actually inspected."""
-        check_is_fitted(self, "estimators_")
+        diagnostics). One batched traversal finds every stage's leaf up
+        front; the stages then accumulate in boosting order, bitwise the
+        sums ``predict`` builds."""
+        check_is_fitted(self, "forest_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
+        values = self.forest_.leaf_value[forest_apply(self.forest_, X).T]
         out = np.full(X.shape[0], self.init_)
-        for tree in self.estimators_:
-            out = out + self.learning_rate * tree.predict(X)
+        for stage in values:
+            out = out + self.learning_rate * stage
             yield out.copy()
 
     def score(self, X, y) -> float:

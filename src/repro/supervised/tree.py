@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import RankedSplitSearch, rank_table, tree_apply
+from repro.kernels import FlatForest, RankedSplitSearch, forest_apply, rank_table
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_is_fitted, column_or_1d
 
@@ -219,20 +219,24 @@ class DecisionTreeRegressor:
 
     # ------------------------------------------------------------------
     def apply(self, X) -> np.ndarray:
-        """Leaf index reached by each sample (vectorised traversal)."""
+        """Leaf index reached by each sample (batched flat traversal)."""
         check_is_fitted(self, "feature_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
-        return tree_apply(
-            self.feature_,
-            self.threshold_,
-            self.children_left_,
-            self.children_right_,
-            X,
+        # A one-root forest over the tree's own arrays: no copy, and the
+        # same traversal every forest scores with.
+        flat = FlatForest(
+            feature=self.feature_,
+            threshold=self.threshold_,
+            left=self.children_left_,
+            right=self.children_right_,
+            leaf_value=self.value_,
+            roots=np.zeros(1, dtype=np.int64),
         )
+        return forest_apply(flat, X)[:, 0]
 
     def predict(self, X) -> np.ndarray:
         """Mean training target of the leaf each sample lands in."""

@@ -11,12 +11,7 @@ from repro.utils.validation import (
     check_is_fitted,
     column_or_1d,
 )
-from repro.utils.persistence import (
-    load_ensemble,
-    load_model,
-    save_ensemble,
-    save_model,
-)
+from repro.utils.persistence import load_ensemble, save_ensemble
 from repro.utils.random import check_random_state, spawn_seeds
 from repro.utils.scaling import StandardScaler, MinMaxScaler
 from repro.utils.distances import pairwise_distances
@@ -28,8 +23,6 @@ __all__ = [
     "column_or_1d",
     "check_random_state",
     "spawn_seeds",
-    "save_model",
-    "load_model",
     "save_ensemble",
     "load_ensemble",
     "StandardScaler",

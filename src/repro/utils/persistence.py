@@ -1,26 +1,24 @@
-"""Model persistence: save/load fitted estimators and SUOD ensembles.
+"""Ensemble persistence: save/load fitted SUOD ensembles.
 
 Deployment use (§4.5): a SUOD system is fitted offline and reused to
-score claim batches for months. Two levels of helper:
-
-- :func:`save_model` / :func:`load_model` — any single estimator
-  (fitted or not) behind a magic + format-version header; a plain,
-  self-contained pickle.
-- :func:`save_ensemble` / :func:`load_ensemble` — a *fitted*
-  :class:`repro.SUOD` in the **v2 arena artifact format**: a binary
-  container holding a pickled header (schema version, library version,
-  structural manifest, arena index), the model pickle, and every large
-  kernel array — flat forest arenas, KD-tree node/data blocks, the
-  train-score reference — as 64-byte-aligned raw segments. Loading
-  does *not* read the segments: it attaches them as read-only
-  ``np.memmap`` views (:class:`repro.memory.arena.ArenaView`), so cold
-  start touches no data pages until first score and N worker processes
-  share one page-cache copy of the arenas.
+score claim batches for months. :func:`save_ensemble` /
+:func:`load_ensemble` write and read a *fitted* :class:`repro.SUOD` in
+the **arena artifact format**: a binary container holding a pickled
+header (schema version, library version, structural manifest, arena
+index), the model pickle, and every large kernel array — flat forest
+arenas, KD-tree node/data blocks, the train-score reference — as
+64-byte-aligned raw segments. Loading does *not* read the segments: it
+attaches them as read-only ``np.memmap`` views
+(:class:`repro.memory.arena.ArenaView`), so cold start touches no data
+pages until first score and N worker processes share one page-cache
+copy of the arenas. A single estimator needs none of this: it is a
+plain ``pickle``.
 
 Schema versioning is strict in both directions: a v1 file (the plain
 pickle format of earlier releases) or any other schema version raises
 ``ValueError`` naming both versions; the structural manifest written at
-save time must match the loaded object exactly.
+save time must match the loaded object exactly, and the arena index
+must describe aligned segments inside the file.
 """
 
 from __future__ import annotations
@@ -35,29 +33,25 @@ from pathlib import Path
 import numpy as np
 
 from repro.memory.arena import (
+    ALIGNMENT,
     ArenaView,
     align_up,
     canonical_path,
     mapped_file,
-    serialize_arenas,
 )
 
 __all__ = [
-    "save_model",
-    "load_model",
     "save_ensemble",
     "load_ensemble",
     "read_ensemble_header",
 ]
 
-_MAGIC = "repro-model"
-_FORMAT_VERSION = 1
-
 _ENSEMBLE_MAGIC = "repro-ensemble"
 # Bump whenever the persisted SUOD attribute layout or the container
-# format changes shape. v1 = plain pickle payload; v2 = arena container.
-ENSEMBLE_SCHEMA_VERSION = 2
-# v2 container preamble: 8 magic bytes + uint64-LE header-pickle length.
+# format changes shape. v1 = plain pickle payload; v2 = arena container;
+# v3 = every forest is its flat arena (no per-tree objects).
+ENSEMBLE_SCHEMA_VERSION = 3
+# Container preamble: 8 magic bytes + uint64-LE header-pickle length.
 _V2_MAGIC = b"RPRENSB2"
 _V2_PREAMBLE = struct.Struct("<8sQ")
 
@@ -65,37 +59,12 @@ _V2_PREAMBLE = struct.Struct("<8sQ")
 # entry plus alignment padding costs more than it saves. Above it,
 # externalizing wins twice — attachment is ~2µs of hoisted-geometry
 # Python per blob (cheaper than the C unpickler's memcpy beyond a few
-# KB), and blobs never touched at serve time (per-tree node arrays,
-# superseded by the flat forest caches) never fault a page, so they
-# cost no RSS at all.
+# KB), and blobs a server never scores (the arenas of detectors it
+# does not touch) never fault a page, so they cost no RSS at all.
 _ARENA_MIN_BYTES = 1024
 
 
-def _read_payload(path: Path, magic: str, kind: str) -> dict:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("magic") != magic:
-        raise ValueError(f"{path} is not a {kind} file")
-    return payload
-
-
-class _InlinePickler(pickle.Pickler):
-    """Pickler that materialises ArenaViews into self-contained bytes.
-
-    ``ArenaView.__reduce__`` ships a file reference (the behaviour task
-    pickles want); a saved *model file* must stand alone, so this
-    pickler copies the bytes back in.
-    """
-
-    def reducer_override(self, obj):
-        from repro.memory.arena import ArenaView
-
-        if isinstance(obj, ArenaView):
-            return np.array(obj, copy=True).__reduce__()
-        return NotImplemented
-
-
-class _ArenaPickler(_InlinePickler):
+class _ArenaPickler(pickle.Pickler):
     """Pickler that externalises large arrays into artifact blobs.
 
     Every C-contiguous, non-object ndarray of at least
@@ -110,9 +79,6 @@ class _ArenaPickler(_InlinePickler):
         super().__init__(file, protocol)
         self._blobs = blobs
         self._index_by_id: dict[int, int] = {}
-
-    def reducer_override(self, obj):  # ArenaViews go through persistent_id
-        return NotImplemented
 
     def persistent_id(self, obj):
         if not isinstance(obj, np.ndarray):
@@ -133,45 +99,65 @@ class _ArenaUnpickler(pickle.Unpickler):
     """Unpickler resolving arena ids to read-only memmap views.
 
     The mapping, canonical path, and per-blob geometry (absolute
-    offset, dtype object, shape tuple, bounds check) are resolved once
-    up front: ``persistent_load`` runs once per blob *reference* and an
-    ensemble carries thousands, so anything done there is the memmap
-    cold-start constant. The per-index cache also preserves identity —
-    an array shared by two estimators at save time dedupes to one blob
-    and comes back as one shared view, not two.
+    offset, dtype object, shape tuple) are resolved and checked once up
+    front: ``persistent_load`` runs once per blob *reference*, so
+    anything done there is the memmap cold-start constant. Every spec
+    must be a 64-byte-aligned segment inside the file whose ``nbytes``
+    matches its shape and dtype, and every persistent id must name one
+    of them; anything else is the integrity ``ValueError``. The
+    per-index cache also preserves identity — an array shared by two
+    estimators at save time dedupes to one blob and comes back as one
+    shared view, not two.
     """
 
-    def __init__(self, file, path: str, data_start: int, specs: list):
+    def __init__(self, file, path: str, data_start: int, file_size: int, specs: list):
         super().__init__(file)
         raw = mapped_file(path)
         key = canonical_path(path)
         geometry = []
-        for spec in specs:
-            offset = data_start + int(spec["offset"])
+        for i, spec in enumerate(specs):
+            rel = int(spec["offset"])
             dt = np.dtype(spec["dtype"])
             shape = tuple(int(s) for s in spec["shape"])
             # math.prod, not np.prod: this loop runs once per blob and a
             # numpy reduction over a 2-tuple costs more than the whole
             # view construction below.
             nbytes = math.prod(shape) * dt.itemsize
-            if offset + nbytes > raw.size:
+            offset = data_start + rel
+            if (
+                rel < 0
+                or rel % ALIGNMENT
+                or min(shape, default=0) < 0
+                or int(spec["nbytes"]) != nbytes
+                or offset + nbytes > file_size
+            ):
                 raise ValueError(
-                    f"arena blob [{offset}:{offset + nbytes}] exceeds "
-                    f"{path} ({raw.size} bytes): truncated artifact"
+                    f"{path} failed its integrity check: arena blob {i} "
+                    f"({spec}) is not an aligned segment inside the "
+                    f"{file_size}-byte file (truncated or tampered file?)"
                 )
             geometry.append((offset, dt, shape, (key, offset, dt.str, shape)))
+        self._path = path
         self._raw = raw
         self._geometry = geometry
         self._views: list = [None] * len(specs)
 
     def persistent_load(self, pid):
-        try:
-            tag, idx = pid
-            view = self._views[idx]
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}") from exc
-        if tag != "repro-arena":
-            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+        n_blobs = len(self._views)
+        if not (
+            type(pid) is tuple
+            and len(pid) == 2
+            and pid[0] == "repro-arena"
+            and type(pid[1]) is int
+            and 0 <= pid[1] < n_blobs
+        ):
+            raise ValueError(
+                f"{self._path} failed its integrity check: the model "
+                f"references arena {pid!r} but the index holds {n_blobs} "
+                "blobs (tampered file?)"
+            )
+        idx = pid[1]
+        view = self._views[idx]
         if view is None:
             offset, dt, shape, source = self._geometry[idx]
             # ArenaView(...) IS ndarray.__new__ on the subclass — one
@@ -181,44 +167,6 @@ class _ArenaUnpickler(pickle.Unpickler):
             view._arena_source = source
             self._views[idx] = view
         return view
-
-
-def save_model(model, path) -> Path:
-    """Serialise a (fitted or unfitted) estimator to ``path``.
-
-    The payload records the library version so loads can warn/raise on
-    incompatible formats. Memmap-backed arrays of a loaded ensemble are
-    materialised, so the file is self-contained.
-    """
-    import repro
-
-    path = Path(path)
-    payload = {
-        "magic": _MAGIC,
-        "format_version": _FORMAT_VERSION,
-        "library_version": repro.__version__,
-        "model": model,
-    }
-    with open(path, "wb") as fh:
-        _InlinePickler(fh, pickle.HIGHEST_PROTOCOL).dump(payload)
-    return path
-
-
-def load_model(path):
-    """Load an estimator saved with :func:`save_model`.
-
-    Raises ``ValueError`` for foreign pickles or future format versions
-    (forward compatibility is not promised; backward is).
-    """
-    path = Path(path)
-    payload = _read_payload(path, _MAGIC, "repro model")
-    version = payload.get("format_version")
-    if not isinstance(version, int) or version > _FORMAT_VERSION:
-        raise ValueError(
-            f"{path} uses format version {version}; this library reads "
-            f"<= {_FORMAT_VERSION}"
-        )
-    return payload["model"]
 
 
 def _ensemble_manifest(model) -> dict:
@@ -235,24 +183,6 @@ def _ensemble_manifest(model) -> dict:
         "combination": model.combination,
         "standardisation": model.standardisation,
     }
-
-
-def _prepare_serving_caches(model) -> None:
-    """Materialise the derived kernel arenas an artifact should carry.
-
-    Flat forests are lazy caches; building them before the save means
-    the artifact ships ready-to-traverse arenas and a loaded worker
-    never pays the flatten cost. Neighbor trees are built at fit time
-    and need no preparation.
-    """
-    scorers = list(model.base_estimators_)
-    for approx in getattr(model, "approximators_", None) or []:
-        reg = getattr(approx, "regressor_", None)
-        if reg is not None:
-            scorers.append(reg)
-    for est in scorers:
-        if hasattr(est, "_flat_forest"):
-            est._flat_forest()
 
 
 def save_ensemble(model, path) -> Path:
@@ -278,7 +208,7 @@ def save_ensemble(model, path) -> Path:
     if not isinstance(model, SUOD):
         raise TypeError(
             f"save_ensemble expects a repro.SUOD, got {type(model).__name__}; "
-            "use save_model for single estimators"
+            "pickle a single estimator directly"
         )
     if not hasattr(model, "base_estimators_"):
         raise ValueError("save_ensemble requires a fitted SUOD (call fit first)")
@@ -286,9 +216,7 @@ def save_ensemble(model, path) -> Path:
 
     blobs: list[np.ndarray] = []
     buf = io.BytesIO()
-    _prepare_serving_caches(model)
-    with serialize_arenas():
-        _ArenaPickler(buf, blobs).dump(model)
+    _ArenaPickler(buf, blobs).dump(model)
     model_bytes = buf.getvalue()
 
     specs = []
@@ -348,9 +276,12 @@ def read_ensemble_header(path) -> dict:
 def _reject_v1(path: Path) -> None:
     """Diagnose a non-v2 file: legacy v1 ensemble, or foreign data."""
     try:
-        payload = _read_payload(path, _ENSEMBLE_MAGIC, "repro ensemble")
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
     except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as exc:
         raise ValueError(f"{path} is not a repro ensemble file") from exc
+    if not isinstance(payload, dict) or payload.get("magic") != _ENSEMBLE_MAGIC:
+        raise ValueError(f"{path} is not a repro ensemble file")
     version = payload.get("schema_version")
     raise ValueError(
         f"{path} was saved with ensemble schema version {version}; "
@@ -372,8 +303,8 @@ def load_ensemble(path):
     ``ValueError`` naming both versions — an ensemble is deployed
     state, so a silent partial load would mean silently wrong scores.
     The structural manifest written at save time is re-derived from the
-    loaded object and must match exactly, and the arena index must fit
-    the file.
+    loaded object and must match exactly, and the arena index must
+    describe aligned segments inside the file.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -394,14 +325,7 @@ def load_ensemble(path):
         model_nbytes = int(header["model_nbytes"])
         specs = header.get("arenas") or []
         data_start = align_up(_V2_PREAMBLE.size + header_len + model_nbytes)
-        if specs:
-            arena_end = data_start + max(s["offset"] + s["nbytes"] for s in specs)
-            if os.fstat(fh.fileno()).st_size < arena_end:
-                raise ValueError(
-                    f"{path} failed its integrity check: the arena index "
-                    f"extends to byte {arena_end} but the file is shorter "
-                    "(truncated or tampered file?)"
-                )
+        file_size = os.fstat(fh.fileno()).st_size
         model_bytes = fh.read(model_nbytes)
     if len(model_bytes) < model_nbytes:
         raise ValueError(
@@ -409,7 +333,7 @@ def load_ensemble(path):
             "truncated (tampered file?)"
         )
     unpickler = _ArenaUnpickler(
-        io.BytesIO(model_bytes), os.path.abspath(path), data_start, specs
+        io.BytesIO(model_bytes), os.path.abspath(path), data_start, file_size, specs
     )
     model = unpickler.load()
     if header.get("manifest") != _ensemble_manifest(model):

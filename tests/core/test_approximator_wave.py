@@ -35,7 +35,7 @@ SHM_DIR = "/dev/shm"
 needs_shm_fs = pytest.mark.skipif(
     not os.path.isdir(SHM_DIR), reason="no /dev/shm on this platform"
 )
-TREE_ARRAYS = ("feature_", "threshold_", "children_left_", "children_right_", "value_")
+ARENA_ARRAYS = ("feature", "threshold", "left", "right", "leaf_value", "roots")
 
 BACKENDS = ("sequential", "threads", "shm_processes")
 #: Backends whose workers are separate interpreters: the wave spreads
@@ -79,14 +79,13 @@ def assert_same_approximators(got, expected, spaces_te):
         assert a.approximated == b.approximated
         if not a.approximated:
             continue
-        if hasattr(b.regressor_, "estimators_"):
-            assert len(a.regressor_.estimators_) == len(b.regressor_.estimators_)
-            for t, u in zip(a.regressor_.estimators_, b.regressor_.estimators_):
-                for name in TREE_ARRAYS:
-                    # equal_nan: leaves carry a NaN threshold.
-                    assert np.array_equal(
-                        getattr(t, name), getattr(u, name), equal_nan=True
-                    ), name
+        if hasattr(b.regressor_, "forest_"):
+            for name in ARENA_ARRAYS:
+                # tobytes: leaves carry a NaN threshold.
+                assert (
+                    getattr(a.regressor_.forest_, name).tobytes()
+                    == getattr(b.regressor_.forest_, name).tobytes()
+                ), name
             assert np.array_equal(
                 a.regressor_.feature_importances_, b.regressor_.feature_importances_
             )
@@ -352,18 +351,16 @@ class TestFailureAndResume:
         plan = clf.build_fit_plan(Xtr)
         PlanRunner().run(plan)
         first = [
-            t.value_.copy()
+            a.regressor_.forest_.leaf_value.copy()
             for a in clf.approximators_
             if a.approximated
-            for t in a.regressor_.estimators_
         ]
         plan.reset()
         PlanRunner().run(plan)
         again = [
-            t.value_
+            a.regressor_.forest_.leaf_value
             for a in clf.approximators_
             if a.approximated
-            for t in a.regressor_.estimators_
         ]
         clf.close()
         assert len(first) == len(again)

@@ -359,7 +359,7 @@ class TestBackendNames:
         clf._serving_dtype = np.dtype(np.float64)
         kinds = set()
         for est in clf.base_estimators_:
-            if hasattr(est, "_flat_forest"):
+            if hasattr(est, "forest_"):
                 est._serving_flat64 = None
                 kinds.add("forest")
             if getattr(est, "_nn", None) is not None:

@@ -71,8 +71,11 @@ class TestIsolationForest:
 
     def test_max_features(self, X):
         det = IsolationForest(10, max_features=0.4, random_state=0).fit(X)
-        for tree in det._trees:
-            assert len(tree.features_used) == 2  # 0.4 * 5
+        flat = det.forest_
+        ends = np.append(flat.roots[1:], flat.feature.size)
+        for lo, hi in zip(flat.roots, ends):
+            span = flat.feature[lo:hi]
+            assert len(np.unique(span[span >= 0])) <= 2  # 0.4 * 5
 
     def test_duplicate_rows_degenerate(self):
         X = np.ones((50, 3))

@@ -9,11 +9,13 @@ oracle's float summation order would move a threshold. Every tree array
 and the importances must be identical, not close.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro.kernels.splits as splits
-from repro.kernels import RankedSplitSearch, rank_table
+from repro.kernels import FlatForest, RankedSplitSearch, flatten_forest, rank_table
 from repro.kernels.reference import _cart_apply, best_split_loop, cart_fit_loop
 from repro.supervised import (
     DecisionTreeRegressor,
@@ -41,6 +43,17 @@ def _assert_same_tree(oracle, live):
         assert a.dtype == b.dtype, attr
         # tobytes: NaN leaf thresholds and the sign of zero count too.
         assert a.tobytes() == b.tobytes(), attr
+
+
+def _assert_arena_of(trees, flat):
+    """``flat`` is exactly ``trees`` concatenated in order."""
+    expected = flatten_forest(
+        (t.feature_, t.threshold_, t.children_left_, t.children_right_, t.value_)
+        for t in trees
+    )
+    for field in dataclasses.fields(FlatForest):
+        a, b = getattr(expected, field.name), getattr(flat, field.name)
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 def _assert_fit_matches_oracle(X, y, **params):
@@ -230,8 +243,11 @@ class TestEnsemblesShareOneTable:
         forest = RandomForestRegressor(
             n_estimators=6, min_samples_leaf=2, bootstrap=bootstrap, random_state=3
         ).fit(X, y)
-        for oracle, live in zip(_oracle_forest(forest, X, y), forest.estimators_):
-            _assert_same_tree(oracle, live)
+        oracles = _oracle_forest(forest, X, y)
+        live = forest.fit_block(X, y, forest.tree_seeds())
+        for oracle, tree in zip(oracles, live):
+            _assert_same_tree(oracle, tree)
+        _assert_arena_of(oracles, forest.forest_)
 
     def test_fit_equals_blocks_for_every_block_count(self, rng):
         X = np.round(rng.standard_normal((200, 5)), 1)
@@ -246,8 +262,9 @@ class TestEnsemblesShareOneTable:
             ]
             joined = RandomForestRegressor(n_estimators=6, random_state=9)
             joined.assemble_blocks(blocks, X.shape[1])
-            for a, b in zip(whole.estimators_, joined.estimators_):
-                _assert_same_tree(a, b)
+            trees = [tree for block in blocks for tree in block]
+            _assert_arena_of(trees, whole.forest_)
+            _assert_arena_of(trees, joined.forest_)
             assert (
                 whole.feature_importances_.tobytes()
                 == joined.feature_importances_.tobytes()
@@ -262,7 +279,8 @@ class TestEnsemblesShareOneTable:
         # The stage loop as it was: a float copy of the stage's rows.
         n, n_sub = 200, 120
         pred = np.full(n, float(y.mean()))
-        for seed, live in zip(spawn_seeds(4, 8), gbm.estimators_):
+        oracles = []
+        for seed in spawn_seeds(4, 8):
             stage_rng = np.random.default_rng(seed)
             rows = stage_rng.choice(n, size=n_sub, replace=False)
             oracle = cart_fit_loop(
@@ -272,6 +290,7 @@ class TestEnsemblesShareOneTable:
                 min_samples_leaf=2,
                 random_state=stage_rng,
             )
-            _assert_same_tree(oracle, live)
+            oracles.append(oracle)
             pred += 0.1 * oracle.value_[_cart_apply(oracle, X)]
+        _assert_arena_of(oracles, gbm.forest_)
         np.testing.assert_array_equal(gbm.predict(X), pred)

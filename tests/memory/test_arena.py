@@ -65,9 +65,9 @@ class TestArenaArtifact:
     def test_views_are_read_only_memmaps(self, artifact):
         loaded = load_ensemble(artifact)
         views = [
-            est._flat_cache.threshold
+            est.forest_.threshold
             for est in loaded.base_estimators_
-            if getattr(est, "_flat_cache", None) is not None
+            if hasattr(est, "forest_")
         ]
         assert views, "expected at least one served flat forest"
         for view in views:
@@ -92,9 +92,9 @@ class TestArenaArtifact:
     def test_view_pickles_by_reference(self, artifact):
         loaded = load_ensemble(artifact)
         view = next(
-            est._flat_cache.threshold
+            est.forest_.threshold
             for est in loaded.base_estimators_
-            if getattr(est, "_flat_cache", None) is not None
+            if hasattr(est, "forest_")
         )
         blob = pickle.dumps(view)
         # By reference: the pickle must not scale with the data.
@@ -139,12 +139,8 @@ class TestArenaArtifact:
         # Arrays deduped to one blob at save time come back as one
         # shared view object, not per-reference copies.
         loaded = load_ensemble(artifact)
-        forests = [
-            est
-            for est in loaded.base_estimators_
-            if getattr(est, "_flat_cache", None) is not None
-        ]
-        flat = forests[0]._flat_cache
+        forests = [est for est in loaded.base_estimators_ if hasattr(est, "forest_")]
+        flat = forests[0].forest_
         blob = pickle.dumps((flat.threshold, flat.threshold))
         a, b = pickle.loads(blob)
         assert a is b

@@ -76,7 +76,7 @@ def _forests(model):
     """Every flat forest the model scores with: detectors and regressors."""
     owners = list(model.base_estimators_)
     owners += [a.regressor_ for a in model.approximators_ if a.regressor_ is not None]
-    return [o._flat_forest() for o in owners if hasattr(o, "_flat_forest")]
+    return [o.forest_ for o in owners if hasattr(o, "forest_")]
 
 
 class TestEnsemble:
@@ -138,7 +138,7 @@ class TestEnsemble:
 
 class TestKernels:
     def test_forest_kernels_upcast_float32_rows(self, data, rows32):
-        flat = IsolationForest(n_estimators=20, random_state=0).fit(data)._flat_forest()
+        flat = IsolationForest(n_estimators=20, random_state=0).fit(data).forest_
         up = rows32.astype(np.float64)
         np.testing.assert_array_equal(
             forest_apply(flat, rows32), forest_apply(flat, up)

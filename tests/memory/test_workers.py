@@ -77,12 +77,8 @@ class TestSharedMemmapServing:
         path = save_ensemble(fitted, tmp_path / "ens.repro")
         release_mappings()
         loaded = load_ensemble(path)
-        est = next(
-            e
-            for e in loaded.base_estimators_
-            if getattr(e, "_flat_cache", None) is not None
-        )
-        view = est._flat_cache.threshold
+        est = next(e for e in loaded.base_estimators_ if hasattr(e, "forest_"))
+        view = est.forest_.threshold
         arena = SharedMemoryArena()
         try:
             handle = arena.share(view)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels import forest_apply
 from repro.supervised import RandomForestRegressor
 
 
@@ -16,7 +17,7 @@ class TestRandomForest:
         X, y = regression_data
         rf = RandomForestRegressor(n_estimators=20, random_state=0).fit(X, y)
         assert rf.score(X, y) > 0.85
-        assert len(rf.estimators_) == 20
+        assert rf.forest_.n_trees == 20
 
     def test_deterministic_with_seed(self, regression_data):
         X, y = regression_data
@@ -33,7 +34,8 @@ class TestRandomForest:
     def test_prediction_is_tree_mean(self, regression_data):
         X, y = regression_data
         rf = RandomForestRegressor(8, random_state=0).fit(X, y)
-        stacked = np.mean([t.predict(X) for t in rf.estimators_], axis=0)
+        trees = rf.fit_block(X, y, rf.tree_seeds())
+        stacked = np.mean([t.predict(X) for t in trees], axis=0)
         np.testing.assert_allclose(rf.predict(X), stacked, rtol=1e-12)
 
     def test_feature_importances(self, rng):
@@ -61,9 +63,9 @@ class TestRandomForest:
         ).fit(X, y)
         # Without bootstrap or feature subsampling, all trees see identical
         # data -> identical predictions.
-        preds = [t.predict(X[:10]) for t in rf.estimators_]
-        for p in preds[1:]:
-            np.testing.assert_allclose(p, preds[0])
+        preds = rf.forest_.leaf_value[forest_apply(rf.forest_, X[:10])]
+        for p in preds.T[1:]:
+            np.testing.assert_allclose(p, preds[:, 0])
 
     def test_predictions_within_target_hull(self, regression_data):
         X, y = regression_data
@@ -91,13 +93,13 @@ class TestRandomForest:
 class TestBlockFit:
     """fit_block/assemble_blocks rebuild the forest ``fit`` grows, bitwise."""
 
-    ARRAYS = ("feature_", "threshold_", "children_left_", "children_right_", "value_")
+    ARRAYS = ("feature", "threshold", "left", "right", "leaf_value", "roots")
 
     def assert_same_forest(self, a, b, X):
-        assert len(a.estimators_) == len(b.estimators_)
-        for t, u in zip(a.estimators_, b.estimators_):
-            for name in self.ARRAYS:
-                np.testing.assert_array_equal(getattr(t, name), getattr(u, name))
+        for name in self.ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(a.forest_, name), getattr(b.forest_, name)
+            )
         np.testing.assert_array_equal(a.feature_importances_, b.feature_importances_)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
@@ -131,14 +133,14 @@ class TestBlockFit:
         rf = RandomForestRegressor(4, random_state=0)
         trees = rf.fit_block(X, y, rf.tree_seeds()[:2])
         assert len(trees) == 2
-        assert not hasattr(rf, "estimators_")
+        assert not hasattr(rf, "forest_")
 
     def test_fit_block_validates_like_fit(self, rng):
         rf = RandomForestRegressor(2, random_state=0)
         with pytest.raises(ValueError):
             rf.fit_block(rng.random((5, 2)), rng.random(6), [1, 2])
 
-    def test_assembled_forest_drops_a_stale_flat_cache(self, regression_data):
+    def test_reassembling_replaces_the_forest(self, regression_data):
         X, y = regression_data
         rf = RandomForestRegressor(4, random_state=0).fit(X, y)
         first = rf.predict(X)

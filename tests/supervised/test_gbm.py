@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels import forest_apply
 from repro.supervised.gbm import GradientBoostingRegressor
 
 
@@ -27,7 +28,7 @@ class TestGBM:
     def test_single_stage_is_shrunk_tree_plus_mean(self, regression_data):
         X, y = regression_data
         gbm = GradientBoostingRegressor(1, learning_rate=0.5, random_state=0).fit(X, y)
-        tree_pred = gbm.estimators_[0].predict(X)
+        tree_pred = gbm.forest_.leaf_value[forest_apply(gbm.forest_, X)[:, 0]]
         np.testing.assert_allclose(gbm.predict(X), y.mean() + 0.5 * tree_pred)
 
     def test_staged_predict_converges_to_predict(self, regression_data):

@@ -1,71 +1,48 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.utils.persistence import (
     ENSEMBLE_SCHEMA_VERSION,
     load_ensemble,
-    load_model,
+    read_ensemble_header,
     save_ensemble,
-    save_model,
 )
 
 
 class TestPersistence:
-    def test_detector_roundtrip(self, tmp_path, tiny_X):
+    """A single estimator, fitted or not, is a plain pickle."""
+
+    def test_detector_roundtrip(self, tiny_X):
         from repro.detectors import KNN
 
         det = KNN(n_neighbors=5).fit(tiny_X)
-        path = save_model(det, tmp_path / "knn.pkl")
-        loaded = load_model(path)
-        np.testing.assert_allclose(
+        loaded = pickle.loads(pickle.dumps(det))
+        np.testing.assert_array_equal(
             loaded.decision_function(tiny_X), det.decision_function(tiny_X)
         )
 
-    def test_suod_roundtrip(self, tmp_path, tiny_X):
+    def test_suod_roundtrip(self, tiny_X):
         from repro import SUOD
         from repro.detectors import HBOS, KNN
 
         clf = SUOD([KNN(n_neighbors=5), HBOS()], random_state=0).fit(tiny_X)
         expected = clf.decision_function(tiny_X)
-        loaded = load_model(save_model(clf, tmp_path / "suod.pkl"))
-        np.testing.assert_allclose(loaded.decision_function(tiny_X), expected)
+        loaded = pickle.loads(pickle.dumps(clf))
+        np.testing.assert_array_equal(loaded.decision_function(tiny_X), expected)
 
-    def test_unfitted_roundtrip(self, tmp_path):
+    def test_unfitted_roundtrip(self):
         from repro.detectors import LOF
 
-        loaded = load_model(save_model(LOF(n_neighbors=7), tmp_path / "m.pkl"))
+        loaded = pickle.loads(pickle.dumps(LOF(n_neighbors=7)))
         assert loaded.n_neighbors == 7
 
-    def test_foreign_pickle_rejected(self, tmp_path):
-        import pickle
-
-        p = tmp_path / "foreign.pkl"
-        with open(p, "wb") as fh:
-            pickle.dump({"whatever": 1}, fh)
-        with pytest.raises(ValueError, match="not a repro model"):
-            load_model(p)
-
-    def test_future_format_rejected(self, tmp_path):
-        import pickle
-
-        p = tmp_path / "future.pkl"
-        with open(p, "wb") as fh:
-            pickle.dump(
-                {"magic": "repro-model", "format_version": 99, "model": None}, fh
-            )
-        with pytest.raises(ValueError, match="format version"):
-            load_model(p)
-
-    def test_version_recorded(self, tmp_path):
-        import pickle
-
+    def test_version_recorded(self, tmp_path, tiny_X):
         import repro
-        from repro.detectors import HBOS
 
-        p = save_model(HBOS(), tmp_path / "v.pkl")
-        with open(p, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload["library_version"] == repro.__version__
+        p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "v.repro")
+        assert read_ensemble_header(p)["library_version"] == repro.__version__
 
 
 def _fitted_ensemble(tiny_X, **kwargs):
@@ -146,19 +123,19 @@ class TestEnsemblePersistence:
     def test_non_suod_rejected(self, tmp_path, tiny_X):
         from repro.detectors import KNN
 
-        with pytest.raises(TypeError, match="save_model"):
+        with pytest.raises(TypeError, match="pickle a single estimator"):
             save_ensemble(KNN(n_neighbors=5).fit(tiny_X), tmp_path / "ens.pkl")
 
     @staticmethod
-    def _repack_v2(path, mutate):
-        """Rewrite a v2 artifact with a tampered header.
+    def _repack_v2(path, mutate, model=None):
+        """Rewrite a v2 artifact with a tampered header (and model pickle).
 
         Speaks the raw container format (preamble struct, header
         pickle, model pickle, 64-byte-aligned blob region) so the
         mutated file is structurally valid — the loader must reject it
-        on *semantics*, not on a parse error.
+        on *semantics*, not on a parse error. ``model`` replaces the
+        model pickle bytes; the blob region is kept as it was.
         """
-        import pickle
         import struct
 
         preamble = struct.Struct("<8sQ")
@@ -166,9 +143,12 @@ class TestEnsemblePersistence:
         magic, header_len = preamble.unpack_from(raw)
         header = pickle.loads(raw[preamble.size : preamble.size + header_len])
         body = preamble.size + header_len
-        model = raw[body : body + header["model_nbytes"]]
-        old_data_start = -(-(body + len(model)) // 64) * 64
+        old_model = raw[body : body + header["model_nbytes"]]
+        old_data_start = -(-(body + len(old_model)) // 64) * 64
         blobs = raw[old_data_start:]
+        if model is None:
+            model = old_model
+        header["model_nbytes"] = len(model)
         mutate(header)
         header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
         data_start = -(-(preamble.size + len(header_bytes) + len(model)) // 64) * 64
@@ -189,8 +169,6 @@ class TestEnsemblePersistence:
                 load_ensemble(p)
 
     def test_foreign_file_rejected(self, tmp_path):
-        import pickle
-
         p = tmp_path / "foreign.pkl"
         with open(p, "wb") as fh:
             pickle.dump({"magic": "repro-model"}, fh)
@@ -207,6 +185,47 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError, match="integrity"):
             load_ensemble(p)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offset", -64),
+            ("offset", 8),
+            ("shape", [-1]),
+            ("nbytes", 8),
+        ],
+        ids=["negative-offset", "misaligned-offset", "negative-dim", "nbytes-mismatch"],
+    )
+    def test_tampered_arena_spec_rejected(self, tmp_path, tiny_X, field, value):
+        p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
+        assert read_ensemble_header(p)["arenas"]
+        self._repack_v2(p, lambda h: h["arenas"][0].__setitem__(field, value))
+        with pytest.raises(ValueError, match="integrity"):
+            load_ensemble(p)
+
+    def test_arena_id_outside_the_index_rejected(self, tmp_path, tiny_X):
+        p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
+        # The model still references the last blob; the index lost it.
+        self._repack_v2(p, lambda h: h["arenas"].pop())
+        with pytest.raises(ValueError, match="integrity"):
+            load_ensemble(p)
+
+    def test_negative_arena_id_rejected(self, tmp_path, tiny_X):
+        import io
+
+        class NegativeIds(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, np.ndarray):
+                    return ("repro-arena", -1)
+                return None
+
+        p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
+        buf = io.BytesIO()
+        NegativeIds(buf, pickle.HIGHEST_PROTOCOL).dump({"scores": np.zeros(3)})
+        # -1 must not wrap around to the last blob of a valid index.
+        self._repack_v2(p, lambda h: None, model=buf.getvalue())
+        with pytest.raises(ValueError, match="integrity"):
+            load_ensemble(p)
+
     def test_truncated_arena_region_rejected(self, tmp_path, tiny_X):
         p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
         raw = p.read_bytes()
@@ -215,8 +234,6 @@ class TestEnsemblePersistence:
             load_ensemble(p)
 
     def test_legacy_v1_named_in_error(self, tmp_path):
-        import pickle
-
         p = tmp_path / "legacy.pkl"
         with open(p, "wb") as fh:
             pickle.dump(

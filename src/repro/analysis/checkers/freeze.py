@@ -26,7 +26,7 @@ REFERENCE_PATH = "repro/kernels/reference.py"
 # this pin is the deliberate, reviewed act of changing what "correct"
 # means for every kernel; tests/analysis/test_freeze.py recomputes it.
 REFERENCE_SHA256 = (
-    "51bfe504b2d3908dc57ddd9254dd13a7f4b710201d9df2cf312df8db4960d9ce"
+    "e9091ee5682a7c73101f7e6cc787530f8655b0fa8655f115f6f2ce7ac2187aaf"
 )
 
 

@@ -8,9 +8,10 @@ per-feature Python loop with a batched NumPy formulation that produces
 backends are held to:
 
 - :mod:`repro.kernels.trees` — flat batched tree traversal: a whole
-  forest concatenated into one node arena, all rows routed through all
-  trees in a level-synchronous gather loop. Serves isolation-forest
-  scoring and random-forest / GBM prediction.
+  forest concatenated into one self-looping node arena, all rows routed
+  through all trees by a fixed-stride descent (every pair one step per
+  level). Serves isolation-forest scoring and random-forest / GBM
+  prediction.
 - :mod:`repro.kernels.neighbors` — block-batched exact KD-tree k-NN:
   a GEMM filter–refine scan and a pruned sweep behind one derived
   choice, one exact-distance + canonical-selection helper, one bitwise

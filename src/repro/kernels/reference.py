@@ -7,8 +7,8 @@ module preserves that replaced code verbatim, deliberately self-contained
 
 - the parity test suite (``tests/kernels/``) pins each kernel against the
   exact implementation it displaced, and
-- the kernel microbenchmarks (``python -m repro kernels``,
-  ``benchmarks/bench_kernels.py``) time honest before/after pairs.
+- before/after timings (perfbench's ``kernels.*`` layer metrics, the
+  re-derivation scripts under ``benchmarks/``) have an honest "before".
 
 Nothing here is called on a production path. Do not "improve" this
 module: its value is that it does not change.
@@ -27,6 +27,7 @@ __all__ = [
     "brute_force_kneighbors",
     "iforest_score_loop",
     "forest_predict_loop",
+    "forest_apply_levelsync",
     "gbm_predict_loop",
     "best_split_loop",
     "cart_fit_loop",
@@ -304,6 +305,47 @@ def gbm_predict_loop(gbm, X: np.ndarray) -> np.ndarray:
     out = np.full(X.shape[0], gbm.init_)
     for tree in gbm.estimators_:
         out += gbm.learning_rate * tree.value_[_cart_apply(tree, X)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Flat forest: the level-synchronous active-set traversal
+# (``kernels.trees.forest_apply`` until the fixed-stride descent). It
+# reads ``left``/``right`` only at internal nodes, so any arena whose
+# internal nodes carry both child pointers can be fed to it.
+# ---------------------------------------------------------------------------
+_LEVELSYNC_PAIR_BLOCK = 1 << 17
+_LEVELSYNC_CHUNK_ROW_CAP = 1024
+
+
+def forest_apply_levelsync(flat, X: np.ndarray, *, chunk_rows=None) -> np.ndarray:
+    """Leaf node (arena index) reached by every (row, tree) pair."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    n_trees = flat.n_trees
+    if chunk_rows is None:
+        chunk_rows = max(
+            1, min(_LEVELSYNC_CHUNK_ROW_CAP, _LEVELSYNC_PAIR_BLOCK // max(1, n_trees))
+        )
+    out = np.empty((n, n_trees), dtype=np.int64)
+    feature, threshold = flat.feature, flat.threshold
+    left, right = flat.left, flat.right
+    for start in range(0, n, chunk_rows):
+        stop = min(start + chunk_rows, n)
+        Xb = X[start:stop]
+        nb = stop - start
+        # Pair state, flattened row-major: pair p = (row p // T, tree p % T).
+        node = np.tile(flat.roots, nb)
+        row = np.repeat(np.arange(nb), n_trees)
+        active = np.nonzero(feature[node] >= 0)[0]
+        while active.size:
+            nodes = node[active]
+            f = feature[nodes]
+            go_left = Xb[row[active], f] <= threshold[nodes]
+            nxt = np.where(go_left, left[nodes], right[nodes])
+            node[active] = nxt
+            active = active[feature[nxt] >= 0]
+        out[start:stop] = node.reshape(nb, n_trees)
     return out
 
 

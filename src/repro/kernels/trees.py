@@ -1,30 +1,40 @@
 """Flat batched tree traversal.
 
-Every tree builder in this library grows flat arrays (``feature``,
-``threshold``, ``left``, ``right`` plus a per-node payload), but before
-this kernel existed each consumer walked its trees *one at a time*:
-isolation forests looped Python-level over 100+ trees, and the regression
-forests looped over their estimators calling ``predict`` per tree. The
-kernels here concatenate a whole forest into one node arena — which a
-fitted forest keeps as its only tree state, ``forest_`` — and route
-**all rows through all trees simultaneously** with a level-synchronous
-gather loop, so the Python interpreter runs ``O(max depth)`` iterations
-instead of ``O(n_trees * depth)`` — with bitwise-identical results,
-because every (row, tree) pair performs exactly the same float
-comparisons against the same thresholds as the per-tree walk.
+Every tree builder in this library grows flat per-tree arrays
+(``feature``, ``threshold``, ``left``, ``right`` plus a per-node
+payload). :func:`flatten_forest` concatenates a whole forest into one
+node arena — which a fitted forest keeps as its only tree state,
+``forest_`` — and :func:`forest_apply` routes **all rows through all
+trees simultaneously**, so the Python interpreter runs ``O(max depth)``
+iterations instead of ``O(n_trees * depth)``.
+
+The arena is its own traversal table. Both builders create an internal
+node's two children together, so the right child is always ``left + 1``
+and the arena keeps no ``right`` array; a leaf's ``left`` points at the
+leaf itself. One level of the descent is then, for every ``(row, tree)``
+pair of a chunk::
+
+    f = feature[node]                      # stop when no f >= 0 is left
+    x = Xflat[row_base + f]                # one flat gather
+    node = left[node] + (~(x <= threshold[node]) & (f >= 0))
+
+Four gathers and a few elementwise passes, with no active-set
+compaction: a pair at a leaf steps onto itself, and a NaN compares
+False and goes right. Every pair makes the same ``x <= threshold``
+comparisons in the same order as the per-tree walk until it reaches its
+leaf, so the leaves — and the tree-order sums built on them — are
+bitwise those of the loops frozen in :mod:`repro.kernels.reference`
+(``forest_apply_levelsync`` is the active-set kernel this replaced).
 
 Leaf convention: a node is a leaf iff ``feature[node] < 0`` (the isolation
 forest uses ``-1``, the CART tree ``-2``; both are negative, so one kernel
 serves both layouts).
 
-Where the win lands: the per-tree loop pays its interpreter overhead per
-tree per level, so it is slowest exactly where the serving architecture
-operates — small consecutive scoring batches (the stream-serving pattern
-of the execution plane, the serving micro-batches and the row blocks of
-out-of-core scoring). Measured on the 1-CPU dev container with a 100-tree
-forest: ~3.7x at 128-row batches, ~2.6x at 256, converging to parity
-(±10%) for one-shot bulk scoring of several thousand rows, where both
-formulations are memory-bandwidth-bound.
+Where the time goes: on the hetero pool's 1500-row scoring request, the
+nine PSA approximator forests (50 trees, depth 12) and two isolation
+forests are most of the call; perfbench's ``kernels.forest_score_rows_per_s``
+and ``supervised.rf_predict_rows_per_s`` time the kernel, and
+``benchmarks/fit_forest_pair_block.py`` re-derives its chunk constants.
 """
 
 from __future__ import annotations
@@ -40,14 +50,14 @@ __all__ = [
     "forest_value_sum",
 ]
 
-# Target number of simultaneous (row, tree) traversal states per chunk;
-# bounds the working set of the gather loop to L2-cache scale regardless
-# of forest size.
-_PAIR_BLOCK = 1 << 17
-# Row cap per chunk: beyond ~1k rows the per-level arrays outgrow cache
-# and the gather loop turns bandwidth-bound (measured on a 1-CPU
-# container; perfbench's ``kernels.forest_score_rows_per_s`` times it).
-_CHUNK_ROW_CAP = 1024
+# Target number of simultaneous (row, tree) pairs per chunk: it bounds
+# the descent's per-level arrays (a handful of 8-byte values a pair) to
+# L2-cache scale whatever the forest size. Re-derived on the perfbench pools'
+# forests at their request sizes by benchmarks/fit_forest_pair_block.py.
+_PAIR_BLOCK = 1 << 14
+# Row cap per chunk; it binds only on forests of a few trees (a one-tree
+# arena is DecisionTreeRegressor.apply). Re-derived by the same script.
+_CHUNK_ROW_CAP = 4096
 
 
 @dataclass
@@ -56,13 +66,15 @@ class FlatForest:
 
     ``roots[t]`` is the index of tree ``t``'s root inside the shared
     arrays; child pointers are pre-shifted into arena coordinates, so a
-    traversal never needs to know which tree a node came from.
+    traversal never needs to know which tree a node came from. The arena
+    is its own traversal table: an internal node's right child is
+    ``left + 1`` (there is no ``right`` array), and a leaf's ``left``
+    points at the leaf itself.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     leaf_value: np.ndarray
     roots: np.ndarray
 
@@ -71,10 +83,18 @@ class FlatForest:
         return int(self.roots.size)
 
 
-def _shift_children(children: np.ndarray, offset: int) -> np.ndarray:
-    children = np.asarray(children, dtype=np.int64)
-    # Leaves keep their -1 sentinel; only real child pointers move.
-    return np.where(children >= 0, children + offset, children)
+def _self_looping_children(feature, left, right, offset: int) -> np.ndarray:
+    """One tree's ``left`` in arena coordinates, leaves pointing at
+    themselves; raises unless every right child is ``left + 1``."""
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    internal = feature >= 0
+    if not np.array_equal(right[internal], left[internal] + 1):
+        raise ValueError(
+            "flatten_forest needs adjacent siblings: every internal node's "
+            "right child must be left + 1"
+        )
+    return np.where(internal, left, np.arange(feature.size)) + offset
 
 
 def flatten_forest(trees) -> FlatForest:
@@ -84,19 +104,21 @@ def flatten_forest(trees) -> FlatForest:
     ----------
     trees : iterable of (feature, threshold, left, right, leaf_value)
         One tuple per tree, each entry a 1-D array over that tree's
-        nodes. ``leaf_value`` is the per-node payload gathered after
-        traversal (path adjustment for isolation trees, node mean for
-        regression trees); its value at internal nodes is never read.
+        nodes; a node is a leaf iff its ``feature`` is negative, and an
+        internal node's ``right`` must be its ``left + 1`` (both builders
+        create siblings together). ``leaf_value`` is the per-node payload
+        gathered after traversal (path adjustment for isolation trees,
+        node mean for regression trees); its value at internal nodes is
+        never read.
     """
-    features, thresholds, lefts, rights, values, roots = [], [], [], [], [], []
+    features, thresholds, lefts, values, roots = [], [], [], [], []
     offset = 0
     for feature, threshold, left, right, value in trees:
         feature = np.asarray(feature, dtype=np.int64)
         roots.append(offset)
         features.append(feature)
         thresholds.append(np.asarray(threshold, dtype=np.float64))
-        lefts.append(_shift_children(left, offset))
-        rights.append(_shift_children(right, offset))
+        lefts.append(_self_looping_children(feature, left, right, offset))
         values.append(np.asarray(value, dtype=np.float64))
         offset += feature.size
     if not features:
@@ -105,10 +127,13 @@ def flatten_forest(trees) -> FlatForest:
         feature=np.concatenate(features),
         threshold=np.concatenate(thresholds),
         left=np.concatenate(lefts),
-        right=np.concatenate(rights),
         leaf_value=np.concatenate(values),
         roots=np.array(roots, dtype=np.int64),
     )
+
+
+def _chunk_rows(n_trees: int) -> int:
+    return max(1, min(_CHUNK_ROW_CAP, _PAIR_BLOCK // max(1, n_trees)))
 
 
 def forest_apply(
@@ -116,35 +141,39 @@ def forest_apply(
 ) -> np.ndarray:
     """Leaf node (arena index) reached by every (row, tree) pair.
 
-    Returns an ``(n_rows, n_trees)`` int64 array. All pairs descend
-    together: one gather per level moves every active pair one step, so
-    scoring a 100-tree forest costs ``max_depth`` Python iterations
-    instead of ``100 * depth``. Rows are processed in chunks of
-    ``chunk_rows`` to bound the working set.
+    Returns an ``(n_rows, n_trees)`` int64 array. Every pair of a chunk
+    takes one step per level — a pair at a leaf steps onto itself — until
+    the first level where no pair sits at an internal node, so scoring a
+    100-tree forest costs ``max_depth`` Python iterations instead of
+    ``100 * depth``. Rows are processed in chunks of ``chunk_rows`` to
+    bound the working set.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    n, d = X.shape
     n_trees = flat.n_trees
     if chunk_rows is None:
-        chunk_rows = max(1, min(_CHUNK_ROW_CAP, _PAIR_BLOCK // max(1, n_trees)))
+        chunk_rows = _chunk_rows(n_trees)
     out = np.empty((n, n_trees), dtype=np.int64)
-    feature, threshold = flat.feature, flat.threshold
-    left, right = flat.left, flat.right
+    feature, threshold, left = flat.feature, flat.threshold, flat.left
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
-        Xb = X[start:stop]
         nb = stop - start
-        # Pair state, flattened row-major: pair p = (row p // T, tree p % T).
+        # Row-major flat copy of the chunk (a view when X is C-ordered):
+        # pair p = (row p // T, tree p % T) reads x at row_base[p] + f.
+        Xflat = X[start:stop].reshape(-1)
+        row_base = np.repeat(np.arange(0, nb * d, d), n_trees)
         node = np.tile(flat.roots, nb)
-        row = np.repeat(np.arange(nb), n_trees)
-        active = np.nonzero(feature[node] >= 0)[0]
-        while active.size:
-            nodes = node[active]
-            f = feature[nodes]
-            go_left = Xb[row[active], f] <= threshold[nodes]
-            nxt = np.where(go_left, left[nodes], right[nodes])
-            node[active] = nxt
-            active = active[feature[nxt] >= 0]
+        while True:
+            f = feature[node]
+            internal = f >= 0
+            if not internal.any():
+                break
+            # A leaf's negative feature reads some in-range x (clipped);
+            # the ``internal`` mask discards that comparison.
+            x = Xflat.take(row_base + f, mode="clip")
+            # NaN compares False, so it goes right, as in the per-tree walk.
+            go_right = ~(x <= threshold[node]) & internal
+            node = left[node] + go_right
         out[start:stop] = node.reshape(nb, n_trees)
     return out
 
@@ -171,7 +200,7 @@ def forest_value_sum(
     n = X.shape[0]
     n_trees = flat.n_trees
     if chunk_rows is None:
-        chunk_rows = max(1, min(_CHUNK_ROW_CAP, _PAIR_BLOCK // max(1, n_trees)))
+        chunk_rows = _chunk_rows(n_trees)
     out = np.full(n, init, dtype=np.float64)
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import FlatForest, RankedSplitSearch, forest_apply, rank_table
+from repro.kernels import RankedSplitSearch, flatten_forest, forest_apply, rank_table
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_is_fitted, column_or_1d
 
@@ -226,15 +226,18 @@ class DecisionTreeRegressor:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
-        # A one-root forest over the tree's own arrays: no copy, and the
-        # same traversal every forest scores with.
-        flat = FlatForest(
-            feature=self.feature_,
-            threshold=self.threshold_,
-            left=self.children_left_,
-            right=self.children_right_,
-            leaf_value=self.value_,
-            roots=np.zeros(1, dtype=np.int64),
+        # A one-root forest: the same arena and traversal every forest
+        # scores with.
+        flat = flatten_forest(
+            [
+                (
+                    self.feature_,
+                    self.threshold_,
+                    self.children_left_,
+                    self.children_right_,
+                    self.value_,
+                )
+            ]
         )
         return forest_apply(flat, X)[:, 0]
 

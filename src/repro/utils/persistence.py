@@ -49,8 +49,9 @@ __all__ = [
 _ENSEMBLE_MAGIC = "repro-ensemble"
 # Bump whenever the persisted SUOD attribute layout or the container
 # format changes shape. v1 = plain pickle payload; v2 = arena container;
-# v3 = every forest is its flat arena (no per-tree objects).
-ENSEMBLE_SCHEMA_VERSION = 3
+# v3 = every forest is its flat arena (no per-tree objects); v4 = the
+# arena drops ``right`` (it is ``left + 1``) and leaves point at themselves.
+ENSEMBLE_SCHEMA_VERSION = 4
 # Container preamble: 8 magic bytes + uint64-LE header-pickle length.
 _V2_MAGIC = b"RPRENSB2"
 _V2_PREAMBLE = struct.Struct("<8sQ")

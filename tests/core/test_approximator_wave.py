@@ -35,7 +35,7 @@ SHM_DIR = "/dev/shm"
 needs_shm_fs = pytest.mark.skipif(
     not os.path.isdir(SHM_DIR), reason="no /dev/shm on this platform"
 )
-ARENA_ARRAYS = ("feature", "threshold", "left", "right", "leaf_value", "roots")
+ARENA_ARRAYS = ("feature", "threshold", "left", "leaf_value", "roots")
 
 BACKENDS = ("sequential", "threads", "shm_processes")
 #: Backends whose workers are separate interpreters: the wave spreads

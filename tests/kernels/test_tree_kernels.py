@@ -3,7 +3,10 @@
 Every oracle here is fed per-tree arrays from a separate builder run —
 an isolation-forest twin's ``_grow_trees``, a random-forest twin's
 ``fit_block`` or the frozen ``cart_fit_loop`` — never arrays cut back
-out of the fitted ``forest_`` arena.
+out of the fitted ``forest_`` arena. The fixed-stride descent is pinned
+against the frozen level-synchronous kernel
+(``reference.forest_apply_levelsync``) run on the pre-descent arena of
+those arrays: ``left`` and ``right``, ``-1`` at leaves.
 """
 
 import dataclasses
@@ -15,12 +18,14 @@ import pytest
 
 import repro.detectors.iforest as iforest_mod
 import repro.supervised.forest as forest_mod
+import repro.supervised.gbm as gbm_mod
 from repro.detectors.iforest import IsolationForest
 from repro.kernels import FlatForest, flatten_forest, forest_apply
 from repro.kernels.reference import (
     _cart_apply,
     _tree_path_length,
     cart_fit_loop,
+    forest_apply_levelsync,
     forest_predict_loop,
     gbm_predict_loop,
     iforest_score_loop,
@@ -69,6 +74,63 @@ def _gbm_oracle_stages(gbm, X, y):
     return stages
 
 
+def levelsync_arena(tree_arrays):
+    """The pre-descent arena of per-tree ``(feature, threshold, left,
+    right, value)`` arrays: children shifted, ``-1`` leaf sentinels."""
+    sizes = [len(arrays[0]) for arrays in tree_arrays]
+    offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+
+    def joined(i, shift):
+        parts = []
+        for arrays, offset in zip(tree_arrays, offsets):
+            a = np.asarray(arrays[i])
+            parts.append(np.where(a >= 0, a + offset, a) if shift else a)
+        return np.concatenate(parts)
+
+    return SimpleNamespace(
+        feature=joined(0, False),
+        threshold=joined(1, False),
+        left=joined(2, True),
+        right=joined(3, True),
+        roots=offsets,
+        n_trees=len(sizes),
+    )
+
+
+def assert_descent_matches_levelsync(tree_arrays, X, chunks=(None,)):
+    flat = flatten_forest(tree_arrays)
+    expected = forest_apply_levelsync(levelsync_arena(tree_arrays), X)
+    for chunk in chunks:
+        got = forest_apply(flat, X, chunk_rows=chunk)
+        assert got.dtype == np.int64
+        assert got.shape == (np.asarray(X).shape[0], len(tree_arrays))
+        np.testing.assert_array_equal(got, expected)
+    return expected
+
+
+def assert_arena_invariant(flat: FlatForest):
+    """Leaves point at themselves; every internal node's children are
+    ``left`` and ``left + 1`` inside its own tree, and every node but a
+    root is exactly one node's child."""
+    ends = np.append(flat.roots[1:], flat.feature.size)
+    nodes = np.arange(flat.feature.size)
+    internal = flat.feature >= 0
+    np.testing.assert_array_equal(flat.left[~internal], nodes[~internal])
+    tree_end = ends[np.searchsorted(flat.roots, nodes, side="right") - 1]
+    lefts = flat.left[internal]
+    assert (lefts > nodes[internal]).all()
+    assert (lefts + 1 < tree_end[internal]).all()
+    children = np.sort(np.concatenate([lefts, lefts + 1]))
+    np.testing.assert_array_equal(children, np.setdiff1d(nodes, flat.roots))
+
+
+def assert_adjacent_siblings(feature, left, right):
+    """A builder's own arrays: right child = left + 1, -1 at leaves."""
+    internal = np.asarray(feature) >= 0
+    np.testing.assert_array_equal(right[internal], left[internal] + 1)
+    assert (left[~internal] == -1).all() and (right[~internal] == -1).all()
+
+
 def assert_same_arena(a: FlatForest, b: FlatForest):
     for field in dataclasses.fields(FlatForest):
         x, y = getattr(a, field.name), getattr(b, field.name)
@@ -97,9 +159,28 @@ class TestFlattenForest:
         sizes = [t.feature.size for t in trees]
         np.testing.assert_array_equal(flat.roots, np.cumsum([0] + sizes[:-1]))
         assert flat.feature.size == sum(sizes)
-        # Leaf sentinels survive the offset shift untouched.
-        assert (flat.left[flat.feature < 0] == -1).all()
-        assert (flat.right[flat.feature < 0] == -1).all()
+        # A leaf's left points at itself (the builder's -1 sentinel is
+        # not kept), and right is gone: it is left + 1.
+        leaves = np.nonzero(flat.feature < 0)[0]
+        np.testing.assert_array_equal(flat.left[leaves], leaves)
+        assert not hasattr(flat, "right")
+
+    def test_non_adjacent_siblings_rejected(self):
+        # Root 0 splits into 2 (left) and 1 (right): a valid tree, but
+        # its right child is not left + 1.
+        tree = (
+            np.array([0, -1, -1]),
+            np.array([0.5, np.nan, np.nan]),
+            np.array([2, -1, -1]),
+            np.array([1, -1, -1]),
+            np.array([0.0, 1.0, 2.0]),
+        )
+        with pytest.raises(ValueError, match="left \\+ 1"):
+            flatten_forest([tree])
+        ok = (tree[0], tree[1], np.array([1, -1, -1]), np.array([2, -1, -1]), tree[4])
+        # The same tree with adjacent siblings, twice: leaves self-loop
+        # in arena coordinates.
+        np.testing.assert_array_equal(flatten_forest([ok, ok]).left, [1, 1, 2, 4, 4, 5])
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError, match="at least one tree"):
@@ -147,12 +228,171 @@ class TestForestApply:
         X, y = regression_data
         Q = rng.standard_normal((3000, 6))
         tree = DecisionTreeRegressor(max_depth=6, random_state=0).fit(X, y)
-        # apply() is a one-root forest over the tree's own arrays; pin it
+        # apply() flattens the tree into a one-root forest; pin it
         # against the frozen level loop, across several row chunks.
         np.testing.assert_array_equal(tree.apply(Q), _cart_apply(tree, Q))
         np.testing.assert_array_equal(
             tree.predict(X), tree.value_[_cart_apply(tree, X)]
         )
+
+
+class TestArenaInvariant:
+    """Every builder creates siblings together, so each arena is its own
+    traversal table."""
+
+    def test_isolation_forest(self, regression_data):
+        X, _ = regression_data
+        det = IsolationForest(n_estimators=15, max_samples=128, random_state=8)
+        for tree in det._grow_trees(X):
+            assert_adjacent_siblings(tree.feature, tree.left, tree.right)
+        assert_arena_invariant(det.fit(X).forest_)
+
+    def test_random_forest_blocks(self, regression_data):
+        X, y = regression_data
+        proto = RandomForestRegressor(n_estimators=6, random_state=9)
+        for tree in proto.fit_block(X, y, proto.tree_seeds()):
+            assert_adjacent_siblings(
+                tree.feature_, tree.children_left_, tree.children_right_
+            )
+        forest = RandomForestRegressor(n_estimators=6, random_state=9).fit(X, y)
+        assert_arena_invariant(forest.forest_)
+
+    def test_gbm_stages(self, regression_data, monkeypatch):
+        X, y = regression_data
+        stages = []
+
+        def capture(trees):
+            stages.extend(trees)
+            return forest_mod._flat_cart_forest(trees)
+
+        monkeypatch.setattr(gbm_mod, "_flat_cart_forest", capture)
+        gbm = GradientBoostingRegressor(n_estimators=12, random_state=10).fit(X, y)
+        assert len(stages) == 12
+        for tree in stages:
+            assert_adjacent_siblings(
+                tree.feature_, tree.children_left_, tree.children_right_
+            )
+        assert_arena_invariant(gbm.forest_)
+
+    def test_decision_tree(self, regression_data):
+        X, y = regression_data
+        for params in ({"max_depth": None}, {"max_depth": 0}, {"min_samples_leaf": 9}):
+            tree = DecisionTreeRegressor(random_state=0, **params).fit(X, y)
+            assert_adjacent_siblings(
+                tree.feature_, tree.children_left_, tree.children_right_
+            )
+            assert_arena_invariant(flatten_forest(_cart_arrays([tree])))
+
+
+class TestFixedStrideDescent:
+    """Edge cases of the descent, bitwise against the frozen
+    level-synchronous kernel on the same builders' trees."""
+
+    CHUNKS = (None, 1, 2, 5, 64, 1000)
+
+    @pytest.fixture(scope="class")
+    def mixed_trees(self, regression_data):
+        """Deep CART trees, a root-is-leaf tree (constant target) and
+        isolation trees of unequal depth, in one forest."""
+        X, y = regression_data
+        deep = DecisionTreeRegressor(random_state=0).fit(X, y)
+        stump = DecisionTreeRegressor(max_depth=1, random_state=0).fit(X, y)
+        const = DecisionTreeRegressor(random_state=0).fit(X, np.full(y.size, 2.5))
+        assert const.n_nodes_ == 1
+        itrees = IsolationForest(n_estimators=4, max_samples=64, random_state=3)
+        return (
+            _cart_arrays([deep, const, stump])
+            + _itree_arrays(itrees._grow_trees(X))
+            + _cart_arrays([const])
+        )
+
+    def test_mixed_depths_and_root_leaves(self, mixed_trees, rng):
+        Q = rng.standard_normal((97, 6))
+        leaves = assert_descent_matches_levelsync(mixed_trees, Q, self.CHUNKS)
+        flat = flatten_forest(mixed_trees)
+        # Both constant trees land every row on their root.
+        assert (leaves[:, 1] == flat.roots[1]).all()
+        assert (leaves[:, -1] == flat.roots[-1]).all()
+
+    def test_nan_inf_and_signed_zero(self, mixed_trees, rng):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324])
+        Q = rng.standard_normal((300, 6))
+        mask = rng.random(Q.shape) < 0.4
+        Q[mask] = rng.choice(special, size=int(mask.sum()))
+        assert_descent_matches_levelsync(mixed_trees, Q, self.CHUNKS)
+
+    def test_signed_zero_against_a_zero_threshold(self):
+        # Root: x0 <= 0.0 ? node 1 : node 2; node 1: x1 <= -inf ? 3 : 4.
+        tree = (
+            np.array([0, 1, -2, -2, -2]),
+            np.array([0.0, -np.inf, np.nan, np.nan, np.nan]),
+            np.array([1, 3, -1, -1, -1]),
+            np.array([2, 4, -1, -1, -1]),
+            np.arange(5.0),
+        )
+        Q = np.array(
+            [
+                [-0.0, 0.0],  # -0.0 <= 0.0 goes left; 0.0 > -inf goes right
+                [0.0, -np.inf],  # equal goes left twice
+                [np.nan, 0.0],  # NaN goes right
+                [5e-324, 0.0],  # the smallest positive double goes right
+                [-np.inf, np.nan],  # left, then NaN right
+                [np.inf, np.inf],
+            ]
+        )
+        leaves = assert_descent_matches_levelsync([tree], Q, self.CHUNKS)
+        np.testing.assert_array_equal(leaves[:, 0], [4, 3, 2, 2, 4, 2])
+
+    def test_x_equal_to_a_threshold(self, mixed_trees, rng):
+        flat = flatten_forest(mixed_trees)
+        internal = np.nonzero(flat.feature >= 0)[0]
+        Q = rng.standard_normal((internal.size, 6))
+        # Row i sits exactly on internal node i's threshold ...
+        Q[np.arange(internal.size), flat.feature[internal]] = flat.threshold[internal]
+        # ... and in these rows every column is some node's threshold.
+        on_cuts = np.column_stack(
+            [
+                rng.choice(flat.threshold[internal[flat.feature[internal] == j]], 80)
+                for j in range(6)
+            ]
+        )
+        assert_descent_matches_levelsync(mixed_trees, Q, self.CHUNKS)
+        assert_descent_matches_levelsync(mixed_trees, on_cuts, self.CHUNKS)
+
+    def test_zero_rows(self, mixed_trees):
+        leaves = assert_descent_matches_levelsync(
+            mixed_trees, np.empty((0, 6)), self.CHUNKS
+        )
+        assert leaves.shape == (0, len(mixed_trees))
+
+    def test_one_by_one_input_over_unequal_depths(self, rng):
+        # A leaf's negative feature must not index outside a 1-element X.
+        X = rng.standard_normal((200, 1))
+        y = np.sin(4.0 * X[:, 0])
+        carts = [
+            DecisionTreeRegressor(random_state=0).fit(X, y),
+            DecisionTreeRegressor(max_depth=2, random_state=0).fit(X, y),
+            DecisionTreeRegressor(random_state=0).fit(X, np.zeros(200)),
+        ]
+        itrees = IsolationForest(n_estimators=3, random_state=1)._grow_trees(X)
+        trees = _cart_arrays(carts) + _itree_arrays(itrees)
+        for value in (-3.0, 0.1, 3.0, np.nan, -np.inf):
+            assert_descent_matches_levelsync(trees, np.array([[value]]), self.CHUNKS)
+
+    def test_column_sliced_and_fortran_input(self, mixed_trees, rng):
+        wide = rng.standard_normal((150, 14))
+        views = (
+            wide[:, 3:9],
+            wide[:, ::2][:, :6],
+            np.asfortranarray(wide[:, :6]),
+            wide[::-3, 8:],
+        )
+        flat = flatten_forest(mixed_trees)
+        for Q in views:
+            expected = assert_descent_matches_levelsync(mixed_trees, Q, self.CHUNKS)
+            np.testing.assert_array_equal(
+                forest_apply(flat, np.ascontiguousarray(Q)), expected
+            )
 
 
 class TestIsolationForestScoring:

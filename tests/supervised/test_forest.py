@@ -93,7 +93,7 @@ class TestRandomForest:
 class TestBlockFit:
     """fit_block/assemble_blocks rebuild the forest ``fit`` grows, bitwise."""
 
-    ARRAYS = ("feature", "threshold", "left", "right", "leaf_value", "roots")
+    ARRAYS = ("feature", "threshold", "left", "leaf_value", "roots")
 
     def assert_same_forest(self, a, b, X):
         for name in self.ARRAYS:

@@ -168,6 +168,16 @@ class TestEnsemblePersistence:
             with pytest.raises(ValueError, match="schema version"):
                 load_ensemble(p)
 
+    def test_schema_3_artifact_asks_for_a_resave(self, tmp_path, tiny_X):
+        # Schema 3 arenas carried ``right`` and -1 leaf sentinels; the
+        # descent cannot read them, so the file must be re-saved.
+        p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
+        self._repack_v2(p, lambda h: h.__setitem__("schema_version", 3))
+        with pytest.raises(
+            ValueError, match="schema version 3; .* exactly version 4. Re-save"
+        ):
+            load_ensemble(p)
+
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "foreign.pkl"
         with open(p, "wb") as fh:

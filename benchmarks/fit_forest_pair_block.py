@@ -1,4 +1,4 @@
-"""Re-derive the forest traversal's chunk constants from timings.
+"""Time the forest traversal's pair block on the perfbench pools.
 
 ``repro.kernels.trees.forest_apply`` descends a chunk of rows through
 every tree at once, ``chunk_rows = min(_CHUNK_ROW_CAP, _PAIR_BLOCK //
@@ -7,17 +7,15 @@ their workload shape (``perfbench/workloads.py``, sample seed 0, one
 worker), collects every forest each pool scores with — detector forests
 and PSA approximator forests, each with the space it reads — and times
 one scoring request of the workload's size (``request_rows``) through
-``forest_value_sum`` for pair blocks ``2^11 ... 2^17``. It picks the
-block with the smallest mean regret over the workloads that have
-forests (time at the block over the workload's best time, minus one;
-among equal means, the smaller block), then times a one-tree arena (a
-CART tree of one of the hetero pool's approximator forests: the
-``DecisionTreeRegressor.apply`` shape, the only one the row cap binds
-on) over row caps ``2^8 ... 2^13`` on the hetero request and picks the
-cap the same way. A request that is one chunk per forest at every
-block of the grid (the one-row serving request) runs the same code at
-every block, so it is listed but not timed; the neighbour pool has no
-forest and is listed only to say so.
+``forest_value_sum`` for pair blocks ``2^11 ... 2^17``. It prints each
+workload's table and picks the block with the smallest mean regret over
+the workloads that have forests (time at the block over the workload's
+best time, minus one; among equal means, the smaller block). On a
+shared box that pick is noise-bound; read the per-workload rows too (the
+committed block is the hetero request's fastest). A request that is one
+chunk per forest at every block of the grid (the one-row serving
+request) runs the same code at every block, so it is listed but not
+timed; the neighbour pool has no forest and is listed only to say so.
 
 Not a pytest benchmark (it asserts nothing: timings are host-specific);
 run it from the repository root on a quiet box with one BLAS thread::
@@ -41,7 +39,6 @@ from repro.kernels import forest_value_sum
 from repro.kernels import trees as kt
 
 BLOCKS = tuple(1 << e for e in range(11, 18))
-ROW_CAPS = tuple(1 << e for e in range(8, 14))
 
 
 def pool_forests(workload, quick: bool):
@@ -86,46 +83,45 @@ def best_time(pairs, repeats: int) -> float:
     return best
 
 
-def sweep(name: str, values, pairs_by_workload, repeats: int) -> dict:
-    """Seconds per (workload, value) with ``kt.<name>`` set to each
-    value; values interleave inside each repeat round."""
-    committed = getattr(kt, name)
-    times = {w: {v: np.inf for v in values} for w in pairs_by_workload}
+def sweep(pairs_by_workload, repeats: int) -> dict:
+    """Seconds per (workload, block) with ``kt._PAIR_BLOCK`` set to each
+    block; blocks interleave inside each repeat round."""
+    committed = kt._PAIR_BLOCK
+    times = {w: {b: np.inf for b in BLOCKS} for w in pairs_by_workload}
     try:
         for _ in range(repeats):
             for w, pairs in pairs_by_workload.items():
-                for v in values:
-                    setattr(kt, name, v)
-                    times[w][v] = min(times[w][v], best_time(pairs, 1))
+                for b in BLOCKS:
+                    kt._PAIR_BLOCK = b
+                    times[w][b] = min(times[w][b], best_time(pairs, 1))
     finally:
-        setattr(kt, name, committed)
+        kt._PAIR_BLOCK = committed
     return times
 
 
-def pick(times: dict, values) -> tuple[int, dict]:
-    """The value with the smallest mean regret over workloads."""
+def pick(times: dict) -> tuple[int, dict]:
+    """The block with the smallest mean regret over workloads."""
     regret = {
-        v: float(np.mean([t[v] / min(t.values()) - 1.0 for t in times.values()]))
-        for v in values
+        b: float(np.mean([t[b] / min(t.values()) - 1.0 for t in times.values()]))
+        for b in BLOCKS
     }
     low = min(regret.values())
-    return min(v for v in values if regret[v] <= low + 1e-12), regret
+    return min(b for b in BLOCKS if regret[b] <= low + 1e-12), regret
 
 
-def report(title: str, name: str, times: dict, values) -> int:
-    chosen, regret = pick(times, values)
-    print(f"{title}: ms per request (* = picked, c = committed)")
-    print(f"{'':24}" + "".join(f"{v:>9}" for v in values))
+def report(times: dict) -> int:
+    chosen, regret = pick(times)
+    print("pair block: ms per request (* = picked, c = committed)")
+    print(f"{'':24}" + "".join(f"{b:>9}" for b in BLOCKS))
     for w, t in times.items():
-        print(f"{w:<24}" + "".join(f"{1e3 * t[v]:>9.2f}" for v in values))
-    committed = getattr(kt, name)
+        print(f"{w:<24}" + "".join(f"{1e3 * t[b]:>9.2f}" for b in BLOCKS))
     marks = "".join(
-        f"{100 * regret[v]:>7.1f}%"
-        + ("*" if v == chosen else "c" if v == committed else " ")
-        for v in values
+        f"{100 * regret[b]:>7.1f}%"
+        + ("*" if b == chosen else "c" if b == kt._PAIR_BLOCK else " ")
+        for b in BLOCKS
     )
     print(f"{'mean regret':<24}" + marks)
-    print(f"{name} = {chosen} (committed {committed})\n")
+    print(f"_PAIR_BLOCK = {chosen} (committed {kt._PAIR_BLOCK})")
     return chosen
 
 
@@ -150,41 +146,13 @@ def main(argv=None) -> int:
             print("  one chunk per forest at every block: not timed")
     print()
 
-    blocks = sweep("_PAIR_BLOCK", BLOCKS, pools, repeats)
-    block = report("pair block", "_PAIR_BLOCK", blocks, BLOCKS)
-
-    # Tree 0 of the hetero pool's last approximator forest is an arena
-    # of its own (offset 0, leaves already self-looping).
-    flat, rows = pools["hetero_highdim_fit"][-1]
-    stop = flat.roots[1] if flat.n_trees > 1 else flat.feature.size
-    one_tree = kt.FlatForest(
-        feature=flat.feature[:stop],
-        threshold=flat.threshold[:stop],
-        left=flat.left[:stop],
-        leaf_value=flat.leaf_value[:stop],
-        roots=flat.roots[:1],
-    )
-    committed = kt._PAIR_BLOCK
-    kt._PAIR_BLOCK = block
-    try:
-        one = {"one tree": [(one_tree, rows)]}
-        caps = sweep("_CHUNK_ROW_CAP", ROW_CAPS, one, repeats)
-    finally:
-        kt._PAIR_BLOCK = committed
-    title = f"row cap (one tree, {rows.shape[0]} rows)"
-    cap = report(title, "_CHUNK_ROW_CAP", caps, ROW_CAPS)
+    blocks = sweep(pools, repeats)
+    block = report(blocks)
 
     if args.json:
-        def table(times):
-            return {w: {str(v): t for v, t in ts.items()} for w, ts in times.items()}
-
-        picked = {"_PAIR_BLOCK": block, "_CHUNK_ROW_CAP": cap}
+        table = {w: {str(v): t for v, t in ts.items()} for w, ts in blocks.items()}
         with open(args.json, "w") as fh:
-            json.dump(
-                {"pair_block": table(blocks), "row_cap": table(caps), "picked": picked},
-                fh,
-                indent=1,
-            )
+            json.dump({"pair_block": table, "picked": block}, fh, indent=1)
     return 0
 
 

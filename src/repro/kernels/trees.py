@@ -34,7 +34,7 @@ Where the time goes: on the hetero pool's 1500-row scoring request, the
 nine PSA approximator forests (50 trees, depth 12) and two isolation
 forests are most of the call; perfbench's ``kernels.forest_score_rows_per_s``
 and ``supervised.rf_predict_rows_per_s`` time the kernel, and
-``benchmarks/fit_forest_pair_block.py`` re-derives its chunk constants.
+``benchmarks/fit_forest_pair_block.py`` times its pair block.
 """
 
 from __future__ import annotations
@@ -52,12 +52,19 @@ __all__ = [
 
 # Target number of simultaneous (row, tree) pairs per chunk: it bounds
 # the descent's per-level arrays (a handful of 8-byte values a pair) to
-# L2-cache scale whatever the forest size. Re-derived on the perfbench pools'
-# forests at their request sizes by benchmarks/fit_forest_pair_block.py.
+# L2-cache scale whatever the forest size. Chosen on the hetero pool's
+# 1500-row request, the one forests dominate: with
+# benchmarks/fit_forest_pair_block.py on a shared 2-vCPU box, 1 << 14 was
+# its fastest block in 5 of 8 sweeps and in a 40-repeat sweep. The
+# script's all-workload pick is noise-bound there (1 << 13 to 1 << 17 in
+# different runs), and serve_bulk_closed's 256-row request runs ~5 %
+# faster at 1 << 15 or above (one chunk instead of two).
 _PAIR_BLOCK = 1 << 14
-# Row cap per chunk; it binds only on forests of a few trees (a one-tree
-# arena is DecisionTreeRegressor.apply). Re-derived by the same script.
-_CHUNK_ROW_CAP = 4096
+# Row cap per chunk, kept from the level-synchronous kernel. Beside
+# _PAIR_BLOCK it binds only on forests of fewer than 16 trees: the
+# one-tree arena of DecisionTreeRegressor.apply, which GBM stage fitting
+# and random-forest OOB scoring call. No benchmark times that traffic.
+_CHUNK_ROW_CAP = 1024
 
 
 @dataclass
@@ -69,7 +76,8 @@ class FlatForest:
     traversal never needs to know which tree a node came from. The arena
     is its own traversal table: an internal node's right child is
     ``left + 1`` (there is no ``right`` array), and a leaf's ``left``
-    points at the leaf itself.
+    points at the leaf itself. ``min_columns`` is the largest split
+    feature plus one: the width an ``X`` must have to be scored.
     """
 
     feature: np.ndarray
@@ -77,6 +85,7 @@ class FlatForest:
     left: np.ndarray
     leaf_value: np.ndarray
     roots: np.ndarray
+    min_columns: int
 
     @property
     def n_trees(self) -> int:
@@ -123,17 +132,55 @@ def flatten_forest(trees) -> FlatForest:
         offset += feature.size
     if not features:
         raise ValueError("flatten_forest needs at least one tree")
+    feature = np.concatenate(features)
     return FlatForest(
-        feature=np.concatenate(features),
+        feature=feature,
         threshold=np.concatenate(thresholds),
         left=np.concatenate(lefts),
         leaf_value=np.concatenate(values),
         roots=np.array(roots, dtype=np.int64),
+        min_columns=max(int(feature.max()) + 1, 0),
     )
 
 
 def _chunk_rows(n_trees: int) -> int:
     return max(1, min(_CHUNK_ROW_CAP, _PAIR_BLOCK // max(1, n_trees)))
+
+
+def _checked_rows(flat: FlatForest, X) -> np.ndarray:
+    """``X`` as float64, rejected when narrower than the forest's splits
+    (the descent's clipped gather would read a neighbouring row)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] < flat.min_columns:
+        raise ValueError(
+            f"X has {X.shape[1]} columns, but the forest splits on "
+            f"feature {flat.min_columns - 1}"
+        )
+    return X
+
+
+def _descend(flat: FlatForest, X: np.ndarray) -> np.ndarray:
+    """Leaves of one chunk of rows, ``(rows, n_trees)``."""
+    nb, d = X.shape
+    n_trees = flat.n_trees
+    feature, threshold, left = flat.feature, flat.threshold, flat.left
+    # Row-major flat copy of the chunk (a view when X is C-ordered):
+    # pair p = (row p // T, tree p % T) reads x at row_base[p] + f.
+    Xflat = X.reshape(-1)
+    row_base = np.repeat(np.arange(nb) * d, n_trees)
+    node = np.tile(flat.roots, nb)
+    while True:
+        f = feature[node]
+        internal = f >= 0
+        if not internal.any():
+            break
+        # A leaf's negative feature reads some in-range x (clipped);
+        # the ``internal`` mask discards that comparison.
+        x = Xflat.take(row_base + f, mode="clip")
+        # NaN compares False, so it goes right, as in the per-tree walk.
+        go_right = ~(x <= threshold[node]) & internal
+        node = left[node] + go_right
+    return node.reshape(nb, n_trees)
 
 
 def forest_apply(
@@ -146,35 +193,17 @@ def forest_apply(
     the first level where no pair sits at an internal node, so scoring a
     100-tree forest costs ``max_depth`` Python iterations instead of
     ``100 * depth``. Rows are processed in chunks of ``chunk_rows`` to
-    bound the working set.
+    bound the working set. Raises ``ValueError`` when ``X`` has fewer
+    columns than the forest splits on.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    n_trees = flat.n_trees
+    X = _checked_rows(flat, X)
+    n = X.shape[0]
     if chunk_rows is None:
-        chunk_rows = _chunk_rows(n_trees)
-    out = np.empty((n, n_trees), dtype=np.int64)
-    feature, threshold, left = flat.feature, flat.threshold, flat.left
+        chunk_rows = _chunk_rows(flat.n_trees)
+    out = np.empty((n, flat.n_trees), dtype=np.int64)
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
-        nb = stop - start
-        # Row-major flat copy of the chunk (a view when X is C-ordered):
-        # pair p = (row p // T, tree p % T) reads x at row_base[p] + f.
-        Xflat = X[start:stop].reshape(-1)
-        row_base = np.repeat(np.arange(0, nb * d, d), n_trees)
-        node = np.tile(flat.roots, nb)
-        while True:
-            f = feature[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            # A leaf's negative feature reads some in-range x (clipped);
-            # the ``internal`` mask discards that comparison.
-            x = Xflat.take(row_base + f, mode="clip")
-            # NaN compares False, so it goes right, as in the per-tree walk.
-            go_right = ~(x <= threshold[node]) & internal
-            node = left[node] + go_right
-        out[start:stop] = node.reshape(nb, n_trees)
+        out[start:stop] = _descend(flat, X[start:stop])
     return out
 
 
@@ -196,7 +225,7 @@ def forest_value_sum(
     at ``O(chunk_rows * n_trees)`` instead of materialising the full
     ``(n_rows, n_trees)`` leaf matrix.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _checked_rows(flat, X)
     n = X.shape[0]
     n_trees = flat.n_trees
     if chunk_rows is None:
@@ -204,7 +233,7 @@ def forest_value_sum(
     out = np.full(n, init, dtype=np.float64)
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
-        values = flat.leaf_value[forest_apply(flat, X[start:stop]).T]
+        values = flat.leaf_value[_descend(flat, X[start:stop]).T]
         seg = out[start:stop]
         for t in range(n_trees):
             seg += values[t] if scale is None else scale * values[t]

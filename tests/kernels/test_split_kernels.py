@@ -53,7 +53,7 @@ def _assert_arena_of(trees, flat):
     )
     for field in dataclasses.fields(FlatForest):
         a, b = getattr(expected, field.name), getattr(flat, field.name)
-        assert a.tobytes() == b.tobytes(), field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def _assert_fit_matches_oracle(X, y, **params):

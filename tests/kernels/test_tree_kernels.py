@@ -20,7 +20,7 @@ import repro.detectors.iforest as iforest_mod
 import repro.supervised.forest as forest_mod
 import repro.supervised.gbm as gbm_mod
 from repro.detectors.iforest import IsolationForest
-from repro.kernels import FlatForest, flatten_forest, forest_apply
+from repro.kernels import FlatForest, flatten_forest, forest_apply, forest_value_sum
 from repro.kernels.reference import (
     _cart_apply,
     _tree_path_length,
@@ -133,7 +133,7 @@ def assert_adjacent_siblings(feature, left, right):
 
 def assert_same_arena(a: FlatForest, b: FlatForest):
     for field in dataclasses.fields(FlatForest):
-        x, y = getattr(a, field.name), getattr(b, field.name)
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
         assert x.dtype == y.dtype, field.name
         # tobytes: NaN leaf thresholds and the sign of zero count too.
         assert x.tobytes() == y.tobytes(), field.name
@@ -378,6 +378,25 @@ class TestFixedStrideDescent:
         trees = _cart_arrays(carts) + _itree_arrays(itrees)
         for value in (-3.0, 0.1, 3.0, np.nan, -np.inf):
             assert_descent_matches_levelsync(trees, np.array([[value]]), self.CHUNKS)
+
+    def test_input_narrower_than_the_splits_rejected(self, mixed_trees, rng):
+        # The clipped gather would read a neighbouring row's cell instead.
+        flat = flatten_forest(mixed_trees)
+        assert flat.min_columns == 6
+        narrow = rng.standard_normal((40, 5))
+        with pytest.raises(ValueError, match="5 columns.*feature 5"):
+            forest_apply(flat, narrow)
+        with pytest.raises(ValueError, match="5 columns"):
+            forest_value_sum(flat, narrow)
+        # Columns beyond the largest split feature are never read.
+        wide = rng.standard_normal((40, 9))
+        np.testing.assert_array_equal(
+            forest_apply(flat, wide), forest_apply(flat, wide[:, :6])
+        )
+        # A forest of root leaves reads no column at all.
+        roots_only = flatten_forest([mixed_trees[1]])
+        assert roots_only.min_columns == 0
+        assert (forest_apply(roots_only, np.empty((3, 0))) == 0).all()
 
     def test_column_sliced_and_fortran_input(self, mixed_trees, rng):
         wide = rng.standard_normal((150, 14))

@@ -18,7 +18,6 @@ where their speed advantage in Table 1 comes from.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import toeplitz as _sp_toeplitz
 
 from repro.projection.base import BaseProjector
 from repro.utils.random import check_random_state
@@ -61,7 +60,12 @@ def _draw_matrix(family: str, d: int, k: int, rng: np.random.Generator) -> np.nd
         col = rng.standard_normal(k)
         row = rng.standard_normal(d)
         row[0] = col[0]
-        return _sp_toeplitz(col, row).T
+        # T[i, j] = vals[k - 1 - i + j]: col down the first column, row
+        # along the first row. The gather is C-ordered (k, d), so W is an
+        # F-ordered (d, k) view: saved artifacts and X @ W's BLAS call
+        # depend on that layout, not just on the values.
+        vals = np.concatenate((col[::-1], row[1:]))
+        return vals[(k - 1) - np.arange(k)[:, None] + np.arange(d)].T
     raise ValueError(f"family must be one of {JL_FAMILIES}, got {family!r}")
 
 

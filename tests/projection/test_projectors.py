@@ -11,7 +11,7 @@ from repro.projection import (
     jl_target_dim,
     make_projector,
 )
-from repro.projection.jl import jl_min_dim
+from repro.projection.jl import _draw_matrix, jl_min_dim
 from repro.utils.validation import NotFittedError
 
 
@@ -64,6 +64,24 @@ class TestJLProjector:
         P = p.W_.T  # (k, d)
         assert P[0, 0] == P[1, 1] == P[2, 2]
         assert P[0, 1] == P[1, 2] == P[2, 3]
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (3, 5), (5, 3), (120, 80)])
+    def test_toeplitz_matches_scipy_bytes_and_strides(self, d, k):
+        # SciPy is the oracle only: the same draws through
+        # scipy.linalg.toeplitz give the same bytes in the same F-ordered
+        # (d, k) layout, so X @ W_ takes the same BLAS path.
+        from scipy.linalg import toeplitz
+
+        W = _draw_matrix("toeplitz", d, k, np.random.default_rng(d * 1000 + k))
+        rng = np.random.default_rng(d * 1000 + k)
+        col = rng.standard_normal(k)
+        row = rng.standard_normal(d)
+        row[0] = col[0]
+        ref = toeplitz(col, row).T
+        assert W.shape == ref.shape == (d, k)
+        assert W.strides == ref.strides
+        assert W.flags.f_contiguous and ref.flags.f_contiguous
+        assert W.tobytes(order="A") == ref.tobytes(order="A")
 
     def test_discrete_entries_pm_one(self, X):
         p = JLProjector(4, family="discrete", random_state=0).fit(X)

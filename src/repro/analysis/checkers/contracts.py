@@ -3,11 +3,6 @@
 Codifies conventions the repo adopted in earlier PRs but until now
 enforced only by review:
 
-``registry-overwrite``
-    ``register_backend(..., overwrite=True)`` (and the scheduler
-    equivalent) silently replaces a built-in; legitimate only in tests,
-    so any occurrence in ``src/`` is flagged.
-
 ``unseeded-random``
     Calls into the legacy ``np.random.*`` global generator (or a
     zero-argument ``np.random.default_rng()``) draw from hidden global
@@ -34,8 +29,6 @@ from repro.analysis.base import FileContext, call_name
 from repro.analysis.findings import Finding, RuleSpec
 
 __all__ = ["ContractsChecker"]
-
-_REGISTER_FNS = frozenset({"register_backend", "register_scheduler"})
 
 # Legacy global-state RNG entry points (np.random.<fn> module calls).
 _GLOBAL_RNG_FNS = frozenset(
@@ -80,15 +73,10 @@ class ContractsChecker:
 
     name = "contracts"
     description = (
-        "repo contracts: no silent registry overwrites, no hidden-global "
-        "randomness or kernel clock reads, no writable memory mappings of "
-        "artifacts"
+        "repo contracts: no hidden-global randomness or kernel clock "
+        "reads, no writable memory mappings of artifacts"
     )
     rules = (
-        RuleSpec(
-            "registry-overwrite",
-            "registry overwrite=True outside tests",
-        ),
         RuleSpec(
             "unseeded-random",
             "hidden-global RNG or kernel wall-clock read",
@@ -104,34 +92,9 @@ class ContractsChecker:
         in_kernels = ctx.in_path(_KERNEL_PATH)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                self._check_overwrite(ctx, node, findings)
                 self._check_random(ctx, node, in_kernels, findings)
                 self._check_memmap(ctx, node, findings)
         return findings
-
-    # -- registry-overwrite --------------------------------------------
-    def _check_overwrite(self, ctx, node: ast.Call, findings: list) -> None:
-        name = call_name(node)
-        if name is None or name.split(".")[-1] not in _REGISTER_FNS:
-            return
-        for kw in node.keywords:
-            if (
-                kw.arg == "overwrite"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-            ):
-                findings.append(
-                    ctx.finding(
-                        self.rules[0],
-                        node,
-                        f"{name}(..., overwrite=True) silently replaces "
-                        "a registered implementation; outside tests this "
-                        "shadows a built-in for every later caller",
-                        hint="register under a new name, or justify with "
-                        "# repro: allow[registry-overwrite] -- why",
-                        checker=self.name,
-                    )
-                )
 
     # -- unseeded-random ------------------------------------------------
     def _check_random(self, ctx, node: ast.Call, in_kernels, findings) -> None:
@@ -147,7 +110,7 @@ class ContractsChecker:
         ):
             findings.append(
                 ctx.finding(
-                    self.rules[1],
+                    self.rules[0],
                     node,
                     f"{name}() draws from the hidden global NumPy RNG: "
                     "results change between runs and across import "
@@ -161,7 +124,7 @@ class ContractsChecker:
         if name.endswith("default_rng") and not node.args and not node.keywords:
             findings.append(
                 ctx.finding(
-                    self.rules[1],
+                    self.rules[0],
                     node,
                     "default_rng() with no seed draws OS entropy: every "
                     "run produces different results",
@@ -173,7 +136,7 @@ class ContractsChecker:
         if in_kernels and name in _CLOCK_FNS:
             findings.append(
                 ctx.finding(
-                    self.rules[1],
+                    self.rules[0],
                     node,
                     f"{name}() inside repro/kernels/: kernel outputs "
                     "must be pure functions of their inputs, never of "
@@ -211,7 +174,7 @@ class ContractsChecker:
             shown = "no mode" if not explicit else f"mode={mode.value!r}"
             findings.append(
                 ctx.finding(
-                    self.rules[2],
+                    self.rules[1],
                     node,
                     f"{name}() with {shown}: the default mapping mode is "
                     "the writable 'r+', so a stray in-place store would "
@@ -234,7 +197,7 @@ class ContractsChecker:
                 ):
                     findings.append(
                         ctx.finding(
-                            self.rules[2],
+                            self.rules[1],
                             node,
                             f"{name}(..., mmap_mode={kw.value.value!r}) "
                             "maps the file writable; artifacts must only "

@@ -2,8 +2,8 @@
 
 The paper evaluates the full system with simple averaging (``Avg``) and
 maximum-of-average (``MOA``) over the standardised base-model scores
-(Table 5). AOM (average-of-maximum) and a weighted average are included
-for completeness.
+(Table 5); these and maximization are SUOD's three combiners. LSCP is
+the paper's future-work dynamic selection over the same pool.
 """
 
 from repro.combination.methods import (
@@ -12,9 +12,7 @@ from repro.combination.methods import (
     mean_over_models,
     average,
     maximization,
-    aom,
     moa,
-    weighted_average,
 )
 from repro.combination.lscp import LSCP
 
@@ -25,7 +23,5 @@ __all__ = [
     "mean_over_models",
     "average",
     "maximization",
-    "aom",
     "moa",
-    "weighted_average",
 ]

@@ -18,9 +18,7 @@ __all__ = [
     "mean_over_models",
     "average",
     "maximization",
-    "aom",
     "moa",
-    "weighted_average",
 ]
 
 
@@ -113,21 +111,6 @@ def _random_buckets(
     return [np.asarray(b) for b in np.array_split(perm, n_buckets)]
 
 
-def aom(
-    scores,
-    n_buckets: int = 5,
-    *,
-    standardise: bool = True,
-    ref=None,
-    random_state=None,
-) -> np.ndarray:
-    """Average-of-Maximum: max within random buckets, then mean across."""
-    S = zscore_standardise(scores, ref=ref) if standardise else _as_matrix(scores)
-    rng = check_random_state(random_state)
-    buckets = _random_buckets(S.shape[0], n_buckets, rng)
-    return np.mean([S[b].max(axis=0) for b in buckets], axis=0)
-
-
 def moa(
     scores,
     n_buckets: int = 5,
@@ -141,19 +124,3 @@ def moa(
     rng = check_random_state(random_state)
     buckets = _random_buckets(S.shape[0], n_buckets, rng)
     return np.max([mean_over_models(S[b]) for b in buckets], axis=0)
-
-
-def weighted_average(
-    scores, weights, *, standardise: bool = True, ref=None
-) -> np.ndarray:
-    """Convex combination with per-model weights (must be non-negative)."""
-    S = zscore_standardise(scores, ref=ref) if standardise else _as_matrix(scores)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (S.shape[0],):
-        raise ValueError(f"weights must be ({S.shape[0]},), got {w.shape}")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total == 0:
-        raise ValueError("weights sum to zero")
-    return (w[:, None] * S).sum(axis=0) / total

@@ -163,14 +163,10 @@ def _fit_block(regressor, X, y, seeds) -> list:
 
 
 def _supports_blocks(regressor) -> bool:
-    """Whether ``regressor`` has the block-fit/assemble pair (and no
-    option, like out-of-bag scoring, that couples its trees)."""
-    return (
-        all(
-            callable(getattr(regressor, name, None))
-            for name in ("tree_seeds", "fit_block", "assemble_blocks")
-        )
-        and not getattr(regressor, "oob_score", False)
+    """Whether ``regressor`` has the block-fit/assemble pair."""
+    return all(
+        callable(getattr(regressor, name, None))
+        for name in ("tree_seeds", "fit_block", "assemble_blocks")
     )
 
 
@@ -192,13 +188,13 @@ class ApproximatorWave(Wave):
 
     Built parent-side from unfitted :class:`Approximator` objects and
     their training spaces. Regressors with the block-fit/assemble pair
-    (:class:`~repro.supervised.RandomForestRegressor` without
-    ``oob_score``) contribute :func:`tree_blocks_per_model` tasks, each
-    fitting a contiguous slice of the forest's pre-drawn tree seeds; any
-    other regressor contributes one whole-model task. Tasks bind a clone
-    of the prototype, the detector's training scores and whatever stands
-    for the space in ``data`` (an array, or a shared-memory handle), so
-    no feature matrix crosses a process boundary on the shm plane.
+    (:class:`~repro.supervised.RandomForestRegressor`) contribute
+    :func:`tree_blocks_per_model` tasks, each fitting a contiguous slice
+    of the forest's pre-drawn tree seeds; any other regressor
+    contributes one whole-model task. Tasks bind a clone of the
+    prototype, the detector's training scores and whatever stands for
+    the space in ``data`` (an array, or a shared-memory handle), so no
+    feature matrix crosses a process boundary on the shm plane.
 
     :meth:`assemble` joins the task results back into
     ``Approximator.regressor_`` in tree order. Every tree depends only on

@@ -62,8 +62,9 @@ __all__ = [
 _PAIR_BLOCK = 1 << 14
 # Row cap per chunk, kept from the level-synchronous kernel. Beside
 # _PAIR_BLOCK it binds only on forests of fewer than 16 trees: the
-# one-tree arena of DecisionTreeRegressor.apply, which GBM stage fitting
-# and random-forest OOB scoring call. No benchmark times that traffic.
+# one-tree arena of DecisionTreeRegressor.predict (through apply), which
+# GBM stage fitting and ablation A4's shallow_tree call. No benchmark
+# times that traffic.
 _CHUNK_ROW_CAP = 1024
 
 

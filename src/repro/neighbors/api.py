@@ -69,14 +69,6 @@ class NearestNeighbors:
         self._tree = KDTree(X, p=minkowski_order(self.metric, self.p))
         return self
 
-    def __setstate__(self, state: dict) -> None:
-        # Indexes pickled without a tree (non-Euclidean ones, and
-        # Euclidean ones fitted on brute force by older versions) get
-        # theirs on load.
-        self.__dict__.update(state)
-        if "_X" in state and state.get("_tree") is None:
-            self._tree = KDTree(self._X, p=minkowski_order(self.metric, self.p))
-
     def kneighbors(
         self, X=None, n_neighbors: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -89,9 +89,6 @@ class KDTree:
         Maximum number of points per leaf of a split tree.
     """
 
-    # Trees pickled before the order existed are Euclidean.
-    p = 2.0
-
     def __init__(self, X: np.ndarray, *, p: float = 2.0, leaf_size: int = 40):
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:

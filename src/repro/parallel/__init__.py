@@ -23,17 +23,17 @@ interface:
 
 Every backend takes a pre-computed ``assignment`` (task -> worker), so
 the scheduling policy (generic vs BPS) stays a separate, testable
-concern.
+concern. The four names below are the whole set: the table is a closed
+literal, not a registry.
 """
+
+import warnings
 
 from repro.parallel.execution import (
     ExecutionResult,
     SequentialBackend,
     ThreadBackend,
     SimulatedClusterBackend,
-    get_backend,
-    get_backend_class,
-    register_backend,
 )
 from repro.parallel.shm import (
     SharedArrayHandle,
@@ -55,5 +55,38 @@ __all__ = [
     "resolve_array",
     "get_backend",
     "get_backend_class",
-    "register_backend",
 ]
+
+_BACKENDS = {
+    "sequential": SequentialBackend,
+    "threads": ThreadBackend,
+    "shm_processes": SharedMemoryProcessBackend,
+    "simulated": SimulatedClusterBackend,
+}
+
+
+def get_backend_class(name: str):
+    """The backend class for ``name`` (without instantiating it)."""
+    if name not in _BACKENDS:
+        raise ValueError(f"Unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
+    return _BACKENDS[name]
+
+
+def get_backend(name: str, n_workers: int = 1):
+    """Instantiate a backend by name.
+
+    ``sequential`` is always single-worker; asking for it with
+    ``n_workers > 1`` warns instead of silently dropping the request.
+    """
+    cls = get_backend_class(name)
+    if name == "sequential":
+        if n_workers != 1:
+            warnings.warn(
+                f"backend 'sequential' always runs one worker; "
+                f"n_workers={n_workers} is ignored (pick 'threads' or "
+                f"'shm_processes' for real parallelism)",
+                UserWarning,
+                stacklevel=2,
+            )
+        return SequentialBackend()
+    return cls(n_workers=n_workers)

@@ -14,7 +14,6 @@ compared on identical machinery (Table 4).
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,9 +25,6 @@ __all__ = [
     "SequentialBackend",
     "ThreadBackend",
     "SimulatedClusterBackend",
-    "get_backend",
-    "get_backend_class",
-    "register_backend",
 ]
 
 
@@ -232,55 +228,3 @@ class SimulatedClusterBackend(_BackendBase):
             worker_times=worker_times,
             task_times=costs,
         )
-
-
-_BACKENDS = {
-    "sequential": SequentialBackend,
-    "threads": ThreadBackend,
-    "simulated": SimulatedClusterBackend,
-}
-
-
-def register_backend(name: str, cls, *, overwrite: bool = False) -> None:
-    """Add a backend class to the :func:`get_backend` registry.
-
-    Used by sibling modules (the shared-memory backend) so the registry
-    stays the single lookup point without circular imports.
-    Re-registering the same class under its existing name is a no-op;
-    replacing a registered name with a *different* class requires
-    ``overwrite=True``, so a built-in cannot be shadowed silently.
-    """
-    existing = _BACKENDS.get(name)
-    if existing is not None and existing is not cls and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered to "
-            f"{existing.__name__}; pass overwrite=True to replace it"
-        )
-    _BACKENDS[name] = cls
-
-
-def get_backend_class(name: str):
-    """The registered class for ``name`` (without instantiating it)."""
-    if name not in _BACKENDS:
-        raise ValueError(f"Unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
-    return _BACKENDS[name]
-
-
-def get_backend(name: str, n_workers: int = 1):
-    """Instantiate a backend by name.
-
-    ``sequential`` is always single-worker; asking for it with
-    ``n_workers > 1`` warns instead of silently dropping the request.
-    """
-    cls = get_backend_class(name)
-    if name == "sequential":
-        if n_workers != 1:
-            warnings.warn(
-                f"backend 'sequential' always runs one worker; "
-                f"n_workers={n_workers} is ignored (pick 'threads' or "
-                f"'shm_processes' for real parallelism)",
-                UserWarning,
-                stacklevel=2,
-            )
-        return SequentialBackend()
-    return cls(n_workers=n_workers)

@@ -20,7 +20,7 @@ parallelises. This module replaces the copies with *references*:
   out read-only views, so repeated tasks over the same array cost one
   ``mmap`` total, not one copy each;
 - :class:`SharedMemoryProcessBackend` — a process backend with a
-  **persistent** worker pool (``shm_processes`` in the registry): the
+  **persistent** worker pool (``shm_processes`` in the backend table): the
   pool survives across execute calls, so plan stages (fit execute,
   predict execute, repeated scoring batches) reuse warm workers and
   their attachment caches instead of re-spawning per call.
@@ -52,7 +52,6 @@ from repro.parallel.execution import (
     _BackendBase,
     ExecutionResult,
     _run_group,
-    register_backend,
 )
 
 __all__ = [
@@ -412,6 +411,3 @@ class SharedMemoryProcessBackend(_BackendBase):
             self.shutdown(wait=False)
         except Exception:  # noqa: BLE001 - interpreter-shutdown ordering
             pass
-
-
-register_backend("shm_processes", SharedMemoryProcessBackend)

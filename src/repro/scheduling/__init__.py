@@ -1,13 +1,13 @@
 """The scheduling subsystem: forecast, assign, execute, measure, refine.
 
-Two protocols and a registry:
+Two protocols and a closed table of named policies:
 
 - **Policies** (:mod:`repro.scheduling.policies`) — the pure functions:
   generic/shuffle splits, discounted cost ranks, LPT and Karmarkar-Karp
   partitioning, the paper's :func:`bps_schedule` (§3.5, Eq. 2).
 - **Schedulers** (:mod:`repro.scheduling.schedulers`) — named, stateful
   policy objects behind the uniform :class:`Scheduler` interface
-  (``assign`` / ``observe``), looked up through the registry
+  (``assign`` / ``observe``), looked up by name
   (:func:`get_scheduler`) exactly like execution backends are. The
   ``adaptive`` policy closes the loop: it starts as BPS on forecasts
   and converges to scheduling on *measured* per-task durations.
@@ -50,7 +50,6 @@ from repro.scheduling.schedulers import (
     AdaptiveScheduler,
 )
 from repro.scheduling.registry import (
-    register_scheduler,
     get_scheduler,
     get_scheduler_class,
     list_schedulers,
@@ -78,7 +77,6 @@ __all__ = [
     "BpsScheduler",
     "BpsKkScheduler",
     "AdaptiveScheduler",
-    "register_scheduler",
     "get_scheduler",
     "get_scheduler_class",
     "list_schedulers",

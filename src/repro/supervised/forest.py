@@ -3,8 +3,7 @@
 This is the paper's default pseudo-supervised approximator (§3.4, Remark
 1: "supervised tree ensembles are recommended ... scalability, robustness
 to overfitting, and interpretability") and the model behind the BPS cost
-predictor (§3.5). Bootstrap sampling plus per-split feature subsampling;
-optional out-of-bag R^2.
+predictor (§3.5). Bootstrap sampling plus per-split feature subsampling.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ def _flat_cart_forest(trees):
 class RandomForestRegressor:
     """Bagging ensemble of :class:`DecisionTreeRegressor`.
 
+    Each tree fits a bootstrap sample: n rows drawn with replacement.
+
     Parameters
     ----------
     n_estimators : int, default 50
@@ -39,10 +40,6 @@ class RandomForestRegressor:
         per sample — the property PSA relies on (§3.4).
     max_features : default 'sqrt'
         Features considered per split.
-    bootstrap : bool, default True
-        Sample n rows with replacement per tree.
-    oob_score : bool, default False
-        Estimate generalisation R^2 from out-of-bag predictions.
     min_samples_split, min_samples_leaf, min_impurity_decrease :
         Forwarded to each tree.
     random_state : seed or Generator.
@@ -53,7 +50,6 @@ class RandomForestRegressor:
         Every tree in one node arena (:mod:`repro.kernels.trees`), in
         tree order; ``predict`` traverses it in one batched pass.
     feature_importances_ : (d,) array, mean of tree importances
-    oob_score_ : float, only when ``oob_score=True``
     """
 
     def __init__(
@@ -62,8 +58,6 @@ class RandomForestRegressor:
         *,
         max_depth: int | None = 12,
         max_features="sqrt",
-        bootstrap: bool = True,
-        oob_score: bool = False,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         min_impurity_decrease: float = 0.0,
@@ -72,8 +66,6 @@ class RandomForestRegressor:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.oob_score = oob_score
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.min_impurity_decrease = min_impurity_decrease
@@ -86,8 +78,6 @@ class RandomForestRegressor:
             raise ValueError("X and y have inconsistent lengths")
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if self.oob_score and not self.bootstrap:
-            raise ValueError("oob_score requires bootstrap=True")
         return X, y
 
     def tree_seeds(self) -> list[int]:
@@ -103,7 +93,7 @@ class RandomForestRegressor:
     def _fit_tree(self, X, y, ranks, seed: int):
         n = X.shape[0]
         tree_rng = np.random.default_rng(seed)
-        idx = tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+        idx = tree_rng.integers(0, n, size=n)
         tree = DecisionTreeRegressor(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
@@ -114,18 +104,17 @@ class RandomForestRegressor:
         )
         # The bootstrap sample is an index into the shared rank table,
         # not a float copy of X.
-        return tree.fit_ranked(X, y, ranks, idx), idx
+        return tree.fit_ranked(X, y, ranks, idx)
 
     def fit_block(self, X, y, seeds) -> list[DecisionTreeRegressor]:
         """Fit the trees of one contiguous slice of :meth:`tree_seeds`.
 
         Leaves ``self`` untouched; :meth:`assemble_blocks` joins the
-        blocks. Out-of-bag scoring couples all trees and is not
-        available block-wise (``fit`` handles it).
+        blocks.
         """
         X, y = self._check_fit(X, y)
         ranks = rank_table(X)
-        return [self._fit_tree(X, y, ranks, seed)[0] for seed in seeds]
+        return [self._fit_tree(X, y, ranks, seed) for seed in seeds]
 
     def assemble_blocks(self, blocks, n_features: int) -> "RandomForestRegressor":
         """Become the forest whose trees are ``blocks`` joined in order.
@@ -145,33 +134,8 @@ class RandomForestRegressor:
 
     def fit(self, X, y) -> "RandomForestRegressor":
         X, y = self._check_fit(X, y)
-        n = X.shape[0]
-        ranks = rank_table(X)
-        trees = []
-        oob_sum = np.zeros(n)
-        oob_cnt = np.zeros(n)
-        for seed in self.tree_seeds():
-            tree, idx = self._fit_tree(X, y, ranks, seed)
-            trees.append(tree)
-            if self.oob_score:
-                mask = np.ones(n, dtype=bool)
-                mask[np.unique(idx)] = False
-                if mask.any():
-                    oob_sum[mask] += tree.predict(X[mask])
-                    oob_cnt[mask] += 1
-        self.assemble_blocks([trees], X.shape[1])
-        if self.oob_score:
-            seen = oob_cnt > 0
-            if not seen.any():
-                raise ValueError("too few trees: no sample was ever out-of-bag")
-            pred = oob_sum[seen] / oob_cnt[seen]
-            ss_res = float(((y[seen] - pred) ** 2).sum())
-            ss_tot = float(((y[seen] - y[seen].mean()) ** 2).sum())
-            self.oob_score_ = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-            self.oob_prediction_ = np.where(
-                seen, oob_sum / np.maximum(oob_cnt, 1), np.nan
-            )
-        return self
+        blocks = [self.fit_block(X, y, self.tree_seeds())]
+        return self.assemble_blocks(blocks, X.shape[1])
 
     def predict(self, X) -> np.ndarray:
         """Mean prediction across trees (batched flat traversal)."""

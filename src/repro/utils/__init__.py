@@ -1,8 +1,9 @@
-"""Shared low-level utilities: validation, RNG handling, distance kernels.
+"""Shared low-level utilities: validation, RNG handling, distance kernels
+and ensemble persistence.
 
 These helpers replace the small slice of scikit-learn's ``utils`` that the
 rest of the library depends on, so the project has no dependency beyond
-NumPy/SciPy.
+NumPy.
 """
 
 from repro.utils.validation import (
@@ -13,7 +14,6 @@ from repro.utils.validation import (
 )
 from repro.utils.persistence import load_ensemble, save_ensemble
 from repro.utils.random import check_random_state, spawn_seeds
-from repro.utils.scaling import StandardScaler, MinMaxScaler
 from repro.utils.distances import pairwise_distances
 
 __all__ = [
@@ -25,7 +25,5 @@ __all__ = [
     "spawn_seeds",
     "save_ensemble",
     "load_ensemble",
-    "StandardScaler",
-    "MinMaxScaler",
     "pairwise_distances",
 ]

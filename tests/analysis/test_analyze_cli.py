@@ -77,7 +77,7 @@ def test_list_rules_catalogue(capsys):
     out = capsys.readouterr().out
     listed = {line.split()[0] for line in out.split("\n\n")[0].splitlines()[1:]}
     assert listed == set(RULES)
-    assert len(listed) == 13
+    assert len(listed) == 12
 
 
 def test_gate_run_on_real_tree_is_clean(capsys):
@@ -137,12 +137,6 @@ KNOWN_BAD = {
         "def leak(X):\n    arena = SharedMemoryArena()\n"
         "    return arena.share(X)\n",
         5,
-    ),
-    "registry-overwrite": (
-        "src/repro/pipeline/fixture.py",
-        "from repro.parallel import register_backend\n\n"
-        'register_backend("x", object, overwrite=True)\n',
-        3,
     ),
     "unseeded-random": (
         "src/repro/pipeline/fixture.py",

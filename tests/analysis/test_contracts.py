@@ -1,8 +1,6 @@
-"""Contracts checker: registry overwrites, determinism, memmap modes."""
+"""Contracts checker: determinism, memmap modes."""
 
 import textwrap
-
-import pytest
 
 from repro.analysis import analyze_source
 
@@ -13,32 +11,6 @@ KERNEL = "src/repro/kernels/fixture.py"
 def run(source, rel_path=PATH, rule=None):
     found = analyze_source(textwrap.dedent(source), rel_path)
     return [f for f in found if rule is None or f.rule == rule]
-
-
-@pytest.mark.parametrize(
-    "module, register",
-    [
-        ("repro.parallel.execution", "register_backend"),
-        ("repro.scheduling", "register_scheduler"),
-    ],
-)
-def test_registry_overwrite_flagged(module, register):
-    bad = f"""
-    from {module} import {register}
-
-    {register}("serial", object, overwrite=True)
-    """
-    found = run(bad, rule="registry-overwrite")
-    assert [f.rule for f in found] == ["registry-overwrite"]
-
-
-def test_registry_without_overwrite_clean():
-    good = """
-    from repro.parallel.execution import register_backend
-
-    register_backend("mine", object)
-    """
-    assert run(good, rule="registry-overwrite") == []
 
 
 def test_global_numpy_rng_flagged():

@@ -52,7 +52,9 @@ def test_parse_errors_reported_and_fail_the_gate(tmp_path):
 
 
 def test_catalogue_maps_every_rule_to_its_checker():
-    assert len(RULES) == 13
+    assert len(RULES) == 12
+    # Closed registries leave nothing to overwrite: the rule is gone.
+    assert "registry-overwrite" not in RULES
     assert RULES["contiguous-reduction"][0] == "parity"
     assert RULES["arena-dispose"][0] == "lifecycle"
     assert RULES["frozen-reference"][0] == "reference-freeze"

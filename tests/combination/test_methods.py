@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from repro.combination import (
-    aom,
     average,
     ecdf_standardise,
     maximization,
     mean_over_models,
     moa,
-    weighted_average,
     zscore_standardise,
 )
 
@@ -96,12 +94,10 @@ class TestCombiners:
         Z = zscore_standardise(scores)
         np.testing.assert_allclose(maximization(scores), Z.max(axis=0))
 
-    def test_aom_moa_between_avg_and_max(self, scores):
+    def test_moa_between_avg_and_max(self, scores):
         Z = zscore_standardise(scores)
         avg, mx = Z.mean(axis=0), Z.max(axis=0)
-        a = aom(scores, n_buckets=2, random_state=0)
         m = moa(scores, n_buckets=2, random_state=0)
-        assert (a >= avg - 1e-9).all() and (a <= mx + 1e-9).all()
         assert (m >= avg - 1e-9).all() and (m <= mx + 1e-9).all()
 
     def test_moa_single_bucket_is_average(self, scores):
@@ -109,27 +105,9 @@ class TestCombiners:
             moa(scores, n_buckets=1, random_state=0), average(scores)
         )
 
-    def test_aom_single_bucket_is_max(self, scores):
-        np.testing.assert_allclose(
-            aom(scores, n_buckets=1, random_state=0), maximization(scores)
-        )
-
     def test_bucket_bounds(self, scores):
         with pytest.raises(ValueError):
             moa(scores, n_buckets=5, random_state=0)
-
-    def test_weighted_average(self, scores):
-        w = np.array([1.0, 0.0, 0.0, 0.0])
-        Z = zscore_standardise(scores)
-        np.testing.assert_allclose(weighted_average(scores, w), Z[0])
-
-    def test_weighted_average_validation(self, scores):
-        with pytest.raises(ValueError):
-            weighted_average(scores, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_average(scores, [-1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            weighted_average(scores, [0.0, 0.0, 0.0, 0.0])
 
 
 class TestRowSeparableMean:

@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.approximation import Approximator, fit_approximators
 from repro.detectors import HBOS, KNN, LOF, IsolationForest
-from repro.supervised import Ridge
+from repro.detectors.registry import COSTLY_FAMILIES, FAMILIES
+from repro.metrics import roc_auc_score
+from repro.supervised import RandomForestRegressor, Ridge
 from repro.utils.validation import NotFittedError
 
 
@@ -100,3 +104,50 @@ class TestFitApproximators:
             fit_approximators(dets, [X, X])
         with pytest.raises(ValueError):
             fit_approximators(dets, X, approx_flags=[True, False])
+
+
+#: PSA's ROC budget: on every data draw, the approximator's test ROC sits
+#: at most this far below its detector's (the paper's Table 3 claim that
+#: the forest keeps, and often improves, the detector's accuracy).
+PSA_ROC_BUDGET = 0.05
+
+
+@pytest.fixture(scope="module")
+def psa_splits():
+    from repro.data import make_outlier_dataset, train_test_split
+
+    return [
+        train_test_split(
+            *make_outlier_dataset(500, 10, contamination=0.1, random_state=seed),
+            random_state=0,
+        )
+        for seed in range(5)
+    ]
+
+
+def _costly_families():
+    abod_loses = pytest.mark.xfail(
+        strict=True,
+        reason="ABOD's scores (minus the angle variance) crowd near 0 with "
+        "a long negative tail; the forest ranks them poorly and loses "
+        "0.29-0.37 test ROC on two of the five draws",
+    )
+    return [
+        pytest.param(f, marks=abod_loses) if f == "ABOD" else f
+        for f in sorted(COSTLY_FAMILIES)
+    ]
+
+
+class TestPSARocBudget:
+    @pytest.mark.parametrize("family", _costly_families())
+    def test_approximator_roc_within_budget(self, psa_splits, family):
+        cls = FAMILIES[family][0]
+        seeded = "random_state" in inspect.signature(cls).parameters
+        for Xtr, Xte, _, yte in psa_splits:
+            det = (cls(random_state=0) if seeded else cls()).fit(Xtr)
+            approx = Approximator(det, RandomForestRegressor(random_state=0))
+            approx.fit(Xtr)
+            assert approx.approximated
+            roc_det = roc_auc_score(yte, det.decision_function(Xte))
+            roc_psa = roc_auc_score(yte, approx.decision_function(Xte))
+            assert roc_psa >= roc_det - PSA_ROC_BUDGET, (roc_det, roc_psa)

@@ -29,7 +29,12 @@ from repro.parallel import get_backend
 from repro.pipeline import PlanRunner
 from repro.neighbors import build_shared_index, fused_neighbor_query
 from repro.scheduling import forecast_approximator_fit, forecast_shared_query
-from repro.supervised import RandomForestRegressor, Ridge
+from repro.supervised import (
+    GradientBoostingRegressor,
+    KNeighborsRegressor,
+    RandomForestRegressor,
+    Ridge,
+)
 
 SHM_DIR = "/dev/shm"
 needs_shm_fs = pytest.mark.skipif(
@@ -231,19 +236,29 @@ class TestApproximatorWave:
 # ---------------------------------------------------------------------------
 # Fallback paths
 # ---------------------------------------------------------------------------
+#: Every approximator family without the block-fit/assemble pair.
+WHOLE_MODEL_REGRESSORS = {
+    "ridge": lambda: Ridge(alpha=0.5),
+    "gbm": lambda: GradientBoostingRegressor(n_estimators=8, random_state=0),
+    "knn": lambda: KNeighborsRegressor(n_neighbors=5),
+}
+
+
 class TestFallbacks:
+    @pytest.mark.parametrize("regressor", list(WHOLE_MODEL_REGRESSORS))
     @pytest.mark.parametrize(
         "backend,n_jobs", [("sequential", 1), ("shm_processes", 2)]
     )
     def test_regressor_without_block_support_gets_one_task_per_model(
-        self, data, backend, n_jobs
+        self, data, backend, n_jobs, regressor
     ):
         Xtr, Xte = data
+        make = WHOLE_MODEL_REGRESSORS[regressor]
         clf = SUOD(
             make_pool(),
             n_jobs=n_jobs,
             backend=backend,
-            approx_clf=Ridge(alpha=0.5),
+            approx_clf=make(),
             random_state=2,
         )
         try:
@@ -252,36 +267,12 @@ class TestFallbacks:
             clf.close()
         info = clf.fit_plan_.report_for("approximate").info
         assert info["tasks"] == 3 and info["blocks_per_model"] == 1
-        expected = oracle_for(clf, Xtr, Ridge(alpha=0.5))
+        expected = oracle_for(clf, Xtr, make())
         spaces_te = [proj.transform(Xte) for proj in clf.projectors_]
         assert_same_approximators(clf.approximators_, expected, spaces_te)
         for a, b in zip(clf.approximators_, expected):
-            if a.approximated:
+            if a.approximated and regressor == "ridge":
                 assert np.array_equal(a.regressor_.coef_, b.regressor_.coef_)
-
-    def test_oob_forest_is_fitted_whole(self, data):
-        Xtr, Xte = data
-        proto = RandomForestRegressor(n_estimators=12, oob_score=True, random_state=3)
-        clf = SUOD(
-            make_pool(),
-            n_jobs=2,
-            backend="shm_processes",
-            approx_clf=proto,
-            random_state=2,
-        )
-        try:
-            clf.fit(Xtr)
-        finally:
-            clf.close()
-        info = clf.fit_plan_.report_for("approximate").info
-        # Not 6 tasks: out-of-bag scoring couples the trees.
-        assert info["tasks"] == 3 and info["blocks_per_model"] == 1
-        expected = oracle_for(clf, Xtr, proto)
-        spaces_te = [proj.transform(Xte) for proj in clf.projectors_]
-        assert_same_approximators(clf.approximators_, expected, spaces_te)
-        for a, b in zip(clf.approximators_, expected):
-            if a.approximated:
-                assert a.regressor_.oob_score_ == b.regressor_.oob_score_
 
     def test_psa_off_runs_no_wave(self, data):
         Xtr, _ = data

@@ -10,11 +10,7 @@ Three contracts:
    leaves no ``shared_memory`` segment behind, on the happy path, when a
    stage raises mid-plan and when a pool worker is killed between calls.
 3. **Removed names** — an unknown or removed backend name fails at
-   construction, whatever ``n_jobs`` says; an artifact saved under a
-   removed backend name, or carrying the attributes of the removed
-   ``batch_size`` option or float32 serving mode, or holding neighbour
-   indexes fitted without a tree (brute force), still loads and scores
-   bitwise.
+   construction, whatever ``n_jobs`` says, and the error names the four.
 """
 
 import multiprocessing
@@ -27,8 +23,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import SUOD, load_ensemble, save_ensemble
-from repro.detectors import ABOD, HBOS, KNN, LOF, IsolationForest
+from repro import SUOD
+from repro.detectors import HBOS, KNN, LOF, IsolationForest
 from repro.detectors.base import BaseDetector
 from repro.parallel import get_backend
 from repro.pipeline import PlanRunner
@@ -316,87 +312,3 @@ class TestBackendNames:
         # constructor must, or a typo fits and scores silently.
         with pytest.raises(ValueError, match="Unknown backend 'nonsense'"):
             SUOD(fresh_pool(), backend="nonsense")
-
-    def test_artifact_saved_with_removed_name_still_scores(
-        self, data, reference, tmp_path
-    ):
-        Xtr, Xte, ytr, yte = data
-        clf = SUOD(fresh_pool(), random_state=3).fit(Xtr)
-        # What an artifact written before the backend's removal carries;
-        # loading restores state without running __init__.
-        clf.backend = "work_stealing"
-        path = save_ensemble(clf, tmp_path / "old.repro")
-        loaded = load_ensemble(path)
-        assert loaded.backend == "work_stealing"
-        np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
-        loaded.close()
-
-    def test_artifact_saved_with_batch_size_still_scores(
-        self, data, reference, tmp_path
-    ):
-        Xtr, Xte, ytr, yte = data
-        clf = SUOD(fresh_pool(), random_state=3).fit(Xtr)
-        # Artifacts written while SUOD took ``batch_size`` carry it in
-        # their state; nothing reads it, so they score one task per model.
-        clf.batch_size = 17
-        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
-        assert loaded.batch_size == 17
-        np.testing.assert_array_equal(
-            loaded.decision_function_matrix(Xte), reference[1]
-        )
-        np.testing.assert_array_equal(loaded.decision_function(Xte), reference[2])
-        assert loaded.predict_result_.task_times.shape == (loaded.n_models,)
-        loaded.close()
-
-    def test_artifact_saved_with_serving_dtype_state_still_scores(
-        self, data, tmp_path
-    ):
-        Xtr, Xte, ytr, yte = data
-        clf = SUOD(fresh_pool() + [ABOD(n_neighbors=10)], random_state=3).fit(Xtr)
-        ref = clf.decision_function_matrix(Xte), clf.decision_function(Xte)
-        # What a model switched to float32 serving and back carried in
-        # its state when saved; nothing reads these attributes any more.
-        clf._serving_dtype = np.dtype(np.float64)
-        kinds = set()
-        for est in clf.base_estimators_:
-            if hasattr(est, "forest_"):
-                est._serving_flat64 = None
-                kinds.add("forest")
-            if getattr(est, "_nn", None) is not None:
-                est._nn._serving_f64 = None
-                kinds.add("neighbors")
-            if isinstance(est, ABOD):
-                est._serving_X64 = None
-                kinds.add("abod")
-        assert kinds == {"forest", "neighbors", "abod"}
-        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
-        assert loaded._serving_dtype == np.dtype(np.float64)
-        np.testing.assert_array_equal(loaded.decision_function_matrix(Xte), ref[0])
-        np.testing.assert_array_equal(loaded.decision_function(Xte), ref[1])
-        loaded.close()
-
-    def test_artifact_with_tree_less_neighbor_indexes_still_scores(
-        self, data, tmp_path
-    ):
-        Xtr, Xte, ytr, yte = data
-        clf = SUOD(
-            [
-                LOF(n_neighbors=10, metric="manhattan"),
-                LOF(n_neighbors=10, metric="minkowski", p=3.0),
-                KNN(n_neighbors=8),
-            ],
-            rp_flag_global=False,
-            approx_flag_global=False,
-            random_state=3,
-        ).fit(Xtr)
-        ref = clf.decision_function_matrix(Xte), clf.decision_function(Xte)
-        # What an artifact of the brute-force era holds for every
-        # non-Euclidean detector: an index with no tree.
-        for est in clf.base_estimators_[:2]:
-            est._nn._tree = None
-        loaded = load_ensemble(save_ensemble(clf, tmp_path / "old.repro"))
-        orders = [est._nn._tree.p for est in loaded.base_estimators_]
-        assert orders == [1.0, 3.0, 2.0]
-        np.testing.assert_array_equal(loaded.decision_function_matrix(Xte), ref[0])
-        np.testing.assert_array_equal(loaded.decision_function(Xte), ref[1])
-        loaded.close()

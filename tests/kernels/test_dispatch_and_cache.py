@@ -77,20 +77,6 @@ class TestNeighborDispatch:
         assert tree._data is not nn._X
         np.testing.assert_array_equal(tree._data, nn._X[tree._perm])
 
-    def test_index_without_a_tree_builds_one_on_load(self, rng):
-        # An index pickled by a version that fitted it on brute force
-        # carries _tree=None: loading builds its tree, and it answers
-        # canonically.
-        X = rng.standard_normal((200, 20))
-        nn = NearestNeighbors(6).fit(X)
-        nn._tree = None
-        nn = pickle.loads(pickle.dumps(nn))
-        assert np.shares_memory(nn._tree._data, nn._X)  # one leaf, no copy
-        Q = rng.standard_normal((11, 20))
-        got, ref = nn.kneighbors(Q), kdtree_query_best_first(nn._tree, Q, 6)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-
 
 class TestLeafPathAdjustCache:
     def test_cache_matches_vectorised_formula(self):

@@ -219,7 +219,7 @@ def _oracle_forest(forest, X, y):
     for seed in forest.tree_seeds():
         tree_rng = np.random.default_rng(seed)
         n = X.shape[0]
-        idx = tree_rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        idx = tree_rng.integers(0, n, size=n)
         trees.append(
             cart_fit_loop(
                 X[idx],
@@ -236,12 +236,11 @@ def _oracle_forest(forest, X, y):
 
 
 class TestEnsemblesShareOneTable:
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_forest_trees_match_oracle(self, rng, bootstrap):
+    def test_forest_trees_match_oracle(self, rng):
         X = rng.integers(0, 4, size=(250, 6)).astype(float)
         y = rng.standard_normal(250)
         forest = RandomForestRegressor(
-            n_estimators=6, min_samples_leaf=2, bootstrap=bootstrap, random_state=3
+            n_estimators=6, min_samples_leaf=2, random_state=3
         ).fit(X, y)
         oracles = _oracle_forest(forest, X, y)
         live = forest.fit_block(X, y, forest.tree_seeds())

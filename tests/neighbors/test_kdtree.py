@@ -81,17 +81,3 @@ class TestKDTree:
     def test_order_must_be_positive(self, rng, p):
         with pytest.raises(ValueError, match="p must be > 0"):
             KDTree(rng.standard_normal((10, 2)), p=p)
-
-    def test_tree_pickled_without_an_order_is_euclidean(self, rng):
-        import pickle
-
-        X = rng.standard_normal((2000, 2))
-        tree = _split_tree(X, 4)
-        Q = rng.standard_normal((15, 2))
-        expected = tree.query(Q, 5)
-        del tree.__dict__["p"]  # what a tree pickled before orders holds
-        clone = pickle.loads(pickle.dumps(tree))
-        assert clone.p == 2.0
-        got = clone.query(Q, 5)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])

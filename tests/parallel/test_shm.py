@@ -1,4 +1,4 @@
-"""The shared-memory data plane: handles, arena lifecycle, backend, registry.
+"""The shared-memory data plane: handles, arena lifecycle, backend table.
 
 Process-level contracts (persistent pool, attach-once-per-worker) are
 exercised with real worker processes; segment hygiene is pinned against
@@ -21,7 +21,6 @@ from repro.parallel import (
     attach_array,
     get_backend,
     get_backend_class,
-    register_backend,
     resolve_array,
 )
 from repro.parallel import shm as shm_mod
@@ -244,32 +243,16 @@ class TestRegistry:
             get_backend("sequential")
             get_backend("sequential", n_workers=1)
 
-    def test_register_rejects_silent_overwrite_of_builtin(self):
-        class Impostor:
-            pass
+    def test_backend_table_is_closed(self):
+        # Four names, each bound to its class once at import; there is
+        # no registration hook to add or shadow one.
+        import repro.parallel as parallel
 
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("threads", Impostor)
-
-    def test_register_same_class_is_idempotent(self):
-        register_backend("shm_processes", SharedMemoryProcessBackend)
-        assert get_backend_class("shm_processes") is SharedMemoryProcessBackend
-
-    def test_register_overwrite_explicitly_allowed(self):
-        class First:
-            pass
-
-        class Second:
-            pass
-
-        name = "test_only_backend"
-        try:
-            register_backend(name, First)
-            with pytest.raises(ValueError, match="overwrite=True"):
-                register_backend(name, Second)
-            register_backend(name, Second, overwrite=True)
-            assert get_backend_class(name) is Second
-        finally:
-            from repro.parallel.execution import _BACKENDS
-
-            _BACKENDS.pop(name, None)
+        assert parallel._BACKENDS == {
+            "sequential": SequentialBackend,
+            "threads": parallel.ThreadBackend,
+            "shm_processes": SharedMemoryProcessBackend,
+            "simulated": parallel.SimulatedClusterBackend,
+        }
+        assert not any(name.startswith("register") for name in dir(parallel))
+        assert not hasattr(parallel.execution, "register_backend")

@@ -341,7 +341,7 @@ class TestShmHygiene:
             if kind == "predict":
                 clf.fit(Xtr)
                 if wave == "predict producer":
-                    # Not None: an index loaded without a tree builds one.
+                    # Breaks the producer: its index's query raises.
                     patch.setattr(clf.shared_index_[0], "_tree", "no tree")
                 else:
                     # The fitted copy: process workers hand back new objects.

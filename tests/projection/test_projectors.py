@@ -186,3 +186,70 @@ class TestNoProjectionAndFactory:
     def test_factory_unknown(self):
         with pytest.raises(ValueError, match="Unknown projection"):
             make_projector("umap", 5)
+
+
+def _tail_bound(eps, k):
+    """Eq. 1 as a tail bound: a pair's squared distance leaves
+    ``(1 +- eps)`` with probability at most ``2 exp(-eps^2 k / 6)``, the
+    constant :func:`jl_min_dim` uses."""
+    return 2.0 * np.exp(-(eps**2) * k / 6.0)
+
+
+@pytest.fixture(scope="module", params=[(200, 60), (150, 120)], ids=["d60", "d120"])
+def rp_spaces(request):
+    """Per family: the training set and every JL projector SUOD fitted."""
+    from repro import SUOD
+    from repro.data import make_outlier_dataset
+    from repro.detectors import KNN
+
+    n, d = request.param
+    X, _ = make_outlier_dataset(n, d, random_state=0)
+    fitted = {}
+    for family in JL_FAMILIES:
+        clf = SUOD(
+            [KNN(n_neighbors=5) for _ in range(8)],
+            rp_method=family,
+            approx_flag_global=False,
+            random_state=0,
+        ).fit(X)
+        projectors = [p for p in clf.projectors_ if isinstance(p, JLProjector)]
+        assert len(projectors) == 8 and clf.rp_flags_.all()
+        fitted[family] = projectors
+    return X, fitted
+
+
+#: (family, eps) pairs pinned: the structured families only up to 0.5.
+_TAIL_CASES = [
+    (family, eps)
+    for family in JL_FAMILIES
+    for eps in ((0.3, 0.5, 0.7) if family in ("basic", "discrete") else (0.3, 0.5))
+]
+
+
+class TestJLTailBound:
+    """The projectors SUOD fits at k = 2/3 d keep pairwise distortion
+    inside the JL tail bound.
+
+    The bound is a probability over the draw, so the share of pairs
+    outside ``(1 +- eps)`` is averaged over SUOD's eight draws; the
+    union-bound form (every pair inside) is vacuous at these n and k.
+    The i.i.d. families (``basic``, ``discrete``) stay under it up to
+    eps = 0.7. The structured ones (``circulant``, ``toeplitz``) have
+    heavier tails: at eps = 0.7 one draw in eight can sit 7x over it and
+    lift the mean past it, so they are pinned up to eps = 0.5.
+    """
+
+    @pytest.mark.parametrize("family, eps", _TAIL_CASES)
+    def test_distortion_within_tail_bound(self, rp_spaces, family, eps):
+        from repro.utils.distances import pairwise_distances
+
+        X, fitted = rp_spaces
+        iu = np.triu_indices(X.shape[0], k=1)
+        d0 = pairwise_distances(X, metric="sqeuclidean")[iu]
+        k = fitted[family][0].n_components_
+        assert k == jl_target_dim(X.shape[1])
+        shares = []
+        for proj in fitted[family]:
+            d1 = pairwise_distances(proj.transform(X), metric="sqeuclidean")[iu]
+            shares.append(np.mean(np.abs(d1 / d0 - 1.0) > eps))
+        assert np.mean(shares) <= _tail_bound(eps, k), shares

@@ -1,6 +1,5 @@
-"""Scheduler-registry contract — mirrors the backend-registry semantics."""
+"""Scheduler name table: a closed set of five policies, like the backends'."""
 
-import numpy as np
 import pytest
 
 from repro.scheduling import (
@@ -13,9 +12,7 @@ from repro.scheduling import (
     get_scheduler,
     get_scheduler_class,
     list_schedulers,
-    register_scheduler,
 )
-from repro.scheduling.registry import _SCHEDULERS
 
 
 class TestListing:
@@ -70,33 +67,10 @@ class TestUnknownName:
         assert str(sorted(list_schedulers())) in str(exc.value)
 
 
-class TestRegistration:
-    def test_duplicate_name_rejected_without_overwrite(self):
-        class Impostor(Scheduler):
-            name = "generic"
+class TestClosedTable:
+    def test_no_registration_hook(self):
+        import repro.scheduling as scheduling
+        from repro.scheduling import registry
 
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheduler("generic", Impostor)
-        assert get_scheduler_class("generic") is GenericScheduler
-
-    def test_same_class_reregistration_is_noop(self):
-        register_scheduler("generic", GenericScheduler)
-        assert get_scheduler_class("generic") is GenericScheduler
-
-    def test_overwrite_and_new_name(self):
-        class Custom(Scheduler):
-            name = "custom-rr"
-            uses_costs = False
-
-            def assign(self, n_tasks, n_workers, costs=None, **kwargs):
-                return np.arange(n_tasks, dtype=np.int64) % n_workers
-
-        try:
-            register_scheduler("custom-rr", Custom)
-            assert "custom-rr" in list_schedulers()
-            sched = get_scheduler("custom-rr")
-            np.testing.assert_array_equal(sched.assign(5, 2), [0, 1, 0, 1, 0])
-            register_scheduler("custom-rr", GenericScheduler, overwrite=True)
-            assert get_scheduler_class("custom-rr") is GenericScheduler
-        finally:
-            _SCHEDULERS.pop("custom-rr", None)
+        assert not any(name.startswith("register") for name in dir(scheduling))
+        assert not hasattr(registry, "register_scheduler")

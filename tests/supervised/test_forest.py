@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from repro.kernels import forest_apply
 from repro.supervised import RandomForestRegressor
 
 
@@ -45,27 +44,12 @@ class TestRandomForest:
         assert rf.feature_importances_.argmax() == 3
         assert rf.feature_importances_.shape == (5,)
 
-    def test_oob_score(self, regression_data):
-        X, y = regression_data
-        rf = RandomForestRegressor(30, oob_score=True, random_state=0).fit(X, y)
-        assert 0.0 < rf.oob_score_ <= 1.0
-        assert rf.oob_prediction_.shape == y.shape
-
-    def test_oob_requires_bootstrap(self, regression_data):
-        X, y = regression_data
-        with pytest.raises(ValueError, match="bootstrap"):
-            RandomForestRegressor(5, bootstrap=False, oob_score=True).fit(X, y)
-
-    def test_no_bootstrap_mode(self, regression_data):
-        X, y = regression_data
-        rf = RandomForestRegressor(
-            5, bootstrap=False, max_features=None, random_state=0
-        ).fit(X, y)
-        # Without bootstrap or feature subsampling, all trees see identical
-        # data -> identical predictions.
-        preds = rf.forest_.leaf_value[forest_apply(rf.forest_, X[:10])]
-        for p in preds.T[1:]:
-            np.testing.assert_allclose(p, preds[:, 0])
+    @pytest.mark.parametrize("option", [{"oob_score": True}, {"bootstrap": False}])
+    def test_removed_options_rejected(self, option):
+        # Every tree fits a bootstrap sample and nothing scores out of
+        # bag; neither option is accepted any more.
+        with pytest.raises(TypeError, match=next(iter(option))):
+            RandomForestRegressor(5, **option)
 
     def test_predictions_within_target_hull(self, regression_data):
         X, y = regression_data
@@ -104,12 +88,11 @@ class TestBlockFit:
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
     @pytest.mark.parametrize("bounds", [(0, 11), (0, 4, 11), (0, 1, 2, 7, 11)])
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_any_partition_of_the_seeds(self, regression_data, bounds, bootstrap):
+    def test_any_partition_of_the_seeds(self, regression_data, bounds):
         X, y = regression_data
 
         def make():
-            return RandomForestRegressor(11, bootstrap=bootstrap, random_state=5)
+            return RandomForestRegressor(11, random_state=5)
 
         whole = make().fit(X, y)
         seeds = make().tree_seeds()

@@ -64,6 +64,34 @@ class TestEnsemblePersistence:
         np.testing.assert_array_equal(loaded.predict(tiny_X), clf.predict(tiny_X))
         assert loaded.threshold_ == clf.threshold_
 
+    def test_roundtrip_keeps_every_neighbor_index_order(self, tmp_path, tiny_X):
+        # Each index is saved with the tree its order built at fit; the
+        # artifact restores it as is and scores the same bits.
+        from repro import SUOD
+        from repro.detectors import KNN, LOF
+
+        clf = SUOD(
+            [
+                LOF(n_neighbors=10, metric="manhattan"),
+                LOF(n_neighbors=10, metric="minkowski", p=3.0),
+                KNN(n_neighbors=8),
+            ],
+            rp_flag_global=False,
+            approx_flag_global=False,
+            random_state=3,
+        ).fit(tiny_X)
+        loaded = load_ensemble(save_ensemble(clf, tmp_path / "orders.repro"))
+        orders = [est._nn._tree.p for est in loaded.base_estimators_]
+        assert orders == [1.0, 3.0, 2.0]
+        np.testing.assert_array_equal(
+            loaded.decision_function_matrix(tiny_X),
+            clf.decision_function_matrix(tiny_X),
+        )
+        np.testing.assert_array_equal(
+            loaded.decision_function(tiny_X), clf.decision_function(tiny_X)
+        )
+        loaded.close()
+
     def test_roundtrip_keeps_approximators_and_projectors(self, tmp_path, tiny_X):
         clf = _fitted_ensemble(tiny_X)
         loaded = load_ensemble(save_ensemble(clf, tmp_path / "ens.pkl"))

@@ -98,8 +98,8 @@ def main() -> None:
             f"  batch {batch}: makespan {span:6.2f}s "
             f"(observed tasks: {adaptive.n_observed})"
         )
-        # In SUOD this observe happens automatically from
-        # ExecutionResult.task_times after every execute stage.
+        # On a real backend the durations are the executed wave's
+        # ExecutionResult.task_times; SUOD itself schedules by bps_flag.
         adaptive.observe(true_costs, task_keys=range(len(pool)))
     print(f"  ideal: {ideal:8.2f}s")
 

@@ -118,9 +118,8 @@ def run_cost_predictor_validation(cfg: BenchConfig):
 def _seeded_scheduler(name: str):
     """A registry policy instance, seeded when it accepts a seed.
 
-    Capability-probed (not name-matched), so any future stochastic
-    policy joining the registry stays reproducible in the ablations —
-    the same convention ``SUOD._make_scheduler`` uses.
+    Capability-probed (not name-matched): ``shuffle`` takes the seed,
+    the deterministic policies reject it and are built without one.
     """
     try:
         return get_scheduler(name, random_state=0)

@@ -247,11 +247,6 @@ class ApproximatorWave(Wave):
     def n_tasks(self) -> int:
         return len(self.owners)
 
-    def task_keys(self) -> list:
-        """``('fit-approx', model)``: the blocks of one forest share one
-        identity in the adaptive feedback loop."""
-        return [(self.name, i) for i, _lo, _hi in self.owners]
-
     def tasks(self, data) -> list:
         """One picklable zero-argument callable per entry of ``owners``."""
         out = []
@@ -287,13 +282,6 @@ class ApproximatorWave(Wave):
                 getattr(regressor, "max_features", "sqrt"),
             )
         return out
-
-    def task_weights(self) -> np.ndarray:
-        """Work units per task (rows × trees) for the adaptive feedback
-        loop, so blocks of one model observe one per-unit rate."""
-        return np.array(
-            [float(self._shapes[i][0] * max(hi - lo, 1)) for i, lo, hi in self.owners]
-        )
 
     def assemble(self, results) -> dict:
         """Install the fitted regressors from the tasks' results."""

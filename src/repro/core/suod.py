@@ -7,11 +7,10 @@ pool of base detectors:
   JL random subspace (diversity + compression). Subspace-style detectors
   (iForest, HBOS, ...) are exempt per §3.3's caution, as are datasets too
   small/narrow for the JL bound to be meaningful.
-- **BPS** (``bps_flag``): model costs are forecast and models assigned to
-  workers by balanced rank sums instead of contiguous equal counts. The
-  policy behind the flag is pluggable (``scheduler=``): any registered
-  :class:`repro.scheduling.Scheduler`, including the ``adaptive`` one
-  that reschedules consecutive batches on *measured* task durations.
+- **BPS** (``bps_flag``): model costs are forecast by
+  :class:`repro.scheduling.AnalyticCostModel` and models assigned to
+  workers by balanced rank sums (``bps-lpt``) instead of contiguous
+  equal counts (``generic``).
 - **PSA** (``approx_flag_global``): after fitting, costly detectors get a
   supervised stand-in for fast prediction on new samples.
 
@@ -29,7 +28,7 @@ an :class:`~repro.pipeline.ExecutionPlan` of stages —
 execution path shared by every backend. What this module owns is plan
 compilation and the fitted state the stages leave on the estimator;
 the parallel loop itself — forecast costs, assign tasks to workers,
-execute, feed measured durations back, assemble results — exists once,
+execute, assemble results — exists once,
 in :mod:`repro.pipeline.wave`, and the stages only say *which* wave
 passes through it: the ``share`` stage's producers
 (:class:`~repro.pipeline.sharing.ProducerWave`: one KD-tree build and
@@ -74,7 +73,12 @@ from repro.pipeline.sharing import (
 )
 from repro.pipeline.wave import WaveRun, n_workers_for
 from repro.projection import JLProjector, NoProjection, jl_target_dim
-from repro.scheduling import AnalyticCostModel, Scheduler, get_scheduler_class
+from repro.scheduling import (
+    AnalyticCostModel,
+    BpsScheduler,
+    GenericScheduler,
+    Scheduler,
+)
 from repro.utils.random import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted
 
@@ -112,24 +116,12 @@ class SUOD:
         Supervised approximator (cloned per model). Default: the
         library's RandomForestRegressor.
     bps_flag : bool, default True
-        Master switch of balanced parallel scheduling (vs generic split).
-        Legacy toggle: with ``scheduler=None`` it selects between the
-        ``'bps-lpt'`` and ``'generic'`` policies, exactly as before.
-    scheduler : str, Scheduler or None, default None
-        Scheduling policy. A registry name (``'generic'``, ``'shuffle'``,
-        ``'bps-lpt'``, ``'bps-kk'``, ``'adaptive'`` — see
-        :func:`repro.scheduling.list_schedulers`), a
-        :class:`repro.scheduling.Scheduler` instance (e.g. a pre-warmed
-        :class:`~repro.scheduling.AdaptiveScheduler`), or None to derive
-        the policy from ``bps_flag``. ``'adaptive'`` closes the feedback
-        loop: every executed batch's measured per-task durations refine
-        the cost model, so consecutive ``predict`` batches are
-        rescheduled on observed — not guessed — costs.
-    cost_predictor : object satisfying the CostModel protocol, or None
-        Defaults to :class:`repro.scheduling.AnalyticCostModel`; pass a
-        trained :class:`repro.scheduling.CostPredictor` for learned
-        costs, or a :class:`repro.scheduling.TelemetryRefinedCostModel`
-        for externally managed feedback.
+        Master switch of balanced parallel scheduling: True assigns
+        tasks by BPS on :class:`repro.scheduling.AnalyticCostModel`
+        forecasts (the ``'bps-lpt'`` policy), False by the contiguous
+        equal-count split (``'generic'``, Table 5's baseline). The other
+        policies of :mod:`repro.scheduling` are for the ablations, which
+        drive them directly.
     n_jobs : int, default 1
         Worker count t.
     backend : {'sequential', 'threads', 'shm_processes', 'simulated'}
@@ -188,8 +180,6 @@ class SUOD:
         approx_flag_global: bool = True,
         approx_clf=None,
         bps_flag: bool = True,
-        scheduler=None,
-        cost_predictor=None,
         n_jobs: int = 1,
         backend: str = "sequential",
         combination: str = "average",
@@ -213,13 +203,6 @@ class SUOD:
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         get_backend_class(backend)  # fail fast on unknown names
-        if isinstance(scheduler, str):
-            get_scheduler_class(scheduler)  # fail fast on unknown names
-        elif scheduler is not None and not isinstance(scheduler, Scheduler):
-            raise TypeError(
-                "scheduler must be a registered policy name, a "
-                f"repro.scheduling.Scheduler instance or None, got {type(scheduler)}"
-            )
         self.base_estimators = list(base_estimators)
         self.contamination = contamination
         self.rp_flag_global = rp_flag_global
@@ -230,8 +213,6 @@ class SUOD:
         self.approx_flag_global = approx_flag_global
         self.approx_clf = approx_clf
         self.bps_flag = bps_flag
-        self.scheduler = scheduler
-        self.cost_predictor = cost_predictor
         self.n_jobs = n_jobs
         self.backend = backend
         self.combination = combination
@@ -289,40 +270,10 @@ class SUOD:
         """Whether the active backend wants plan data in shared memory."""
         return bool(getattr(self._make_backend(), "uses_shared_memory", False))
 
-    def _cost_predictor(self):
-        """The single selection point for the active cost predictor."""
-        return self.cost_predictor or AnalyticCostModel()
-
     def _make_scheduler(self) -> Scheduler:
-        """The active Scheduler instance, cached across plans/batches.
-
-        Caching matters for the adaptive policy: its telemetry-refined
-        cost model accumulates observations across consecutive predict
-        batches, so the instance must survive plan boundaries. Instances
-        passed directly are used as-is (their state is the caller's);
-        names and the ``bps_flag`` default resolve through the registry
-        once and are invalidated when the parameters change.
-        """
-        spec = self.scheduler
-        if isinstance(spec, Scheduler):
-            return spec
-        if spec is None:
-            key = ("default", bool(self.bps_flag))
-            name = "bps-lpt" if self.bps_flag else "generic"
-        else:
-            key = ("named", spec)
-            name = spec
-        if getattr(self, "_scheduler_key_", None) == key:
-            return self._scheduler_instance_
-        cls = get_scheduler_class(name)
-        try:
-            instance = cls(random_state=self.random_state)
-        except TypeError:
-            # Deterministic policies take no seed.
-            instance = cls()
-        self._scheduler_instance_ = instance
-        self._scheduler_key_ = key
-        return instance
+        """BPS or the generic split, by ``bps_flag``; both are
+        stateless, so a fresh instance per wave is the same policy."""
+        return BpsScheduler() if self.bps_flag else GenericScheduler()
 
     # ------------------------------------------------------------------
     # Plan compilation — the façade's whole job. Stages communicate via
@@ -367,7 +318,7 @@ class SUOD:
             Stage(
                 "forecast",
                 self._stage_forecast,
-                "forecast per-task costs (analytic or learned predictor)",
+                "forecast per-task costs (analytic cost model)",
             ),
             Stage(
                 "share",
@@ -431,7 +382,7 @@ class SUOD:
             Stage(
                 "forecast",
                 self._stage_forecast,
-                "forecast per-task costs (analytic or learned predictor)",
+                "forecast per-task costs (analytic cost model)",
             ),
             Stage(
                 "share",
@@ -469,9 +420,8 @@ class SUOD:
     # (repro.pipeline.wave); the runs stay on the context between stages.
     def _stage_forecast(self, ctx: PlanContext) -> dict:
         """Describe the detector wave and forecast its task costs —
-        skipped exactly when the assignment cannot use them, so an
-        untrained CostPredictor on one worker keeps working."""
-        predictor = self._cost_predictor()
+        skipped exactly when the assignment cannot use them."""
+        predictor = AnalyticCostModel()
         wave = DetectorWave(ctx.kind, ctx.models, ctx.X, predictor, ctx.scorers)
         run = WaveRun(wave, self._make_backend(), self._make_scheduler())
         ctx.detectors = run
@@ -513,12 +463,11 @@ class SUOD:
     def _stage_schedule(self, ctx: PlanContext) -> dict:
         run = ctx.detectors
         ctx.assignment = run.schedule()
-        info = {"policy": run.policy}
-        if run.n_workers > 1 and run.scheduler.adaptive:
-            # How much measured telemetry backed this assignment.
-            info["n_observed"] = int(run.scheduler.n_observed)
-        info["n_tasks"] = run.wave.n_tasks
-        info["tasks_per_worker"] = run.tasks_per_worker()
+        info = {
+            "policy": run.policy,
+            "n_tasks": run.wave.n_tasks,
+            "tasks_per_worker": run.tasks_per_worker(),
+        }
         if ctx.producers is not None:
             ctx.producers.schedule()
             info["producer_tasks"] = ctx.producers.wave.n_tasks
@@ -558,9 +507,6 @@ class SUOD:
         info["execution"] = (
             results[0] if len(results) == 1 else ExecutionResult.merge(results)
         )
-        observed = sum(run.observed for run in runs)
-        if observed:
-            info["telemetry_observed"] = observed
         return info
 
     # -- fit stages ------------------------------------------------------
@@ -635,9 +581,8 @@ class SUOD:
         """PSA (Algorithm 1 lines 15-22): the fit plan's third wave.
 
         (model × tree-block) forest fits on the same backend and
-        scheduler as the detectors, under the keys ``('fit-approx',
-        model)``; on the shm plane the tasks bind the space *handles*
-        of the still-live plan arena.
+        scheduler as the detectors; on the shm plane the tasks bind the
+        space *handles* of the still-live plan arena.
         """
         m = self.n_models
         self.approx_result_ = None
@@ -816,11 +761,8 @@ class SUOD:
         return state
 
     def __repr__(self) -> str:
-        sched = self.scheduler
-        sched_name = sched.name if isinstance(sched, Scheduler) else sched
         return (
             f"SUOD(m={self.n_models}, rp={self.rp_flag_global}, "
             f"approx={self.approx_flag_global}, bps={self.bps_flag}, "
-            f"scheduler={sched_name!r}, n_jobs={self.n_jobs}, "
-            f"backend={self.backend!r})"
+            f"n_jobs={self.n_jobs}, backend={self.backend!r})"
         )

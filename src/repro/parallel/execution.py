@@ -47,9 +47,9 @@ class ExecutionResult:
         Measured per-task wall-clock duration, in submission order.
         Every backend records it (sequential, threads, shm_processes);
         the simulated backend's ``known_costs`` replay reports the
-        deterministic known costs. This is the signal the adaptive
-        scheduling feedback loop
-        (:class:`repro.scheduling.TelemetryRefinedCostModel`) consumes.
+        deterministic known costs. This is the signal
+        :class:`repro.scheduling.AdaptiveScheduler` folds into its cost
+        model when a caller feeds it back (the ablations do).
     """
 
     results: list = field(default_factory=list)

@@ -62,8 +62,7 @@ class DetectorWave(Wave):
     Parameters
     ----------
     kind : {'fit', 'predict'}
-        Also the wave's name and the first half of its adaptive keys
-        ``(kind, model)``: fit and predict costs never mix.
+        Also the wave's name.
     models : detectors the cost model forecasts (unfitted at fit).
     X : (n, d) array the forecast is made for.
     predictor : CostModel
@@ -90,13 +89,6 @@ class DetectorWave(Wave):
     @property
     def n_tasks(self) -> int:
         return len(self.models)
-
-    def task_keys(self) -> list:
-        return [(self.name, i) for i in range(self.n_tasks)]
-
-    def task_weights(self) -> np.ndarray:
-        """Row counts, so durations normalise to a per-row rate."""
-        return np.full(self.n_tasks, max(float(self.X.shape[0]), 1.0))
 
     def costs(self) -> np.ndarray:
         return np.asarray(

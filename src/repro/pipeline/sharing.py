@@ -19,8 +19,8 @@ two-wave dependency DAG:
    fused batched query at the shared width
    (:func:`repro.kernels.kdtree_query_maxk`). Producers are first-class
    scheduled tasks with their own cost forecasts
-   (:func:`repro.scheduling.forecast_shared_query`) and task keys, so
-   the adaptive scheduler arbitrates build-vs-score. Under the shm
+   (:func:`repro.scheduling.forecast_shared_query`), so BPS
+   arbitrates build-vs-score. Under the shm
    backend the parent publishes each ``(distance, index)`` result into
    the plan's arena as read-only :class:`SharedArrayHandle` pairs.
 3. **Consumer wave** (:mod:`repro.pipeline.detector_wave`): every
@@ -285,10 +285,9 @@ class ProducerWave(Wave):
     """A :class:`SharingPlan`'s producers as first-class scheduled tasks.
 
     One task per :class:`SharedQuery`, with its own analytic forecast
-    (:func:`~repro.scheduling.forecast_shared_query`) and the stable
-    keys ``('<kind>-share', qid)``, so the adaptive scheduler arbitrates
-    shared builds against ordinary fit/score tasks on measured
-    durations. :meth:`assemble` publishes each fused ``(distance,
+    (:func:`~repro.scheduling.forecast_shared_query`), so BPS balances
+    shared builds on the same cost scale as ordinary fit/score tasks.
+    :meth:`assemble` publishes each fused ``(distance,
     index)`` pair for the consumers — into ``arena`` as read-only
     handles when the plan has a shared-memory data plane (set it before
     the wave runs), as the in-memory arrays otherwise. Fit-plan
@@ -305,12 +304,6 @@ class ProducerWave(Wave):
     @property
     def n_tasks(self) -> int:
         return len(self.sharing.queries)
-
-    def task_keys(self) -> list:
-        return [(self.name, qid) for qid in range(self.n_tasks)]
-
-    def task_weights(self) -> np.ndarray:
-        return np.array([float(q.n_query) for q in self.sharing.queries])
 
     def costs(self) -> np.ndarray:
         return np.array(

@@ -82,9 +82,8 @@ class StageReport:
     def task_times(self) -> np.ndarray:
         """Measured per-task durations of the backend run (empty if none).
 
-        These are the observations the adaptive scheduling feedback loop
-        consumes; surfacing them here keeps per-task telemetry reachable
-        from a plan's reports alongside the worker-level aggregates.
+        Surfacing them here keeps per-task telemetry reachable from a
+        plan's reports alongside the worker-level aggregates.
         """
         if self.execution is None:
             return np.zeros(0)

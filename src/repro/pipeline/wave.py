@@ -1,5 +1,4 @@
-"""The one balanced parallel loop: forecast → assign → execute → observe
-→ assemble.
+"""The one balanced parallel loop: forecast → assign → execute → assemble.
 
 Algorithm 1 (§3.5) has a single loop that training, PSA and prediction
 all pass through: forecast task costs, rank them, assign the tasks to
@@ -8,7 +7,7 @@ all pass through: forecast task costs, rank them, assign the tasks to
 detector fits/scores or PSA tree blocks — and :class:`WaveRun` owns the
 *policy* every batch shares. Inside ``repro.core`` and
 ``repro.pipeline`` it is the only caller of ``Scheduler.assign``,
-``Scheduler.observe``, ``backend.execute`` and ``raise_first_error``,
+``backend.execute`` and ``raise_first_error``,
 the only place that strips task results off the telemetry, and the only
 statement of the single-worker rule (:func:`n_workers_for`).
 
@@ -45,16 +44,6 @@ class Wave:
 
     @property
     def n_tasks(self) -> int:
-        raise NotImplementedError
-
-    def task_keys(self) -> list:
-        """Stable identity per task for the adaptive feedback loop;
-        tasks sharing a key share one measured per-unit rate."""
-        raise NotImplementedError
-
-    def task_weights(self) -> np.ndarray:
-        """Work units per task, so observed durations normalise to a
-        rate that transfers across batch sizes."""
         raise NotImplementedError
 
     def costs(self) -> np.ndarray:
@@ -103,8 +92,6 @@ class WaveRun:
         Name of the policy behind ``assignment``.
     result : ExecutionResult or None
         Telemetry of the executed wave (``results`` stripped).
-    observed : int
-        Task durations fed to the adaptive scheduler by :meth:`run`.
     """
 
     def __init__(self, wave: Wave, backend, scheduler):
@@ -116,7 +103,6 @@ class WaveRun:
         self.assignment = None
         self.policy = "single-worker" if self.n_workers == 1 else scheduler.name
         self.result = None
-        self.observed = 0
 
     def forecast(self):
         """Forecast the task costs iff the assignment can use them."""
@@ -131,16 +117,12 @@ class WaveRun:
             self.assignment = np.zeros(wave.n_tasks, dtype=np.int64)
         else:
             self.assignment = self.scheduler.assign(
-                wave.n_tasks,
-                self.n_workers,
-                self.costs,
-                task_keys=wave.task_keys(),
-                weights=wave.task_weights(),
+                wave.n_tasks, self.n_workers, self.costs
             )
         return self.assignment
 
     def run(self, data) -> dict:
-        """Execute the scheduled tasks, assemble, observe; the ledger.
+        """Execute the scheduled tasks and assemble them; the ledger.
 
         The first task exception is re-raised as is. Once assembled, the
         results live where they belong (fitted estimators, score matrix,
@@ -155,25 +137,13 @@ class WaveRun:
         facts = wave.assemble(result.results) or {}
         result.results = [None] * wave.n_tasks
         self.result = result
-        # A one-worker backend never reschedules, so nothing is fed to
-        # it; a wave merely *held* to one worker of a wider backend still
-        # measures costs the backend's other waves are scheduled on.
-        if self.backend.n_workers > 1 and self.scheduler.adaptive:
-            self.observed = self.scheduler.observe(
-                result.task_times,
-                task_keys=wave.task_keys(),
-                weights=wave.task_weights(),
-            )
-        ledger = {
+        return {
             "tasks": wave.n_tasks,
             **facts,
             "tasks_per_worker": self.tasks_per_worker(),
             "wave_wall_s": result.wall_time,
             "execution": result,
         }
-        if self.observed:
-            ledger["telemetry_observed"] = self.observed
-        return ledger
 
     def tasks_per_worker(self) -> list[int]:
         return np.bincount(self.assignment, minlength=self.n_workers).tolist()

@@ -10,9 +10,15 @@ Four transformation-matrix families, exactly as the paper defines them:
   every diagonal.
 
 All are scaled by ``1/sqrt(k)`` so pairwise Euclidean distances are
-preserved within ``(1 ± eps)`` with probability per Eq. 1. The structured
-families (circulant/toeplitz) need only O(d + k) random numbers, which is
-where their speed advantage in Table 1 comes from.
+preserved within ``(1 ± eps)``, but Eq. 1's tail does not hold equally
+for all four. ``TestJLTailBound`` (``tests/projection/test_projectors.py``)
+measures the share of pairs outside ``(1 ± eps)`` on SUOD's projectors at
+k = 2/3 d against ``2 exp(-eps² k / 6)``: ``basic`` and ``discrete`` hold
+it up to eps = 0.7, ``circulant`` and ``toeplitz`` (the default) only up
+to eps = 0.5. Their tails are heavier: toeplitz sits 1.35x over the bound
+at eps = 0.7 and 13x over at eps = 0.9. The structured families need
+only O(d + k) random numbers, which is where their speed advantage in
+Table 1 comes from.
 """
 
 from __future__ import annotations

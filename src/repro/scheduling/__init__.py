@@ -1,6 +1,11 @@
-"""The scheduling subsystem: forecast, assign, execute, measure, refine.
+"""The scheduling subsystem: forecast costs, assign tasks to workers.
 
-Two protocols and a closed table of named policies:
+``SUOD`` uses two pieces of it, picked by the paper's ``bps_flag``:
+:class:`AnalyticCostModel` forecasts and :class:`BpsScheduler`
+(``bps-lpt``) ranks them, or :class:`GenericScheduler` (``generic``)
+splits by count. The rest serves the ablations (A2, A3 and ``python -m
+repro schedulers``), which drive the policies directly. Two protocols
+and a closed table of named policies:
 
 - **Policies** (:mod:`repro.scheduling.policies`) — the pure functions:
   generic/shuffle splits, discounted cost ranks, LPT and Karmarkar-Karp
@@ -9,17 +14,17 @@ Two protocols and a closed table of named policies:
   policy objects behind the uniform :class:`Scheduler` interface
   (``assign`` / ``observe``), looked up by name
   (:func:`get_scheduler`) exactly like execution backends are. The
-  ``adaptive`` policy closes the loop: it starts as BPS on forecasts
-  and converges to scheduling on *measured* per-task durations.
+  ``adaptive`` policy closes the loop for a caller that feeds it
+  ``ExecutionResult.task_times``: it starts as BPS on forecasts and
+  converges to scheduling on *measured* per-task durations.
 - **Cost models** (:mod:`repro.scheduling.cost`) — the
-  :class:`CostModel` protocol unifying the zero-shot
-  :class:`AnalyticCostModel`, the trainable :class:`CostPredictor`, and
-  the :class:`TelemetryRefinedCostModel` that folds observed
-  ``ExecutionResult.task_times`` back into forecasts.
+  :class:`CostModel` protocol of the zero-shot :class:`AnalyticCostModel`
+  and the trainable :class:`CostPredictor`, plus the
+  :class:`TelemetryRefinedCostModel` the adaptive policy keeps its
+  measurements in.
 
 Division of labour with :mod:`repro.parallel` stays strict: schedulers
-produce assignments, backends execute them — and now backends' per-task
-telemetry flows back into the next assignment.
+produce assignments, backends execute them.
 """
 
 from repro.scheduling.policies import (

@@ -16,10 +16,10 @@ seconds. This module provides:
 - :class:`CostPredictor` — the trainable forest regressor (fit on timing
   data from :func:`train_cost_predictor`, which replaces the authors'
   47-dataset offline corpus with a locally generated one);
-- :class:`TelemetryRefinedCostModel` — the feedback loop: folds
-  *measured* per-task durations (``ExecutionResult.task_times``) back
-  into forecasts, so repeated batches are scheduled on observed costs
-  instead of static guesses.
+- :class:`TelemetryRefinedCostModel` — the adaptive scheduler's
+  feedback loop: folds *measured* per-task durations
+  (``ExecutionResult.task_times``) back into cost arrays, so repeated
+  batches are scheduled on observed costs instead of static guesses.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ class CostModel(Protocol):
 
     Implementations return an ``(m,)`` float array of non-negative
     costs; only the relative magnitudes matter to the schedulers.
-    :class:`AnalyticCostModel`, :class:`CostPredictor` and
-    :class:`TelemetryRefinedCostModel` all satisfy this protocol, as
-    does anything passed to ``SUOD(cost_predictor=...)``.
+    :class:`AnalyticCostModel` (what ``SUOD`` forecasts with) and
+    :class:`CostPredictor` satisfy this protocol.
     """
 
     def forecast(self, models: Sequence[BaseDetector], X) -> np.ndarray: ...
@@ -211,12 +210,10 @@ def forecast_shared_query(
     distances and merges against one GEMM; unweighted, low-``d``
     producers on large ``n`` rank far too cheap) — plus ``q · K``
     candidate maintenance. Sharing the helpers keeps the ranking
-    BPS/adaptive policies see tied to what the kernel does. The sharing
-    plane schedules producers as first-class tasks with these
-    forecasts, so the policies arbitrate build-vs-score placement
-    instead of treating shared work as free; the adaptive loop then
-    refines them from measured durations under the producers' own task
-    keys.
+    BPS sees tied to what the kernel does. The sharing plane schedules
+    producers as first-class tasks with these forecasts, so BPS
+    arbitrates build-vs-score placement instead of treating shared work
+    as free.
     """
     n, q, d, k = (
         float(n_index),
@@ -249,9 +246,7 @@ def forecast_approximator_fit(
     node counts roughly fourfold, which the constant absorbs). The
     once-per-task rank table (~4 % of a 25-tree block at 1500 × 80) is
     left out so that a block's cost stays linear in its tree count. The
-    PSA wave schedules its (model × tree-block) tasks on these forecasts
-    and the adaptive loop refines them under the ``('fit-approx', model)``
-    task keys.
+    PSA wave schedules its (model × tree-block) tasks on these forecasts.
     """
     n, d = max(float(n), 2.0), max(int(d), 1)
     m_try = float(_resolve_max_features(max_features, d))
@@ -319,52 +314,34 @@ class TelemetryRefinedCostModel:
 
     Static forecasters guess; this model measures. Every executed batch
     reports per-task wall-clock durations (``ExecutionResult.task_times``),
-    keyed by a stable task identity (e.g. ``('predict', model_index)``)
-    and an optional *weight* (the task's row count, so differently-sized
-    batches observe the same per-row rate). Durations
-    fold into an exponential moving average per key; at scheduling time
-    :meth:`refine` replaces the base forecast of every observed task
-    with its measured cost and *calibrates* unobserved forecasts onto
-    the measured scale, so mixed pools stay comparable.
+    keyed by a stable task identity and an optional *weight* (the task's
+    work units, so differently-sized batches observe the same per-unit
+    rate). Durations fold into an exponential moving average per key; at
+    scheduling time :meth:`refine` replaces the base forecast of every
+    observed task with its measured cost and *calibrates* unobserved
+    forecasts onto the measured scale, so mixed pools stay comparable.
+    :class:`~repro.scheduling.AdaptiveScheduler` owns one; the model is
+    backend-agnostic, so virtual-clock replays
+    (:class:`~repro.parallel.SimulatedClusterBackend` with
+    ``known_costs``) feed it deterministic durations.
 
     Parameters
     ----------
-    base : CostModel or None
-        Fallback forecaster for :meth:`forecast` (default
-        :class:`AnalyticCostModel`). :meth:`refine` works on raw cost
-        arrays and does not need it.
     smoothing : float in (0, 1], default 0.5
         EMA weight of the newest observation. 1.0 keeps only the latest
         measurement; smaller values damp noisy clocks.
-
-    Notes
-    -----
-    The model is deliberately backend-agnostic: virtual-clock replays
-    (:class:`~repro.parallel.SimulatedClusterBackend` with
-    ``known_costs``) feed deterministic durations, real backends feed
-    measured seconds.
-    ``SUOD(scheduler='adaptive')`` wires the loop automatically — the
-    execute stage observes, the next schedule stage refines.
     """
 
-    def __init__(self, base: CostModel | None = None, *, smoothing: float = 0.5):
+    def __init__(self, *, smoothing: float = 0.5):
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        self.base = base
         self.smoothing = smoothing
         self._ema: dict[Hashable, float] = {}
-        self._n_obs: dict[Hashable, int] = {}
 
-    # -- bookkeeping ---------------------------------------------------
     @property
     def n_observed(self) -> int:
         """Number of distinct task keys with at least one observation."""
         return len(self._ema)
-
-    @property
-    def total_observations(self) -> int:
-        # repro: allow[unordered-accumulation] -- integer counts: addition order cannot change the total
-        return int(sum(self._n_obs.values()))
 
     def has_observations(self, keys) -> bool:
         """Whether any of ``keys`` has at least one folded observation.
@@ -375,13 +352,6 @@ class TelemetryRefinedCostModel:
         """
         return any(key in self._ema for key in keys)
 
-    def reset(self) -> "TelemetryRefinedCostModel":
-        """Forget all observations (e.g. after a hardware change)."""
-        self._ema.clear()
-        self._n_obs.clear()
-        return self
-
-    # -- the feedback loop ---------------------------------------------
     def observe(self, durations, keys=None, weights=None) -> int:
         """Fold measured task durations into the per-key EMAs.
 
@@ -423,13 +393,8 @@ class TelemetryRefinedCostModel:
             rate = dur / wt
             prev = self._ema.get(key)
             self._ema[key] = rate if prev is None else (1.0 - s) * prev + s * rate
-            self._n_obs[key] = self._n_obs.get(key, 0) + 1
             folded += 1
         return folded
-
-    def observe_execution(self, execution, keys=None, weights=None) -> int:
-        """Fold an :class:`~repro.parallel.ExecutionResult`'s task times."""
-        return self.observe(execution.task_times, keys=keys, weights=weights)
 
     def refine(self, base_costs, keys=None, weights=None) -> np.ndarray:
         """Blend a base forecast with the measured EMAs.
@@ -471,22 +436,10 @@ class TelemetryRefinedCostModel:
             refined[~observed] = base[~observed] * scale
         return np.maximum(refined, 0.0)
 
-    # -- CostModel protocol --------------------------------------------
-    def forecast(self, models: Sequence[BaseDetector], X) -> np.ndarray:
-        """Base forecast refined by observations keyed on model position.
-
-        Standalone use keys tasks by pool index (observe with the same
-        convention). ``SUOD``'s adaptive scheduler manages richer keys
-        (plan kind, model index) itself and calls :meth:`refine`
-        directly.
-        """
-        base = (self.base or AnalyticCostModel()).forecast(models, X)
-        return self.refine(base)
-
     def __repr__(self) -> str:
         return (
-            f"TelemetryRefinedCostModel(base={self.base!r}, "
-            f"smoothing={self.smoothing}, n_observed={self.n_observed})"
+            f"TelemetryRefinedCostModel(smoothing={self.smoothing}, "
+            f"n_observed={self.n_observed})"
         )
 
 

@@ -1,9 +1,11 @@
 """Named scheduling policies: a closed table, like the backends'.
 
-One lookup point for scheduling policies, so ``SUOD(scheduler='...')``,
-the plan compiler, the ablation benchmarks and the ``repro schedulers``
-CLI all resolve names identically. The five names below are the whole
-set; an unknown name raises with the sorted list of them.
+One lookup point for scheduling policies, so the ablation benchmarks
+and the ``repro schedulers`` CLI resolve names identically. ``SUOD``
+does not look policies up: ``bps_flag`` picks ``BpsScheduler``
+(``bps-lpt``) or ``GenericScheduler`` (``generic``) directly. The five
+names below are the whole set; an unknown name raises with the sorted
+list of them.
 """
 
 from __future__ import annotations

@@ -51,16 +51,12 @@ class Scheduler:
     - ``uses_costs`` — whether :meth:`assign` consumes forecast costs
       (plan compilers skip the forecast stage when ``False``);
     - ``adaptive`` — whether :meth:`observe` feedback changes future
-      assignments (callers may skip the telemetry pipe when ``False``).
+      assignments.
     """
 
     name: str = "?"
     uses_costs: bool = True
     adaptive: bool = False
-    #: Distinct task keys with telemetry folded in; adaptive policies
-    #: override this (part of the interface so callers — e.g. SUOD's
-    #: schedule-stage report — may read it on any scheduler).
-    n_observed: int = 0
 
     def assign(
         self,

@@ -8,17 +8,19 @@ service. The pieces compose in request order:
 - :mod:`repro.serving.admission` — per-tenant token buckets,
   queue-depth shedding, deadline sanity (who gets in);
 - :mod:`repro.serving.batcher` — request coalescing into micro-batches
-  sized by :class:`~repro.scheduling.TelemetryRefinedCostModel`
-  forecasts with measured-latency feedback (how work is shaped);
+  sized by an EMA of measured per-row latency (how work is shaped);
 - :mod:`repro.serving.server` — the asyncio acceptor/executor server
   with SIGTERM drain (the process);
 - :mod:`repro.serving.client` — a blocking client for drivers, tests,
   and ops scripts.
 
-Batched scores are bitwise-identical to per-request offline
-``decision_function`` calls: the scoring path is row-separable end to
-end (the invariant the memory plane's out-of-core mode already pins),
-so coalescing changes the execution grain, never the bytes.
+Batched scores are meant to be bitwise-identical to per-request
+offline ``decision_function`` calls: coalescing changes the execution
+grain, never the bytes, wherever scoring is row-separable. The combine
+step, the neighbour families, out-of-core row blocks and the served
+pools are pinned (see :mod:`repro.serving.batcher`); the ``X @ W``
+products (JL, PCA, LODA, PCAD, OCSVM) are not yet proven row-separable
+(ROADMAP.md item 11).
 
 Entry point: ``python -m repro serve`` runs a server around a saved v2
 ensemble artifact. ``tests/serving/test_server.py`` pins the parity

@@ -1,21 +1,25 @@
-"""Request coalescing: the micro-batcher and its cost-model size policy.
+"""Request coalescing: the micro-batcher and its measured-cost size policy.
 
 Scoring one request at a time pays the full plan overhead (projection
 dispatch, schedule, execute, combine) per request; the PR 5 kernels
 showed the 2.5–5.6x regime lives at serving-batch sizes. The batcher
 closes that gap: admitted requests queue, and an executor loop drains
 them into micro-batches that are scored through **one**
-``decision_function`` call. Because the whole scoring path is
-row-separable (the property the memory plane's out-of-core mode pins
-bitwise), splitting the batch's score vector back per request returns
-exactly the bytes each request would have received scored alone.
+``decision_function`` call, and the batch's score vector is split back
+per request. That returns exactly the bytes each request would have
+received scored alone wherever scoring is row-separable. Tests pin it
+for the combine step (``tests/core/test_suod.py::TestRowInvariantScores``),
+the neighbour families (``tests/detectors/test_neighbor_row_separability.py``),
+out-of-core row blocks (``tests/memory/test_outofcore.py``) and served vs
+offline scores (``tests/serving/test_server.py``). The ``X @ W`` products
+(JL, PCA, LODA, PCAD, OCSVM) are still unproven: their BLAS blocking
+may depend on the row count (ROADMAP.md item 11).
 
 A batch closes on whichever comes first:
 
 - **size target** — :class:`CostModelBatchPolicy` forecasts how many
-  rows fit inside ``target_latency_s`` using a
-  :class:`~repro.scheduling.TelemetryRefinedCostModel` EMA of measured
-  per-row scoring seconds, fed back after every executed batch;
+  rows fit inside ``target_latency_s`` from an EMA of measured per-row
+  scoring seconds, fed back after every executed batch;
 - **deadline** — the oldest request's ``max_wait_s`` window expires, or
   a queued request's absolute deadline (minus the forecast execution
   time) would otherwise be missed.
@@ -38,6 +42,7 @@ it at 0 however many batches flow through.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.neighbors import kdtree_build_count
-from repro.scheduling import TelemetryRefinedCostModel
 
 __all__ = [
     "BatchedScore",
@@ -62,68 +66,55 @@ class DeadlineExpired(Exception):
 
 
 class CostModelBatchPolicy:
-    """Batch-size targets from telemetry-refined per-row cost forecasts.
+    """Batch-size targets from a measured per-row cost.
 
-    The policy keys every observation under one stable identity
-    (``('serve', 'score')``) with the batch's row count as the weight,
-    so the underlying EMA stores measured *seconds per row* regardless
-    of how batch sizes drift. ``target_rows`` inverts that rate: the
-    largest batch whose forecast execution time fits inside
-    ``target_latency_s``, clamped to ``[min_rows, max_rows]``.
+    Every executed batch folds its wall time per row into an exponential
+    moving average (weight 0.3 on the newest batch), so the policy knows
+    measured *seconds per row* regardless of how batch sizes drift.
+    ``target_rows`` inverts that rate: the largest batch whose forecast
+    execution time fits inside ``target_latency_s``, clamped to
+    ``[1, max_rows]``.
 
     Cold start returns ``max_rows``: with no measurements yet the
     optimistic cap costs one possibly-slow first batch and immediately
     yields the observation that calibrates every later one.
     """
 
-    KEY = ("serve", "score")
+    SMOOTHING = 0.3
 
-    def __init__(
-        self,
-        *,
-        target_latency_s: float = 0.05,
-        min_rows: int = 1,
-        max_rows: int = 4096,
-        cost_model: TelemetryRefinedCostModel | None = None,
-        smoothing: float = 0.3,
-    ):
+    def __init__(self, *, target_latency_s: float = 0.05, max_rows: int = 4096):
         if target_latency_s <= 0.0:
             raise ValueError("target_latency_s must be > 0")
-        if not 1 <= min_rows <= max_rows:
-            raise ValueError("need 1 <= min_rows <= max_rows")
+        if max_rows < 1:
+            raise ValueError("max_rows must be >= 1")
         self.target_latency_s = float(target_latency_s)
-        self.min_rows = int(min_rows)
         self.max_rows = int(max_rows)
-        self.cost_model = cost_model or TelemetryRefinedCostModel(
-            smoothing=smoothing
-        )
+        self._rate: float | None = None
 
     def seconds_per_row(self) -> float | None:
         """The EMA of measured per-row seconds, or ``None`` pre-observation."""
-        if not self.cost_model.has_observations([self.KEY]):
-            return None
-        # refine() returns ema * weight for observed keys; weight 1 row
-        # recovers the per-row rate through the public CostModel API.
-        rate = self.cost_model.refine([0.0], keys=[self.KEY], weights=[1.0])
-        return float(rate[0])
+        return self._rate
 
     def forecast_s(self, rows: int) -> float:
         """Forecast execution seconds for a ``rows``-row batch (0 cold)."""
-        rate = self.seconds_per_row()
+        rate = self._rate
         return 0.0 if rate is None else rate * max(0, int(rows))
 
     def target_rows(self) -> int:
-        rate = self.seconds_per_row()
+        rate = self._rate
         if rate is None or rate <= 0.0:
             return self.max_rows
-        return max(self.min_rows, min(self.max_rows, int(self.target_latency_s / rate)))
+        return max(1, min(self.max_rows, int(self.target_latency_s / rate)))
 
     def observe(self, rows: int, duration_s: float) -> None:
-        """Fold one executed batch's measured wall time into the EMA."""
-        if rows > 0:
-            self.cost_model.observe(
-                [duration_s], keys=[self.KEY], weights=[float(rows)]
-            )
+        """Fold one executed batch's measured wall time into the EMA;
+        empty batches and non-finite or negative durations are skipped."""
+        duration_s = float(duration_s)
+        if rows <= 0 or not math.isfinite(duration_s) or duration_s < 0.0:
+            return
+        rate = duration_s / float(rows)
+        prev, s = self._rate, self.SMOOTHING
+        self._rate = rate if prev is None else (1.0 - s) * prev + s * rate
 
 
 @dataclass

@@ -50,8 +50,10 @@ _ENSEMBLE_MAGIC = "repro-ensemble"
 # Bump whenever the persisted SUOD attribute layout or the container
 # format changes shape. v1 = plain pickle payload; v2 = arena container;
 # v3 = every forest is its flat arena (no per-tree objects); v4 = the
-# arena drops ``right`` (it is ``left + 1``) and leaves point at themselves.
-ENSEMBLE_SCHEMA_VERSION = 4
+# arena drops ``right`` (it is ``left + 1``) and leaves point at themselves;
+# v5 = SUOD keeps no ``scheduler``/``cost_predictor`` and the manifest no
+# ``has_cost_predictor``.
+ENSEMBLE_SCHEMA_VERSION = 5
 # Container preamble: 8 magic bytes + uint64-LE header-pickle length.
 _V2_MAGIC = b"RPRENSB2"
 _V2_PREAMBLE = struct.Struct("<8sQ")
@@ -180,7 +182,6 @@ def _ensemble_manifest(model) -> dict:
         "families": [family_of(est) for est in model.base_estimators_],
         "n_projected": int(model.rp_flags_.sum()),
         "n_approximated": int(model.approx_flags_.sum()),
-        "has_cost_predictor": model.cost_predictor is not None,
         "combination": model.combination,
         "standardisation": model.standardisation,
     }
@@ -191,10 +192,10 @@ def save_ensemble(model, path) -> Path:
 
     Everything prediction needs rides along: fitted detectors, the
     per-model projectors, the PSA approximators, the train-score
-    reference matrix, the threshold, and the fitted cost predictor (if
-    one was passed) — so a reloaded ensemble schedules and scores
-    identically. Run telemetry (plans, execution results) is excluded
-    by ``SUOD.__getstate__``; training data never enters the file.
+    reference matrix and the threshold — so a reloaded ensemble
+    schedules and scores identically. Run telemetry (plans, execution
+    results) is excluded by ``SUOD.__getstate__``; training data never
+    enters the file.
 
     Every large kernel array is written as an aligned raw segment that
     :func:`load_ensemble` serves via read-only memmap; arrays below

@@ -217,14 +217,13 @@ class TestApproximatorWave:
         assert tree_blocks_per_model(6, 4) == 2
         assert tree_blocks_per_model(0, 4) == 1
 
-    def test_costs_and_weights_follow_block_sizes(self, data, fitted):
+    def test_costs_follow_block_sizes(self, data, fitted):
         Xtr, _ = data
         _, wave = self._wave(fitted, Xtr, small_forest(), 4)
-        costs, weights = wave.costs(), wave.task_weights()
+        costs = wave.costs()
         sizes = np.array([hi - lo for _i, lo, hi in wave.owners], dtype=float)
-        assert costs.shape == weights.shape == (wave.n_tasks,)
+        assert costs.shape == (wave.n_tasks,)
         assert np.allclose(costs / costs[0], sizes / sizes[0])
-        assert np.array_equal(weights, sizes * Xtr.shape[0])
 
     def test_misaligned_space_is_rejected_up_front(self, data, fitted):
         Xtr, _ = data
@@ -379,26 +378,6 @@ class TestTelemetry:
         # Results hold whole tree lists: nulled once assembled.
         assert clf.approx_result_.results == [None] * report.info["tasks"]
         assert report.to_dict()["execution"]["n_tasks"] == report.info["tasks"]
-
-    def test_adaptive_scheduler_observes_the_wave_under_its_own_keys(self, data):
-        Xtr, _ = data
-        clf = SUOD(
-            make_pool(),
-            n_jobs=2,
-            backend="shm_processes",
-            scheduler="adaptive",
-            random_state=2,
-        )
-        try:
-            clf.fit(Xtr)
-        finally:
-            clf.close()
-        model = clf._make_scheduler().cost_model
-        costly = [i for i, flag in enumerate(clf.approx_flags_) if flag]
-        assert model.has_observations([("fit-approx", i) for i in costly])
-        assert not model.has_observations([("fit-approx", 3)])  # HBOS
-        info = clf.fit_plan_.report_for("approximate").info
-        assert info["telemetry_observed"] == info["tasks"]
 
     def test_cost_blind_scheduler_still_assigns_the_wave(self, data):
         Xtr, _ = data

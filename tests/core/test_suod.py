@@ -5,6 +5,7 @@ from repro import SUOD
 from repro.core.suod import RP_NG_FAMILIES
 from repro.detectors import HBOS, KNN, LOF, IsolationForest, sample_model_pool
 from repro.metrics import roc_auc_score
+from repro.scheduling import AnalyticCostModel, bps_schedule
 from repro.supervised import Ridge
 
 
@@ -199,24 +200,22 @@ class TestSUODScheduling:
         clf = SUOD(fresh_pool(), n_jobs=2, backend="threads", random_state=0).fit(Xtr)
         assert roc_auc_score(yte, clf.decision_function(Xte)) > 0.8
 
-    def test_custom_cost_predictor_used(self, data):
+    def test_bps_ranks_the_analytic_forecast(self, data, monkeypatch):
         Xtr, *_ = data
+        calls = []
 
-        class SpyCost:
-            calls = 0
+        def spy_forecast(self, models, X):
+            calls.append(len(models))
+            return np.arange(len(models), dtype=float) + 1.0
 
-            def forecast(self, models, X):
-                SpyCost.calls += 1
-                return np.arange(len(models), dtype=float) + 1.0
-
+        monkeypatch.setattr(AnalyticCostModel, "forecast", spy_forecast)
         clf = SUOD(
-            fresh_pool(),
-            n_jobs=2,
-            backend="simulated",
-            cost_predictor=SpyCost(),
-            random_state=0,
+            fresh_pool(), n_jobs=2, backend="simulated", random_state=0
         ).fit(Xtr)
-        assert SpyCost.calls >= 1
+        assert calls and calls[0] == clf.n_models
+        np.testing.assert_array_equal(
+            clf.fit_assignment_, bps_schedule(np.arange(clf.n_models) + 1.0, 2)
+        )
 
 
 class TestRowInvariantScores:

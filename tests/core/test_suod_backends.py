@@ -28,7 +28,6 @@ from repro.detectors import HBOS, KNN, LOF, IsolationForest
 from repro.detectors.base import BaseDetector
 from repro.parallel import get_backend
 from repro.pipeline import PlanRunner
-from repro.scheduling import get_scheduler
 
 SHM_DIR = "/dev/shm"
 PARALLEL_BACKENDS = ["threads", "shm_processes"]
@@ -85,19 +84,15 @@ class FailingDetector(BaseDetector):
 
 class TestBitwiseEqualityMatrix:
     @pytest.mark.parametrize(
-        "backend,n_jobs,scheduler",
-        [(b, 2, None) for b in (*PARALLEL_BACKENDS, "simulated")]
+        "backend,n_jobs",
+        [(b, 2) for b in (*PARALLEL_BACKENDS, "simulated")]
         # Codeblock 1's call: workers requested from the one-worker
-        # default backend (also with README's configured instance).
-        + [("sequential", 4, None), ("sequential", 4, "adaptive-instance")],
+        # default backend.
+        + [("sequential", 4)],
     )
-    def test_backend_matches_sequential(
-        self, data, reference, backend, n_jobs, scheduler
-    ):
+    def test_backend_matches_sequential(self, data, reference, backend, n_jobs):
         Xtr, Xte, ytr, yte = data
         ref_train, M0, s0 = reference
-        if scheduler is not None:
-            scheduler = get_scheduler("adaptive", smoothing=0.8)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             clf = SUOD(
@@ -105,7 +100,6 @@ class TestBitwiseEqualityMatrix:
                 random_state=3,
                 n_jobs=n_jobs,
                 backend=backend,
-                scheduler=scheduler,
             ).fit(Xtr)
             try:
                 np.testing.assert_array_equal(clf.decision_scores_, ref_train)
@@ -116,7 +110,7 @@ class TestBitwiseEqualityMatrix:
         ignored = [w for w in caught if "n_workers=4 is ignored" in str(w.message)]
         assert len(ignored) == (backend == "sequential")
         if backend == "sequential":
-            # One worker, told once; nothing scheduled, nothing observed.
+            # One worker, told once; nothing scheduled.
             assert not clf.fit_assignment_.any()
             assert clf.fit_plan_.meta["scheduler"] == "single-worker"
             assert clf.predict_plan_.report_for("schedule").info == {
@@ -124,7 +118,6 @@ class TestBitwiseEqualityMatrix:
                 "n_tasks": clf.predict_plan_.meta["n_tasks"],
                 "tasks_per_worker": [clf.predict_plan_.meta["n_tasks"]],
             }
-            assert clf._make_scheduler().n_observed == 0
 
     def test_shm_three_workers_generic_split(self, data, reference):
         Xtr, Xte, ytr, yte = data

@@ -117,7 +117,7 @@ class TestPlanRunner:
 
 # ---------------------------------------------------------------------------
 # The wave runner on a fake wave: forecast -> assign -> execute ->
-# observe -> assemble, with nothing of SUOD around it
+# assemble, with nothing of SUOD around it
 # ---------------------------------------------------------------------------
 class FakeWave(Wave):
     """Six tasks returning their own index; records what it was asked."""
@@ -129,12 +129,6 @@ class FakeWave(Wave):
         self.interpreter_bound = interpreter_bound
         self.forecasts = 0
         self.assembled = None
-
-    def task_keys(self):
-        return [("fake", i % 3) for i in range(6)]
-
-    def task_weights(self):
-        return np.arange(1.0, 7.0)
 
     def costs(self):
         self.forecasts += 1
@@ -152,34 +146,28 @@ class RecordingScheduler(Scheduler):
     """Deals tasks round-robin from the last worker down."""
 
     name = "recording"
-    adaptive = True
 
     def __init__(self, uses_costs):
         self.uses_costs = uses_costs
-        self.assign_calls, self.observe_calls = [], []
+        self.assign_calls = []
 
-    def assign(self, n_tasks, n_workers, costs=None, *, task_keys=None, weights=None):
-        self.assign_calls.append((n_tasks, n_workers, costs, task_keys, weights))
+    def assign(self, n_tasks, n_workers, costs=None):
+        self.assign_calls.append((n_tasks, n_workers, costs))
         return (n_workers - 1) - np.arange(n_tasks) % n_workers
-
-    def observe(self, durations, *, task_keys=None, weights=None):
-        self.observe_calls.append((durations, task_keys, weights))
-        return len(durations)
 
 
 class TestWaveRun:
     DATA = ["10", "11", "12", "13", "14", "15"]
 
-    def test_assignment_respected_results_stripped_and_observed(self):
+    def test_assignment_respected_and_results_stripped(self):
         wave, scheduler = FakeWave(), RecordingScheduler(uses_costs=True)
         run = WaveRun(wave, get_backend("simulated", n_workers=3), scheduler)
         assert (run.n_workers, run.policy) == (3, "recording")
         np.testing.assert_array_equal(run.forecast(), [6.0, 5, 4, 3, 2, 1])
         np.testing.assert_array_equal(run.schedule(), [2, 1, 0, 2, 1, 0])
-        [(n_tasks, n_workers, costs, keys, weights)] = scheduler.assign_calls
-        assert (n_tasks, n_workers, keys) == (6, 3, wave.task_keys())
+        [(n_tasks, n_workers, costs)] = scheduler.assign_calls
+        assert (n_tasks, n_workers) == (6, 3)
         assert costs is run.costs and wave.forecasts == 1
-        np.testing.assert_array_equal(weights, wave.task_weights())
 
         ledger = run.run(self.DATA)
         assert wave.assembled == [10, 11, 12, 13, 14, 15]
@@ -190,15 +178,12 @@ class TestWaveRun:
             run.result.worker_times,
             [times[2] + times[5], times[1] + times[4], times[0] + times[3]],
         )
-        [(durations, keys, weights)] = scheduler.observe_calls
-        assert durations is times and keys == wave.task_keys()
         assert ledger == {
             "tasks": 6,
             "checksum": 75,
             "tasks_per_worker": [2, 2, 2],
             "wave_wall_s": run.result.wall_time,
             "execution": run.result,
-            "telemetry_observed": 6,
         }
 
     def test_cost_blind_scheduler_gets_no_costs(self):
@@ -234,8 +219,6 @@ class TestWaveRun:
             assert run.policy == "single-worker" and run.costs is None
             assert wave.forecasts == 0 and scheduler.assign_calls == []
             assert not run.assignment.any()
-        # Measured durations still feed a multi-worker backend's scheduler.
-        assert len(scheduler.observe_calls) == (pool.n_workers > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.detectors import HBOS, KNN
 from repro.parallel import SimulatedClusterBackend
 from repro.scheduling import (
     AnalyticCostModel,
@@ -17,13 +16,18 @@ class TestProtocol:
     def test_all_forecasters_satisfy_cost_model(self):
         assert isinstance(AnalyticCostModel(), CostModel)
         assert isinstance(CostPredictor(), CostModel)
-        assert isinstance(TelemetryRefinedCostModel(), CostModel)
 
     def test_smoothing_validated(self):
         with pytest.raises(ValueError, match="smoothing"):
             TelemetryRefinedCostModel(smoothing=0.0)
         with pytest.raises(ValueError, match="smoothing"):
             TelemetryRefinedCostModel(smoothing=1.5)
+
+    def test_takes_no_base_forecaster(self):
+        with pytest.raises(TypeError):
+            TelemetryRefinedCostModel(AnalyticCostModel())
+        with pytest.raises(TypeError):
+            TelemetryRefinedCostModel(base=AnalyticCostModel())
 
 
 class TestObserve:
@@ -33,7 +37,6 @@ class TestObserve:
         folded = model.observe([1.0, 2.0, 3.0], keys=["a", "b", "c"])
         assert folded == 3
         assert model.n_observed == 3
-        assert model.total_observations == 3
 
     def test_default_keys_are_positions(self):
         model = TelemetryRefinedCostModel(smoothing=1.0)
@@ -47,7 +50,6 @@ class TestObserve:
         # 0.5 * 4 + 0.5 * 8
         np.testing.assert_allclose(model.refine([1.0], keys=["k"]), [6.0])
         assert model.n_observed == 1
-        assert model.total_observations == 2
 
     def test_weights_normalise_to_per_unit_rates(self):
         model = TelemetryRefinedCostModel(smoothing=1.0)
@@ -87,12 +89,10 @@ class TestObserve:
         assert model.has_observations(["a", "b"])
         assert not model.has_observations(["b", "c"])
 
-    def test_reset_forgets(self):
+    def test_repr_mentions_observations(self):
         model = TelemetryRefinedCostModel()
         model.observe([1.0], keys=["a"])
-        model.reset()
-        assert model.n_observed == 0
-        np.testing.assert_allclose(model.refine([3.0], keys=["a"]), [3.0])
+        assert "n_observed=1" in repr(model)
 
 
 class TestRefine:
@@ -128,30 +128,6 @@ class TestRefine:
         backend = SimulatedClusterBackend(n_workers=2)
         result = backend.execute([None] * 4, np.array([0, 0, 1, 1]), known_costs=costs)
         model = TelemetryRefinedCostModel(smoothing=1.0)
-        assert model.observe_execution(result) == 4
+        assert model.observe(result.task_times) == 4
         np.testing.assert_allclose(model.refine(np.ones(4)), costs)
 
-
-class TestForecastProtocol:
-    def test_forecast_falls_back_to_base_model(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((60, 6))
-        models = [KNN(n_neighbors=3), HBOS(n_bins=8)]
-        base = AnalyticCostModel()
-        refined = TelemetryRefinedCostModel(base)
-        np.testing.assert_array_equal(
-            refined.forecast(models, X), base.forecast(models, X)
-        )
-
-    def test_forecast_uses_observations_keyed_by_position(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((60, 6))
-        models = [KNN(n_neighbors=3), HBOS(n_bins=8)]
-        refined = TelemetryRefinedCostModel(AnalyticCostModel(), smoothing=1.0)
-        refined.observe([0.25, 0.125])
-        np.testing.assert_allclose(refined.forecast(models, X), [0.25, 0.125])
-
-    def test_repr_mentions_observations(self):
-        model = TelemetryRefinedCostModel()
-        model.observe([1.0], keys=["a"])
-        assert "n_observed=1" in repr(model)

@@ -36,20 +36,55 @@ class TestCostModelBatchPolicy:
         assert policy.target_rows() == 50  # 0.1 s / 2 ms
 
     def test_target_clamped_to_bounds(self):
-        policy = CostModelBatchPolicy(
-            target_latency_s=0.1, min_rows=4, max_rows=8
-        )
+        policy = CostModelBatchPolicy(target_latency_s=0.1, max_rows=8)
         policy.observe(rows=10, duration_s=10.0)  # 1 s/row -> wants 0
-        assert policy.target_rows() == 4
+        assert policy.target_rows() == 1
         policy = CostModelBatchPolicy(target_latency_s=10.0, max_rows=8)
         policy.observe(rows=10, duration_s=0.001)  # wants millions
         assert policy.target_rows() == 8
+
+    def test_scripted_observations_follow_the_ema(self):
+        # Empty batches and non-finite or negative durations are skipped;
+        # everything else folds in with weight 0.3 on the newest rate.
+        policy = CostModelBatchPolicy(target_latency_s=0.05, max_rows=4096)
+        script = [
+            (0, 0.5),
+            (20, float("nan")),
+            (100, 0.2),
+            (0, 5.0),
+            (50, float("nan")),
+            (50, float("inf")),
+            (50, -0.1),
+            (40, 0.02),
+            (-3, 1.0),
+            (10, 0.5),
+            (1, 0.0),
+        ]
+        rate = None
+        for rows, duration in script:
+            policy.observe(rows=rows, duration_s=duration)
+            if rows > 0 and np.isfinite(duration) and duration >= 0.0:
+                new = duration / rows
+                rate = new if rate is None else 0.7 * rate + 0.3 * new
+            assert policy.seconds_per_row() == rate
+            if rate is None:
+                assert policy.forecast_s(7) == 0.0
+                assert policy.target_rows() == 4096
+            else:
+                assert policy.forecast_s(7) == rate * 7
+                assert policy.target_rows() == max(1, min(4096, int(0.05 / rate)))
+        assert rate is not None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             CostModelBatchPolicy(target_latency_s=0.0)
         with pytest.raises(ValueError):
-            CostModelBatchPolicy(min_rows=9, max_rows=8)
+            CostModelBatchPolicy(max_rows=0)
+
+    @pytest.mark.parametrize("option", ["smoothing", "min_rows", "cost_model"])
+    def test_removed_options_are_rejected(self, option):
+        with pytest.raises(TypeError):
+            CostModelBatchPolicy(**{option: 1})
 
 
 class TestMicroBatcher:

@@ -103,25 +103,6 @@ class TestEnsemblePersistence:
             loaded.train_score_matrix_, clf.train_score_matrix_
         )
 
-    def test_roundtrip_keeps_fitted_cost_predictor(self, tmp_path, tiny_X):
-        from repro.scheduling import CostPredictor
-        from repro.detectors import HBOS, KNN
-
-        models = [KNN(n_neighbors=5), HBOS()]
-        feats = CostPredictor.build_features(models, tiny_X)
-        predictor = CostPredictor(n_estimators=5, random_state=0).fit(
-            feats, np.array([2.0, 1.0])
-        )
-        clf = _fitted_ensemble(
-            tiny_X, cost_predictor=predictor, n_jobs=2, backend="threads"
-        )
-        loaded = load_ensemble(save_ensemble(clf, tmp_path / "ens.pkl"))
-        assert loaded.cost_predictor is not None
-        np.testing.assert_array_equal(
-            loaded.cost_predictor.forecast(models, tiny_X),
-            predictor.forecast(models, tiny_X),
-        )
-
     def test_run_telemetry_not_persisted(self, tmp_path, tiny_X):
         clf = _fitted_ensemble(tiny_X)
         clf.decision_function(tiny_X)
@@ -196,13 +177,19 @@ class TestEnsemblePersistence:
             with pytest.raises(ValueError, match="schema version"):
                 load_ensemble(p)
 
-    def test_schema_3_artifact_asks_for_a_resave(self, tmp_path, tiny_X):
-        # Schema 3 arenas carried ``right`` and -1 leaf sentinels; the
-        # descent cannot read them, so the file must be re-saved.
+    def test_schema_4_artifact_asks_for_a_resave(self, tmp_path, tiny_X):
+        # Schema 4 pickled SUOD's ``scheduler``/``cost_predictor`` and
+        # manifested ``has_cost_predictor``; the file must be re-saved,
+        # and the refusal names the versions, not a manifest mismatch.
         p = save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
-        self._repack_v2(p, lambda h: h.__setitem__("schema_version", 3))
+
+        def as_schema_4(header):
+            header["schema_version"] = 4
+            header["manifest"]["has_cost_predictor"] = False
+
+        self._repack_v2(p, as_schema_4)
         with pytest.raises(
-            ValueError, match="schema version 3; .* exactly version 4. Re-save"
+            ValueError, match="schema version 4; .* exactly version 5. Re-save"
         ):
             load_ensemble(p)
 

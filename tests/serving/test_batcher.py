@@ -75,6 +75,30 @@ class TestCostModelBatchPolicy:
                 assert policy.target_rows() == max(1, min(4096, int(0.05 / rate)))
         assert rate is not None
 
+    @pytest.mark.parametrize(
+        "rows, duration",
+        [(0, 0.5), (-3, 1.0), (20, float("nan")), (50, float("inf")), (50, -0.1)],
+        ids=["empty", "negative-rows", "nan", "inf", "negative-duration"],
+    )
+    def test_skipped_observation_leaves_policy_cold(self, rows, duration):
+        policy = CostModelBatchPolicy(max_rows=64)
+        policy.observe(rows=rows, duration_s=duration)
+        assert policy.seconds_per_row() is None
+        assert policy.target_rows() == 64
+        assert policy.forecast_s(10) == 0.0
+
+    def test_zero_duration_batch_targets_max_rows(self):
+        # A measured rate of 0 s/row is kept, but it cannot be inverted:
+        # the target stays at the cap and every forecast is free.
+        policy = CostModelBatchPolicy(max_rows=64)
+        policy.observe(rows=10, duration_s=0.0)
+        assert policy.seconds_per_row() == 0.0
+        assert policy.target_rows() == 64
+        assert policy.forecast_s(10) == 0.0
+        policy.observe(rows=10, duration_s=1.0)  # 0.7 * 0 + 0.3 * 0.1
+        assert policy.seconds_per_row() == 0.3 * 0.1
+        assert policy.target_rows() == 1
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             CostModelBatchPolicy(target_latency_s=0.0)

@@ -68,3 +68,24 @@ def test_fit_and_score_load_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_serving_does_not_import_scheduling():
+    # The batch policy keeps its own per-row EMA; the serving plane
+    # reaches the scheduling plane only through the fitted SUOD.
+    files = sorted((SRC / "repro" / "serving").rglob("*.py"))
+    assert files
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith(("repro.scheduling", "scheduling"))
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(a.name.startswith("repro.scheduling") for a in node.names)
+        )
+    ]
+    assert not offenders, "serving imports repro.scheduling:\n" + "\n".join(offenders)

@@ -122,6 +122,41 @@ class TestEnsemblePersistence:
         # it must not leak into the deployment file.
         assert big == small
 
+    @pytest.mark.parametrize("bps_flag", [True, False], ids=["bps", "generic"])
+    def test_roundtrip_keeps_bps_flag(self, tmp_path, tiny_X, bps_flag):
+        # ``bps_flag`` is all the scheduling state an artifact carries:
+        # the reloaded ensemble schedules its batches with the same policy.
+        clf = _fitted_ensemble(tiny_X, n_jobs=2, backend="threads", bps_flag=bps_flag)
+        expected = clf.decision_function(tiny_X)
+        loaded = load_ensemble(save_ensemble(clf, tmp_path / "ens.pkl"))
+        try:
+            assert loaded.bps_flag is bps_flag
+            np.testing.assert_array_equal(loaded.decision_function(tiny_X), expected)
+            info = loaded.predict_plan_.report_for("schedule").info
+            assert info["policy"] == ("bps-lpt" if bps_flag else "generic")
+            np.testing.assert_array_equal(
+                loaded.predict_plan_.context.get("assignment"),
+                clf.predict_plan_.context.get("assignment"),
+            )
+        finally:
+            loaded.close()
+            clf.close()
+
+    def test_manifest_carries_no_scheduling_state(self, tmp_path, tiny_X):
+        header = read_ensemble_header(
+            save_ensemble(_fitted_ensemble(tiny_X), tmp_path / "ens.pkl")
+        )
+        assert header["schema_version"] == ENSEMBLE_SCHEMA_VERSION == 5
+        assert set(header["manifest"]) == {
+            "n_models",
+            "n_features_in",
+            "families",
+            "n_projected",
+            "n_approximated",
+            "combination",
+            "standardisation",
+        }
+
     def test_unfitted_rejected(self, tmp_path):
         from repro import SUOD
         from repro.detectors import HBOS

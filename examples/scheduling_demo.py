@@ -11,6 +11,7 @@ Run:  python examples/scheduling_demo.py
 """
 
 import time
+import zlib
 
 import numpy as np
 
@@ -25,11 +26,12 @@ from repro.detectors import sample_model_pool
 from repro.metrics import imbalance, makespan, spearmanr
 
 
-def main() -> None:
-    X, _ = load_benchmark("PageBlock", scale=0.15)
-    print(f"dataset: PageBlock replica, n={X.shape[0]}, d={X.shape[1]}")
+def build_pool() -> list:
+    """25 models per family, ordered by family (the §3.5 pathology).
 
-    # 25 models per family, ordered by family (the §3.5 pathology).
+    Each family's seed is a CRC-32 of its name: ``hash(str)`` is salted
+    per interpreter, so it would draw a different pool on every run.
+    """
     pool = []
     for fam in ("KNN", "IsolationForest", "HBOS", "OCSVM"):
         pool.extend(
@@ -37,9 +39,17 @@ def main() -> None:
                 25,
                 families=[fam],
                 max_n_neighbors=100,
-                random_state=hash(fam) % 2**31,
+                random_state=zlib.crc32(fam.encode()),
             )
         )
+    return pool
+
+
+def main() -> None:
+    X, _ = load_benchmark("PageBlock", scale=0.15)
+    print(f"dataset: PageBlock replica, n={X.shape[0]}, d={X.shape[1]}")
+
+    pool = build_pool()
     print(f"pool: {len(pool)} heterogeneous models, family-ordered\n")
 
     # Measure the true cost of each model once on this machine.

@@ -19,6 +19,9 @@ parallelises. This module replaces the copies with *references*:
   per-process cache attaches each segment **once per worker** and hands
   out read-only views, so repeated tasks over the same array cost one
   ``mmap`` total, not one copy each;
+- :class:`PersistentPool` — one ``ProcessPoolExecutor`` kept across
+  calls and rebuilt after a worker dies; the one pool implementation,
+  shared by the backend below and the serving plane's batcher;
 - :class:`SharedMemoryProcessBackend` — a process backend with a
   **persistent** worker pool (``shm_processes`` in the backend table): the
   pool survives across execute calls, so plan stages (fit execute,
@@ -55,6 +58,7 @@ from repro.parallel.execution import (
 )
 
 __all__ = [
+    "PersistentPool",
     "SharedArrayHandle",
     "SharedMemoryArena",
     "SharedMemoryProcessBackend",
@@ -345,14 +349,69 @@ class SharedMemoryArena:
         return f"SharedMemoryArena({state}, {self.total_bytes} bytes)"
 
 
+class PersistentPool:
+    """One ``ProcessPoolExecutor`` that outlives calls, rebuilt after a crash.
+
+    A worker that dies mid-task (OOM kill, hard crash, SIGKILL) breaks
+    the whole executor: its pending futures raise ``BrokenProcessPool``
+    and it refuses new work, having terminated and joined the remaining
+    workers itself. :meth:`discard` drops that executor and the next
+    :meth:`get` builds a fresh one, so a persistent pool never stays
+    wedged. Arguments after ``n_workers`` go to ``ProcessPoolExecutor``.
+    """
+
+    def __init__(self, n_workers: int, *, mp_context=None, initializer=None,
+                 initargs=()):
+        self.n_workers = n_workers
+        self._options = dict(
+            max_workers=n_workers,
+            mp_context=mp_context,
+            initializer=initializer,
+            initargs=initargs,
+        )
+        self._pool: ProcessPoolExecutor | None = None
+
+    @property
+    def executor(self) -> ProcessPoolExecutor | None:
+        """The live executor; ``None`` before the first :meth:`get`."""
+        return self._pool
+
+    def get(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(**self._options)
+        return self._pool
+
+    def call_retrying_once(self, fn: Callable[[ProcessPoolExecutor], object]):
+        """``fn(executor)``; if a worker died, rebuild the pool and retry once."""
+        try:
+            return fn(self.get())
+        except BrokenProcessPool:
+            self.discard()
+            return fn(self.get())
+
+    def discard(self, broken: ProcessPoolExecutor | None = None) -> None:
+        """Drop the current executor, or only ``broken`` if it still is
+        current (several failed calls may report one crash)."""
+        if self._pool is not None and broken in (None, self._pool):
+            self.shutdown()
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the workers (the next :meth:`get` respawns them)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
+
+
 class SharedMemoryProcessBackend(_BackendBase):
     """Process backend with a persistent pool and handle-based payloads.
 
     Differences from a plain per-call process pool:
 
-    - the ``ProcessPoolExecutor`` is created once and **reused across
-      execute calls** (and therefore across plan stages and repeated
-      scoring batches), so per-call pool spawn cost is paid once;
+    - the worker pool (a :class:`PersistentPool`) is created once and
+      **reused across execute calls** (and therefore across plan stages
+      and repeated scoring batches), so per-call pool spawn cost is paid
+      once; a pool broken by a dead worker is rebuilt and the call
+      retried once;
     - tasks are expected to bind :class:`SharedArrayHandle` payloads
       (built by the SUOD plan stages when this backend is active), so
       the pickle stream carries descriptors, not data matrices. Each
@@ -368,37 +427,31 @@ class SharedMemoryProcessBackend(_BackendBase):
 
     def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
-        self._pool: ProcessPoolExecutor | None = None
+        self._workers = PersistentPool(self.n_workers)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._pool
+    @property
+    def _pool(self) -> ProcessPoolExecutor | None:
+        """The live executor; ``None`` until an execute call needs one."""
+        return self._workers.executor
 
     def execute(self, tasks: Sequence[Callable], assignment) -> ExecutionResult:
         _, groups = self._group(tasks, assignment)
         t0 = time.perf_counter()
-        try:
-            outputs = self._run_groups(tasks, groups)
-        except BrokenProcessPool:
-            # A worker died (OOM kill, hard crash). Rebuild the pool
-            # once and retry — persistent pools must not stay wedged.
-            self.shutdown(wait=False)
-            outputs = self._run_groups(tasks, groups)
+
+        def run_groups(pool: ProcessPoolExecutor):
+            futures = [
+                pool.submit(_run_group, [tasks[i] for i in g]) for g in groups
+            ]
+            return [f.result() for f in futures]
+
+        outputs = self._workers.call_retrying_once(run_groups)
         out = self._scatter(tasks, groups, outputs)
         out.wall_time = time.perf_counter() - t0
         return out
 
-    def _run_groups(self, tasks, groups):
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_group, [tasks[i] for i in g]) for g in groups]
-        return [f.result() for f in futures]
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop the persistent pool (the next execute respawns it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-            self._pool = None
+        self._workers.shutdown(wait=wait)
 
     def __enter__(self) -> "SharedMemoryProcessBackend":
         return self

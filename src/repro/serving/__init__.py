@@ -9,8 +9,8 @@ service. The pieces compose in request order:
   queue-depth shedding, deadline sanity (who gets in);
 - :mod:`repro.serving.batcher` — request coalescing into micro-batches
   sized by an EMA of measured per-row latency (how work is shaped);
-- :mod:`repro.serving.server` — the asyncio acceptor/executor server
-  with SIGTERM drain (the process);
+- :mod:`repro.serving.server` — the asyncio acceptor in front of the
+  batcher's forked scoring workers, with SIGTERM drain (the process);
 - :mod:`repro.serving.client` — a blocking client for drivers, tests,
   and ops scripts.
 

@@ -3,7 +3,7 @@
 Scoring one request at a time pays the full plan overhead (projection
 dispatch, schedule, execute, combine) per request; the PR 5 kernels
 showed the 2.5–5.6x regime lives at serving-batch sizes. The batcher
-closes that gap: admitted requests queue, and an executor loop drains
+closes that gap: admitted requests queue, and a batch loop drains
 them into micro-batches that are scored through **one**
 ``decision_function`` call, and the batch's score vector is split back
 per request. That returns exactly the bytes each request would have
@@ -19,38 +19,61 @@ A batch closes on whichever comes first:
 
 - **size target** — :class:`CostModelBatchPolicy` forecasts how many
   rows fit inside ``target_latency_s`` from an EMA of measured per-row
-  scoring seconds, fed back after every executed batch;
+  scoring seconds, fed back after every executed batch; the batch
+  closes once the queue holds one worker's share of it,
+  ``ceil(target / N)`` rows;
 - **deadline** — the oldest request's ``max_wait_s`` window expires, or
   a queued request's absolute deadline (minus the forecast execution
   time) would otherwise be missed.
 
 Requests whose deadline has already passed when the batch is drained
-fail fast with :class:`DeadlineExpired` instead of wasting executor
-time. Execution runs on a single worker thread: scoring mutates model
-state (plan caches, telemetry), so batches serialize, while the event
-loop stays free to accept and queue the next wave.
+fail fast with :class:`DeadlineExpired` instead of wasting a worker's
+time.
+
+Batches score in N forked worker processes, N being the CPUs this
+process may run on (``os.sched_getaffinity``), and up to N batches are
+in flight at once. Fork hands every worker the fitted model, so only
+the rows and the scores cross the pipe; each batch is still one
+``decision_function`` call on that same model, so replies keep their
+bytes. When a batch closes with ``free`` idle workers it takes whole
+requests up to ``ceil(queued_rows / free)`` rows (at least one request,
+at most the size target), and the loop deals the rest of the queue to
+the next idle worker at once. The event loop never scores, so it stays
+free to parse frames and queue the next wave.
+
+A worker that dies fails the batches in flight with their exception
+(the server answers ``500 scoring_failed``), and the pool is rebuilt for
+the next batch. Workers ignore SIGINT and SIGTERM (the parent drains
+and then joins them), detach from the parent's signal wakeup fd, and
+drop every inherited socket, so a respawn after connections exist
+never holds a client's connection open.
 
 The batcher also audits the shared-computation plane's serving
 contract: a fitted ensemble's neighbor structures (the KD-trees the
 ``share`` stage built once per ``(space, order)`` key and injected
 into every consumer) must be **reused** across micro-batches, never
-rebuilt per batch. Each executed batch folds the process KD-tree build
-delta into ``stats.structure_builds``; a healthy shared ensemble holds
-it at 0 however many batches flow through.
+rebuilt per batch. Each worker reports the KD-tree builds its batch
+caused, folded into ``stats.structure_builds``; a healthy shared
+ensemble holds it at 0 however many batches flow through.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import os
+import signal
+import stat
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 
 from repro.neighbors import kdtree_build_count
+from repro.parallel.shm import PersistentPool
 
 __all__ = [
     "BatchedScore",
@@ -149,6 +172,8 @@ class BatcherStats:
     served_rows: int = 0
     expired_requests: int = 0
     failed_requests: int = 0
+    # Summed over batches, which run concurrently on the workers: it
+    # can exceed wall time by up to the worker count.
     exec_s_total: float = 0.0
     batch_rows_max: int = 0
     target_rows_last: int = 0
@@ -180,14 +205,50 @@ class _Queue:
     rows: int = 0
 
 
+#: The scoring callable a forked worker runs; set by its initializer.
+_worker_score_fn = None
+
+
+def _install_score_fn(score_fn) -> None:
+    """Worker initializer: keep clear of the parent's signals and sockets.
+
+    A respawned worker forks after connections exist; an inherited
+    socket would keep a client from seeing EOF when the parent closes
+    it, so each one is replaced by ``/dev/null`` (the fd number stays
+    taken, so a stale socket object cannot close a reused one).
+    """
+    global _worker_score_fn
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:  # the listing's own, now closed, directory fd
+            pass
+    os.close(null)
+    _worker_score_fn = score_fn
+
+
+def _score_in_worker(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """One batch in a worker: its scores and the KD-trees it built."""
+    before = kdtree_build_count()
+    scores = _worker_score_fn(rows)
+    return scores, kdtree_build_count() - before
+
+
 class MicroBatcher:
-    """Coalesces queued requests into micro-batches behind one executor.
+    """Coalesces queued requests into micro-batches over N worker processes.
 
     Parameters
     ----------
     score_fn : callable
         ``(rows_matrix) -> scores`` — typically a loaded ensemble's
-        ``decision_function``. Runs on the single executor thread.
+        ``decision_function``. Runs in the forked workers, which inherit
+        it (it is never pickled); :meth:`start` forks them.
     policy : CostModelBatchPolicy
         Supplies size targets and receives latency feedback.
     max_wait_s : float
@@ -216,27 +277,41 @@ class MicroBatcher:
         self._wake: asyncio.Event | None = None
         self._closing = False
         self._runner: asyncio.Task | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-exec"
-        )
+        self.n_workers = len(os.sched_getaffinity(0))
+        self._workers: PersistentPool | None = None
+        self._inflight: set[asyncio.Task] = set()
         self._next_id = 0
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
+        """Fork the workers and start the batch loop.
+
+        A server calls this before it listens, so no worker inherits
+        the listener or a client socket.
+        """
         if self._runner is not None:
             raise RuntimeError("batcher already started")
+        self._workers = PersistentPool(
+            self.n_workers,
+            mp_context=get_context("fork"),
+            initializer=_install_score_fn,
+            initargs=(self.score_fn,),
+        )
+        # A fork pool forks all of its workers on the first submit.
+        await asyncio.wrap_future(self._workers.get().submit(os.getpid))
         self._wake = asyncio.Event()
         self._runner = asyncio.get_running_loop().create_task(self._run())
 
     async def close(self) -> None:
-        """Drain: stop accepting, score everything queued, then stop."""
+        """Drain: stop accepting, score everything queued, join the workers."""
         self._closing = True
         if self._wake is not None:
             self._wake.set()
         if self._runner is not None:
             await self._runner
             self._runner = None
-        self._executor.shutdown(wait=True)
+        if self._workers is not None:
+            self._workers.shutdown(wait=True)
 
     @property
     def queued_rows(self) -> int:
@@ -317,10 +392,11 @@ class MicroBatcher:
         return batch
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            if not self._queue.pending:
-                if self._closing:
+            if not self._queue.pending or len(self._inflight) >= self.n_workers:
+                if self._closing and not self._queue.pending:
+                    if self._inflight:
+                        await asyncio.wait(self._inflight)
                     return
                 self._wake.clear()
                 await self._wake.wait()
@@ -329,7 +405,10 @@ class MicroBatcher:
             target = max(1, self.policy.target_rows())
             self.stats.target_rows_last = target
             close_by = self._close_by(first, target)
-            while not self._closing and self._queue.rows < target:
+            # A worker's share of the target is enough to close on: the
+            # queue is dealt over the idle workers anyway.
+            enough = -(-target // self.n_workers)
+            while not self._closing and self._queue.rows < enough:
                 remaining = close_by - self._clock()
                 if remaining <= 0.0:
                     break
@@ -339,33 +418,44 @@ class MicroBatcher:
                 except asyncio.TimeoutError:
                     break
             now = self._clock()
-            batch = self._take_batch(target, now)
-            if not batch:
-                continue
-            await self._execute(loop, batch, now)
+            # Deal the queue over the idle workers: an even share each.
+            while self._queue.pending and len(self._inflight) < self.n_workers:
+                free = self.n_workers - len(self._inflight)
+                share = -(-self._queue.rows // free)
+                batch = self._take_batch(min(target, share), now)
+                if not batch:
+                    break
+                task = asyncio.get_running_loop().create_task(
+                    self._execute(batch, now)
+                )
+                self._inflight.add(task)
+                task.add_done_callback(self._batch_done)
 
-    async def _execute(self, loop, batch: list[PendingRequest], drained_t: float):
+    def _batch_done(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._wake.set()
+
+    async def _execute(self, batch: list[PendingRequest], drained_t: float):
         arrays = [req.rows for req in batch]
         stacked = arrays[0] if len(arrays) == 1 else np.vstack(arrays)
+        pool = self._workers.get()
         t0 = self._clock()
-        builds_before = kdtree_build_count()
         try:
-            scores = await loop.run_in_executor(
-                self._executor, self.score_fn, stacked
+            scores, builds = await asyncio.wrap_future(
+                pool.submit(_score_in_worker, stacked)
             )
         except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                self._workers.discard(pool)
             self.stats.failed_requests += len(batch)
             for req in batch:
                 if not req.future.done():
                     req.future.set_exception(exc)
             return
-        finally:
-            # The single executor worker serializes batches, so the
-            # delta is attributable to this batch's scoring.
-            self.stats.structure_builds += kdtree_build_count() - builds_before
         exec_s = self._clock() - t0
         rows = int(stacked.shape[0])
         self.policy.observe(rows, exec_s)
+        self.stats.structure_builds += builds
         self.stats.batches += 1
         self.stats.served_requests += len(batch)
         self.stats.served_rows += rows

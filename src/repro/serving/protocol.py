@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
 import socket
 import struct
 
@@ -90,23 +91,78 @@ class PayloadTooLarge(ProtocolError):
         self.limit = limit
 
 
+#: ``.npy`` headers kept per codec cache; a server sees a handful of
+#: (dtype, shape) pairs, so a full cache is simply cleared.
+_HEADER_CACHE_MAX = 256
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_V1_PREAMBLE = struct.Struct("<6sBBH")  # magic, major, minor, header_len
+# (dtype, shape, fortran) -> header bytes, exactly as np.save writes them.
+_encode_headers: dict[tuple, bytes] = {}
+# v1.0 magic + header bytes -> (dtype, shape, fortran) as np.load read them.
+_decode_headers: dict[bytes, tuple[np.dtype, tuple, bool]] = {}
+
+
+def _cache(cache: dict, key, value) -> None:
+    if len(cache) >= _HEADER_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+
+
 def encode_array(array) -> bytes:
-    """Serialise an ndarray to ``.npy`` bytes (dtype + shape included)."""
-    buf = io.BytesIO()
-    np.save(buf, np.asarray(array), allow_pickle=False)
-    return buf.getvalue()
+    """Serialise an ndarray to ``.npy`` bytes (dtype + shape included).
+
+    The bytes are ``np.save``'s. Only the first array of each (dtype,
+    shape, layout) goes through ``np.save``; later ones reuse its header
+    and append the raw data, in the order ``np.save`` writes it.
+    """
+    array = np.asarray(array)
+    fortran = not array.flags.c_contiguous and array.flags.f_contiguous
+    key = (array.dtype, array.shape, fortran)
+    header = _encode_headers.get(key)
+    if header is None:
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        encoded = buf.getvalue()
+        _cache(_encode_headers, key, encoded[: len(encoded) - array.nbytes])
+        return encoded
+    return header + array.tobytes(order="F" if fortran else "C")
 
 
 def decode_array(payload: bytes) -> np.ndarray:
-    """Decode ``.npy`` payload bytes back into an ndarray.
+    """Decode ``.npy`` payload bytes back into a writable ndarray.
 
     ``allow_pickle=False`` unconditionally: frames carry data, never
-    objects, so a crafted payload cannot execute on load.
+    objects, so a crafted payload cannot execute on load. The first
+    payload with a given v1.0 header goes through ``np.load``, which
+    validates it; later ones with the same header bytes are read
+    straight off the buffer. Other versions always take ``np.load``.
     """
+    key = b""
+    if len(payload) >= _NPY_V1_PREAMBLE.size:
+        magic, major, minor, header_len = _NPY_V1_PREAMBLE.unpack_from(payload)
+        if magic == _NPY_MAGIC and (major, minor) == (1, 0):
+            key = bytes(payload[: _NPY_V1_PREAMBLE.size + header_len])
+    known = _decode_headers.get(key) if key else None
+    if known is not None:
+        dtype, shape, fortran = known
+        count = math.prod(shape)
+        if len(payload) - len(key) < count * dtype.itemsize:
+            raise ProtocolError(
+                f"payload is not a valid .npy array: {len(payload) - len(key)} "
+                f"data bytes for {count} items of {dtype}"
+            )
+        flat = np.frombuffer(payload, dtype=dtype, count=count, offset=len(key))
+        if fortran:
+            return flat.reshape(shape[::-1]).transpose().copy(order="K")
+        return flat.reshape(shape).copy()
     try:
-        return np.load(io.BytesIO(payload), allow_pickle=False)
+        array = np.load(io.BytesIO(payload), allow_pickle=False)
     except ValueError as exc:
         raise ProtocolError(f"payload is not a valid .npy array: {exc}") from exc
+    if key and array.dtype.itemsize > 0:
+        fortran = not array.flags.c_contiguous and array.flags.f_contiguous
+        _cache(_decode_headers, key, (array.dtype, array.shape, fortran))
+    return array
 
 
 def encode_frame(header: dict, payload: bytes = b"") -> bytes:

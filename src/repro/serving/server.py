@@ -9,16 +9,20 @@ One process, three cooperating layers:
   can pipeline many requests and a slow batch never blocks the reader.
 - **batcher** — the :class:`~repro.serving.batcher.MicroBatcher` drains
   the queue into cost-model-sized micro-batches and scores each with a
-  single ``decision_function`` call on its executor thread.
+  single ``decision_function`` call in one of its N forked worker
+  processes (N = the CPUs this process may use), up to N batches at
+  once. The workers are forked before the listener opens.
 - **lifecycle** — ``run_until_shutdown`` installs SIGTERM/SIGINT
   handlers; shutdown is a *drain*: the listening socket closes first,
   every queued and in-flight request still gets its response, then the
-  batcher stops and remaining connections are torn down. A deployment
-  can therefore roll the service without dropping accepted work.
+  batcher joins its workers and remaining connections are torn down. A
+  deployment can therefore roll the service without dropping accepted
+  work.
 
 The model is typically a v2 arena artifact via
-:func:`repro.utils.persistence.load_ensemble`, so N server processes on
-one host share a single page-cache copy of the kernel arenas.
+:func:`repro.utils.persistence.load_ensemble`, whose kernel arenas are
+read-only memmaps: the forked workers score off the parent's one
+page-cache copy of them.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ class ScoringServer:
             raise RuntimeError("server already started")
         self._shutdown = asyncio.Event()
         self._loop = asyncio.get_running_loop()
-        await self.batcher.start()
+        await self.batcher.start()  # forks: no socket exists yet
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -400,6 +404,8 @@ class ScoringServer:
             "errors": self.stats.errors,
             "dropped_responses": self.stats.dropped_responses,
             "connections_total": self.stats.connections_total,
+            # Scoring processes; batcher.exec_s_total sums over them.
+            "workers": self.batcher.n_workers,
             "queued_rows": self.batcher.queued_rows,
             "queued_requests": self.batcher.queued_requests,
             "batcher": self.batcher.stats.to_dict(),

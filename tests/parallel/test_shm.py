@@ -54,6 +54,14 @@ def _worker_cache_state(handle):
     return os.getpid(), len(shm_mod._attached)
 
 
+def _die_first_time(marker):
+    """Kill this worker on the first call (no marker yet), then answer."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return 42
+
+
 def _pid():
     return os.getpid()
 
@@ -220,6 +228,31 @@ class TestSharedMemoryProcessBackend:
             assert res.results == [9]
         finally:
             backend.shutdown()
+
+    def test_dead_worker_rebuilds_the_pool_and_retries_once(self, tmp_path):
+        marker = str(tmp_path / "died")
+        with SharedMemoryProcessBackend(2) as backend:
+            backend.execute([_pid], [0])
+            first_pool = backend._pool
+            res = backend.execute([functools.partial(_die_first_time, marker)], [0])
+            assert res.results == [42]
+            assert backend._pool is not first_pool
+
+    def test_pool_discards_only_the_executor_that_broke(self):
+        from repro.parallel.shm import PersistentPool
+
+        pool = PersistentPool(1)
+        try:
+            stale = pool.get()
+            pool.discard()
+            current = pool.get()
+            assert current is not stale
+            pool.discard(stale)  # a late report of the old crash
+            assert pool.executor is current
+            pool.discard(current)
+            assert pool.executor is None
+        finally:
+            pool.shutdown()
 
     def test_capability_flag(self):
         assert SharedMemoryProcessBackend.uses_shared_memory

@@ -1,14 +1,21 @@
-"""Serving-plane fixtures: hang watchdog, tiny fitted pool, artifact.
+"""Serving-plane fixtures: hang watchdog, leak gate, tiny fitted pool, artifact.
 
 The watchdog is the safety net for the asyncio/socket tests in this
 package: a deadlocked event loop or a lost wakeup would otherwise hang
 the whole CI job silently. ``faulthandler.dump_traceback_later`` arms a
 per-test timer that dumps every thread's stack and hard-exits, so a
 hang fails loudly with the evidence attached.
+
+The leak gate fails any test after which a child process of the test
+process (a scoring worker nobody joined) or a ``/dev/shm/repro_shm_*``
+segment it created is still there.
 """
 
 import asyncio
 import faulthandler
+import multiprocessing.resource_tracker
+import os
+import time
 
 import pytest
 
@@ -27,6 +34,48 @@ def hang_watchdog():
     faulthandler.dump_traceback_later(WATCHDOG_S, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+def child_pids(parent: int | None = None) -> set[int]:
+    """Pids whose parent is ``parent`` (this process by default)."""
+    parent = os.getpid() if parent is None else parent
+    pids = set()
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                # The fields after "(comm)" start with state, then ppid.
+                ppid = int(f.read().rpartition(")")[2].split()[1])
+        except (OSError, IndexError, ValueError):  # exited while listed
+            continue
+        if ppid == parent:
+            pids.add(int(name))
+    return pids
+
+
+def _shm_segments() -> set[str]:
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro_shm_")}
+    except OSError:
+        return set()
+
+
+@pytest.fixture(autouse=True)
+def leak_gate():
+    before_children, before_segments = child_pids(), _shm_segments()
+    yield
+    # The multiprocessing resource tracker lives as long as this process.
+    tracker = multiprocessing.resource_tracker._resource_tracker._pid
+    deadline = time.monotonic() + 5.0
+    while True:  # a pool joins its workers asynchronously: allow a moment
+        children = child_pids() - before_children - {tracker}
+        segments = _shm_segments() - before_segments
+        if not (children or segments) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not children, f"child processes outlived the test: {sorted(children)}"
+    assert not segments, f"shared-memory segments outlived the test: {segments}"
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Micro-batcher behaviour: coalescing, deadlines, drain, feedback."""
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -111,8 +112,13 @@ class TestCostModelBatchPolicy:
             CostModelBatchPolicy(**{option: 1})
 
 
+def _with_cpus(monkeypatch, n):
+    """Pretend this process may run on ``n`` CPUs (the worker count)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestMicroBatcher:
-    def test_concurrent_requests_coalesce_into_one_batch(self, run_async):
+    def _three_concurrent_requests(self, run_async):
         async def scenario():
             batcher = MicroBatcher(_score, max_wait_s=0.2)
             await batcher.start()
@@ -123,16 +129,36 @@ class TestMicroBatcher:
             ]
             results = await asyncio.gather(*futures)
             await batcher.close()
-            return results, batcher.stats
+            return results, batcher
 
-        results, stats = run_async(scenario())
-        assert [r.batch_requests for r in results] == [3, 3, 3]
-        assert [r.batch_rows for r in results] == [6, 6, 6]
-        assert stats.batches == 1 and stats.served_requests == 3
-        # Each future gets exactly its own slice of the batch scores.
+        results, batcher = run_async(scenario())
+        # Each future gets exactly its own slice of its batch's scores.
         np.testing.assert_array_equal(results[0].scores, [2.0, 4.0])
         np.testing.assert_array_equal(results[1].scores, [6.0])
         np.testing.assert_array_equal(results[2].scores, [8.0, 10.0, 12.0])
+        return results, batcher
+
+    def test_one_worker_coalesces_concurrent_requests_into_one_batch(
+        self, run_async, monkeypatch
+    ):
+        _with_cpus(monkeypatch, 1)
+        results, batcher = self._three_concurrent_requests(run_async)
+        assert batcher.n_workers == 1
+        assert [r.batch_requests for r in results] == [3, 3, 3]
+        assert [r.batch_rows for r in results] == [6, 6, 6]
+        assert batcher.stats.batches == 1 and batcher.stats.served_requests == 3
+
+    def test_two_workers_deal_whole_requests_over_two_batches(
+        self, run_async, monkeypatch
+    ):
+        # 6 queued rows over 2 idle workers: up to ceil(6 / 2) = 3 rows
+        # each, whole requests only, in arrival order.
+        _with_cpus(monkeypatch, 2)
+        results, batcher = self._three_concurrent_requests(run_async)
+        assert batcher.n_workers == 2
+        assert [r.batch_requests for r in results] == [2, 2, 1]
+        assert [r.batch_rows for r in results] == [3, 3, 3]
+        assert batcher.stats.batches == 2 and batcher.stats.served_requests == 3
 
     def test_max_rows_one_degrades_to_per_request(self, run_async):
         async def scenario():

@@ -184,6 +184,83 @@ class TestArrayCodec:
             decode_array(b"\x00" * 32)
 
 
+def _npy(array, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+_CODEC_ARRAYS = {
+    "0d": np.array(3.5),
+    "empty": np.empty((0, 12)),
+    "1x12": np.arange(12.0).reshape(1, 12),
+    "256x12": np.linspace(-1.0, 1.0, 256 * 12).reshape(256, 12),
+    "f-order": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "strided": np.arange(20.0).reshape(4, 5)[:, ::2],
+    "float32": np.arange(6, dtype=np.float32).reshape(2, 3),
+    "big-endian": np.arange(5, dtype=">i4"),
+    "int64": np.arange(4, dtype=np.int64),
+    "bool": np.array([True, False, True]),
+    "complex": np.array([1 + 2j, -3j]),
+}
+
+
+class TestCachedCodec:
+    """The header caches return ``np.save``'s bytes and ``np.load``'s
+    arrays, on the first call (which fills them) and on later hits."""
+
+    @pytest.mark.parametrize("name", sorted(_CODEC_ARRAYS))
+    def test_encoded_bytes_equal_np_save(self, name):
+        array = _CODEC_ARRAYS[name]
+        want = _npy(array, allow_pickle=False)
+        for _ in range(3):
+            assert encode_array(array) == want
+
+    @pytest.mark.parametrize("name", sorted(_CODEC_ARRAYS))
+    def test_decoded_array_equals_np_load(self, name):
+        payload = _npy(_CODEC_ARRAYS[name])
+        want = np.load(io.BytesIO(payload), allow_pickle=False)
+        for _ in range(3):
+            got = decode_array(payload)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.flags.writeable
+            got[...] = 0  # owns its memory: the payload is untouched
+        assert np.array_equal(
+            np.load(io.BytesIO(payload), allow_pickle=False), want
+        )
+
+    def test_version_2_header_falls_back_to_np_load(self):
+        array = np.arange(6.0).reshape(2, 3)
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, array, version=(2, 0))
+        for _ in range(2):
+            np.testing.assert_array_equal(decode_array(buf.getvalue()), array)
+
+    def test_truncated_payload_rejected_on_both_paths(self):
+        payload = _npy(np.arange(91.0).reshape(7, 13))  # a shape no other test uses
+        for _ in range(2):  # the second call hits the header cache
+            with pytest.raises(ProtocolError, match="not a valid .npy"):
+                decode_array(payload[:-8])
+            decode_array(payload)
+
+    def test_object_payload_rejected_on_both_paths(self):
+        payload = _npy(np.array([{"a": 1}, None], dtype=object))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="not a valid .npy"):
+                decode_array(payload)
+
+    def test_bad_magic_rejected_on_both_paths(self):
+        payload = bytearray(_npy(np.arange(3.0)))
+        decode_array(bytes(payload))  # caches the good header
+        payload[1:6] = b"NUMPZ"
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                decode_array(bytes(payload))
+
+
 class TestSyncFrames:
     def test_roundtrip_over_socketpair(self):
         left, right = socket.socketpair()

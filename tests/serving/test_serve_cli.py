@@ -5,6 +5,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.serving import ScoringClient
+from repro.serving.protocol import IncompleteFrame
 
 
 def _serve_env():
@@ -78,6 +81,79 @@ class TestServeProcess:
         assert len(drained) == 1
         assert "served_ok=2" in drained[0]
         assert "rejected=1" in drained[0]
+
+
+class TestProcessGroupSignal:
+    def test_killpg_sigterm_under_load_drains_and_leaves_no_process(
+        self, serving_artifact, serving_model, serving_rows
+    ):
+        """SIGTERM to the server's whole process group (as a terminal or
+        a supervisor sends it) reaches the scoring workers too: they
+        ignore it, the parent drains, and every scored request is
+        delivered before the group empties."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--artifact",
+             serving_artifact, "--port", "0", "--rate", "1e9", "--burst", "1e9"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=_serve_env(),
+            start_new_session=True,
+        )
+        try:
+            ready = proc.stdout.readline()
+            match = re.match(r"REPRO-SERVE READY .*port=(\d+)", ready)
+            assert match, f"unexpected first line: {ready!r}"
+            port = int(match.group(1))
+            offline = serving_model.decision_function(serving_rows[:8])
+            outcomes = [[] for _ in range(2)]
+
+            def load(out):
+                with ScoringClient("127.0.0.1", port) as client:
+                    while True:
+                        try:
+                            reply = client.score(serving_rows[:8])
+                        except (OSError, IncompleteFrame):
+                            return  # the drain closed the connection
+                        same = not reply.ok or (
+                            reply.scores.tobytes() == offline.tobytes()
+                        )
+                        out.append(reply.code if same else "differs")
+
+            threads = [threading.Thread(target=load, args=(o,)) for o in outcomes]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30.0
+            while sum(len(o) for o in outcomes) < 20 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+            for t in threads:
+                t.join(timeout=30)
+            assert proc.returncode == 0
+            drained = [
+                ln for ln in out.splitlines() if ln.startswith("REPRO-SERVE DRAINED")
+            ]
+            assert len(drained) == 1
+            codes = [code for o in outcomes for code in o]
+            assert set(codes) <= {200, 503}  # ok, or refused while draining
+            # Every scored request reached its client (served_ok counts
+            # replies the server sent); a 503 racing the final close may
+            # be dropped, a scored reply may not.
+            assert f"served_ok={codes.count(200)} " in drained[0]
+            assert " errors=0 " in drained[0]
+            deadline = time.monotonic() + 10.0
+            while True:  # the group empties once the workers are joined
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a process outlived the drain"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
 
 
 class TestServeBadInput:

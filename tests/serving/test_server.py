@@ -1,5 +1,7 @@
 """End-to-end server behaviour over real sockets (in-process thread)."""
 
+import os
+import signal
 import socket
 import time
 
@@ -13,7 +15,7 @@ from repro.serving import (
     read_frame_sync,
     write_frame_sync,
 )
-from repro.serving.protocol import encode_array
+from repro.serving.protocol import IncompleteFrame, encode_array
 
 
 @pytest.fixture(
@@ -135,10 +137,20 @@ class TestOversizedPayload:
 
 
 class TestDisconnectMidBatch:
+    @pytest.mark.parametrize(
+        "cpus, batch_requests",
+        [(1, 2), (2, 1)],
+        ids=["one-worker-one-batch", "two-workers-two-batches"],
+    )
     def test_batch_completes_for_remaining_requests(
-        self, serving_model, serving_rows
+        self, serving_model, serving_rows, monkeypatch, cpus, batch_requests
     ):
-        """A client vanishing mid-batch must not poison its batchmates."""
+        """A client vanishing mid-batch must not poison its batchmates.
+
+        One worker scores both requests in one batch; two workers are
+        dealt one whole request each, and both batches complete.
+        """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         config = ServerConfig(port=0, batch_wait_ms=400.0)
         offline = serving_model.decision_function(serving_rows[:2])
         with ServerThread(serving_model, config) as handle:
@@ -171,7 +183,9 @@ class TestDisconnectMidBatch:
                 time.sleep(0.02)
                 stats = handle.server.describe_stats()
         assert header["status"] == "ok"
-        assert header["batch_requests"] == 2  # the quitter rode along
+        assert header["batch_requests"] == batch_requests
+        assert stats["workers"] == cpus
+        assert stats["batcher"]["batches"] == 3 - batch_requests
         from repro.serving.protocol import decode_array
 
         assert decode_array(payload).tobytes() == offline[1:2].tobytes()
@@ -179,6 +193,63 @@ class TestDisconnectMidBatch:
         # counted, and harmless.
         assert stats["served_ok"] == 2
         assert stats["dropped_responses"] == 1
+
+
+class TestWorkerKilledMidBatch:
+    def test_batch_fails_next_request_ok_and_client_sees_eof(
+        self, serving_model, serving_rows, tmp_path
+    ):
+        """SIGKILL the worker scoring a batch: that batch answers 500,
+        the rebuilt pool answers the next request, and the respawned
+        workers hold no client socket open."""
+        pid_file = tmp_path / "worker.pid"
+
+        class SlowOnPoison:
+            n_features_in_ = serving_model.n_features_in_
+
+            @staticmethod
+            def decision_function(X):
+                if X[0, 0] == 1e9:  # the poison row: wait to be killed
+                    pid_file.write_text(str(os.getpid()))
+                    time.sleep(60.0)
+                return serving_model.decision_function(X)
+
+        poison = np.full((1, serving_model.n_features_in_), 1e9)
+        with ServerThread(SlowOnPoison(), ServerConfig(port=0)) as handle:
+            addr = ("127.0.0.1", handle.port)
+            with ScoringClient(*addr) as first:
+                assert first.score(serving_rows[:2]).ok
+                doomed = socket.create_connection(addr, timeout=10)
+                write_frame_sync(
+                    doomed, {"op": "score", "id": 1}, encode_array(poison)
+                )
+                deadline = time.monotonic() + 10.0
+                while not pid_file.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                header, _ = read_frame_sync(doomed)
+                assert (header["code"], header["error"]) == (500, "scoring_failed")
+                # The next batch forks a new pool while both connections
+                # are open; its workers must not keep them alive.
+                reply = first.score(serving_rows[:4]).require_ok()
+                offline = serving_model.decision_function(serving_rows[:4])
+                assert reply.scores.tobytes() == offline.tobytes()
+                # A frame with a bad magic makes the server answer 400
+                # and close: the client sees EOF while the workers live.
+                doomed.sendall(b"XXXX" + bytes(12))
+                header, _ = read_frame_sync(doomed)
+                assert header["error"] == "bad_frame"
+                with pytest.raises(IncompleteFrame) as eof:
+                    read_frame_sync(doomed)
+                assert eof.value.clean_eof
+                doomed.close()
+                stats = handle.server.describe_stats()
+                handle.shutdown()
+                with pytest.raises(IncompleteFrame) as eof:
+                    read_frame_sync(first._sock)
+                assert eof.value.clean_eof
+        assert stats["errors"] == 1 and stats["served_ok"] == 2
+        assert stats["batcher"]["failed_requests"] == 1
 
 
 class TestDrain:

@@ -21,7 +21,8 @@ A batch closes on whichever comes first:
   rows fit inside ``target_latency_s`` from an EMA of measured per-row
   scoring seconds, fed back after every executed batch; the batch
   closes once the queue holds one worker's share of it,
-  ``ceil(target / N)`` rows;
+  ``ceil(target / N)`` rows, or rows whose forecast scoring time
+  reaches the ``max_wait_s`` window, whichever is fewer;
 - **deadline** — the oldest request's ``max_wait_s`` window expires, or
   a queued request's absolute deadline (minus the forecast execution
   time) would otherwise be missed.
@@ -405,9 +406,14 @@ class MicroBatcher:
             target = max(1, self.policy.target_rows())
             self.stats.target_rows_last = target
             close_by = self._close_by(first, target)
-            # A worker's share of the target is enough to close on: the
-            # queue is dealt over the idle workers anyway.
+            # Close on size once the queue holds one worker's share of the
+            # target (it is dealt over the idle workers anyway), or once
+            # its forecast work outlasts the window: waiting longer than
+            # the rows take to score cannot pay for itself.
             enough = -(-target // self.n_workers)
+            rate = self.policy.seconds_per_row()
+            if rate:
+                enough = min(enough, max(1, math.ceil(self.max_wait_s / rate)))
             while not self._closing and self._queue.rows < enough:
                 remaining = close_by - self._clock()
                 if remaining <= 0.0:

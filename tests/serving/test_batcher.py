@@ -160,6 +160,22 @@ class TestMicroBatcher:
         assert [r.batch_rows for r in results] == [3, 3, 3]
         assert batcher.stats.batches == 2 and batcher.stats.served_requests == 3
 
+    def test_batch_closes_once_its_work_outlasts_the_window(self, run_async):
+        # 1 s/row measured: 10 queued rows forecast 10 s of scoring, more
+        # than the 5 s window, so the batch closes without waiting it out.
+        async def scenario():
+            policy = CostModelBatchPolicy(target_latency_s=1e4, max_rows=4096)
+            policy.observe(rows=1, duration_s=1.0)
+            batcher = MicroBatcher(_score, policy=policy, max_wait_s=5.0)
+            await batcher.start()
+            result = await batcher.submit(_rows(*range(10)))
+            await batcher.close()
+            return result
+
+        result = run_async(scenario(), timeout=10.0)
+        assert result.batch_rows == 10
+        assert result.queue_s < 1.0
+
     def test_max_rows_one_degrades_to_per_request(self, run_async):
         async def scenario():
             batcher = MicroBatcher(

@@ -429,11 +429,6 @@ class SharedMemoryProcessBackend(_BackendBase):
         super().__init__(n_workers)
         self._workers = PersistentPool(self.n_workers)
 
-    @property
-    def _pool(self) -> ProcessPoolExecutor | None:
-        """The live executor; ``None`` until an execute call needs one."""
-        return self._workers.executor
-
     def execute(self, tasks: Sequence[Callable], assignment) -> ExecutionResult:
         _, groups = self._group(tasks, assignment)
         t0 = time.perf_counter()

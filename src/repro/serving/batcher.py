@@ -20,9 +20,8 @@ A batch closes on whichever comes first:
 - **size target** — :class:`CostModelBatchPolicy` forecasts how many
   rows fit inside ``target_latency_s`` from an EMA of measured per-row
   scoring seconds, fed back after every executed batch; the batch
-  closes once the queue holds one worker's share of it,
-  ``ceil(target / N)`` rows, or rows whose forecast scoring time
-  reaches the ``max_wait_s`` window, whichever is fewer;
+  closes once the queue holds that many rows, or rows whose forecast
+  scoring time reaches the ``max_wait_s`` window, whichever is fewer;
 - **deadline** — the oldest request's ``max_wait_s`` window expires, or
   a queued request's absolute deadline (minus the forecast execution
   time) would otherwise be missed.
@@ -36,7 +35,11 @@ process may run on (``os.sched_getaffinity``), and up to N batches are
 in flight at once. Fork hands every worker the fitted model, so only
 the rows and the scores cross the pipe; each batch is still one
 ``decision_function`` call on that same model, so replies keep their
-bytes. When a batch closes with ``free`` idle workers it takes whole
+bytes. A model that holds a worker pool of its own (``n_jobs > 1``)
+has it shut down before the fork and scores sequentially inside each
+worker: the workers already cover every CPU, and an executor inherited
+through fork has lost its threads, so work sent to it never returns.
+When a batch closes with ``free`` idle workers it takes whole
 requests up to ``ceil(queued_rows / free)`` rows (at least one request,
 at most the size target), and the loop deals the rest of the queue to
 the next idle worker at once. The event loop never scores, so it stays
@@ -44,10 +47,11 @@ free to parse frames and queue the next wave.
 
 A worker that dies fails the batches in flight with their exception
 (the server answers ``500 scoring_failed``), and the pool is rebuilt for
-the next batch. Workers ignore SIGINT and SIGTERM (the parent drains
-and then joins them), detach from the parent's signal wakeup fd, and
-drop every inherited socket, so a respawn after connections exist
-never holds a client's connection open.
+the next batch. Workers ignore SIGINT, and SIGTERM from any process
+but the server (the parent drains and then joins them; the pool still
+stops a crashed pool's survivors), detach from the parent's signal
+wakeup fd, and drop every inherited socket, so a respawn after
+connections exist never holds a client's connection open.
 
 The batcher also audits the shared-computation plane's serving
 contract: a fitted ensemble's neighbor structures (the KD-trees the
@@ -65,6 +69,7 @@ import math
 import os
 import signal
 import stat
+import threading
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
@@ -210,18 +215,35 @@ class _Queue:
 _worker_score_fn = None
 
 
+def _exit_on_sigterm_from(parent: int) -> None:
+    """Consume SIGTERM; exit only when the server process sent it."""
+    while True:
+        if signal.sigwaitinfo({signal.SIGTERM}).si_pid == parent:
+            os._exit(1)
+
+
 def _install_score_fn(score_fn) -> None:
     """Worker initializer: keep clear of the parent's signals and sockets.
 
+    SIGTERM from anyone but the server process is ignored, so a signal
+    to the process group leaves the drain to the parent; the pool's own
+    ``terminate`` of the survivors of a crash still stops the worker.
     A respawned worker forks after connections exist; an inherited
     socket would keep a client from seeing EOF when the parent closes
     it, so each one is replaced by ``/dev/null`` (the fd number stays
-    taken, so a stale socket object cannot close a reused one).
+    taken, so a stale socket object cannot close a reused one). A
+    pooled model scores sequentially here: this worker is one of N.
     """
     global _worker_score_fn
+    model = getattr(score_fn, "__self__", None)
+    if getattr(model, "n_jobs", 1) > 1:
+        model.n_jobs = 1  # this forked copy only; bitwise the pooled path
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    threading.Thread(
+        target=_exit_on_sigterm_from, args=(os.getppid(),), daemon=True
+    ).start()
     null = os.open(os.devnull, os.O_RDWR)
     for name in os.listdir("/dev/fd"):
         fd = int(name)
@@ -292,6 +314,9 @@ class MicroBatcher:
         """
         if self._runner is not None:
             raise RuntimeError("batcher already started")
+        model = getattr(self.score_fn, "__self__", None)
+        if callable(getattr(model, "close", None)):
+            model.close()  # no worker may inherit the model's own pool
         self._workers = PersistentPool(
             self.n_workers,
             mp_context=get_context("fork"),
@@ -406,11 +431,10 @@ class MicroBatcher:
             target = max(1, self.policy.target_rows())
             self.stats.target_rows_last = target
             close_by = self._close_by(first, target)
-            # Close on size once the queue holds one worker's share of the
-            # target (it is dealt over the idle workers anyway), or once
-            # its forecast work outlasts the window: waiting longer than
-            # the rows take to score cannot pay for itself.
-            enough = -(-target // self.n_workers)
+            # Close on size at the target, or once the queued work's
+            # forecast outlasts the window: waiting longer than the rows
+            # take to score cannot pay for itself.
+            enough = target
             rate = self.policy.seconds_per_row()
             if rate:
                 enough = min(enough, max(1, math.ceil(self.max_wait_s / rate)))
@@ -443,15 +467,18 @@ class MicroBatcher:
 
     async def _execute(self, batch: list[PendingRequest], drained_t: float):
         arrays = [req.rows for req in batch]
-        stacked = arrays[0] if len(arrays) == 1 else np.vstack(arrays)
-        pool = self._workers.get()
+        pool = None
         t0 = self._clock()
         try:
-            scores, builds = await asyncio.wrap_future(
-                pool.submit(_score_in_worker, stacked)
+            stacked = arrays[0] if len(arrays) == 1 else np.vstack(arrays)
+            # A pool that broke before this batch reached it (an idle
+            # worker died, or another batch's crash) is rebuilt first.
+            pool, future = self._workers.call_retrying_once(
+                lambda p: (p, p.submit(_score_in_worker, stacked))
             )
+            scores, builds = await asyncio.wrap_future(future)
         except Exception as exc:
-            if isinstance(exc, BrokenProcessPool):
+            if pool is not None and isinstance(exc, BrokenProcessPool):
                 self._workers.discard(pool)
             self.stats.failed_requests += len(batch)
             for req in batch:

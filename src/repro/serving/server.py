@@ -113,6 +113,7 @@ class ScoringServer:
         self._draining = False
         self._shutdown = None
         self._inflight: set[asyncio.Task] = set()
+        self._readers: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._started_t = time.monotonic()
 
@@ -162,6 +163,14 @@ class ScoringServer:
             for task in pending:
                 task.cancel()
         await self.batcher.close()
+        # Stop reading, then let the 503s answering frames read during
+        # the drain go out before the connections close under them.
+        for task in list(self._readers):
+            task.cancel()
+        if self._readers:
+            await asyncio.wait(self._readers)
+        if self._inflight:
+            await asyncio.wait(self._inflight, timeout=self.config.drain_timeout_s)
         for writer in list(self._writers):
             writer.close()
 
@@ -189,14 +198,22 @@ class ScoringServer:
     async def _handle_connection(self, reader, writer) -> None:
         self.stats.connections_total += 1
         self._writers.add(writer)
-        lock = asyncio.Lock()
+        task = asyncio.current_task()
+        self._readers.add(task)
+        stopped_by_drain = False
         try:
-            await self._read_loop(reader, writer, lock)
+            await self._read_loop(reader, writer, asyncio.Lock())
+        except asyncio.CancelledError:
+            if not self._draining:
+                raise
+            stopped_by_drain = True  # drain() closes it once replies are out
         finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(OSError, ConnectionError):
-                await writer.wait_closed()
+            self._readers.discard(task)
+            if not stopped_by_drain:
+                self._writers.discard(writer)
+                writer.close()
+                with contextlib.suppress(OSError, ConnectionError):
+                    await writer.wait_closed()
 
     async def _read_loop(self, reader, writer, lock) -> None:
         while True:

@@ -192,7 +192,7 @@ class TestSharedMemoryHygiene:
         try:
             np.testing.assert_array_equal(clf.decision_function(Xte), reference[2])
             backend = clf._backend_instance_
-            old_pool = backend._pool
+            old_pool = backend._workers.executor
             old = dict(old_pool._processes)
             victim = next(iter(old))
             os.kill(victim, signal.SIGKILL)
@@ -201,8 +201,9 @@ class TestSharedMemoryHygiene:
                 time.sleep(0.01)
             assert not old[victim].is_alive()
             np.testing.assert_array_equal(clf.decision_function(Xte), reference[2])
-            assert backend._pool is not None and backend._pool is not old_pool
-            new = set(backend._pool._processes)
+            pool = backend._workers.executor
+            assert pool is not None and pool is not old_pool
+            new = set(pool._processes)
             assert new and not new & set(old)
         finally:
             clf.close()
@@ -266,11 +267,11 @@ class TestPlanShmLifecycle:
             fresh_pool(), random_state=3, n_jobs=2, backend="shm_processes"
         ).fit(Xtr)
         backend = clf._backend_instance_
-        pool = backend._pool
+        pool = backend._workers.executor
         assert pool is not None
         clf.decision_function(Xte)
         assert clf._backend_instance_ is backend
-        assert backend._pool is pool
+        assert backend._workers.executor is pool
         clf.close()
         assert clf._backend_instance_ is None
 

@@ -192,9 +192,9 @@ class TestSharedMemoryProcessBackend:
     def test_pool_persists_across_executes(self):
         with SharedMemoryProcessBackend(2) as backend:
             first = backend.execute([_pid] * 4, [0, 0, 1, 1])
-            pool = backend._pool
+            pool = backend._workers.executor
             second = backend.execute([_pid] * 4, [0, 0, 1, 1])
-            assert backend._pool is pool
+            assert backend._workers.executor is pool
             # Both runs were served by the one pool's workers (which of
             # the two picks up a group is the executor's business).
             assert set(first.results) | set(second.results) <= set(pool._processes)
@@ -223,7 +223,7 @@ class TestSharedMemoryProcessBackend:
         try:
             backend.execute([functools.partial(_square, 2)], [0])
             backend.shutdown()
-            assert backend._pool is None
+            assert backend._workers.executor is None
             res = backend.execute([functools.partial(_square, 3)], [0])
             assert res.results == [9]
         finally:
@@ -233,10 +233,10 @@ class TestSharedMemoryProcessBackend:
         marker = str(tmp_path / "died")
         with SharedMemoryProcessBackend(2) as backend:
             backend.execute([_pid], [0])
-            first_pool = backend._pool
+            first_pool = backend._workers.executor
             res = backend.execute([functools.partial(_die_first_time, marker)], [0])
             assert res.results == [42]
-            assert backend._pool is not first_pool
+            assert backend._workers.executor is not first_pool
 
     def test_pool_discards_only_the_executor_that_broke(self):
         from repro.parallel.shm import PersistentPool

@@ -2,6 +2,7 @@
 
 import asyncio
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -257,6 +258,28 @@ class TestMicroBatcher:
         outcomes, stats = run_async(scenario())
         assert all(isinstance(o, RuntimeError) for o in outcomes)
         assert stats.failed_requests == 2 and stats.batches == 0
+
+    def test_pool_broken_while_idle_is_rebuilt_for_the_next_batch(self, run_async):
+        # A worker killed between batches (say, by the OOM killer) breaks
+        # the pool before any batch reaches it; the next batch is scored
+        # on a rebuilt pool instead of failing or hanging.
+        async def scenario():
+            batcher = MicroBatcher(_score, max_wait_s=0.0)
+            await batcher.start()
+            await batcher.submit(_rows(1))
+            broken = batcher._workers.executor
+            os.kill(next(iter(broken._processes)), signal.SIGKILL)
+            while not broken._broken:
+                await asyncio.sleep(0.01)
+            result = await batcher.submit(_rows(2))
+            rebuilt = batcher._workers.executor
+            await batcher.close()
+            return result, broken, rebuilt, batcher.stats
+
+        result, broken, rebuilt, stats = run_async(scenario(), timeout=20.0)
+        np.testing.assert_array_equal(result.scores, [4.0])
+        assert rebuilt is not broken
+        assert stats.batches == 2 and stats.failed_requests == 0
 
     def test_latency_feedback_reaches_policy(self, run_async):
         async def scenario():

@@ -1,5 +1,6 @@
 """End-to-end server behaviour over real sockets (in-process thread)."""
 
+import asyncio
 import os
 import signal
 import socket
@@ -8,6 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.suod import SUOD
+from repro.data import make_outlier_dataset
+from repro.detectors import KNN, IsolationForest
 from repro.serving import (
     ScoringClient,
     ServerConfig,
@@ -252,7 +256,81 @@ class TestWorkerKilledMidBatch:
         assert stats["batcher"]["failed_requests"] == 1
 
 
+class TestModelWithItsOwnPool:
+    @pytest.mark.parametrize("backend", ["threads", "shm_processes"])
+    def test_serves_bitwise_and_drains(self, serving_rows, backend):
+        """A model fitted with ``n_jobs=2`` holds a pool of its own; no
+        scoring worker may inherit it (a forked executor has lost its
+        threads, so a batch sent there would never return)."""
+        X, _ = make_outlier_dataset(
+            n_samples=240, n_features=6, contamination=0.1, random_state=11
+        )
+        model = SUOD(
+            [
+                IsolationForest(n_estimators=20, max_samples=64, random_state=0),
+                KNN(n_neighbors=5),
+            ],
+            approx_flag_global=False,
+            n_jobs=2,
+            backend=backend,
+            random_state=0,
+        ).fit(X)
+        try:
+            offline = model.decision_function(serving_rows)
+            with ServerThread(model, ServerConfig(port=0)) as handle:
+                with ScoringClient("127.0.0.1", handle.port, timeout=20) as c:
+                    for start in range(0, 48, 16):
+                        rows = serving_rows[start : start + 16]
+                        reply = c.score(rows).require_ok()
+                        expected = offline[start : start + 16]
+                        assert reply.scores.tobytes() == expected.tobytes()
+                handle.shutdown()
+                stats = handle.server.describe_stats()
+        finally:
+            model.close()
+        assert stats["served_ok"] == 3 and stats["errors"] == 0
+
+
 class TestDrain:
+    def test_frame_read_as_the_drain_ends_is_answered_before_close(
+        self, serving_model, serving_rows
+    ):
+        """A frame read once the batcher has stopped gets its 503 out
+        before the drain closes the connection under it."""
+        with ServerThread(serving_model, ServerConfig(port=0)) as handle:
+            server = handle.server
+            sock = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
+            close_batcher, serve_score = server.batcher.close, server._serve_score
+            # The frame's task answers only once the drain goes on past
+            # the batcher: the reply and the close are then in one race.
+            gate = asyncio.Event()
+
+            async def gated_serve_score(*args):
+                await gate.wait()
+                await serve_score(*args)
+
+            async def close_then_read_one_more_frame():
+                await close_batcher()
+                write_frame_sync(
+                    sock, {"op": "score", "id": 7}, encode_array(serving_rows[:1])
+                )
+                while not server._inflight:  # the server has read the frame
+                    await asyncio.sleep(0.001)
+                gate.set()
+
+            server._serve_score = gated_serve_score
+            server.batcher.close = close_then_read_one_more_frame
+            try:
+                write_frame_sync(sock, {"op": "ping", "id": 1})  # accepted
+                assert read_frame_sync(sock)[0]["status"] == "ok"
+                handle.shutdown()
+                header, _ = read_frame_sync(sock)
+            finally:
+                sock.close()
+            stats = server.describe_stats()
+        assert (header["code"], header["error"]) == (503, "draining")
+        assert stats["rejected"] == 1 and stats["dropped_responses"] == 0
+
     def test_shutdown_answers_before_exit(self, serving_model, serving_rows):
         with ServerThread(serving_model, ServerConfig(port=0)) as handle:
             with ScoringClient("127.0.0.1", handle.port) as c:

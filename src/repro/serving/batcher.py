@@ -216,10 +216,13 @@ _worker_score_fn = None
 
 
 def _exit_on_sigterm_from(parent: int) -> None:
-    """Consume SIGTERM; exit only when the server process sent it."""
-    while True:
-        if signal.sigwaitinfo({signal.SIGTERM}).si_pid == parent:
-            os._exit(1)
+    """Consume SIGTERM; exit when the server process sent it, or once
+    the server is gone (a hard-killed parent never joins its workers)."""
+    while os.getppid() == parent:
+        info = signal.sigtimedwait({signal.SIGTERM}, 1.0)
+        if info is not None and info.si_pid == parent:
+            break
+    os._exit(1)
 
 
 def _install_score_fn(score_fn) -> None:

@@ -16,6 +16,7 @@ import repro
 from repro.__main__ import main
 from repro.serving import ScoringClient
 from repro.serving.protocol import IncompleteFrame
+from tests.serving.conftest import child_pids
 
 
 def _serve_env():
@@ -105,14 +106,17 @@ class TestProcessGroupSignal:
             match = re.match(r"REPRO-SERVE READY .*port=(\d+)", ready)
             assert match, f"unexpected first line: {ready!r}"
             port = int(match.group(1))
-            offline = serving_model.decision_function(serving_rows[:8])
+            # Requests big enough (tens of ms each) that the signal finds
+            # a batch in flight on a worker.
+            rows = np.tile(serving_rows, (128, 1))
+            offline = serving_model.decision_function(rows)
             outcomes = [[] for _ in range(2)]
 
             def load(out):
                 with ScoringClient("127.0.0.1", port) as client:
                     while True:
                         try:
-                            reply = client.score(serving_rows[:8])
+                            reply = client.score(rows)
                         except (OSError, IncompleteFrame):
                             return  # the drain closed the connection
                         same = not reply.ok or (
@@ -154,6 +158,30 @@ class TestProcessGroupSignal:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestServerKilled:
+    def test_workers_exit_once_the_server_is_gone(self, serve_proc):
+        """A SIGKILLed server never joins its workers; they notice the
+        lost parent and exit instead of lingering as orphans."""
+        assert serve_proc.stdout.readline().startswith("REPRO-SERVE READY")
+        children = child_pids(serve_proc.pid)
+        assert children
+        serve_proc.kill()
+        serve_proc.wait()
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in children):
+            assert time.monotonic() < deadline, "a worker outlived its server"
+            time.sleep(0.05)
 
 
 class TestServeBadInput:
